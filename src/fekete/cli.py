@@ -281,6 +281,7 @@ def cmd_minimize(cfg: RunConfig) -> dict:
         "p": cfg.p,
         "q": cfg.q,
         "converged": report.converged,
+        "stop": report.stop,
         "iterations": report.iterations,
         "grad_norm": _json_scalar(report.grad_norm),
         "energy": _json_scalar(report.energy),

@@ -13,10 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import jacobi
 from .exceptions import DomainError
 from .jacobi import JacobiParams
-from .precision import CompensatedSum, Scalar, active
+from .precision import STD, CompensatedSum, Scalar, active
 from .specfun import zeta_prime_neg1_exact
 
 #: returned by configuration energies when points coincide (or touch a
@@ -72,22 +74,42 @@ class IntervalSpec:
         return (self.b - self.a) / 2
 
 
+def _log_distance_sum(points: tuple[float, ...]) -> Scalar | None:
+    """sum_{j<k} log|x_j - x_k|, or ``None`` when two points coincide.
+
+    In ``std`` each row j of distances is one numpy vector (O(n) extra
+    memory, never an n x n matrix) and the row sums are combined by
+    :func:`math.fsum`; in ``ext`` the compensated mpf double loop carries
+    the extended digits.
+    """
+    ctx = active()
+    if ctx.mode == STD:
+        x = np.asarray(points, dtype=float)
+        rows = []
+        for j in range(len(x) - 1):
+            dist = np.abs(x[j + 1:] - x[j])
+            if not dist.all():
+                return None
+            rows.append(np.log(dist).sum())
+        return math.fsum(rows)
+    acc = CompensatedSum(ctx.zero())
+    for j, xj in enumerate(points):
+        x = ctx.real(xj)
+        for xk in points[j + 1:]:
+            if xj == xk:
+                return None
+            acc.add(ctx.log(abs(x - ctx.real(xk))))
+    return acc.value
+
+
 def log_energy_config(config: Configuration) -> Scalar:
     """Discrete logarithmic energy sum_{j != k} log(1/|x_j - x_k|).
 
     Computed as -2 sum_{j<k} log|x_j - x_k|; coincident points return
     :data:`INFINITE_ENERGY`.
     """
-    ctx = active()
-    pts = config.points
-    acc = CompensatedSum(ctx.zero())
-    for j in range(len(pts)):
-        xj = ctx.real(pts[j])
-        for k in range(j + 1, len(pts)):
-            if pts[j] == pts[k]:
-                return INFINITE_ENERGY
-            acc.add(ctx.log(abs(xj - ctx.real(pts[k]))))
-    return -2 * acc.value
+    pairs = _log_distance_sum(config.points)
+    return INFINITE_ENERGY if pairs is None else -2 * pairs
 
 
 def potential_energy_config(config: Configuration) -> Scalar:
@@ -99,19 +121,18 @@ def potential_energy_config(config: Configuration) -> Scalar:
     if config.charges is None:
         raise DomainError("potential_energy_config needs a charged configuration")
     ctx = active()
-    p, q = config.charges
+    p, q = ctx.real(config.charges[0]), ctx.real(config.charges[1])
     pts = config.points
     if any(x in (-1.0, 1.0) for x in pts):
         return INFINITE_ENERGY
-    acc = CompensatedSum(ctx.zero())
-    for j, xj in enumerate(pts):
+    pairs = _log_distance_sum(pts)
+    if pairs is None:
+        return INFINITE_ENERGY
+    acc = CompensatedSum(pairs)
+    for xj in pts:
         x = ctx.real(xj)
-        acc.add(ctx.real(p) * ctx.log(1 - x))
-        acc.add(ctx.real(q) * ctx.log(1 + x))
-        for k in range(j + 1, len(pts)):
-            if xj == pts[k]:
-                return INFINITE_ENERGY
-            acc.add(ctx.log(abs(x - ctx.real(pts[k]))))
+        acc.add(p * ctx.log(1 - x))
+        acc.add(q * ctx.log(1 + x))
     return -2 * acc.value
 
 

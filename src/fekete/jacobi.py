@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .exceptions import DomainError, NumericalError
 from .precision import CompensatedSum, Scalar, active
@@ -50,11 +49,16 @@ class JacobiParams:
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """The n simple zeros of P_n^(alpha,beta), ascending, all in (-1, 1)."""
+    """The n simple zeros of P_n^(alpha,beta), ascending, all in (-1, 1).
+
+    ``residual`` is max |P_n(x_i)| over the returned points, the value the
+    residual gate of :func:`zeros` accepted.
+    """
 
     n: int
     params: JacobiParams
     points: tuple[float, ...]
+    residual: float
 
 
 def leading_coeff_log(n: int, params: JacobiParams) -> Scalar:
@@ -92,8 +96,9 @@ def value_at_minus_one_signed_log(n: int, params: JacobiParams) -> Scalar:
 def _recurrence(n: int, alpha, beta, x):
     """P_n^(alpha,beta)(x) by the forward three-term recurrence.
 
-    Works for float or mpf scalars alike; coefficients stay rational in the
-    inputs so no elementary-function dispatch is needed.
+    Works for float or mpf scalars alike, and elementwise on a numpy array;
+    coefficients stay rational in the inputs so no elementary-function
+    dispatch is needed.
     """
     if n == 0:
         return x * 0 + 1
@@ -159,30 +164,31 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
     """Zeros of P_n^(alpha,beta), ascending.
 
     Computed as eigenvalues of the symmetric tridiagonal recurrence matrix
-    followed by a single Newton polish; always float64 (sufficient for
-    every downstream contract, which are 1e-8..1e-12 scale).
+    (Golub-Welsch) followed by a single Newton polish; always float64
+    (sufficient for every downstream contract, which are 1e-8..1e-12
+    scale).  The polish and the residual gate each run the three-term
+    recurrence once over the whole root vector: n numpy passes, not n^2
+    scalar steps.
     """
     if n < 1:
         raise DomainError(f"zeros requires n >= 1, got {n}")
+    from scipy.linalg import eigh_tridiagonal  # most of the package's import time
+
     alpha, beta = float(params.alpha), float(params.beta)
     diag, off = _recurrence_coeffs(n, alpha, beta)
     try:
-        pts = eigh_tridiagonal(diag, off, eigvals_only=True)
+        x = eigh_tridiagonal(diag, off, eigvals_only=True)
     except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
         raise NumericalError(
             f"tridiagonal eigensolve failed for n={n}, alpha={alpha}, beta={beta}: {exc}"
         ) from exc
-    polished = []
-    for x in pts:
-        p = _recurrence(n, alpha, beta, x)
-        dp = (n + alpha + beta + 1) / 2 * _recurrence(n - 1, alpha + 1, beta + 1, x)
-        if dp != 0.0:
-            step = p / dp
-            if abs(step) < 1e-8:  # guard against a bad derivative far from the root
-                x = x - step
-        polished.append(float(x))
-    pts = polished
-    if any(b <= a for a, b in zip(pts, pts[1:])) or pts[0] <= -1 or pts[-1] >= 1:
+    p = _recurrence(n, alpha, beta, x)
+    dp = (n + alpha + beta + 1) / 2 * _recurrence(n - 1, alpha + 1, beta + 1, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = p / dp
+    # the |step| guard skips a root whose derivative is bad far from it
+    x = np.where((dp != 0.0) & (np.abs(step) < 1e-8), x - step, x)
+    if not (np.all(np.diff(x) > 0) and x[0] > -1 and x[-1] < 1):
         raise NumericalError(
             f"zero set for n={n}, alpha={alpha}, beta={beta} is not strictly "
             f"ordered/interior after polish"
@@ -192,13 +198,13 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
         math.exp(value_at_one_log(n, params)),
         math.exp(value_at_minus_one_signed_log(n, params)),
     )
-    residual = max(abs(_recurrence(n, alpha, beta, x)) for x in pts)
-    if residual > 1e-8 * scale:
+    residual = float(np.max(np.abs(_recurrence(n, alpha, beta, x))))
+    if not residual <= 1e-8 * scale:
         raise NumericalError(
             f"zero residual {residual:.3e} exceeds 1e-8 * {scale:.3e} "
             f"for n={n}, alpha={alpha}, beta={beta}"
         )
-    return ZeroSet(n=n, params=params, points=tuple(pts))
+    return ZeroSet(n=n, params=params, points=tuple(x.tolist()), residual=residual)
 
 
 def discriminant_log(n: int, params: JacobiParams) -> Scalar:

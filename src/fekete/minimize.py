@@ -23,17 +23,27 @@ from .exceptions import DomainError
 
 _MAX_ITER = 200
 _DEFAULT_TOL = 1e-10
+#: a Newton step this small (in the max norm, on points in [-1, 1]) is
+#: float64 rounding noise: the iterate is the minimizer to working precision
+_STEP_FLOOR = 16 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one solve: final points, iteration count, gradient norm."""
+    """Outcome of one solve: final points, iteration count, gradient norm.
+
+    ``stop`` says why the solve ended: ``"gradient"`` (||grad||_inf <= tol),
+    ``"step"`` (the Newton step fell to the float64 noise floor),
+    ``"max_iter"`` or ``"line_search"`` (no acceptable step length).  The
+    first two count as converged.  It is empty for a report built by hand.
+    """
 
     configuration: Configuration
     iterations: int
     grad_norm: float
     converged: bool
     energy: float
+    stop: str = ""
 
     @property
     def points(self) -> tuple[float, ...]:
@@ -87,7 +97,12 @@ def minimize_potential(n: int, p: float, q: float, tol: float = _DEFAULT_TOL,
 
     Damped Newton with the ordering constraint maintained by step halving
     (never by re-sorting).  Starts from Chebyshev points scaled by 1 - 1/n.
-    A non-converged run is reported, not raised.
+    Converged means ||grad||_inf <= tol, or a Newton step with
+    ||dx||_inf <= 16 eps: the gradient terms grow like n^2, so past n ~ 90
+    rounding keeps ||grad||_inf above the default tol even at the exact
+    minimizer, while the step there stays at about 1e-16.  A non-converged
+    run is reported, not raised; ``SolveReport.stop`` names the rule that
+    ended it.
     """
     if n < 1:
         raise DomainError(f"minimize_potential requires n >= 1, got {n}")
@@ -101,9 +116,18 @@ def minimize_potential(n: int, p: float, q: float, tol: float = _DEFAULT_TOL,
     value = _potential(x, p, q)
     grad = gradient(Configuration(tuple(x), charges=(p, q)))
     iterations = 0
-    while iterations < max_iter and np.max(np.abs(grad)) > tol:
-        iterations += 1
+    while True:
+        if np.max(np.abs(grad)) <= tol:
+            stop = "gradient"
+            break
         step = np.linalg.solve(_hessian(x, p, q), -grad)
+        if np.max(np.abs(step)) <= _STEP_FLOOR:
+            stop = "step"
+            break
+        if iterations >= max_iter:
+            stop = "max_iter"
+            break
+        iterations += 1
         t = 1.0
         accepted = False
         while t > 1e-16:
@@ -115,18 +139,19 @@ def minimize_potential(n: int, p: float, q: float, tol: float = _DEFAULT_TOL,
                     break
             t *= 0.5
         if not accepted:
-            break  # no acceptable step; report non-convergence
+            stop = "line_search"
+            break
         x = candidate
         value = candidate_value
         grad = gradient(Configuration(tuple(x), charges=(p, q)))
-    grad_norm = float(np.max(np.abs(grad)))
     config = Configuration(tuple(float(v) for v in x), charges=(p, q))
     return SolveReport(
         configuration=config,
         iterations=iterations,
-        grad_norm=grad_norm,
-        converged=grad_norm <= tol,
+        grad_norm=float(np.max(np.abs(grad))),
+        converged=stop in ("gradient", "step"),
         energy=float(value),
+        stop=stop,
     )
 
 
@@ -148,6 +173,7 @@ def fekete_maximize(N: int, tol: float = _DEFAULT_TOL) -> SolveReport:
             grad_norm=0.0,
             converged=True,
             energy=float(energy.log_energy_config(config)),
+            stop="gradient",
         )
     inner = minimize_potential(N - 2, 1.0, 1.0, tol=tol)
     config = Configuration((-1.0,) + inner.points + (1.0,))
@@ -157,4 +183,5 @@ def fekete_maximize(N: int, tol: float = _DEFAULT_TOL) -> SolveReport:
         grad_norm=inner.grad_norm,
         converged=inner.converged,
         energy=float(energy.log_energy_config(config)),
+        stop=inner.stop,
     )

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -12,6 +15,13 @@ from _util import rel_close
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg is most of the import cost and only `zeros` needs it
+    code = "import sys, fekete.cli; sys.exit('scipy.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestExact:
@@ -117,6 +127,7 @@ class TestTableAndZeros:
         assert result.exit_code == 0
         data = json.loads(result.output)
         assert data["converged"] is True
+        assert data["stop"] == "gradient"
         assert data["points"][1] == pytest.approx(1 / math.sqrt(5), abs=1e-8)
 
 
@@ -146,6 +157,13 @@ class TestVerify:
         assert result.exit_code == 0
         rows = [line for line in result.output.splitlines() if line.startswith("point")]
         assert len(rows) == 19
+        assert all(row.strip().endswith("true") for row in rows)
+
+    def test_minimize_kind_past_gradient_noise_floor(self, runner):
+        result = runner.invoke(cli, ["verify", "--kind", "minimize", "--n", "100,150"])
+        assert result.exit_code == 0
+        rows = [line for line in result.output.splitlines() if line.startswith("point")]
+        assert len(rows) == 2
         assert all(row.strip().endswith("true") for row in rows)
 
     def test_single_n_usage_error(self, runner):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,7 +8,7 @@ from fekete import energy, jacobi
 from fekete.energy import Configuration, IntervalSpec, INFINITE_ENERGY
 from fekete.exceptions import DomainError
 from fekete.jacobi import JacobiParams
-from fekete.precision import precision_mode
+from fekete.precision import CompensatedSum, precision_mode
 
 from _util import rel_close
 
@@ -54,6 +55,53 @@ class TestPotentialEnergyConfig:
     def test_requires_charges(self):
         with pytest.raises(DomainError):
             energy.potential_energy_config(Configuration((0.0,)))
+
+
+def _pair_log_loop(points):
+    """sum_{j<k} log|x_j - x_k| by the compensated scalar double loop."""
+    acc = CompensatedSum()
+    for j, xj in enumerate(points):
+        for xk in points[j + 1:]:
+            acc.add(math.log(abs(xj - xk)))
+    return acc.value
+
+
+class TestConfigEnergyKernels:
+    N, P, Q = 200, 0.7, 1.3
+
+    def _points(self):
+        return jacobi.zeros(self.N, JacobiParams.from_charges(self.P, self.Q)).points
+
+    def test_log_energy_matches_scalar_loop(self):
+        pts = self._points()
+        assert rel_close(energy.log_energy_config(Configuration(pts)),
+                         -2 * _pair_log_loop(pts), 1e-14)
+
+    def test_potential_energy_matches_scalar_loop(self):
+        pts = self._points()
+        acc = CompensatedSum(_pair_log_loop(pts))
+        for x in pts:
+            acc.add(self.P * math.log(1 - x))
+            acc.add(self.Q * math.log(1 + x))
+        value = energy.potential_energy_config(Configuration(pts, charges=(self.P, self.Q)))
+        assert rel_close(value, -2 * acc.value, 1e-14)
+
+    def test_ext_matches_std(self):
+        pts = jacobi.zeros(60, JacobiParams.from_charges(self.P, self.Q)).points
+        for fn, config in ((energy.log_energy_config, Configuration(pts)),
+                           (energy.potential_energy_config,
+                            Configuration(pts, charges=(self.P, self.Q)))):
+            std = fn(config)
+            with precision_mode("ext"):
+                ext = fn(config)
+            assert isinstance(std, float) and isinstance(ext, mpmath.mpf)
+            assert rel_close(std, ext, 1e-13)
+
+    def test_coincident_anywhere_is_infinite(self):
+        pts = (-0.5, 0.1, 0.3, 0.7, 0.3)
+        assert energy.log_energy_config(Configuration(pts)) == INFINITE_ENERGY
+        assert energy.potential_energy_config(
+            Configuration(pts, charges=(1.0, 1.0))) == INFINITE_ENERGY
 
 
 class TestPotentialEnergyExact:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_jacobi, roots_jacobi
 
 from fekete import jacobi
@@ -188,6 +189,26 @@ class TestZeros:
     def test_domain(self):
         with pytest.raises(DomainError):
             jacobi.zeros(0, JacobiParams(0, 0))
+
+    @pytest.mark.parametrize("n,a,b", [(50, 0.4, 1.6), (333, 7.0, 0.5), (800, 1.0, 4.0)])
+    def test_vector_polish_matches_scalar_loop(self, n, a, b):
+        # the per-root scalar Newton polish, applied to the same eigenvalues
+        diag, off = jacobi._recurrence_coeffs(n, a, b)
+        expected = []
+        for x in eigh_tridiagonal(diag, off, eigvals_only=True):
+            p = jacobi._recurrence(n, a, b, x)
+            dp = (n + a + b + 1) / 2 * jacobi._recurrence(n - 1, a + 1, b + 1, x)
+            if dp != 0.0 and abs(p / dp) < 1e-8:
+                x = x - p / dp
+            expected.append(float(x))
+        assert jacobi.zeros(n, JacobiParams(a, b)).points == tuple(expected)
+
+    def test_residual_reported(self):
+        params = JacobiParams(0.4, 1.6)
+        z = jacobi.zeros(60, params)
+        assert isinstance(z.residual, float)
+        assert z.residual == max(abs(jacobi.evaluate(60, params, x)) for x in z.points)
+        assert z.residual <= 1e-8 * math.exp(jacobi.value_at_minus_one_signed_log(60, params))
 
 
 class TestDiscriminant:

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -111,6 +113,36 @@ class TestMinimizePotential:
         assert not report.converged
         assert report.iterations == 1
 
+    @pytest.mark.parametrize("n", [100, 250, 500])
+    @pytest.mark.parametrize("p,q", [(0.75, 1.25), (4.0, 0.75), (1.0, 1.0)])
+    def test_converges_past_gradient_noise_floor(self, n, p, q):
+        # ||grad||_inf at the exact zeros exceeds the default tol here
+        report = optim.minimize_potential(n, p, q)
+        target = jacobi.zeros(n, JacobiParams.from_charges(p, q)).points
+        assert report.converged
+        assert report.stop in ("gradient", "step")
+        assert report.iterations <= 20
+        assert max(abs(a - b) for a, b in zip(report.points, target)) <= 1e-8
+
+    def test_stop_reasons(self):
+        assert optim.minimize_potential(20, 0.75, 1.5).stop == "gradient"
+        assert optim.minimize_potential(300, 1.0, 1.0).stop == "step"
+        capped = optim.minimize_potential(300, 1.0, 1.0, max_iter=3)
+        assert capped.stop == "max_iter"
+        assert not capped.converged
+        assert capped.iterations == 3
+
+    def test_report_fields_are_builtin(self):
+        reports = [optim.minimize_potential(150, 0.75, 1.25),
+                   optim.minimize_potential(150, 0.75, 1.25, max_iter=3),
+                   optim.fekete_maximize(2)]
+        assert [r.converged for r in reports] == [True, False, True]
+        for report in reports:
+            assert type(report.converged) is bool
+            for field in dataclasses.fields(report):
+                value = getattr(report, field.name)
+                json.dumps(report.points if field.name == "configuration" else value)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             optim.minimize_potential(0, 1, 1)
@@ -172,7 +204,7 @@ class TestFeketeMaximize:
         expected = (-1.0, -s, s, 1.0)
         assert max(abs(a - b) for a, b in zip(report.points, expected)) <= 1e-8
 
-    @pytest.mark.parametrize("N", [2, 3, 5, 12, 33, 60])
+    @pytest.mark.parametrize("N", [2, 3, 5, 12, 33, 60, 109])
     def test_energy_matches_interval_exact(self, N):
         report = optim.fekete_maximize(N)
         assert report.converged

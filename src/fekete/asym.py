@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .exceptions import CapacityError, DomainError
+from .energy import IntervalSpec
+from .exceptions import CapacityError, DomainError, check_finite_above, check_size
 from .jacobi import JacobiParams
 from .precision import EXT, Scalar, active, as_fraction
 from .specfun import (
@@ -63,8 +64,7 @@ class Expansion:
 
 
 def _check_order(order: int) -> None:
-    if order < 0:
-        raise DomainError(f"truncation order must be >= 0, got {order}")
+    check_size(order, "order", 0)
     if order > max_order():
         raise CapacityError(f"order {order} exceeds the mode maximum {max_order()}")
 
@@ -259,8 +259,7 @@ def potential_energy_expansion(p: float, q: float, order: int) -> Expansion:
     symmetric-field formulas agree coefficient by coefficient).
     """
     _check_order(order)
-    if not (p > 0 and q > 0):
-        raise DomainError(f"charges must be positive, got p={p}, q={q}")
+    check_finite_above(0, "charges", p=p, q=q)
     ctx = active()
     fp = as_fraction(p)
     fq = as_fraction(q)
@@ -290,8 +289,7 @@ def elliptic_log_energy_expansion(p: float, q: float, order: int) -> Expansion:
     (log 2) n^2 - n log n - 2 (log 2) n + 2 (p^2 + q^2 - 1/8) log n
     + C_1'(p, q) + tail."""
     _check_order(order)
-    if not (p > 0 and q > 0):
-        raise DomainError(f"charges must be positive, got p={p}, q={q}")
+    check_finite_above(0, "charges", p=p, q=q)
     ctx = active()
     fp = as_fraction(p)
     fq = as_fraction(q)
@@ -336,11 +334,10 @@ def interval_energy_expansion(order: int) -> Expansion:
 def general_interval_energy_expansion(a: float, b: float, order: int) -> Expansion:
     """Same as the [-1, 1] expansion with N^2 coefficient W([a, b]) and N
     coefficient -(log 2 + W([a, b])); all other terms are capacity-independent."""
-    if not b > a:
-        raise DomainError(f"interval needs b > a, got [{a}, {b}]")
+    capacity = IntervalSpec(a, b).capacity
     base = interval_energy_expansion(order)
     ctx = active()
-    w = -ctx.log(ctx.real((b - a) / 4))
+    w = -ctx.log(ctx.real(capacity))
     leading = dict(base.leading)
     leading["n2"] = w
     leading["n"] = -(ctx.ln2 + w)
@@ -358,8 +355,7 @@ def evaluate_expansion(expansion: Expansion, n: int, order: int | None = None) -
     Deterministic evaluation order: leading terms descending (n^2, n log n,
     n, log n, const), then tail ascending in m.
     """
-    if n < 2:
-        raise DomainError(f"expansion evaluation requires n >= 2, got {n}")
+    n = check_size(n, "n", 2)
     if order is None:
         order = expansion.order
     if order < 0 or order > expansion.order:

@@ -10,19 +10,16 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import click
 import mpmath
 
-from . import asym, energy, jacobi, minimize as optim
-from .exceptions import CapacityError, DomainError, FeketeError
+from . import __version__, asym, energy, jacobi, minimize as optim
+from .energy import IntervalSpec
+from .exceptions import FeketeError
 from .jacobi import JacobiParams
 from .precision import STD, active, use
-
-EXACT_KINDS = ("pq", "interval")
-EXPANSION_KINDS = ("lambda", "p1", "disc", "potential", "elliptic", "interval",
-                   "general-interval")
-VERIFY_KINDS = ("lambda", "p1", "disc", "potential", "elliptic", "interval", "minimize")
 
 
 @dataclass(frozen=True)
@@ -59,8 +56,8 @@ def _parse_range(text: str | None, flag: str) -> tuple[int, ...]:
         raise click.UsageError(f"cannot parse range {text!r} for {flag}: {exc}") from exc
 
 
-def _resolve_charges(p, q, alpha, beta, required: bool) -> tuple[float, float] | None:
-    """Exactly one of (p, q) / (alpha, beta); the other pair is derived."""
+def _resolve_charges(p, q, alpha, beta, required: bool) -> tuple:
+    """Exactly one of (p, q) / (alpha, beta), or (None, None) if not required."""
     has_pq = p is not None or q is not None
     has_ab = alpha is not None or beta is not None
     if has_pq and has_ab:
@@ -75,7 +72,7 @@ def _resolve_charges(p, q, alpha, beta, required: bool) -> tuple[float, float] |
         return (alpha + 1) / 2, (beta + 1) / 2
     if required:
         raise click.UsageError("this command needs --p/--q (or --alpha/--beta)")
-    return None
+    return None, None
 
 
 def _format_scalar(x) -> str:
@@ -137,59 +134,66 @@ def cmd_exact(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     return header, rows
 
 
-def _build_expansion(kind: str, order: int, p, q, a=None, b=None) -> asym.Expansion:
-    if kind == "interval":
-        return asym.interval_energy_expansion(order)
-    if kind == "general-interval":
-        if a is None or b is None:
-            raise click.UsageError("general-interval needs --a and --b")
-        return asym.general_interval_energy_expansion(a, b, order)
-    if p is None or q is None:
-        raise click.UsageError(f"kind {kind!r} needs charges --p/--q or --alpha/--beta")
-    params = JacobiParams.from_charges(p, q)
-    if kind == "lambda":
-        return asym.leading_coeff_expansion(params, order)
-    if kind == "p1":
-        return asym.value_at_one_expansion(params, order)
-    if kind == "disc":
-        return asym.discriminant_expansion(params, order)
-    if kind == "potential":
-        return asym.potential_energy_expansion(p, q, order)
-    if kind == "elliptic":
-        return asym.elliptic_log_energy_expansion(p, q, order)
-    raise click.UsageError(f"unknown expansion kind {kind!r}")
+class Kind(NamedTuple):
+    """A quantity: ``exact(n, *inputs)``, ``expansion(order, *inputs)``,
+    with ``inputs`` the values of the named :class:`RunConfig` fields."""
+
+    inputs: tuple[str, ...]
+    exact: Callable
+    expansion: Callable
+
+
+def _params(p, q) -> JacobiParams:
+    return JacobiParams.from_charges(p, q)
+
+
+_CHARGES = ("p", "q")
+# The lambdas look the package functions up at call time, so a wrapper
+# installed on a module attribute (a tracer, a mock) sees every call.
+KINDS = {
+    "lambda": Kind(_CHARGES, lambda n, p, q: jacobi.leading_coeff_log(n, _params(p, q)),
+                   lambda order, p, q: asym.leading_coeff_expansion(_params(p, q), order)),
+    "p1": Kind(_CHARGES, lambda n, p, q: jacobi.value_at_one_log(n, _params(p, q)),
+               lambda order, p, q: asym.value_at_one_expansion(_params(p, q), order)),
+    "disc": Kind(_CHARGES, lambda n, p, q: jacobi.discriminant_log(n, _params(p, q)),
+                 lambda order, p, q: asym.discriminant_expansion(_params(p, q), order)),
+    "potential": Kind(_CHARGES, lambda n, p, q: energy.potential_energy_exact(n, p, q),
+                      lambda order, p, q: asym.potential_energy_expansion(p, q, order)),
+    "elliptic": Kind(_CHARGES, lambda n, p, q: energy.elliptic_log_energy_exact(n, p, q),
+                     lambda order, p, q: asym.elliptic_log_energy_expansion(p, q, order)),
+    "interval": Kind((), lambda n: energy.interval_energy_exact(n),
+                     lambda order: asym.interval_energy_expansion(order)),
+    "general-interval": Kind(
+        ("a", "b"), lambda n, a, b: energy.interval_energy_on(IntervalSpec(a, b), n),
+        lambda order, a, b: asym.general_interval_energy_expansion(a, b, order)),
+}
+
+
+def _kind(cfg: RunConfig) -> tuple[Kind, tuple]:
+    """The table entry for ``cfg.kind`` and the inputs its functions take."""
+    kind = KINDS.get(cfg.kind)
+    if kind is None:
+        raise click.UsageError(f"unknown kind {cfg.kind!r}")
+    inputs = tuple(getattr(cfg, name) for name in kind.inputs)
+    if None in inputs:
+        raise click.UsageError(f"kind {cfg.kind!r} needs --{'/--'.join(kind.inputs)}")
+    return kind, inputs
 
 
 def cmd_coeffs(cfg: RunConfig) -> dict:
-    expansion = _build_expansion(cfg.kind, cfg.order, cfg.p, cfg.q, cfg.a, cfg.b)
-    return asym.expansion_to_json(expansion)
-
-
-def _exact_for_kind(kind: str, n: int, p, q):
-    if kind == "interval":
-        return energy.interval_energy_exact(n)
-    params = JacobiParams.from_charges(p, q)
-    if kind == "lambda":
-        return jacobi.leading_coeff_log(n, params)
-    if kind == "p1":
-        return jacobi.value_at_one_log(n, params)
-    if kind == "disc":
-        return jacobi.discriminant_log(n, params)
-    if kind == "potential":
-        return energy.potential_energy_exact(n, p, q)
-    if kind == "elliptic":
-        return energy.elliptic_log_energy_exact(n, p, q)
-    raise click.UsageError(f"unknown exact kind {kind!r}")
+    kind, inputs = _kind(cfg)
+    return asym.expansion_to_json(kind.expansion(cfg.order, *inputs))
 
 
 def cmd_table(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
-    expansion = _build_expansion(cfg.kind, cfg.order, cfg.p, cfg.q, cfg.a, cfg.b)
+    kind, inputs = _kind(cfg)
+    expansion = kind.expansion(cfg.order, *inputs)
     header = ["n", "exact"]
     for mp_ in range(cfg.order + 1):
         header += [f"truncated_{mp_}", f"error_{mp_}"]
     rows = []
     for n in cfg.values:
-        exact = _exact_for_kind(cfg.kind, n, cfg.p, cfg.q)
+        exact = kind.exact(n, *inputs)
         row = [str(n), _format_scalar(exact)]
         for mp_ in range(cfg.order + 1):
             approx = asym.evaluate_expansion(expansion, n, mp_)
@@ -232,10 +236,11 @@ def cmd_verify(cfg: RunConfig):
             rows.append(("point", "minimize", "", str(n), "", "",
                          _format_scalar(deviation), "", "", str(good).lower()))
         return header, rows, ok
-    if len(cfg.values) < 2:
-        raise click.UsageError("verify needs at least two n values to fit slopes")
-    expansion = _build_expansion(cfg.kind, cfg.order, cfg.p, cfg.q, cfg.a, cfg.b)
-    exacts = {n: _exact_for_kind(cfg.kind, n, cfg.p, cfg.q) for n in cfg.values}
+    if len(set(cfg.values)) < 2:
+        raise click.UsageError("verify needs at least two distinct n values to fit slopes")
+    kind, inputs = _kind(cfg)
+    expansion = kind.expansion(cfg.order, *inputs)
+    exacts = {n: kind.exact(n, *inputs) for n in cfg.values}
     errors_by_n = {n: [] for n in cfg.values}
     for order in range(cfg.order + 1):
         errors = []
@@ -294,7 +299,8 @@ def cmd_minimize(cfg: RunConfig) -> dict:
 
 def _common_options(fn):
     fn = click.option("--precision", type=click.Choice(["std", "ext"]),
-                      envvar="FEKETE_PRECISION", default="std",
+                      envvar="FEKETE_PRECISION", default="std", expose_value=False,
+                      callback=lambda _ctx, _param, mode: use(mode),
                       help="Scalar arithmetic mode (also via FEKETE_PRECISION).")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
                       default="csv", help="Output format.")(fn)
@@ -311,23 +317,45 @@ def _charge_options(fn):
     return fn
 
 
-@click.group()
-@click.version_option()
+def _kind_options(*extra_kinds):
+    """--kind from :data:`KINDS` (plus ``extra_kinds``), and --a/--b for general-interval."""
+    def decorate(fn):
+        fn = click.option("--b", type=float, default=None, help="Right endpoint (general-interval).")(fn)
+        fn = click.option("--a", type=float, default=None, help="Left endpoint (general-interval).")(fn)
+        return click.option("--kind", type=click.Choice((*KINDS, *extra_kinds)), required=True)(fn)
+    return decorate
+
+
+class _Command(click.Command):
+    """Reports the package's errors as usage errors: exit 2, no traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except FeketeError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
+@click.version_option(version=__version__)
 def cli():
     """Exact minimal logarithmic energies of interval point configurations,
     their complete asymptotic expansions, and numerical verification."""
 
 
 @cli.command("exact")
-@click.option("--kind", type=click.Choice(EXACT_KINDS), default=None,
+@click.option("--kind", type=click.Choice(["pq", "interval"]), default=None,
               help="pq: external-field problem rows; interval: Fekete rows.")
 @click.option("--n", "n_range", default=None, help="Range a..b or comma list (pq kind).")
 @click.option("--N", "N_range", default=None, help="Range a..b or comma list (interval kind).")
 @_charge_options
 @_common_options
-def exact_command(kind, n_range, N_range, p, q, alpha, beta, precision, fmt, out):
+def exact_command(kind, n_range, N_range, p, q, alpha, beta, fmt, out):
     """Exact energies and log-discriminants for a range of sizes."""
-    use(precision)
     if kind is None:
         kind = "interval" if N_range is not None else "pq"
     if kind == "interval":
@@ -335,60 +363,37 @@ def exact_command(kind, n_range, N_range, p, q, alpha, beta, precision, fmt, out
         cfg = RunConfig(command="exact", kind=kind, values=values, fmt=fmt)
     else:
         values = _parse_range(n_range, "--n")
-        charges = _resolve_charges(p, q, alpha, beta, required=True)
-        cfg = RunConfig(command="exact", kind=kind, values=values,
-                        p=charges[0], q=charges[1], fmt=fmt)
-    try:
-        header, rows = cmd_exact(cfg)
-    except (DomainError, CapacityError) as exc:
-        raise click.UsageError(str(exc)) from exc
+        p, q = _resolve_charges(p, q, alpha, beta, required=True)
+        cfg = RunConfig(command="exact", kind=kind, values=values, p=p, q=q, fmt=fmt)
+    header, rows = cmd_exact(cfg)
     _emit_table(header, rows, fmt, out, "exact")
 
 
 @cli.command("coeffs")
-@click.option("--kind", type=click.Choice(EXPANSION_KINDS), required=True)
+@_kind_options()
 @click.option("--order", "--M", "order", type=int, default=4,
               help="Number of tail coefficients.")
-@click.option("--a", type=float, default=None, help="Left endpoint (general-interval).")
-@click.option("--b", type=float, default=None, help="Right endpoint (general-interval).")
 @_charge_options
 @_common_options
-def coeffs_command(kind, order, a, b, p, q, alpha, beta, precision, fmt, out):
+def coeffs_command(kind, order, a, b, p, q, alpha, beta, fmt, out):
     """Expansion coefficients as serialized JSON."""
-    use(precision)
-    needs_charges = kind not in ("interval", "general-interval")
-    charges = _resolve_charges(p, q, alpha, beta, required=needs_charges)
-    cfg = RunConfig(command="coeffs", kind=kind, order=order, fmt=fmt, a=a, b=b,
-                    p=charges[0] if charges else None,
-                    q=charges[1] if charges else None)
-    try:
-        payload = cmd_coeffs(cfg)
-    except (DomainError, CapacityError) as exc:
-        raise click.UsageError(str(exc)) from exc
-    _write(json.dumps(payload, indent=2) + "\n", out)
+    p, q = _resolve_charges(p, q, alpha, beta, required=False)
+    cfg = RunConfig(command="coeffs", kind=kind, order=order, fmt=fmt, a=a, b=b, p=p, q=q)
+    _write(json.dumps(cmd_coeffs(cfg), indent=2) + "\n", out)
 
 
 @cli.command("table")
-@click.option("--kind", type=click.Choice(EXPANSION_KINDS), required=True)
+@_kind_options()
 @click.option("--n", "--N", "n_range", default=None, help="Range a..b or comma list.")
 @click.option("--order", "--M", "order", type=int, default=2)
-@click.option("--a", type=float, default=None)
-@click.option("--b", type=float, default=None)
 @_charge_options
 @_common_options
-def table_command(kind, n_range, order, a, b, p, q, alpha, beta, precision, fmt, out):
+def table_command(kind, n_range, order, a, b, p, q, alpha, beta, fmt, out):
     """Convergence table: exact value, truncations and errors per n."""
-    use(precision)
-    needs_charges = kind not in ("interval", "general-interval")
-    charges = _resolve_charges(p, q, alpha, beta, required=needs_charges)
+    p, q = _resolve_charges(p, q, alpha, beta, required=False)
     cfg = RunConfig(command="table", kind=kind, values=_parse_range(n_range, "--n"),
-                    order=order, fmt=fmt, a=a, b=b,
-                    p=charges[0] if charges else None,
-                    q=charges[1] if charges else None)
-    try:
-        header, rows = cmd_table(cfg)
-    except (DomainError, CapacityError) as exc:
-        raise click.UsageError(str(exc)) from exc
+                    order=order, fmt=fmt, a=a, b=b, p=p, q=q)
+    header, rows = cmd_table(cfg)
     _emit_table(header, rows, fmt, out, "table")
 
 
@@ -396,16 +401,12 @@ def table_command(kind, n_range, order, a, b, p, q, alpha, beta, precision, fmt,
 @click.option("--n", "n_range", required=True, help="Degree range a..b or comma list.")
 @_charge_options
 @_common_options
-def zeros_command(n_range, p, q, alpha, beta, precision, fmt, out):
+def zeros_command(n_range, p, q, alpha, beta, fmt, out):
     """Zeros of the Jacobi polynomial attached to the charges."""
-    use(precision)
-    charges = _resolve_charges(p, q, alpha, beta, required=True)
+    p, q = _resolve_charges(p, q, alpha, beta, required=True)
     cfg = RunConfig(command="zeros", kind="zeros", values=_parse_range(n_range, "--n"),
-                    p=charges[0], q=charges[1], fmt=fmt)
-    try:
-        header, rows = cmd_zeros(cfg)
-    except (DomainError, FeketeError) as exc:
-        raise click.UsageError(str(exc)) from exc
+                    p=p, q=q, fmt=fmt)
+    header, rows = cmd_zeros(cfg)
     _emit_table(header, rows, fmt, out, "zeros")
 
 
@@ -414,16 +415,12 @@ def zeros_command(n_range, p, q, alpha, beta, precision, fmt, out):
 @click.option("--tol", type=float, default=1e-10)
 @_charge_options
 @_common_options
-def minimize_command(n_value, tol, p, q, alpha, beta, precision, fmt, out):
+def minimize_command(n_value, tol, p, q, alpha, beta, fmt, out):
     """Run the electrostatic Newton solver and report the configuration."""
-    use(precision)
-    charges = _resolve_charges(p, q, alpha, beta, required=True)
+    p, q = _resolve_charges(p, q, alpha, beta, required=True)
     cfg = RunConfig(command="minimize", kind="minimize", values=(n_value,),
-                    p=charges[0], q=charges[1], tol=tol, fmt=fmt)
-    try:
-        payload = cmd_minimize(cfg)
-    except (DomainError, FeketeError) as exc:
-        raise click.UsageError(str(exc)) from exc
+                    p=p, q=q, tol=tol, fmt=fmt)
+    payload = cmd_minimize(cfg)
     if fmt == "json":
         _write(json.dumps(payload, indent=2) + "\n", out)
     else:
@@ -433,7 +430,7 @@ def minimize_command(n_value, tol, p, q, alpha, beta, precision, fmt, out):
 
 
 @cli.command("verify")
-@click.option("--kind", type=click.Choice(VERIFY_KINDS), required=True)
+@_kind_options("minimize")
 @click.option("--n", "--N", "n_range", required=True,
               help="Sizes to test, e.g. 20,40,80,160.")
 @click.option("--order", "--M", "order", type=int, default=2,
@@ -444,21 +441,13 @@ def minimize_command(n_value, tol, p, q, alpha, beta, precision, fmt, out):
               help="Zero-deviation tolerance for --kind minimize.")
 @_charge_options
 @_common_options
-def verify_command(kind, n_range, order, slope_tol, tol, p, q, alpha, beta,
-                   precision, fmt, out):
+def verify_command(kind, n_range, order, slope_tol, tol, a, b, p, q, alpha, beta, fmt, out):
     """Check truncation-order decay (or minimizer agreement) and set the
     exit status accordingly."""
-    use(precision)
-    needs_charges = kind not in ("interval", "minimize")
-    charges = _resolve_charges(p, q, alpha, beta, required=needs_charges)
+    p, q = _resolve_charges(p, q, alpha, beta, required=False)
     cfg = RunConfig(command="verify", kind=kind, values=_parse_range(n_range, "--n"),
-                    order=order, slope_tol=slope_tol, tol=tol, fmt=fmt,
-                    p=charges[0] if charges else None,
-                    q=charges[1] if charges else None)
-    try:
-        header, rows, ok = cmd_verify(cfg)
-    except (DomainError, CapacityError, FeketeError) as exc:
-        raise click.UsageError(str(exc)) from exc
+                    order=order, slope_tol=slope_tol, tol=tol, fmt=fmt, a=a, b=b, p=p, q=q)
+    header, rows, ok = cmd_verify(cfg)
     if fmt == "json":
         payload = {
             "command": "verify",

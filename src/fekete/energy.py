@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jacobi
-from .exceptions import DomainError
+from .exceptions import DomainError, check_finite_above, check_size
 from .jacobi import JacobiParams
 from .precision import STD, CompensatedSum, Scalar, active
 from .specfun import zeta_prime_neg1_exact
@@ -39,12 +39,11 @@ class Configuration:
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(float(x) for x in self.points))
-        if any(x < -1 or x > 1 for x in self.points):
+        if any(not -1 <= x <= 1 for x in self.points):
             raise DomainError("configuration points must lie in [-1, 1]")
         if self.charges is not None:
             p, q = self.charges
-            if not (p > 0 and q > 0):
-                raise DomainError(f"charges must be positive, got p={p}, q={q}")
+            check_finite_above(0, "charges", p=p, q=q)
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,8 @@ class IntervalSpec:
     b: float
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise DomainError(f"interval needs b > a, got [{self.a}, {self.b}]")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
+            raise DomainError(f"interval needs finite b > a, got [{self.a}, {self.b}]")
 
     @property
     def capacity(self) -> float:
@@ -142,8 +141,7 @@ def potential_energy_exact(n: int, p: float, q: float) -> Scalar:
     2(n+p+q-1) log lambda_n - log D_n - 2p log P_n(1) - 2q log P_n(-1)-signed,
     with alpha = 2p-1, beta = 2q-1.  For n = 1 this is 0 exactly when p = q.
     """
-    if n < 1:
-        raise DomainError(f"potential_energy_exact requires n >= 1, got {n}")
+    n = check_size(n, "n", 1)
     ctx = active()
     params = JacobiParams.from_charges(p, q)
     return (
@@ -159,8 +157,7 @@ def elliptic_log_energy_exact(n: int, p: float, q: float) -> Scalar:
 
     2(n-1) log lambda_n - log D_n.  (For n = 1 both terms vanish.)
     """
-    if n < 1:
-        raise DomainError(f"elliptic_log_energy_exact requires n >= 1, got {n}")
+    n = check_size(n, "n", 1)
     params = JacobiParams.from_charges(p, q)
     return 2 * (n - 1) * jacobi.leading_coeff_log(n, params) - jacobi.discriminant_log(n, params)
 
@@ -172,8 +169,7 @@ def interval_energy_exact(N: int) -> Scalar:
     - 2 log 2.  The N = 2 member uses the degenerate n = 0 conventions
     lambda_0 = D_0 = P_0(1) = 1, giving -log 4 (the two-endpoint value).
     """
-    if N < 2:
-        raise DomainError(f"interval_energy_exact requires N >= 2, got {N}")
+    N = check_size(N, "N", 2)
     ctx = active()
     if N == 2:
         return -2 * ctx.ln2
@@ -193,8 +189,7 @@ def discriminant_N_log(N: int) -> Scalar:
     N(N-1) log 2 + N log N + 3 sum_{k=1}^{N-1} k log k
     - sum_{k=N-1}^{2(N-1)} k log k; equals -interval_energy_exact(N).
     """
-    if N < 2:
-        raise DomainError(f"discriminant_N_log requires N >= 2, got {N}")
+    N = check_size(N, "N", 2)
     ctx = active()
     acc = CompensatedSum(ctx.zero())
     acc.add(N * (N - 1) * ctx.ln2)
@@ -214,10 +209,8 @@ def pq_discriminant_log(n: int, p: float, q: float) -> Scalar:
     - sum_{k=n-1..2(n-1)} (k+2p+2q) log(k+2p+2q);
     equals -potential_energy_exact(n, p, q).
     """
-    if n < 1:
-        raise DomainError(f"pq_discriminant_log requires n >= 1, got {n}")
-    if not (p > 0 and q > 0):
-        raise DomainError(f"charges must be positive, got p={p}, q={q}")
+    n = check_size(n, "n", 1)
+    check_finite_above(0, "charges", p=p, q=q)
     ctx = active()
     p, q = ctx.real(p), ctx.real(q)
     acc = CompensatedSum(ctx.zero())
@@ -237,7 +230,7 @@ def logsum_shifted(m: int, n: int, offset: float) -> Scalar:
         raise DomainError(f"logsum_shifted requires n > m >= 0, got m={m}, n={n}")
     ctx = active()
     offset = ctx.real(offset)
-    if m + 1 + offset <= 0:
+    if not m + 1 + offset > 0:
         raise DomainError(f"offset must exceed -(m+1), got {offset}")
     acc = CompensatedSum(ctx.zero())
     for k in range(m + 1, n + 1):
@@ -252,7 +245,7 @@ def logsum_shifted_via_zeta(m: int, n: int, offset: float) -> Scalar:
         raise DomainError(f"logsum_shifted requires n > m >= 0, got m={m}, n={n}")
     ctx = active()
     offset = ctx.real(offset)
-    if m + 1 + offset <= 0:
+    if not m + 1 + offset > 0:
         raise DomainError(f"offset must exceed -(m+1), got {offset}")
     return zeta_prime_neg1_exact(n + offset + 1) - zeta_prime_neg1_exact(m + offset + 1)
 
@@ -265,8 +258,7 @@ def rescale_energy(kind: str, base: Scalar, eta: float, n: int,
     interval:  base - (log eta) N(N-1)          (N-th discriminant scaling)
     """
     ctx = active()
-    if not eta > 0:
-        raise DomainError(f"scaling factor must be positive, got {eta}")
+    check_finite_above(0, "scaling factor", eta=eta)
     log_eta = ctx.log(ctx.real(eta))
     if kind == "potential":
         if p is None or q is None:

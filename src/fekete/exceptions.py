@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input validator."""
+import math
+
+import numpy as np
 
 
 class FeketeError(Exception):
@@ -15,3 +18,21 @@ class CapacityError(FeketeError, ValueError):
 
 class NumericalError(FeketeError, RuntimeError):
     """A numerical routine failed to converge or lost too much accuracy."""
+
+
+def check_size(value, name: str, minimum: int) -> int:
+    """``value`` as an ``int``: an integer (Python or numpy, not a bool) of
+    at least ``minimum``.  ``name`` is the caller's argument, for the message."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def check_finite_above(bound: float, what: str, **values) -> None:
+    """Every value finite and strictly above ``bound`` (NaN and +-inf fail)."""
+    for v in values.values():
+        if not bound < v < math.inf:
+            got = ", ".join(f"{name}={v}" for name, v in values.items())
+            raise DomainError(f"{what} must be finite and > {bound}, got {got}")

@@ -8,13 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, NumericalError
+from .exceptions import NumericalError, check_finite_above, check_size
 from .precision import CompensatedSum, Scalar, active
 
 
 @dataclass(frozen=True)
 class JacobiParams:
-    """Exponent pair (alpha, beta), both > -1.
+    """Exponent pair (alpha, beta), both finite and > -1.
 
     The endpoint charges of the electrostatic problem are
     p = (alpha + 1)/2 at +1 and q = (beta + 1)/2 at -1.
@@ -24,15 +24,11 @@ class JacobiParams:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > -1 and self.beta > -1):
-            raise DomainError(
-                f"Jacobi exponents must exceed -1, got alpha={self.alpha}, beta={self.beta}"
-            )
+        check_finite_above(-1, "Jacobi exponents", alpha=self.alpha, beta=self.beta)
 
     @classmethod
     def from_charges(cls, p: float, q: float) -> "JacobiParams":
-        if not (p > 0 and q > 0):
-            raise DomainError(f"endpoint charges must be positive, got p={p}, q={q}")
+        check_finite_above(0, "endpoint charges", p=p, q=q)
         return cls(alpha=2 * p - 1, beta=2 * q - 1)
 
     @property
@@ -63,9 +59,8 @@ class ZeroSet:
 
 def leading_coeff_log(n: int, params: JacobiParams) -> Scalar:
     """log lambda_n = -n log 2 + lgamma(2n+a+b+1) - lgamma(n+a+b+1) - lgamma(n+1)."""
+    n = check_size(n, "n", 0)
     ctx = active()
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
     if n == 0:
         return ctx.zero()  # lambda_0 = 1
     ab = ctx.real(params.alpha) + ctx.real(params.beta)
@@ -79,9 +74,8 @@ def leading_coeff_log(n: int, params: JacobiParams) -> Scalar:
 
 def value_at_one_log(n: int, params: JacobiParams) -> Scalar:
     """log P_n(1) = log[(1+alpha)_n / n!]."""
+    n = check_size(n, "n", 0)
     ctx = active()
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
     if n == 0:
         return ctx.zero()
     alpha = ctx.real(params.alpha)
@@ -116,16 +110,14 @@ def _recurrence(n: int, alpha, beta, x):
 
 def evaluate(n: int, params: JacobiParams, x) -> Scalar:
     """P_n^(alpha,beta)(x)."""
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
+    n = check_size(n, "n", 0)
     ctx = active()
     return _recurrence(n, ctx.real(params.alpha), ctx.real(params.beta), ctx.real(x))
 
 
 def evaluate_derivative(n: int, params: JacobiParams, x) -> Scalar:
     """d/dx P_n^(alpha,beta)(x), via the degree-lowering identity."""
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
+    n = check_size(n, "n", 0)
     ctx = active()
     if n == 0:
         return ctx.zero()
@@ -170,8 +162,7 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
     recurrence once over the whole root vector: n numpy passes, not n^2
     scalar steps.
     """
-    if n < 1:
-        raise DomainError(f"zeros requires n >= 1, got {n}")
+    n = check_size(n, "n", 1)
     from scipy.linalg import eigh_tridiagonal  # most of the package's import time
 
     alpha, beta = float(params.alpha), float(params.beta)
@@ -215,8 +206,7 @@ def discriminant_log(n: int, params: JacobiParams) -> Scalar:
     order with compensated summation (k^k factors overflow near n ~ 150 if
     exponentiated).
     """
-    if n < 1:
-        raise DomainError(f"discriminant_log requires n >= 1, got {n}")
+    n = check_size(n, "n", 1)
     ctx = active()
     alpha, beta = ctx.real(params.alpha), ctx.real(params.beta)
     acc = CompensatedSum(ctx.zero())

@@ -6,7 +6,8 @@ coincide with Jacobi polynomial zeros; the Fekete problem (max product of
 mutual distances) is solved by fixing the endpoints analytically and
 minimizing the (1,1) field problem inside.
 
-The optimizer works in ordinary float64: the energy Hessian is available
+The optimizer works in ordinary float64 in every precision mode, its
+line-search energies included: the energy Hessian is available
 in closed form and is positive definite throughout the ordered interior
 chamber, so Newton with feasibility damping converges to the unique
 minimum from any interior start.
@@ -19,7 +20,8 @@ import numpy as np
 
 from . import energy
 from .energy import Configuration
-from .exceptions import DomainError
+from .exceptions import DomainError, check_finite_above, check_size
+from .precision import STD, precision_mode
 
 _MAX_ITER = 200
 _DEFAULT_TOL = 1e-10
@@ -104,46 +106,44 @@ def minimize_potential(n: int, p: float, q: float, tol: float = _DEFAULT_TOL,
     run is reported, not raised; ``SolveReport.stop`` names the rule that
     ended it.
     """
-    if n < 1:
-        raise DomainError(f"minimize_potential requires n >= 1, got {n}")
-    if not (p > 0 and q > 0):
-        raise DomainError(f"charges must be positive, got p={p}, q={q}")
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    n = check_size(n, "n", 1)
+    check_finite_above(0, "charges", p=p, q=q)
+    check_finite_above(0, "tolerance", tol=tol)
     i = np.arange(1, n + 1)
     x = -np.cos((2 * i - 1) * np.pi / (2 * n)) * (1.0 - 1.0 / n)
     x = np.sort(x)
-    value = _potential(x, p, q)
-    grad = gradient(Configuration(tuple(x), charges=(p, q)))
-    iterations = 0
-    while True:
-        if np.max(np.abs(grad)) <= tol:
-            stop = "gradient"
-            break
-        step = np.linalg.solve(_hessian(x, p, q), -grad)
-        if np.max(np.abs(step)) <= _STEP_FLOOR:
-            stop = "step"
-            break
-        if iterations >= max_iter:
-            stop = "max_iter"
-            break
-        iterations += 1
-        t = 1.0
-        accepted = False
-        while t > 1e-16:
-            candidate = x + t * step
-            if _feasible(candidate):
-                candidate_value = _potential(candidate, p, q)
-                if candidate_value <= value + 1e-14 * (1.0 + abs(value)):
-                    accepted = True
-                    break
-            t *= 0.5
-        if not accepted:
-            stop = "line_search"
-            break
-        x = candidate
-        value = candidate_value
+    with precision_mode(STD):
+        value = _potential(x, p, q)
         grad = gradient(Configuration(tuple(x), charges=(p, q)))
+        iterations = 0
+        while True:
+            if np.max(np.abs(grad)) <= tol:
+                stop = "gradient"
+                break
+            step = np.linalg.solve(_hessian(x, p, q), -grad)
+            if np.max(np.abs(step)) <= _STEP_FLOOR:
+                stop = "step"
+                break
+            if iterations >= max_iter:
+                stop = "max_iter"
+                break
+            iterations += 1
+            t = 1.0
+            accepted = False
+            while t > 1e-16:
+                candidate = x + t * step
+                if _feasible(candidate):
+                    candidate_value = _potential(candidate, p, q)
+                    if candidate_value <= value + 1e-14 * (1.0 + abs(value)):
+                        accepted = True
+                        break
+                t *= 0.5
+            if not accepted:
+                stop = "line_search"
+                break
+            x = candidate
+            value = candidate_value
+            grad = gradient(Configuration(tuple(x), charges=(p, q)))
     config = Configuration(tuple(float(v) for v in x), charges=(p, q))
     return SolveReport(
         configuration=config,
@@ -163,8 +163,7 @@ def fekete_maximize(N: int, tol: float = _DEFAULT_TOL) -> SolveReport:
     (1, 1) external-field problem with N - 2 charges; the endpoints are
     fixed analytically rather than searched for.
     """
-    if N < 2:
-        raise DomainError(f"fekete_maximize requires N >= 2, got {N}")
+    N = check_size(N, "N", 2)
     if N == 2:
         config = Configuration((-1.0, 1.0))
         return SolveReport(

@@ -12,11 +12,20 @@ Numeric kernels obtain the active :class:`Context` through :func:`active`
 and route elementary functions and transcendental constants through it;
 plain Python operators then keep the scalar type (float or ``mpf``)
 throughout a computation.
+
+:func:`use` sets the process-wide default mode (the CLI's start-up
+setting).  :func:`precision_mode` overrides it for the current thread (or
+asyncio task) only, through a :class:`contextvars.ContextVar`, so threads
+in different modes get their own scalar types.  ``mpmath``'s working
+precision, ``mpmath.mp.dps``, is still process-global: entering ``ext``
+sets it to :data:`EXTENDED_DPS` and leaving restores it for every thread,
+so ``ext`` blocks that overlap in two threads can cut each other's digits.
 """
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from fractions import Fraction
 from typing import Union
 
@@ -155,44 +164,48 @@ class Context:
         """Unit roundoff scale of the mode."""
         return 2.0 ** -52 if self.mode == STD else 10.0 ** (-self.dps)
 
-    def tol(self, std_tol: float) -> float:
-        """Scale a standard-mode tolerance to the active precision."""
-        if self.mode == STD:
-            return std_tol
-        return std_tol * 10.0 ** (16 - self.dps)
-
 
 _CONTEXTS = {STD: Context(STD), EXT: Context(EXT)}
-_ACTIVE = _CONTEXTS[STD]
+_default = _CONTEXTS[STD]
+#: mpmath.mp.dps under the std default, restored when use() leaves ext
+_std_dps = mpmath.mp.dps
+#: the mode set by precision_mode in this thread or task; unset: the default
+_override: ContextVar[Context] = ContextVar("fekete_precision")
+
+
+def _context(mode: str) -> Context:
+    if mode not in _CONTEXTS:
+        raise ValueError(f"unknown precision mode {mode!r} (expected 'std' or 'ext')")
+    return _CONTEXTS[mode]
 
 
 def active() -> Context:
     """The context currently in force."""
-    return _ACTIVE
+    return _override.get(_default)
 
 
 def use(mode: str) -> Context:
-    """Switch the process-wide precision mode (startup-time configuration)."""
-    global _ACTIVE
-    if mode not in _CONTEXTS:
-        raise ValueError(f"unknown precision mode {mode!r} (expected 'std' or 'ext')")
-    _ACTIVE = _CONTEXTS[mode]
-    if _ACTIVE.mode == EXT:
-        mpmath.mp.dps = _ACTIVE.dps
-    return _ACTIVE
+    """Switch the process-wide default mode (startup-time configuration);
+    leaving ``ext`` restores the ``mpmath.mp.dps`` that ``ext`` replaced."""
+    global _default, _std_dps
+    ctx = _context(mode)
+    if _default.mode == STD:
+        _std_dps = mpmath.mp.dps
+    mpmath.mp.dps = ctx.dps if ctx.mode == EXT else _std_dps
+    _default = ctx
+    return ctx
 
 
 @contextmanager
 def precision_mode(mode: str):
-    """Temporarily switch modes (used by tests and the CLI)."""
-    previous = _ACTIVE.mode
-    previous_dps = mpmath.mp.dps
-    use(mode)
+    """Switch modes for the current thread (or task) inside the block."""
+    ctx = _context(mode)
+    token = _override.set(ctx)
     try:
-        yield _ACTIVE
+        with mpmath.workdps(ctx.dps) if ctx.mode == EXT else nullcontext():
+            yield ctx
     finally:
-        use(previous)
-        mpmath.mp.dps = previous_dps
+        _override.reset(token)
 
 
 class CompensatedSum:

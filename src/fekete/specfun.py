@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exceptions import CapacityError, DomainError
+from .exceptions import CapacityError, DomainError, check_size
 from .precision import STD, CompensatedSum, Scalar, active, as_fraction
 
 #: exact Bernoulli numbers are stored through this index; polynomial
@@ -61,9 +61,8 @@ def bernoulli_table() -> BernoulliTable:
 
 def bernoulli_number(m: int) -> Fraction:
     """Exact Bernoulli number B_m (B_1 = -1/2 convention)."""
+    m = check_size(m, "m", 0)
     table = bernoulli_table()
-    if m < 0:
-        raise DomainError(f"Bernoulli index must be >= 0, got {m}")
     if m > table.max_order:
         raise CapacityError(f"Bernoulli numbers tabulated through {table.max_order}, got {m}")
     return table.numbers[m]
@@ -71,9 +70,8 @@ def bernoulli_number(m: int) -> Fraction:
 
 def bernoulli_poly_fraction(m: int, x: Fraction) -> Fraction:
     """Exact rational B_m(x)."""
+    m = check_size(m, "m", 0)
     table = bernoulli_table()
-    if m < 0:
-        raise DomainError(f"Bernoulli order must be >= 0, got {m}")
     if m > table.max_order + 2:
         raise CapacityError(
             f"Bernoulli polynomials tabulated through {table.max_order + 2}, got {m}"
@@ -96,8 +94,7 @@ def bernoulli_poly(m: int, x) -> Scalar:
 
 def hurwitz_zeta_negint_fraction(m: int, a: Fraction) -> Fraction:
     """Exact zeta(-m, a) = -B_{m+1}(a)/(m+1) for m >= 0."""
-    if m < 0:
-        raise DomainError(f"hurwitz_zeta_negint requires m >= 0, got {m}")
+    m = check_size(m, "m", 0)
     return -bernoulli_poly_fraction(m + 1, a) / (m + 1)
 
 
@@ -117,7 +114,7 @@ def log_gamma(x) -> Scalar:
     """log Gamma(x) for x > 0."""
     ctx = active()
     x = ctx.real(x)
-    if x <= 0:
+    if not x > 0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     return ctx.lgamma(x)
 
@@ -130,10 +127,9 @@ def log_gamma_asym(x, a, order: int) -> Scalar:
     """
     ctx = active()
     x = ctx.real(x)
-    if x < 1:
+    if not x >= 1:
         raise DomainError(f"log_gamma_asym requires x >= 1, got {x}")
-    if order < 0:
-        raise DomainError(f"truncation order must be >= 0, got {order}")
+    order = check_size(order, "order", 0)
     frac_a = as_fraction(a)
     a = ctx.real(a)
     logx = ctx.log(x)
@@ -234,7 +230,7 @@ def negapolygamma2(x) -> Scalar:
     """
     ctx = active()
     x = ctx.real(x)
-    if x < 0:
+    if not x >= 0:
         raise DomainError(f"negapolygamma2 requires x >= 0, got {x}")
     if x == 0:
         return ctx.zero()
@@ -270,7 +266,7 @@ def zeta_prime_neg1_exact(x) -> Scalar:
     """zeta'(-1, x) by quadrature: psi^(-2)(x) - (1-x)x/2 - (x/2) log 2pi + zeta'(-1)."""
     ctx = active()
     x = ctx.real(x)
-    if x <= 0:
+    if not x > 0:
         raise DomainError(f"zeta_prime_neg1_exact requires x > 0, got {x}")
     return (
         negapolygamma2(x)
@@ -292,10 +288,9 @@ def zeta_prime_neg1_asym(x, a, order: int) -> Scalar:
     evaluations, which extend the a > 0 case by the shift identity.
     """
     ctx = active()
-    if order < 2:
-        raise DomainError(f"zeta_prime_neg1_asym requires order K >= 2, got {order}")
+    order = check_size(order, "order", 2)
     x = ctx.real(x)
-    if x < 2:
+    if not x >= 2:
         raise DomainError(f"zeta_prime_neg1_asym requires x >= 2, got {x}")
     frac_a = as_fraction(a)
     logx = ctx.log(x)

@@ -7,7 +7,9 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from fekete import energy
 from fekete.cli import cli
+from fekete.energy import IntervalSpec
 
 from _util import rel_close
 
@@ -22,6 +24,27 @@ def test_import_leaves_scipy_linalg_unloaded():
     code = "import sys, fekete.cli; sys.exit('scipy.linalg' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_version_without_install(runner):
+    result = runner.invoke(cli, ["--version"])
+    assert result.exit_code == 0
+    assert "0.1.0" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    "exact --n 5 --p inf --q 1",
+    "minimize --n 5 --p inf --q 1",
+    "table --kind general-interval --n 10,20",
+    "coeffs --kind general-interval --a 0 --b nan",
+    "verify --kind potential --n 0,5 --p 1 --q 1",
+    "verify --kind interval --N 20,20",
+    "table --kind lambda --n 10,20",
+])
+def test_bad_input_is_a_usage_error(runner, args):
+    result = runner.invoke(cli, args.split())
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 class TestExact:
@@ -113,6 +136,17 @@ class TestTableAndZeros:
         assert lines[0].strip() == "n,exact,truncated_0,error_0,truncated_1,error_1"
         assert len(lines) == 3
 
+    def test_general_interval_table(self, runner):
+        result = runner.invoke(
+            cli, ["table", "--kind", "general-interval", "--a", "0", "--b", "3",
+                  "--n", "10,20", "--order", "1"])
+        assert result.exit_code == 0
+        rows = [line.split(",") for line in result.output.strip().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["10", "20"]
+        for row in rows:
+            exact = energy.interval_energy_on(IntervalSpec(0, 3), int(row[0]))
+            assert float(row[1]) == exact
+
     def test_zeros_output(self, runner):
         result = runner.invoke(cli, ["zeros", "--n", "2", "--p", "1", "--q", "1"])
         assert result.exit_code == 0
@@ -145,6 +179,15 @@ class TestVerify:
             cli, ["verify", "--kind", "potential", "--p", "0.7", "--q", "1.3",
                   "--n", "20,40,80,160", "--order", "2"])
         assert result.exit_code == 0
+
+    def test_general_interval_slopes_pass(self, runner):
+        result = runner.invoke(
+            cli, ["verify", "--kind", "general-interval", "--a", "0", "--b", "3",
+                  "--N", "20,40,80,160", "--order", "2"])
+        assert result.exit_code == 0
+        slope_rows = [line for line in result.output.splitlines() if line.startswith("slope")]
+        assert len(slope_rows) == 3
+        assert all(row.strip().endswith("true") for row in slope_rows)
 
     def test_impossible_slope_tolerance_fails(self, runner):
         result = runner.invoke(

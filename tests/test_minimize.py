@@ -9,6 +9,7 @@ from fekete import energy, jacobi, minimize as optim
 from fekete.energy import Configuration
 from fekete.exceptions import DomainError
 from fekete.jacobi import JacobiParams
+from fekete.precision import precision_mode
 
 
 class TestGradient:
@@ -142,6 +143,14 @@ class TestMinimizePotential:
             for field in dataclasses.fields(report):
                 value = getattr(report, field.name)
                 json.dumps(report.points if field.name == "configuration" else value)
+
+    def test_ext_mode_solves_in_float64(self):
+        std = optim.minimize_potential(100, 1.0, 1.5)
+        with precision_mode("ext"):
+            ext = optim.minimize_potential(100, 1.0, 1.5)
+        assert ext.points == std.points
+        assert (ext.stop, ext.iterations) == (std.stop, std.iterations)
+        assert type(ext.energy) is float
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,0 +1,88 @@
+import sys
+import threading
+import time
+
+import mpmath
+
+from fekete import jacobi, precision
+from fekete.jacobi import JacobiParams
+from fekete.precision import EXTENDED_DPS, active, precision_mode
+
+
+def test_precision_mode_is_per_thread():
+    params = JacobiParams(0.4, 1.6)
+    inside, done = threading.Event(), threading.Event()
+    seen = {}
+
+    def extended():
+        with precision_mode("ext"):
+            inside.set()
+            seen["ext"] = jacobi.leading_coeff_log(30, params)
+            done.wait(timeout=30)
+
+    def standard():
+        inside.wait(timeout=30)
+        seen["std"] = jacobi.leading_coeff_log(30, params)
+        done.set()
+
+    threads = [threading.Thread(target=extended), threading.Thread(target=standard)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert type(seen["std"]) is float
+    assert isinstance(seen["ext"], mpmath.mpf)
+    assert active().mode == "std"
+
+
+def test_modes_stay_per_thread_under_switching():
+    # more threads than cores and a short switch interval: a mode leaking
+    # from one thread into another shows up as a wrong scalar type
+    params = JacobiParams(0.4, 1.6)
+    wrong = []
+
+    def work(mode, kind):
+        for _ in range(100):
+            with precision_mode(mode):
+                time.sleep(0)  # let the other threads run inside the block
+                if not isinstance(jacobi.leading_coeff_log(30, params), kind):
+                    wrong.append(mode)
+
+    interval, dps = sys.getswitchinterval(), mpmath.mp.dps
+    threads = [threading.Thread(target=work, args=("ext" if i % 2 else "std",
+                                                    mpmath.mpf if i % 2 else float))
+               for i in range(6)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        mpmath.mp.dps = dps  # overlapping ext blocks share this setting
+    assert wrong == []
+
+
+def test_use_restores_mpmath_precision():
+    before = mpmath.mp.dps
+    try:
+        precision.use("ext")
+        precision.use("ext")
+        assert mpmath.mp.dps == EXTENDED_DPS
+    finally:
+        precision.use("std")
+    assert mpmath.mp.dps == before
+    assert active().mode == "std"
+
+
+def test_precision_mode_overrides_the_default():
+    try:
+        precision.use("ext")
+        with precision_mode("std"):
+            assert active().mode == "std"
+        assert active().mode == "ext"
+    finally:
+        precision.use("std")

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import jacobi
 from .exceptions import DomainError, check_finite_above, check_size
 from .jacobi import JacobiParams
-from .precision import STD, CompensatedSum, Scalar, active
+from .precision import STD, Scalar, active
 from .specfun import zeta_prime_neg1_exact
 
 #: returned by configuration energies when points coincide (or touch a
@@ -78,8 +79,8 @@ def _log_distance_sum(points: tuple[float, ...]) -> Scalar | None:
 
     In ``std`` each row j of distances is one numpy vector (O(n) extra
     memory, never an n x n matrix) and the row sums are combined by
-    :func:`math.fsum`; in ``ext`` the compensated mpf double loop carries
-    the extended digits.
+    :func:`math.fsum`; in ``ext`` one ``fsum`` over the mpf pair logarithms
+    carries the extended digits.
     """
     ctx = active()
     if ctx.mode == STD:
@@ -91,14 +92,10 @@ def _log_distance_sum(points: tuple[float, ...]) -> Scalar | None:
                 return None
             rows.append(np.log(dist).sum())
         return math.fsum(rows)
-    acc = CompensatedSum(ctx.zero())
-    for j, xj in enumerate(points):
-        x = ctx.real(xj)
-        for xk in points[j + 1:]:
-            if xj == xk:
-                return None
-            acc.add(ctx.log(abs(x - ctx.real(xk))))
-    return acc.value
+    if len(set(points)) < len(points):
+        return None
+    x = [ctx.real(xj) for xj in points]
+    return ctx.fsum(ctx.log(abs(xj - xk)) for j, xj in enumerate(x) for xk in x[j + 1:])
 
 
 def log_energy_config(config: Configuration) -> Scalar:
@@ -127,12 +124,12 @@ def potential_energy_config(config: Configuration) -> Scalar:
     pairs = _log_distance_sum(pts)
     if pairs is None:
         return INFINITE_ENERGY
-    acc = CompensatedSum(pairs)
-    for xj in pts:
-        x = ctx.real(xj)
-        acc.add(p * ctx.log(1 - x))
-        acc.add(q * ctx.log(1 + x))
-    return -2 * acc.value
+    x = [ctx.real(xj) for xj in pts]
+    return -2 * ctx.fsum(chain(
+        (pairs,),
+        (p * ctx.log(1 - xj) for xj in x),
+        (q * ctx.log(1 + xj) for xj in x),
+    ))
 
 
 def potential_energy_exact(n: int, p: float, q: float) -> Scalar:
@@ -191,14 +188,11 @@ def discriminant_N_log(N: int) -> Scalar:
     """
     N = check_size(N, "N", 2)
     ctx = active()
-    acc = CompensatedSum(ctx.zero())
-    acc.add(N * (N - 1) * ctx.ln2)
-    acc.add(N * ctx.log(ctx.real(N)))
-    for k in range(1, N):
-        acc.add(3 * k * ctx.log(ctx.real(k)))
-    for k in range(N - 1, 2 * N - 1):
-        acc.add(-k * ctx.log(ctx.real(k)))
-    return acc.value
+    return ctx.fsum(chain(
+        (N * (N - 1) * ctx.ln2, N * ctx.log(ctx.real(N))),
+        (3 * k * ctx.log(ctx.real(k)) for k in range(1, N)),
+        (-k * ctx.log(ctx.real(k)) for k in range(N - 1, 2 * N - 1)),
+    ))
 
 
 def pq_discriminant_log(n: int, p: float, q: float) -> Scalar:
@@ -213,40 +207,37 @@ def pq_discriminant_log(n: int, p: float, q: float) -> Scalar:
     check_finite_above(0, "charges", p=p, q=q)
     ctx = active()
     p, q = ctx.real(p), ctx.real(q)
-    acc = CompensatedSum(ctx.zero())
-    acc.add(n * (n + 2 * p + 2 * q - 1) * ctx.ln2)
-    for k in range(1, n + 1):
-        acc.add(k * ctx.log(ctx.real(k)))
-        acc.add((k + 2 * p - 1) * ctx.log(k + 2 * p - 1))
-        acc.add((k + 2 * q - 1) * ctx.log(k + 2 * q - 1))
-    for k in range(n - 1, 2 * n - 1):
-        acc.add(-(k + 2 * p + 2 * q) * ctx.log(k + 2 * p + 2 * q))
-    return acc.value
+    ks = range(1, n + 1)
+    return ctx.fsum(chain(
+        (n * (n + 2 * p + 2 * q - 1) * ctx.ln2,),
+        (k * ctx.log(ctx.real(k)) for k in ks),
+        ((k + 2 * p - 1) * ctx.log(k + 2 * p - 1) for k in ks),
+        ((k + 2 * q - 1) * ctx.log(k + 2 * q - 1) for k in ks),
+        (-(k + 2 * p + 2 * q) * ctx.log(k + 2 * p + 2 * q) for k in range(n - 1, 2 * n - 1)),
+    ))
+
+
+def _check_logsum(m, n, offset) -> tuple[int, int]:
+    """Integers m >= 0 and n >= m + 1, and a finite offset > -(m+1)."""
+    m = check_size(m, "m", 0)
+    n = check_size(n, "n", m + 1)
+    check_finite_above(-(m + 1), "offset", offset=offset)
+    return m, n
 
 
 def logsum_shifted(m: int, n: int, offset: float) -> Scalar:
-    """sum_{k=m+1..n} (k + offset) log(k + offset), compensated, ascending k."""
-    if not n > m >= 0:
-        raise DomainError(f"logsum_shifted requires n > m >= 0, got m={m}, n={n}")
+    """sum_{k=m+1..n} (k + offset) log(k + offset), summed exactly by ``fsum``."""
+    m, n = _check_logsum(m, n, offset)
     ctx = active()
     offset = ctx.real(offset)
-    if not m + 1 + offset > 0:
-        raise DomainError(f"offset must exceed -(m+1), got {offset}")
-    acc = CompensatedSum(ctx.zero())
-    for k in range(m + 1, n + 1):
-        acc.add((k + offset) * ctx.log(k + offset))
-    return acc.value
+    return ctx.fsum((k + offset) * ctx.log(k + offset) for k in range(m + 1, n + 1))
 
 
 def logsum_shifted_via_zeta(m: int, n: int, offset: float) -> Scalar:
     """The same sum as a Hurwitz-zeta-derivative difference,
     zeta'(-1, n+offset+1) - zeta'(-1, m+offset+1), for cross-checking."""
-    if not n > m >= 0:
-        raise DomainError(f"logsum_shifted requires n > m >= 0, got m={m}, n={n}")
-    ctx = active()
-    offset = ctx.real(offset)
-    if not m + 1 + offset > 0:
-        raise DomainError(f"offset must exceed -(m+1), got {offset}")
+    m, n = _check_logsum(m, n, offset)
+    offset = active().real(offset)
     return zeta_prime_neg1_exact(n + offset + 1) - zeta_prime_neg1_exact(m + offset + 1)
 
 

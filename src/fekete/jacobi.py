@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .exceptions import NumericalError, check_finite_above, check_size
-from .precision import CompensatedSum, Scalar, active
+from .precision import Scalar, active
 
 
 @dataclass(frozen=True)
@@ -202,18 +203,18 @@ def discriminant_log(n: int, params: JacobiParams) -> Scalar:
     """log D_n^(alpha,beta) from the closed product formula.
 
     -n(n-1) log 2 + sum_{v=1..n} [ (v-2n+2) log v + (v-1) log(v+alpha)
-    + (v-1) log(v+beta) + (n-v) log(v+n+alpha+beta) ], accumulated in index
-    order with compensated summation (k^k factors overflow near n ~ 150 if
+    + (v-1) log(v+beta) + (n-v) log(v+n+alpha+beta) ], summed exactly and
+    rounded once by ``fsum`` (k^k factors overflow near n ~ 150 if
     exponentiated).
     """
     n = check_size(n, "n", 1)
     ctx = active()
     alpha, beta = ctx.real(params.alpha), ctx.real(params.beta)
-    acc = CompensatedSum(ctx.zero())
-    acc.add(-n * (n - 1) * ctx.ln2)
-    for v in range(1, n + 1):
-        acc.add((v - 2 * n + 2) * ctx.log(ctx.real(v)))
-        acc.add((v - 1) * ctx.log(v + alpha))
-        acc.add((v - 1) * ctx.log(v + beta))
-        acc.add((n - v) * ctx.log(v + n + alpha + beta))
-    return acc.value
+    vs = range(1, n + 1)
+    return ctx.fsum(chain(
+        (-n * (n - 1) * ctx.ln2,),
+        ((v - 2 * n + 2) * ctx.log(ctx.real(v)) for v in vs),
+        ((v - 1) * ctx.log(v + alpha) for v in vs),
+        ((v - 1) * ctx.log(v + beta) for v in vs),
+        ((n - v) * ctx.log(v + n + alpha + beta) for v in vs),
+    ))

@@ -9,9 +9,10 @@ Two modes are supported and applied uniformly at run time:
   the float64 noise floor of the O(n^2) energies.
 
 Numeric kernels obtain the active :class:`Context` through :func:`active`
-and route elementary functions and transcendental constants through it;
-plain Python operators then keep the scalar type (float or ``mpf``)
-throughout a computation.
+and route elementary functions, sums and transcendental constants through
+it; plain Python operators then keep the scalar type (float or ``mpf``)
+throughout a computation.  Sums go through :meth:`Context.fsum`, which
+rounds the exact sum of its terms once (``math.fsum`` / ``mpmath.fsum``).
 
 :func:`use` sets the process-wide default mode (the CLI's start-up
 setting).  :func:`precision_mode` overrides it for the current thread (or
@@ -41,7 +42,7 @@ EXT = "ext"
 #: decimal digits carried in extended mode
 EXTENDED_DPS = 32
 
-#: guard digits used while generating transcendental constants
+#: digits carried beyond the mode's by :meth:`Context.guarded`
 _GUARD_DPS = 10
 
 
@@ -104,32 +105,29 @@ class Context:
     def log(self, x) -> Scalar:
         return math.log(x) if self.mode == STD else mpmath.log(x)
 
-    def exp(self, x) -> Scalar:
-        return math.exp(x) if self.mode == STD else mpmath.exp(x)
-
-    def sqrt(self, x) -> Scalar:
-        return math.sqrt(x) if self.mode == STD else mpmath.sqrt(x)
-
     def lgamma(self, x) -> Scalar:
         # caller guarantees x > 0
         return math.lgamma(x) if self.mode == STD else mpmath.loggamma(x)
 
-    # -- cached transcendental constants -----------------------------------
-    # All constants come from mpmath at guarded precision and are rounded
-    # once into the active scalar type.
+    def fsum(self, terms) -> Scalar:
+        """The exact sum of ``terms`` (any iterable), rounded once."""
+        return math.fsum(terms) if self.mode == STD else mpmath.fsum(terms)
+
+    # -- transcendental values at guarded precision --------------------------
+
+    def guarded(self, fn) -> Scalar:
+        """``fn()`` evaluated by mpmath with :data:`_GUARD_DPS` digits beyond
+        the mode's, then rounded once into the active scalar type (after the
+        guard digits are dropped, so ``ext`` results carry ``dps`` digits)."""
+        with mpmath.workdps(self.dps + _GUARD_DPS):
+            raw = fn()
+        return self.real(raw)
 
     def _const(self, name: str, fn) -> Scalar:
         value = self._consts.get(name)
         if value is None:
-            with mpmath.workdps(self.dps + _GUARD_DPS):
-                raw = fn()
-            value = self.real(raw)
-            self._consts[name] = value
+            value = self._consts[name] = self.guarded(fn)
         return value
-
-    @property
-    def pi(self) -> Scalar:
-        return self._const("pi", lambda: +mpmath.pi)
 
     @property
     def ln2(self) -> Scalar:
@@ -144,25 +142,8 @@ class Context:
         return self._const("ln_2pi", lambda: mpmath.log(2 * mpmath.pi))
 
     @property
-    def euler_gamma(self) -> Scalar:
-        return self._const("euler_gamma", lambda: +mpmath.euler)
-
-    @property
     def log_glaisher(self) -> Scalar:
         return self._const("log_glaisher", lambda: mpmath.log(mpmath.glaisher))
-
-    def zeta_int(self, k: int) -> Scalar:
-        """Riemann zeta at an integer argument k >= 2."""
-        if k < 2:
-            raise DomainError(f"zeta_int requires k >= 2, got {k}")
-        return self._const(f"zeta_{k}", lambda: mpmath.zeta(k))
-
-    # -- tolerances ---------------------------------------------------------
-
-    @property
-    def eps(self) -> float:
-        """Unit roundoff scale of the mode."""
-        return 2.0 ** -52 if self.mode == STD else 10.0 ** (-self.dps)
 
 
 _CONTEXTS = {STD: Context(STD), EXT: Context(EXT)}
@@ -206,31 +187,3 @@ def precision_mode(mode: str):
             yield ctx
     finally:
         _override.reset(token)
-
-
-class CompensatedSum:
-    """Neumaier-compensated accumulator.
-
-    Keeps float64 sums accurate to a few ulps of the true value independent
-    of term count; harmless (and still used, for identical code paths) under
-    mpmath scalars.
-    """
-
-    __slots__ = ("_sum", "_carry")
-
-    def __init__(self, zero: Scalar = 0.0):
-        self._sum = zero
-        self._carry = zero - zero
-
-    def add(self, value) -> "CompensatedSum":
-        total = self._sum + value
-        if abs(self._sum) >= abs(value):
-            self._carry += (self._sum - total) + value
-        else:
-            self._carry += (value - total) + self._sum
-        self._sum = total
-        return self
-
-    @property
-    def value(self) -> Scalar:
-        return self._sum + self._carry

@@ -3,9 +3,9 @@
 Exact-rational Bernoulli data, Hurwitz zeta at nonpositive integer first
 argument, log-gamma with its Poincare-type expansion, the antiderivative
 of log-gamma (negapolygamma of order -2), and the s-derivative of the
-Hurwitz zeta function at s = -1 in both quadrature-exact and asymptotic
-form.  Everything is a pure function of its arguments plus immutable
-tables built on first use.
+Hurwitz zeta function at s = -1, both from ``mpmath.zeta(-1, x, 1)`` at
+guard digits, and its large-x asymptotic form.  Everything is a pure
+function of its arguments plus immutable tables built on first use.
 """
 from __future__ import annotations
 
@@ -13,16 +13,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
-from .exceptions import CapacityError, DomainError, check_size
-from .precision import STD, CompensatedSum, Scalar, active, as_fraction
+import mpmath
+
+from .exceptions import CapacityError, DomainError, check_finite_above, check_size
+from .precision import Scalar, active, as_fraction
 
 #: exact Bernoulli numbers are stored through this index; polynomial
 #: coefficient rows extend two orders beyond it
 BERNOULLI_MAX_ORDER = 32
-
-# Gauss-Legendre panel order for the log-gamma antiderivative
-_GL_ORDER = {"std": 24, "ext": 48}
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def bernoulli_poly(m: int, x) -> Scalar:
     """B_m(x), evaluated exactly in rational arithmetic and rounded once.
 
     (Binary floats are exact rationals, so no input rounding occurs; this
-    is strictly tighter than compensated floating accumulation.)
+    is strictly tighter than floating accumulation.)
     """
     return active().real(bernoulli_poly_fraction(m, as_fraction(x)))
 
@@ -114,8 +114,7 @@ def log_gamma(x) -> Scalar:
     """log Gamma(x) for x > 0."""
     ctx = active()
     x = ctx.real(x)
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
+    check_finite_above(0, "log_gamma argument", x=x)
     return ctx.lgamma(x)
 
 
@@ -127,96 +126,18 @@ def log_gamma_asym(x, a, order: int) -> Scalar:
     """
     ctx = active()
     x = ctx.real(x)
-    if not x >= 1:
-        raise DomainError(f"log_gamma_asym requires x >= 1, got {x}")
+    if not 1 <= x < math.inf:
+        raise DomainError(f"log_gamma_asym requires finite x >= 1, got {x}")
     order = check_size(order, "order", 0)
     frac_a = as_fraction(a)
     a = ctx.real(a)
-    logx = ctx.log(x)
-    acc = CompensatedSum(ctx.zero())
-    acc.add((x + a - ctx.real(Fraction(1, 2))) * logx)
-    acc.add(-x)
-    acc.add(ctx.ln_2pi / 2)
-    xpow = x
-    for m in range(1, order + 1):
-        coeff = -hurwitz_zeta_negint_fraction(m, frac_a) / m
-        if m % 2 == 0:
-            coeff = -coeff
-        acc.add(ctx.real(coeff) / xpow)
-        xpow = xpow * x
-    return acc.value
+    head = ((x + a - ctx.real(Fraction(1, 2))) * ctx.log(x), -x, ctx.ln_2pi / 2)
+    tail = (ctx.real((-1) ** m * hurwitz_zeta_negint_fraction(m, frac_a) / m) / x ** m
+            for m in range(1, order + 1))
+    return ctx.fsum(chain(head, tail))
 
 
-# -- antiderivative of log-gamma ------------------------------------------
-
-_gl_rules: dict = {}
-
-
-def _gauss_legendre(npts: int) -> tuple[tuple[Scalar, ...], tuple[Scalar, ...]]:
-    """Nodes/weights on [-1, 1], computed in the active arithmetic."""
-    ctx = active()
-    cached = _gl_rules.get((npts, ctx.key))
-    if cached is not None:
-        return cached
-    stop = ctx.eps * 8
-    nodes, weights = [], []
-    half = npts // 2
-    for i in range(1, half + 1):
-        x = ctx.real(math.cos(math.pi * (i - 0.25) / (npts + 0.5)))
-        for _ in range(60):
-            p0, p1 = ctx.real(1), x
-            for k in range(2, npts + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = npts * (x * p1 - p0) / (x * x - 1)
-            dx = p1 / dp
-            x = x - dx
-            if abs(dx) < stop:
-                break
-        p0, p1 = ctx.real(1), x
-        for k in range(2, npts + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = npts * (x * p1 - p0) / (x * x - 1)
-        nodes.append(x)
-        weights.append(2 / ((1 - x * x) * dp * dp))
-    if npts % 2:
-        x = ctx.zero()
-        p0, p1 = ctx.real(1), x
-        for k in range(2, npts + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = npts * (x * p1 - p0) / (x * x - 1)
-        nodes.append(x)
-        weights.append(2 / ((1 - x * x) * dp * dp))
-    full_nodes = tuple(-v for v in nodes) + tuple(nodes[: half][::-1])
-    full_weights = tuple(weights) + tuple(weights[: half][::-1])
-    rule = (full_nodes, full_weights)
-    _gl_rules[(npts, ctx.key)] = rule
-    return rule
-
-
-def _series_head(eps: Scalar) -> Scalar:
-    """integral_0^eps log Gamma(t) dt for 0 < eps <= 1/2.
-
-    Termwise integration of log Gamma(t) = -log t - gamma t
-    + sum_{k>=2} (-1)^k zeta(k) t^k / k, which converges on |t| < 1.
-    """
-    ctx = active()
-    acc = CompensatedSum(ctx.zero())
-    acc.add(eps - eps * ctx.log(eps))
-    acc.add(-ctx.euler_gamma * eps * eps / 2)
-    cutoff = ctx.eps * 1e-4 if ctx.mode == STD else ctx.real(10) ** (-(ctx.dps + 6))
-    power = eps * eps * eps
-    k = 2
-    while k <= 500:
-        term = ctx.zeta_int(k) * power / (k * (k + 1))
-        if k % 2:
-            term = -term
-        acc.add(term)
-        if abs(term) < cutoff:
-            break
-        power = power * eps
-        k += 1
-    return acc.value
-
+# -- antiderivative of log-gamma and zeta'(-1, x) ----------------------------
 
 _npg2_cache: dict = {}
 
@@ -224,56 +145,36 @@ _npg2_cache: dict = {}
 def negapolygamma2(x) -> Scalar:
     """psi^(-2)(x) = integral_0^x log Gamma(t) dt for x >= 0.
 
-    The integrable log singularity at 0 is handled by splitting at
-    eps = min(x, 1/2): termwise-integrated series on [0, eps], fixed-order
-    Gauss-Legendre panels (unit length, cut at integers) on [eps, x].
+    Evaluated as zeta'(-1, x) - zeta'(-1) + (1-x)x/2 + (x/2) log 2pi, with
+    zeta'(-1) = 1/12 - log A, by mpmath at guard digits and rounded once.
     """
     ctx = active()
     x = ctx.real(x)
-    if not x >= 0:
-        raise DomainError(f"negapolygamma2 requires x >= 0, got {x}")
+    if not 0 <= x < math.inf:
+        raise DomainError(f"negapolygamma2 requires finite x >= 0, got {x}")
     if x == 0:
         return ctx.zero()
     key = (x, ctx.key)
     cached = _npg2_cache.get(key)
-    if cached is not None:
-        return cached
-    half = ctx.real(Fraction(1, 2))
-    eps = x if x < half else half
-    acc = CompensatedSum(ctx.zero())
-    acc.add(_series_head(eps))
-    if x > eps:
-        nodes, weights = _gauss_legendre(_GL_ORDER[ctx.mode])
-        cuts = [eps]
-        t = 1
-        while t < x:
-            if t > eps:
-                cuts.append(ctx.real(t))
-            t += 1
-        cuts.append(x)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            mid, h = (lo + hi) / 2, (hi - lo) / 2
-            panel = CompensatedSum(ctx.zero())
-            for node, weight in zip(nodes, weights):
-                panel.add(weight * ctx.lgamma(mid + h * node))
-            acc.add(h * panel.value)
-    result = acc.value
-    _npg2_cache[key] = result
-    return result
+    if cached is None:
+        cached = _npg2_cache[key] = ctx.guarded(lambda: _negapolygamma2_mp(mpmath.mpf(x)))
+    return cached
+
+
+def _negapolygamma2_mp(x: mpmath.mpf) -> mpmath.mpf:
+    # psi^(-2)(x) ~ x log(1/x) as x -> 0, while zeta'(-1, x) - zeta'(-1)
+    # cancels two terms of size 0.17: carry log2(1/x) more bits for it
+    with mpmath.extraprec(max(0, -mpmath.mag(x))):
+        return (mpmath.zeta(-1, x, 1) - mpmath.mpf(1) / 12 + mpmath.log(mpmath.glaisher)
+                + (1 - x) * x / 2 + x * mpmath.log(2 * mpmath.pi) / 2)
 
 
 def zeta_prime_neg1_exact(x) -> Scalar:
-    """zeta'(-1, x) by quadrature: psi^(-2)(x) - (1-x)x/2 - (x/2) log 2pi + zeta'(-1)."""
+    """zeta'(-1, x) for x > 0, by mpmath at guard digits and rounded once."""
     ctx = active()
     x = ctx.real(x)
-    if not x > 0:
-        raise DomainError(f"zeta_prime_neg1_exact requires x > 0, got {x}")
-    return (
-        negapolygamma2(x)
-        - (1 - x) * x / 2
-        - x * ctx.ln_2pi / 2
-        + constants().zeta_prime_neg1
-    )
+    check_finite_above(0, "zeta_prime_neg1_exact argument", x=x)
+    return ctx.guarded(lambda: mpmath.zeta(-1, x, 1))
 
 
 def zeta_prime_neg1_asym(x, a, order: int) -> Scalar:
@@ -290,26 +191,16 @@ def zeta_prime_neg1_asym(x, a, order: int) -> Scalar:
     ctx = active()
     order = check_size(order, "order", 2)
     x = ctx.real(x)
-    if not x >= 2:
-        raise DomainError(f"zeta_prime_neg1_asym requires x >= 2, got {x}")
+    if not 2 <= x < math.inf:
+        raise DomainError(f"zeta_prime_neg1_asym requires finite x >= 2, got {x}")
     frac_a = as_fraction(a)
     logx = ctx.log(x)
     z0 = ctx.real(hurwitz_zeta_negint_fraction(0, frac_a))
     z1 = ctx.real(hurwitz_zeta_negint_fraction(1, frac_a))
-    acc = CompensatedSum(ctx.zero())
-    acc.add(x * x * logx / 2)
-    acc.add(-x * x / 4)
-    acc.add(-z0 * x * logx)
-    acc.add(-z1 * logx)
-    acc.add(-z1)
-    xpow = x
-    for k in range(1, order):
-        coeff = hurwitz_zeta_negint_fraction(k + 1, frac_a) / (k * (k + 1))
-        if k % 2 == 0:
-            coeff = -coeff
-        acc.add(-ctx.real(coeff) / xpow)
-        xpow = xpow * x
-    return acc.value
+    head = (x * x * logx / 2, -x * x / 4, -z0 * x * logx, -z1 * logx, -z1)
+    tail = (ctx.real((-1) ** k * hurwitz_zeta_negint_fraction(k + 1, frac_a) / (k * (k + 1)))
+            / x ** k for k in range(1, order))
+    return ctx.fsum(chain(head, tail))
 
 
 @dataclass(frozen=True)

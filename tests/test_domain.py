@@ -30,6 +30,14 @@ CASES = {
     "nan_log_gamma": lambda: specfun.log_gamma(nan),
     "nan_negapolygamma2": lambda: specfun.negapolygamma2(nan),
     "nan_logsum_offset": lambda: energy.logsum_shifted(0, 5, nan),
+    "inf_negapolygamma2": lambda: specfun.negapolygamma2(inf),
+    "inf_zeta_prime_neg1_exact": lambda: specfun.zeta_prime_neg1_exact(inf),
+    "inf_logsum_via_zeta_offset": lambda: energy.logsum_shifted_via_zeta(0, 5, inf),
+    "inf_log_gamma": lambda: specfun.log_gamma(inf),
+    "inf_log_gamma_asym": lambda: specfun.log_gamma_asym(inf, 1, 2),
+    "inf_zeta_prime_neg1_asym": lambda: specfun.zeta_prime_neg1_asym(inf, 1, 3),
+    "inf_logsum_offset": lambda: energy.logsum_shifted(0, 5, inf),
+    "float_logsum_m": lambda: energy.logsum_shifted(0.5, 5, 0.0),
 }
 
 

@@ -8,7 +8,7 @@ from fekete import energy, jacobi
 from fekete.energy import Configuration, IntervalSpec, INFINITE_ENERGY
 from fekete.exceptions import DomainError
 from fekete.jacobi import JacobiParams
-from fekete.precision import CompensatedSum, precision_mode
+from fekete.precision import precision_mode
 
 from _util import rel_close
 
@@ -58,12 +58,12 @@ class TestPotentialEnergyConfig:
 
 
 def _pair_log_loop(points):
-    """sum_{j<k} log|x_j - x_k| by the compensated scalar double loop."""
-    acc = CompensatedSum()
+    """sum_{j<k} log|x_j - x_k| by the scalar double loop, summed by fsum."""
+    terms = []
     for j, xj in enumerate(points):
         for xk in points[j + 1:]:
-            acc.add(math.log(abs(xj - xk)))
-    return acc.value
+            terms.append(math.log(abs(xj - xk)))
+    return math.fsum(terms)
 
 
 class TestConfigEnergyKernels:
@@ -79,12 +79,12 @@ class TestConfigEnergyKernels:
 
     def test_potential_energy_matches_scalar_loop(self):
         pts = self._points()
-        acc = CompensatedSum(_pair_log_loop(pts))
+        terms = [_pair_log_loop(pts)]
         for x in pts:
-            acc.add(self.P * math.log(1 - x))
-            acc.add(self.Q * math.log(1 + x))
+            terms.append(self.P * math.log(1 - x))
+            terms.append(self.Q * math.log(1 + x))
         value = energy.potential_energy_config(Configuration(pts, charges=(self.P, self.Q)))
-        assert rel_close(value, -2 * acc.value, 1e-14)
+        assert rel_close(value, -2 * math.fsum(terms), 1e-14)
 
     def test_ext_matches_std(self):
         pts = jacobi.zeros(60, JacobiParams.from_charges(self.P, self.Q)).points

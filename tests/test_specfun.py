@@ -181,11 +181,27 @@ class TestNegapolygamma2:
             assert abs(specfun.negapolygamma2(x) - oracle) <= 1e-9
 
     def test_absolute_accuracy_vs_mpmath(self):
-        for x in (0.3, 1.0, 2.5, 5.5, 10.0):
+        for x in (0.3, 1.0, 1.5, 2.5, 2.6, 5.5, 10.0):
             with mpmath.workdps(40):
                 ref = ((1 - mpmath.mpf(x)) * x / 2 + mpmath.mpf(x) / 2 * mpmath.log(2 * mpmath.pi)
                        - mpmath.zeta(-1, 1, 1) + mpmath.zeta(-1, mpmath.mpf(x), 1))
-            assert abs(specfun.negapolygamma2(x) - float(ref)) <= 1e-12
+                err = abs(specfun.negapolygamma2(x) - ref)
+            assert err <= 0.5 * math.ulp(float(ref)) + 1e-20
+
+    def test_relative_accuracy_near_zero(self):
+        # independent of zeta'(-1, x), whose identity cancels ~log10(1/x)
+        # digits: x - x log x - gamma x^2/2 + sum_k (-1)^k zeta(k) x^(k+1)/(k(k+1))
+        for x in (1e-300, 1e-15, 2e-9, 1e-3):
+            with mpmath.workdps(50):
+                t = mpmath.mpf(x)
+                ref = (t - t * mpmath.log(t) - mpmath.euler * t * t / 2
+                       + mpmath.fsum((-1) ** k * mpmath.zeta(k) * t ** (k + 1) / (k * (k + 1))
+                                     for k in range(2, 30)))
+                assert abs(specfun.negapolygamma2(x) - ref) <= 0.5 * math.ulp(float(ref))
+            with precision_mode("ext"):
+                value = specfun.negapolygamma2(x)
+            with mpmath.workdps(50):
+                assert abs(value - ref) <= ref * mpmath.mpf(10) ** -31
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -204,7 +204,7 @@ def value_at_one_expansion(params: JacobiParams, order: int) -> Expansion:
         "nlogn": ctx.zero(),
         "n": ctx.zero(),
         "logn": ctx.real(params.alpha),
-        "const": -log_gamma(params.alpha + 1),
+        "const": -log_gamma(ctx.real(as_fraction(params.alpha) + 1)),
     }
     tail = _tail(order, lambda m: value_at_one_tail_fraction(m, params.alpha))
     return Expansion(
@@ -224,15 +224,17 @@ def discriminant_expansion(params: JacobiParams, order: int) -> Expansion:
     b = as_fraction(params.beta)
     ab = a + b
     logn_coeff = (Fraction(5, 2) - (a + 1) ** 2 - (b + 1) ** 2) / 2
+    # alpha + 1 rounded once from the exact exponent, not in float64 first
+    a1, b1 = ctx.real(a + 1), ctx.real(b + 1)
     const = (
         ctx.real(-Fraction(1, 8) - (ab + Fraction(1, 2)) ** 2 / 2)
         + ctx.real((Fraction(11, 6) + ab * ab) / 2) * ctx.ln2
         + ctx.ln_pi
         + 3 * constants().log_glaisher
-        + ctx.real(a + 1) * log_gamma(params.alpha + 1)
-        - negapolygamma2(params.alpha + 1)
-        + ctx.real(b + 1) * log_gamma(params.beta + 1)
-        - negapolygamma2(params.beta + 1)
+        + a1 * log_gamma(a1)
+        - negapolygamma2(a1)
+        + b1 * log_gamma(b1)
+        - negapolygamma2(b1)
     )
     leading = {
         "n2": ctx.ln2,

@@ -14,13 +14,12 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
+import mpmath
 import numpy as np
 
 from . import jacobi
 from .exceptions import DomainError, check_finite_above, check_size
-from .jacobi import JacobiParams
 from .precision import STD, Scalar, active
-from .specfun import zeta_prime_neg1_exact
 
 #: returned by configuration energies when points coincide (or touch a
 #: charged endpoint), which makes the energy genuinely infinite
@@ -136,17 +135,21 @@ def potential_energy_exact(n: int, p: float, q: float) -> Scalar:
     """Minimal potential energy of n charges under endpoint charges (p, q).
 
     2(n+p+q-1) log lambda_n - log D_n - 2p log P_n(1) - 2q log P_n(-1)-signed,
-    with alpha = 2p-1, beta = 2q-1.  For n = 1 this is 0 exactly when p = q.
+    with alpha = 2p-1, beta = 2q-1, as one mpmath expression at guard
+    digits (:func:`jacobi.guarded_exact`), rounded once.  For n = 1 this is
+    0 when p = q.
     """
     n = check_size(n, "n", 1)
-    ctx = active()
-    params = JacobiParams.from_charges(p, q)
-    return (
-        2 * (n + ctx.real(p) + ctx.real(q) - 1) * jacobi.leading_coeff_log(n, params)
-        - jacobi.discriminant_log(n, params)
-        - 2 * ctx.real(p) * jacobi.value_at_one_log(n, params)
-        - 2 * ctx.real(q) * jacobi.value_at_minus_one_signed_log(n, params)
-    )
+    check_finite_above(0, "endpoint charges", p=p, q=q)
+
+    def body(p, q):
+        a, b = 2 * p - 1, 2 * q - 1
+        return (2 * (n + p + q - 1) * jacobi.leading_coeff_log_mp(n, a, b)
+                - jacobi.discriminant_log_mp(n, a, b)
+                - 2 * p * jacobi.value_at_one_log_mp(n, a)
+                - 2 * q * jacobi.value_at_one_log_mp(n, b))
+
+    return jacobi.guarded_exact(body, p, q, size=2 * p + 2 * q)
 
 
 def elliptic_log_energy_exact(n: int, p: float, q: float) -> Scalar:
@@ -155,8 +158,14 @@ def elliptic_log_energy_exact(n: int, p: float, q: float) -> Scalar:
     2(n-1) log lambda_n - log D_n.  (For n = 1 both terms vanish.)
     """
     n = check_size(n, "n", 1)
-    params = JacobiParams.from_charges(p, q)
-    return 2 * (n - 1) * jacobi.leading_coeff_log(n, params) - jacobi.discriminant_log(n, params)
+    check_finite_above(0, "endpoint charges", p=p, q=q)
+
+    def body(p, q):
+        a, b = 2 * p - 1, 2 * q - 1
+        return (2 * (n - 1) * jacobi.leading_coeff_log_mp(n, a, b)
+                - jacobi.discriminant_log_mp(n, a, b))
+
+    return jacobi.guarded_exact(body, p, q, size=2 * p + 2 * q)
 
 
 def interval_energy_exact(N: int) -> Scalar:
@@ -167,17 +176,17 @@ def interval_energy_exact(N: int) -> Scalar:
     lambda_0 = D_0 = P_0(1) = 1, giving -log 4 (the two-endpoint value).
     """
     N = check_size(N, "N", 2)
-    ctx = active()
     if N == 2:
-        return -2 * ctx.ln2
-    params = JacobiParams(1.0, 1.0)
+        return -2 * active().ln2
     n = N - 2
-    return (
-        2 * (N - 1) * jacobi.leading_coeff_log(n, params)
-        - jacobi.discriminant_log(n, params)
-        - 4 * jacobi.value_at_one_log(n, params)
-        - 2 * ctx.ln2
-    )
+
+    def body(a, b):
+        return (2 * (N - 1) * jacobi.leading_coeff_log_mp(n, a, b)
+                - jacobi.discriminant_log_mp(n, a, b)
+                - 4 * jacobi.value_at_one_log_mp(n, a)
+                - 2 * mpmath.ln2)
+
+    return jacobi.guarded_exact(body, 1, 1, size=4)
 
 
 def discriminant_N_log(N: int) -> Scalar:
@@ -237,8 +246,16 @@ def logsum_shifted_via_zeta(m: int, n: int, offset: float) -> Scalar:
     """The same sum as a Hurwitz-zeta-derivative difference,
     zeta'(-1, n+offset+1) - zeta'(-1, m+offset+1), for cross-checking."""
     m, n = _check_logsum(m, n, offset)
-    offset = active().real(offset)
-    return zeta_prime_neg1_exact(n + offset + 1) - zeta_prime_neg1_exact(m + offset + 1)
+    # both zeta' ~ x^2 log(x) / 2 and their difference ~ (n - m) x log x:
+    # subtract at guard digits, carrying mag(x) more bits for the cancellation
+    x = n + offset + 1
+
+    def body():
+        with mpmath.extraprec(max(0, mpmath.mag(x))):
+            o = mpmath.mpf(offset)
+            return mpmath.zeta(-1, n + o + 1, 1) - mpmath.zeta(-1, m + o + 1, 1)
+
+    return active().guarded(body)
 
 
 def rescale_energy(kind: str, base: Scalar, eta: float, n: int,

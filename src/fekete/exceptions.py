@@ -13,7 +13,8 @@ class DomainError(FeketeError, ValueError):
 
 
 class CapacityError(FeketeError, ValueError):
-    """A requested order exceeds a precomputed table or expansion capacity."""
+    """A requested order exceeds a precomputed table or expansion capacity,
+    or a value overflows the active scalar type."""
 
 
 class NumericalError(FeketeError, RuntimeError):

@@ -1,12 +1,12 @@
 """Jacobi polynomial quantities, kept in the log domain where magnitudes
 explode: leading coefficient, endpoint values, pointwise recurrence
-evaluation, zeros, and the closed-form discriminant product."""
+evaluation, zeros, and the discriminant in closed form."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
+import mpmath
 import numpy as np
 
 from .exceptions import NumericalError, check_finite_above, check_size
@@ -61,26 +61,17 @@ class ZeroSet:
 def leading_coeff_log(n: int, params: JacobiParams) -> Scalar:
     """log lambda_n = -n log 2 + lgamma(2n+a+b+1) - lgamma(n+a+b+1) - lgamma(n+1)."""
     n = check_size(n, "n", 0)
-    ctx = active()
     if n == 0:
-        return ctx.zero()  # lambda_0 = 1
-    ab = ctx.real(params.alpha) + ctx.real(params.beta)
-    return (
-        -n * ctx.ln2
-        + ctx.lgamma(2 * n + ab + 1)
-        - ctx.lgamma(n + ab + 1)
-        - ctx.lgamma(ctx.real(n + 1))
-    )
+        return active().zero()  # lambda_0 = 1
+    return _guarded(params, lambda a, b: leading_coeff_log_mp(n, a, b))
 
 
 def value_at_one_log(n: int, params: JacobiParams) -> Scalar:
     """log P_n(1) = log[(1+alpha)_n / n!]."""
     n = check_size(n, "n", 0)
-    ctx = active()
     if n == 0:
-        return ctx.zero()
-    alpha = ctx.real(params.alpha)
-    return ctx.lgamma(n + alpha + 1) - ctx.lgamma(alpha + 1) - ctx.lgamma(ctx.real(n + 1))
+        return active().zero()
+    return _guarded(params, lambda a, b: value_at_one_log_mp(n, a))
 
 
 def value_at_minus_one_signed_log(n: int, params: JacobiParams) -> Scalar:
@@ -185,11 +176,10 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
             f"zero set for n={n}, alpha={alpha}, beta={beta} is not strictly "
             f"ordered/interior after polish"
         )
-    scale = max(
-        1.0,
-        math.exp(value_at_one_log(n, params)),
-        math.exp(value_at_minus_one_signed_log(n, params)),
-    )
+    # max(1, |P_n(1)|, |P_n(-1)|), |P_n(+-1)| = (1+alpha)_n / n! and (1+beta)_n / n!,
+    # in float64 so the zero finder stays off the mpmath path
+    log_end = max(math.lgamma(n + s + 1) - math.lgamma(s + 1) for s in (alpha, beta))
+    scale = max(1.0, math.exp(log_end - math.lgamma(n + 1)))
     residual = float(np.max(np.abs(_recurrence(n, alpha, beta, x))))
     if not residual <= 1e-8 * scale:
         raise NumericalError(
@@ -200,21 +190,90 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
 
 
 def discriminant_log(n: int, params: JacobiParams) -> Scalar:
-    """log D_n^(alpha,beta) from the closed product formula.
-
-    -n(n-1) log 2 + sum_{v=1..n} [ (v-2n+2) log v + (v-1) log(v+alpha)
-    + (v-1) log(v+beta) + (n-v) log(v+n+alpha+beta) ], summed exactly and
-    rounded once by ``fsum`` (k^k factors overflow near n ~ 150 if
-    exponentiated).
-    """
+    """log D_n^(alpha,beta), from log Barnes G and log Gamma in O(1) per n
+    (see :func:`discriminant_log_mp`), rounded once."""
     n = check_size(n, "n", 1)
-    ctx = active()
-    alpha, beta = ctx.real(params.alpha), ctx.real(params.beta)
-    vs = range(1, n + 1)
-    return ctx.fsum(chain(
-        (-n * (n - 1) * ctx.ln2,),
-        ((v - 2 * n + 2) * ctx.log(ctx.real(v)) for v in vs),
-        ((v - 1) * ctx.log(v + alpha) for v in vs),
-        ((v - 1) * ctx.log(v + beta) for v in vs),
-        ((n - v) * ctx.log(v + n + alpha + beta) for v in vs),
-    ))
+    return _guarded(params, lambda a, b: discriminant_log_mp(n, a, b))
+
+
+# -- mpf kernels: the one formula for each Jacobi quantity -------------------
+#
+# They take mpf exponents and run at the caller's mpmath precision; the
+# public functions above and the exact energies wrap them in guarded_exact.
+
+
+def guarded_exact(fn, *values, size: float) -> Scalar:
+    """``fn(*values)`` with the values as mpf, by mpmath at the digits of
+    :meth:`Context.guarded` plus ``2 mag(size)`` bits, rounded once into the
+    active scalar type.
+
+    ``size`` is alpha + beta + 2 of the exponents involved.  log G(alpha + 2)
+    grows like alpha^2 log alpha while the quantities built from it grow
+    like n^2 log alpha, and the lgamma differences scaled by n + p + q in
+    the exact energies cancel alike, so large exponents lose about
+    2 mag(alpha) bits.
+    """
+    extra = max(0, 2 * mpmath.mag(size))
+
+    def body():
+        with mpmath.extraprec(extra):
+            return fn(*(mpmath.mpf(v) for v in values))
+
+    return active().guarded(body)
+
+
+def _guarded(params: JacobiParams, fn) -> Scalar:
+    return guarded_exact(fn, params.alpha, params.beta, size=params.alpha + params.beta + 2)
+
+
+def leading_coeff_log_mp(n: int, a, b):
+    """log lambda_n^(a,b) for n >= 1."""
+    ab = a + b
+    return (-n * mpmath.ln2 + mpmath.loggamma(2 * n + ab + 1)
+            - mpmath.loggamma(n + ab + 1) - mpmath.loggamma(n + 1))
+
+
+def value_at_one_log_mp(n: int, a):
+    """log P_n^(a,b)(1) = lgamma(n+a+1) - lgamma(a+1) - lgamma(n+1) for n >= 1."""
+    return mpmath.loggamma(n + a + 1) - mpmath.loggamma(a + 1) - mpmath.loggamma(n + 1)
+
+
+def _log_barnes_g(x):
+    return mpmath.log(mpmath.barnesg(x))
+
+
+#: log G(s+2) per (exponent, mpmath precision): the n-free term of T(s)
+_log_g_cache: dict = {}
+
+
+def _t_sum(n: int, s):
+    """T(s) = sum_{v=1..n} (v-1) log(v+s)
+    = (n-1) lgamma(n+s+1) - log G(n+s+1) + log G(s+2)."""
+    # keyed on the working precision too, so a value never depends on which
+    # caller filled the cache first
+    key = (s, mpmath.mp.prec)
+    head = _log_g_cache.get(key)
+    if head is None:
+        head = _log_g_cache[key] = _log_barnes_g(s + 2)
+    return (n - 1) * mpmath.loggamma(n + s + 1) - _log_barnes_g(n + s + 1) + head
+
+
+def discriminant_log_mp(n: int, a, b):
+    """log D_n^(a,b) for n >= 1 (0 exactly at n = 1) from the closed product
+    formula
+
+        -n(n-1) log 2 + sum_{v=1..n} [ (v-2n+2) log v + (v-1) log(v+a)
+        + (v-1) log(v+b) + (n-v) log(v+n+a+b) ],
+
+    with each sum in log Barnes G and log Gamma (G(z+1) = Gamma(z) G(z)):
+    sum (v-2n+2) log v = (2-n) lgamma(n+1) - log G(n+1), the middle sums
+    are T(a) and T(b) of :func:`_t_sum`, and the last is
+    log G(2n+a+b+1) - log G(n+a+b+2) - (n-1) lgamma(n+a+b+1).
+    """
+    if n == 1:
+        return mpmath.mpf(0)  # D_1 = 1
+    c = n + a + b
+    return (-n * (n - 1) * mpmath.ln2
+            + (2 - n) * mpmath.loggamma(n + 1) - _log_barnes_g(n + 1)
+            + _t_sum(n, a) + _t_sum(n, b)
+            + _log_barnes_g(n + c + 1) - _log_barnes_g(c + 2) - (n - 1) * mpmath.loggamma(c + 1))

@@ -32,7 +32,7 @@ from typing import Union
 
 import mpmath
 
-from .exceptions import DomainError
+from .exceptions import CapacityError, DomainError
 
 Scalar = Union[float, mpmath.mpf]
 
@@ -118,10 +118,17 @@ class Context:
     def guarded(self, fn) -> Scalar:
         """``fn()`` evaluated by mpmath with :data:`_GUARD_DPS` digits beyond
         the mode's, then rounded once into the active scalar type (after the
-        guard digits are dropped, so ``ext`` results carry ``dps`` digits)."""
+        guard digits are dropped, so ``ext`` results carry ``dps`` digits).
+
+        Raises :class:`CapacityError` when the rounded value is not finite,
+        i.e. when it overflows float64 in ``std``."""
         with mpmath.workdps(self.dps + _GUARD_DPS):
             raw = fn()
-        return self.real(raw)
+        value = self.real(raw)
+        if not mpmath.isfinite(value):
+            raise CapacityError(
+                f"{mpmath.nstr(raw, 5)} is not finite in {self.mode} precision")
+        return value
 
     def _const(self, name: str, fn) -> Scalar:
         value = self._consts.get(name)

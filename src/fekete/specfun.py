@@ -115,7 +115,10 @@ def log_gamma(x) -> Scalar:
     ctx = active()
     x = ctx.real(x)
     check_finite_above(0, "log_gamma argument", x=x)
-    return ctx.lgamma(x)
+    try:
+        return ctx.lgamma(x)
+    except OverflowError:
+        raise CapacityError(f"log Gamma({x}) overflows {ctx.mode} precision") from None
 
 
 def log_gamma_asym(x, a, order: int) -> Scalar:

@@ -226,6 +226,17 @@ class TestDiscriminantExpansion:
         diff = abs(jacobi.discriminant_log(40, params) - asym.evaluate_expansion(e, 40, 2))
         assert diff <= 40.0 ** -3
 
+    @pytest.mark.parametrize("n", [10**6, 10**9])
+    def test_order_8_matches_closed_form_at_large_n(self, n):
+        # 0.4 + 1 is inexact in float64: the constant needs alpha + 1 rounded
+        # once from the exact exponent, or it is off by 4e-18
+        params = JacobiParams(0.4, 1.6)
+        with precision_mode("ext"):
+            e = asym.discriminant_expansion(params, 8)
+            value = jacobi.discriminant_log(n, params)
+            diff = abs(value - asym.evaluate_expansion(e, n, 8))
+        assert diff <= 1e-30 * abs(value)
+
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_decay_slope(self, order):
         params = JacobiParams(0.4, 1.6)

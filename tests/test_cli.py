@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from fekete import energy
 from fekete.cli import cli
 from fekete.energy import IntervalSpec
+from fekete.precision import use
 
 from _util import rel_close
 
@@ -188,6 +189,15 @@ class TestVerify:
         slope_rows = [line for line in result.output.splitlines() if line.startswith("slope")]
         assert len(slope_rows) == 3
         assert all(row.strip().endswith("true") for row in slope_rows)
+
+    def test_interval_slopes_pass_at_large_N_in_ext(self, runner):
+        try:
+            result = runner.invoke(
+                cli, ["verify", "--kind", "interval", "--n", "12500,25000,50000,100000",
+                      "--order", "3", "--precision", "ext"])
+        finally:
+            use("std")
+        assert result.exit_code == 0, result.output
 
     def test_impossible_slope_tolerance_fails(self, runner):
         result = runner.invoke(

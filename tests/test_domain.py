@@ -6,7 +6,7 @@ import pytest
 
 from fekete import asym, energy, jacobi, minimize, specfun
 from fekete.energy import Configuration
-from fekete.exceptions import DomainError
+from fekete.exceptions import CapacityError, DomainError
 from fekete.jacobi import JacobiParams
 
 inf, nan = math.inf, math.nan
@@ -44,6 +44,20 @@ CASES = {
 @pytest.mark.parametrize("call", CASES.values(), ids=CASES.keys())
 def test_rejected(call):
     with pytest.raises(DomainError):
+        call()
+
+
+#: values that overflow float64 in std
+OVERFLOWS = {
+    "negapolygamma2": lambda: specfun.negapolygamma2(1e200),
+    "zeta_prime_neg1_exact": lambda: specfun.zeta_prime_neg1_exact(1e200),
+    "log_gamma": lambda: specfun.log_gamma(1e307),
+}
+
+
+@pytest.mark.parametrize("call", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+def test_overflow_is_a_capacity_error(call):
+    with pytest.raises(CapacityError, match="std precision"):
         call()
 
 

@@ -188,6 +188,16 @@ class TestDiscriminantDuality:
             rhs = -energy.potential_energy_exact(n, p, q)
             assert rel_close(lhs, rhs, 1e-10, floor=1.0), f"pq duality failed at {(n, p, q)}"
 
+    @pytest.mark.parametrize("mode,rtol", [("std", 1e-14), ("ext", 1e-31)])
+    def test_pq_duality_large_charges(self, mode, rtol):
+        # 2(n+p+q-1) log lambda_n and the lgamma differences cancel to O(n p):
+        # rounded before they cancel, p = 1e16 gave the wrong sign
+        with precision_mode(mode):
+            for p in (1, 1e4, 1e8, 1e12, 1e16):
+                lhs = energy.pq_discriminant_log(20, p, 1)
+                rhs = -energy.potential_energy_exact(20, p, 1)
+                assert abs(lhs - rhs) <= rtol * abs(lhs), p
+
     def test_pq_trivial(self):
         for p in (0.5, 1.0, 1.7):
             assert abs(energy.pq_discriminant_log(1, p, p)) < 1e-12
@@ -250,6 +260,12 @@ class TestLogsumShifted:
                 energy.logsum_shifted_via_zeta(m, n, offset),
                 1e-9,
             )
+
+    def test_zeta_difference_at_guard_digits(self):
+        # each zeta'(-1, .) is ~7e12 here; rounded before subtracting, the
+        # difference kept only 12 digits
+        assert energy.logsum_shifted_via_zeta(10**6, 10**6 + 1, 0.5) == pytest.approx(
+            energy.logsum_shifted(10**6, 10**6 + 1, 0.5), rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(DomainError):

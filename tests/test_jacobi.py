@@ -13,7 +13,7 @@ from fekete.exceptions import DomainError
 from fekete.jacobi import JacobiParams
 from fekete.precision import precision_mode
 
-from _util import rel_close
+from _util import discriminant_log_product, rel_close
 
 
 def mp_log_leading(n, alpha, beta):
@@ -247,3 +247,16 @@ class TestDiscriminant:
         # k^k factors would overflow if exponentiated; log form must stay finite
         value = jacobi.discriminant_log(400, JacobiParams(1, 1))
         assert math.isfinite(value)
+
+    @pytest.mark.parametrize("mode,rtol", [("std", 1e-14), ("ext", 1e-30)])
+    @pytest.mark.parametrize("alpha,beta", [(0, 0), (1, 1), (-0.5, 7), (0.5, 3.5),
+                                            (2e8, 1), (2e12, 1)])
+    def test_closed_form_vs_product(self, mode, rtol, alpha, beta):
+        # the exponents 2e8 and 2e12 need the extra bits of guarded_exact:
+        # log G(alpha + 2) ~ alpha^2 log alpha cancels down to n^2 log alpha
+        params = JacobiParams(alpha, beta)
+        with precision_mode(mode):
+            for n in (1, 2, 3, 40, 400, 2560):
+                closed = jacobi.discriminant_log(n, params)
+                product = discriminant_log_product(n, alpha, beta)
+                assert abs(closed - product) <= rtol * max(abs(product), 1), (n, closed, product)

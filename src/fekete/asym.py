@@ -21,13 +21,8 @@ from .energy import IntervalSpec
 from .exceptions import CapacityError, DomainError, check_finite_above, check_size
 from .jacobi import JacobiParams
 from .precision import EXT, Scalar, active, as_fraction
-from .specfun import (
-    bernoulli_number,
-    constants,
-    hurwitz_zeta_negint_fraction,
-    log_gamma,
-    negapolygamma2,
-)
+from .specfun import bernoulli_number, log_gamma, negapolygamma2
+from .specfun import hurwitz_zeta_negint_fraction as _zeta
 
 LEADING_KEYS = ("n2", "nlogn", "n", "logn", "const")
 
@@ -67,10 +62,6 @@ def _check_order(order: int) -> None:
     check_size(order, "order", 0)
     if order > max_order():
         raise CapacityError(f"order {order} exceeds the mode maximum {max_order()}")
-
-
-def _zeta(m: int, a: Fraction) -> Fraction:
-    return hurwitz_zeta_negint_fraction(m, a)
 
 
 _ONE = Fraction(1)
@@ -230,7 +221,7 @@ def discriminant_expansion(params: JacobiParams, order: int) -> Expansion:
         ctx.real(-Fraction(1, 8) - (ab + Fraction(1, 2)) ** 2 / 2)
         + ctx.real((Fraction(11, 6) + ab * ab) / 2) * ctx.ln2
         + ctx.ln_pi
-        + 3 * constants().log_glaisher
+        + 3 * ctx.log_glaisher
         + a1 * log_gamma(a1)
         - negapolygamma2(a1)
         + b1 * log_gamma(b1)
@@ -269,7 +260,7 @@ def potential_energy_expansion(p: float, q: float, order: int) -> Expansion:
     const = (
         ctx.real(2 * ((fp + fq - 1) ** 2 - Fraction(11, 24))) * ctx.ln2
         - ctx.real(fp + fq) * ctx.ln_pi
-        - 3 * constants().log_glaisher
+        - 3 * ctx.log_glaisher
         + negapolygamma2(2 * p)
         + negapolygamma2(2 * q)
     )
@@ -297,7 +288,7 @@ def elliptic_log_energy_expansion(p: float, q: float, order: int) -> Expansion:
     fq = as_fraction(q)
     const = (
         -ctx.real(2 * ((fp + fq) ** 2 - Fraction(13, 24))) * ctx.ln2
-        - 3 * constants().log_glaisher
+        - 3 * ctx.log_glaisher
         - 2 * ctx.real(fp) * log_gamma(2 * p)
         + negapolygamma2(2 * p)
         - 2 * ctx.real(fq) * log_gamma(2 * q)
@@ -327,7 +318,7 @@ def interval_energy_expansion(order: int) -> Expansion:
         "nlogn": ctx.real(-1),
         "n": -2 * ctx.ln2,
         "logn": ctx.real(Fraction(-1, 4)),
-        "const": ctx.real(Fraction(13, 12)) * ctx.ln2 - 3 * constants().log_glaisher,
+        "const": ctx.real(Fraction(13, 12)) * ctx.ln2 - 3 * ctx.log_glaisher,
     }
     tail = _tail(order, interval_tail_fraction)
     return Expansion(kind="interval_E0", params={}, leading=leading, tail=tail)

@@ -54,7 +54,8 @@ class IntervalSpec:
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
+        # b - a is finite only when both ends are, and then so is the scale
+        if not (math.isfinite(self.b - self.a) and self.b > self.a):
             raise DomainError(f"interval needs finite b > a, got [{self.a}, {self.b}]")
 
     @property
@@ -192,91 +193,22 @@ def interval_energy_exact(N: int) -> Scalar:
 def discriminant_N_log(N: int) -> Scalar:
     """log of the N-th discriminant of [-1, 1] (max product of mutual distances).
 
-    N(N-1) log 2 + N log N + 3 sum_{k=1}^{N-1} k log k
-    - sum_{k=N-1}^{2(N-1)} k log k; equals -interval_energy_exact(N).
+    By duality it is exactly -interval_energy_exact(N), O(1) per N.
     """
-    N = check_size(N, "N", 2)
-    ctx = active()
-    return ctx.fsum(chain(
-        (N * (N - 1) * ctx.ln2, N * ctx.log(ctx.real(N))),
-        (3 * k * ctx.log(ctx.real(k)) for k in range(1, N)),
-        (-k * ctx.log(ctx.real(k)) for k in range(N - 1, 2 * N - 1)),
-    ))
+    return -interval_energy_exact(N)
 
 
 def pq_discriminant_log(n: int, p: float, q: float) -> Scalar:
     """log of the n-th (p,q)-discriminant of [-1, 1], i.e. log max T_n^2.
 
-    n(n+2p+2q-1) log 2
-    + sum_{k=1..n} [ k log k + (k+2p-1) log(k+2p-1) + (k+2q-1) log(k+2q-1) ]
-    - sum_{k=n-1..2(n-1)} (k+2p+2q) log(k+2p+2q);
-    equals -potential_energy_exact(n, p, q).
+    By duality it is exactly -potential_energy_exact(n, p, q), O(1) per n.
     """
-    n = check_size(n, "n", 1)
-    check_finite_above(0, "charges", p=p, q=q)
-    ctx = active()
-    p, q = ctx.real(p), ctx.real(q)
-    ks = range(1, n + 1)
-    return ctx.fsum(chain(
-        (n * (n + 2 * p + 2 * q - 1) * ctx.ln2,),
-        (k * ctx.log(ctx.real(k)) for k in ks),
-        ((k + 2 * p - 1) * ctx.log(k + 2 * p - 1) for k in ks),
-        ((k + 2 * q - 1) * ctx.log(k + 2 * q - 1) for k in ks),
-        (-(k + 2 * p + 2 * q) * ctx.log(k + 2 * p + 2 * q) for k in range(n - 1, 2 * n - 1)),
-    ))
-
-
-def _check_logsum(m, n, offset) -> tuple[int, int]:
-    """Integers m >= 0 and n >= m + 1, and a finite offset > -(m+1)."""
-    m = check_size(m, "m", 0)
-    n = check_size(n, "n", m + 1)
-    check_finite_above(-(m + 1), "offset", offset=offset)
-    return m, n
-
-
-def logsum_shifted(m: int, n: int, offset: float) -> Scalar:
-    """sum_{k=m+1..n} (k + offset) log(k + offset), summed exactly by ``fsum``."""
-    m, n = _check_logsum(m, n, offset)
-    ctx = active()
-    offset = ctx.real(offset)
-    return ctx.fsum((k + offset) * ctx.log(k + offset) for k in range(m + 1, n + 1))
-
-
-def logsum_shifted_via_zeta(m: int, n: int, offset: float) -> Scalar:
-    """The same sum as a Hurwitz-zeta-derivative difference,
-    zeta'(-1, n+offset+1) - zeta'(-1, m+offset+1), for cross-checking."""
-    m, n = _check_logsum(m, n, offset)
-    # both zeta' ~ x^2 log(x) / 2 and their difference ~ (n - m) x log x:
-    # subtract at guard digits, carrying mag(x) more bits for the cancellation
-    x = n + offset + 1
-
-    def body():
-        with mpmath.extraprec(max(0, mpmath.mag(x))):
-            o = mpmath.mpf(offset)
-            return mpmath.zeta(-1, n + o + 1, 1) - mpmath.zeta(-1, m + o + 1, 1)
-
-    return active().guarded(body)
-
-
-def rescale_energy(kind: str, base: Scalar, eta: float, n: int,
-                   p: float | None = None, q: float | None = None) -> Scalar:
-    """Transport a [-1, 1] energy value to the interval scaled by eta > 0.
-
-    potential: base - (log eta) n^2 - (log eta)(2p+2q-1) n
-    interval:  base - (log eta) N(N-1)          (N-th discriminant scaling)
-    """
-    ctx = active()
-    check_finite_above(0, "scaling factor", eta=eta)
-    log_eta = ctx.log(ctx.real(eta))
-    if kind == "potential":
-        if p is None or q is None:
-            raise DomainError("potential rescaling needs charges p and q")
-        return base - log_eta * n * n - log_eta * (2 * ctx.real(p) + 2 * ctx.real(q) - 1) * n
-    if kind == "interval":
-        return base - log_eta * n * (n - 1)
-    raise DomainError(f"unknown rescale kind {kind!r} (expected 'potential' or 'interval')")
+    return -potential_energy_exact(n, p, q)
 
 
 def interval_energy_on(interval: IntervalSpec, N: int) -> Scalar:
-    """Minimal logarithmic N-point energy of a general interval [a, b]."""
-    return rescale_energy("interval", interval_energy_exact(N), interval.scale, N)
+    """Minimal logarithmic N-point energy of a general interval [a, b]:
+    the [-1, 1] value minus N(N-1) log eta, eta = (b - a)/2."""
+    ctx = active()
+    log_eta = ctx.log(ctx.real(interval.scale))
+    return interval_energy_exact(N) - log_eta * N * (N - 1)

@@ -1,6 +1,6 @@
 """Jacobi polynomial quantities, kept in the log domain where magnitudes
-explode: leading coefficient, endpoint values, pointwise recurrence
-evaluation, zeros, and the discriminant in closed form."""
+explode: leading coefficient, endpoint values, zeros, and the discriminant
+in closed form."""
 from __future__ import annotations
 
 import math
@@ -84,52 +84,40 @@ def _recurrence(n: int, alpha, beta, x):
 
     Works for float or mpf scalars alike, and elementwise on a numpy array;
     coefficients stay rational in the inputs so no elementary-function
-    dispatch is needed.
+    dispatch is needed.  The coefficients are built from c = alpha + beta + 2
+    (as (alpha + 1) + (beta + 1)), alpha and beta with the integer part added
+    last, and from alpha^2 - beta^2 as a product: with exponents near -1,
+    2 + alpha and alpha^2 round, and that rounding survives the cancellation.
     """
     if n == 0:
         return x * 0 + 1
+    c = (alpha + 1) + (beta + 1)
+    diff = (alpha - beta) * (alpha + beta)
     p_prev = x * 0 + 1
-    p = (alpha + 1) + (alpha + beta + 2) * (x - 1) / 2
+    p = (alpha + 1) + c * (x - 1) / 2
     for k in range(2, n + 1):
-        s = 2 * k + alpha + beta
-        a1 = 2 * k * (k + alpha + beta) * (s - 2)
-        a2 = (s - 1) * (alpha * alpha - beta * beta)
-        a3 = (s - 1) * s * (s - 2)
-        a4 = 2 * (k + alpha - 1) * (k + beta - 1) * s
+        s = (2 * k - 2) + c
+        a1 = 2 * k * ((k - 2) + c) * ((2 * k - 4) + c)
+        a2 = ((2 * k - 3) + c) * diff
+        a3 = ((2 * k - 3) + c) * s * ((2 * k - 4) + c)
+        a4 = 2 * ((k - 1) + alpha) * ((k - 1) + beta) * s
         p_prev, p = p, ((a2 + a3 * x) * p - a4 * p_prev) / a1
     return p
 
 
-def evaluate(n: int, params: JacobiParams, x) -> Scalar:
-    """P_n^(alpha,beta)(x)."""
-    n = check_size(n, "n", 0)
-    ctx = active()
-    return _recurrence(n, ctx.real(params.alpha), ctx.real(params.beta), ctx.real(x))
-
-
-def evaluate_derivative(n: int, params: JacobiParams, x) -> Scalar:
-    """d/dx P_n^(alpha,beta)(x), via the degree-lowering identity."""
-    n = check_size(n, "n", 0)
-    ctx = active()
-    if n == 0:
-        return ctx.zero()
-    alpha, beta = ctx.real(params.alpha), ctx.real(params.beta)
-    return (n + alpha + beta + 1) / 2 * _recurrence(n - 1, alpha + 1, beta + 1, ctx.real(x))
-
-
 def _recurrence_coeffs(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the n x n symmetric Jacobi matrix."""
+    """Diagonal and off-diagonal of the n x n symmetric Jacobi matrix, with
+    the integer parts added last as in :func:`_recurrence`."""
+    c = (alpha + 1) + (beta + 1)
     k = np.arange(n, dtype=float)
-    s = 2 * k + alpha + beta
+    s = (2 * k - 2) + c
     diag = np.empty(n)
-    diag[0] = (beta - alpha) / (alpha + beta + 2)
+    diag[0] = (beta - alpha) / c
     if n > 1:
-        diag[1:] = (beta * beta - alpha * alpha) / (s[1:] * (s[1:] + 2))
+        diag[1:] = (beta - alpha) * (beta + alpha) / (s[1:] * (s[1:] + 2))
     off = np.empty(max(n - 1, 0))
     if n > 1:
-        off[0] = math.sqrt(
-            4 * (alpha + 1) * (beta + 1) / ((alpha + beta + 2) ** 2 * (alpha + beta + 3))
-        )
+        off[0] = math.sqrt(4 * (alpha + 1) * (beta + 1) / (c ** 2 * (c + 1)))
     if n > 2:
         kk = k[2:]
         sq = (
@@ -137,7 +125,7 @@ def _recurrence_coeffs(n: int, alpha: float, beta: float) -> tuple[np.ndarray, n
             * kk
             * (kk + alpha)
             * (kk + beta)
-            * (kk + alpha + beta)
+            * ((kk - 2) + c)
             / (s[2:] ** 2 * (s[2:] + 1) * (s[2:] - 1))
         )
         off[1:] = np.sqrt(sq)

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import chain
 
-from fekete.precision import active
+from fekete.precision import active, as_fraction
+from fekete.specfun import hurwitz_zeta_negint_fraction
 
 
 def rel_close(actual, expected, rtol: float, floor: float = 1e-300) -> bool:
@@ -44,3 +46,88 @@ def discriminant_log_product(n: int, alpha, beta):
         ((v - 1) * ctx.log(v + beta) for v in vs),
         ((n - v) * ctx.log(v + n + alpha + beta) for v in vs),
     ))
+
+
+def shifted_terms(m: int, n: int, offset):
+    """(k + offset) log(k + offset) for k = m+1..n, in the active precision."""
+    ctx = active()
+    offset = ctx.real(offset)
+    return ((k + offset) * ctx.log(k + offset) for k in range(m + 1, n + 1))
+
+
+def logsum_shifted(m: int, n: int, offset):
+    """sum_{k=m+1..n} (k + offset) log(k + offset), summed exactly by ``fsum``."""
+    return active().fsum(shifted_terms(m, n, offset))
+
+
+def discriminant_N_log_sum(N: int):
+    """log of the N-th discriminant of [-1, 1] as one ``fsum`` over O(N)
+    logarithms (the independent route for ``energy.discriminant_N_log``):
+
+    N(N-1) log 2 + N log N + 3 sum_{k=1}^{N-1} k log k
+    - sum_{k=N-1}^{2(N-1)} k log k.
+    """
+    ctx = active()
+    return ctx.fsum(chain(
+        (N * (N - 1) * ctx.ln2, N * ctx.log(ctx.real(N))),
+        (3 * t for t in shifted_terms(0, N - 1, 0)),
+        (-t for t in shifted_terms(N - 2, 2 * N - 2, 0)),
+    ))
+
+
+def pq_discriminant_log_sum(n: int, p, q):
+    """log of the n-th (p,q)-discriminant of [-1, 1] as one ``fsum`` over
+    O(n) logarithms (the independent route for ``energy.pq_discriminant_log``):
+
+    n(n+2p+2q-1) log 2
+    + sum_{k=1..n} [ k log k + (k+2p-1) log(k+2p-1) + (k+2q-1) log(k+2q-1) ]
+    - sum_{k=n-1..2(n-1)} (k+2p+2q) log(k+2p+2q).
+    """
+    ctx = active()
+    p, q = ctx.real(p), ctx.real(q)
+    return ctx.fsum(chain(
+        (n * (n + 2 * p + 2 * q - 1) * ctx.ln2,),
+        shifted_terms(0, n, 0),
+        shifted_terms(0, n, 2 * p - 1),
+        shifted_terms(0, n, 2 * q - 1),
+        (-t for t in shifted_terms(n - 2, 2 * n - 2, 2 * p + 2 * q)),
+    ))
+
+
+def log_gamma_asym(x, a, order: int):
+    """Poincare-type truncation of log Gamma(x + a) for fixed a, x >= 1:
+
+    (x + a - 1/2) log x - x + log(2 pi)/2
+    - sum_{m=1..order} (-1)^(m-1)/m * zeta(-m, a) * x^(-m).
+    """
+    ctx = active()
+    x = ctx.real(x)
+    frac_a = as_fraction(a)
+    a = ctx.real(a)
+    head = ((x + a - ctx.real(Fraction(1, 2))) * ctx.log(x), -x, ctx.ln_2pi / 2)
+    tail = (ctx.real((-1) ** m * hurwitz_zeta_negint_fraction(m, frac_a) / m) / x ** m
+            for m in range(1, order + 1))
+    return ctx.fsum(chain(head, tail))
+
+
+def zeta_prime_neg1_asym(x, a, order: int):
+    """Truncated large-x expansion of zeta'(-1, x + a), valid for x >= 2:
+
+    x^2 log(x)/2 - x^2/4 - zeta(0,a) x log x - zeta(-1,a) (log x + 1)
+    + sum_{k=1..order-1} (-1)^k/(k(k+1)) zeta(-k-1, a) x^(-k).
+
+    The remainder after the full sum is O(x^-order); the log x factor one
+    might expect there drops out (the decay-slope tests check it).  ``a``
+    may be any real; the zeta values are Bernoulli-polynomial evaluations,
+    which extend the a > 0 case by the shift identity.
+    """
+    ctx = active()
+    x = ctx.real(x)
+    frac_a = as_fraction(a)
+    logx = ctx.log(x)
+    z0 = ctx.real(hurwitz_zeta_negint_fraction(0, frac_a))
+    z1 = ctx.real(hurwitz_zeta_negint_fraction(1, frac_a))
+    head = (x * x * logx / 2, -x * x / 4, -z0 * x * logx, -z1 * logx, -z1)
+    tail = (ctx.real((-1) ** k * hurwitz_zeta_negint_fraction(k + 1, frac_a) / (k * (k + 1)))
+            / x ** k for k in range(1, order))
+    return ctx.fsum(chain(head, tail))

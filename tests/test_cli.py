@@ -94,6 +94,16 @@ class TestExact:
         result = runner.invoke(cli, ["exact", "--N", "1..2", "--kind", "interval"])
         assert result.exit_code == 2
 
+    def test_pq_discriminant_is_minus_the_energy_at_large_n(self, runner):
+        try:
+            result = runner.invoke(
+                cli, ["exact", "--n", "100000", "--p", "1", "--q", "1.5", "--precision", "ext"])
+        finally:
+            use("std")
+        assert result.exit_code == 0, result.output
+        row = result.output.strip().splitlines()[1].split(",")
+        assert row[3] == "-" + row[1]
+
 
 class TestCoeffs:
     def test_interval_payload(self, runner):
@@ -155,6 +165,11 @@ class TestTableAndZeros:
         xs = [float(row[2]) for row in rows]
         assert xs[0] == pytest.approx(-1 / math.sqrt(5), abs=1e-12)
         assert xs[1] == pytest.approx(1 / math.sqrt(5), abs=1e-12)
+
+    def test_zeros_at_tiny_charges(self, runner):
+        # the exponents are -1 + 2e-9, where the gate used to reject the zeros
+        result = runner.invoke(cli, ["zeros", "--n", "3", "--p", "1e-9", "--q", "1e-9"])
+        assert result.exit_code == 0, result.output
 
     def test_minimize_json(self, runner):
         result = runner.invoke(

@@ -10,7 +10,12 @@ from fekete.exceptions import DomainError
 from fekete.jacobi import JacobiParams
 from fekete.precision import precision_mode
 
-from _util import rel_close
+from _util import (
+    discriminant_N_log_sum,
+    logsum_shifted,
+    pq_discriminant_log_sum,
+    rel_close,
+)
 
 
 class TestLogEnergyConfig:
@@ -170,22 +175,25 @@ class TestIntervalEnergyExact:
 
 
 class TestDiscriminantDuality:
+    """The closed forms against the O(n) log-sums of tests/_util.py."""
+
     def test_small_golden(self):
-        assert rel_close(energy.discriminant_N_log(2), math.log(4), 1e-14)
-        assert rel_close(energy.discriminant_N_log(3), math.log(4), 1e-12)
+        for N in (2, 3):
+            assert rel_close(energy.discriminant_N_log(N), math.log(4), 1e-14)
+            assert rel_close(discriminant_N_log_sum(N), math.log(4), 1e-14)
 
     def test_duality_full_sweep(self):
         for N in range(2, 401):
-            lhs = energy.discriminant_N_log(N)
-            rhs = -energy.interval_energy_exact(N)
+            lhs = discriminant_N_log_sum(N)
+            rhs = energy.discriminant_N_log(N)
             assert rel_close(lhs, rhs, 1e-10, floor=1.0), f"duality failed at N={N}"
 
     def test_pq_duality(self):
         cases = [(1, 1.0, 1.0), (2, 1.0, 1.0), (7, 0.6, 1.1), (25, 0.6, 1.1),
                  (60, 2.0, 0.3), (200, 0.7, 1.3)]
         for n, p, q in cases:
-            lhs = energy.pq_discriminant_log(n, p, q)
-            rhs = -energy.potential_energy_exact(n, p, q)
+            lhs = pq_discriminant_log_sum(n, p, q)
+            rhs = energy.pq_discriminant_log(n, p, q)
             assert rel_close(lhs, rhs, 1e-10, floor=1.0), f"pq duality failed at {(n, p, q)}"
 
     @pytest.mark.parametrize("mode,rtol", [("std", 1e-14), ("ext", 1e-31)])
@@ -194,13 +202,27 @@ class TestDiscriminantDuality:
         # rounded before they cancel, p = 1e16 gave the wrong sign
         with precision_mode(mode):
             for p in (1, 1e4, 1e8, 1e12, 1e16):
-                lhs = energy.pq_discriminant_log(20, p, 1)
+                lhs = pq_discriminant_log_sum(20, p, 1)
                 rhs = -energy.potential_energy_exact(20, p, 1)
                 assert abs(lhs - rhs) <= rtol * abs(lhs), p
+
+    @pytest.mark.parametrize("mode,rtol,ns", [("std", 1e-14, (10**4, 10**5)),
+                                              ("ext", 1e-30, (10**4,))], ids=["std", "ext"])
+    def test_duality_at_large_n(self, mode, rtol, ns):
+        with precision_mode(mode):
+            for n in ns:
+                for p, q in ((1, 1.5), (0.3, 4), (1e8, 1)):
+                    lhs = pq_discriminant_log_sum(n, p, q)
+                    rhs = energy.pq_discriminant_log(n, p, q)
+                    assert abs(lhs - rhs) <= rtol * abs(lhs), (n, p, q)
+                lhs = discriminant_N_log_sum(n)
+                rhs = energy.discriminant_N_log(n)
+                assert abs(lhs - rhs) <= rtol * abs(lhs), n
 
     def test_pq_trivial(self):
         for p in (0.5, 1.0, 1.7):
             assert abs(energy.pq_discriminant_log(1, p, p)) < 1e-12
+            assert abs(pq_discriminant_log_sum(1, p, p)) < 1e-12
 
 
 class TestEndpointAugmentation:
@@ -244,70 +266,58 @@ class TestMonotoneGrowth:
 
 
 class TestLogsumShifted:
+    """The summation helper of the duality references."""
+
     def test_trivial(self):
-        assert energy.logsum_shifted(0, 1, 0) == 0.0
-        assert rel_close(energy.logsum_shifted(0, 3, 0), 2 * math.log(2) + 3 * math.log(3), 1e-14)
+        assert logsum_shifted(0, 1, 0) == 0.0
+        assert rel_close(logsum_shifted(0, 3, 0), 2 * math.log(2) + 3 * math.log(3), 1e-14)
+
+    @staticmethod
+    def _via_zeta(m, n, offset):
+        # sum_{k=m+1..n} (k+c) log(k+c) = zeta'(-1, n+c+1) - zeta'(-1, m+c+1)
+        with mpmath.workdps(40):
+            c = mpmath.mpf(offset)
+            return mpmath.zeta(-1, n + c + 1, 1) - mpmath.zeta(-1, m + c + 1, 1)
 
     def test_zeta_cross_check(self):
-        direct = energy.logsum_shifted(0, 100, 0.5)
-        via_zeta = energy.logsum_shifted_via_zeta(0, 100, 0.5)
-        assert rel_close(direct, via_zeta, 1e-9)
+        assert rel_close(logsum_shifted(0, 100, 0.5), self._via_zeta(0, 100, 0.5), 1e-14)
 
     def test_more_cross_checks(self):
         for (m, n, offset) in [(0, 40, 0.0), (3, 25, 0.25), (5, 60, -2.5)]:
-            assert rel_close(
-                energy.logsum_shifted(m, n, offset),
-                energy.logsum_shifted_via_zeta(m, n, offset),
-                1e-9,
-            )
-
-    def test_zeta_difference_at_guard_digits(self):
-        # each zeta'(-1, .) is ~7e12 here; rounded before subtracting, the
-        # difference kept only 12 digits
-        assert energy.logsum_shifted_via_zeta(10**6, 10**6 + 1, 0.5) == pytest.approx(
-            energy.logsum_shifted(10**6, 10**6 + 1, 0.5), rel=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            energy.logsum_shifted(2, 10, -3.0)
-        with pytest.raises(DomainError):
-            energy.logsum_shifted(3, 3, 0.0)
+            assert rel_close(logsum_shifted(m, n, offset), self._via_zeta(m, n, offset), 1e-14)
 
 
 class TestRescale:
+    """interval_energy_on: the [-1, 1] value moved by N(N-1) log eta."""
+
     def test_identity(self):
-        base = energy.interval_energy_exact(12)
-        assert energy.rescale_energy("interval", base, 1.0, 12) == base
+        assert energy.interval_energy_on(IntervalSpec(-1.0, 1.0), 12) == \
+            energy.interval_energy_exact(12)
 
     def test_doubling_interval(self):
         for N in (2, 7, 30, 100):
             base = energy.interval_energy_exact(N)
-            scaled = energy.rescale_energy("interval", base, 2.0, N)
+            scaled = energy.interval_energy_on(IntervalSpec(-2.0, 2.0), N)
             assert rel_close(scaled, base - math.log(2) * (N * N - N), 1e-12)
 
     def test_interval_spec_path(self):
-        spec = IntervalSpec(-2.0, 2.0)
-        assert spec.capacity == 1.0
-        assert spec.energy_constant == 0.0
+        spec = IntervalSpec(0.0, 1.0)
+        assert spec.capacity == 0.25
+        assert spec.energy_constant == math.log(4)
         for N in (5, 80):
             assert rel_close(
                 energy.interval_energy_on(spec, N),
-                energy.interval_energy_exact(N) - math.log(2) * (N * N - N),
+                energy.interval_energy_exact(N) + math.log(2) * (N * N - N),
                 1e-12,
             )
 
-    def test_potential_shift_example(self):
-        base = energy.potential_energy_exact(1, 1, 1)
-        scaled = energy.rescale_energy("potential", base, 2.0, 1, p=1, q=1)
-        assert rel_close(scaled - base, -4 * math.log(2), 1e-12)
-
     def test_domain(self):
         with pytest.raises(DomainError):
-            energy.rescale_energy("interval", 0.0, -1.0, 5)
+            IntervalSpec(1.0, -1.0)
         with pytest.raises(DomainError):
-            energy.rescale_energy("potential", 0.0, 2.0, 5)  # missing charges
+            IntervalSpec(-1e308, 1e308)  # finite ends, infinite scale
         with pytest.raises(DomainError):
-            energy.rescale_energy("generic", 0.0, 2.0, 5)
+            energy.interval_energy_on(IntervalSpec(0.0, 3.0), 1)
 
 
 class TestExtendedMode:

@@ -16,6 +16,11 @@ from fekete.precision import precision_mode
 from _util import discriminant_log_product, rel_close
 
 
+def evaluate(n, params, x):
+    """P_n^(alpha,beta)(x) by the recurrence the zero polish and gate use."""
+    return jacobi._recurrence(n, params.alpha, params.beta, x)
+
+
 def mp_log_leading(n, alpha, beta):
     with mpmath.workdps(40):
         lam = mpmath.mpf(2) ** (-n) * mpmath.binomial(2 * n + alpha + beta, n)
@@ -94,10 +99,10 @@ class TestEndpointValues:
             params = JacobiParams(a, b)
             assert rel_close(
                 math.exp(jacobi.value_at_one_log(n, params)),
-                jacobi.evaluate(n, params, 1.0),
+                evaluate(n, params, 1.0),
                 1e-12,
             )
-            signed = (-1) ** n * jacobi.evaluate(n, params, -1.0)
+            signed = (-1) ** n * evaluate(n, params, -1.0)
             assert rel_close(
                 math.exp(jacobi.value_at_minus_one_signed_log(n, params)), signed, 1e-12
             )
@@ -106,11 +111,11 @@ class TestEndpointValues:
 class TestEvaluate:
     def test_legendre_p2(self):
         params = JacobiParams(0, 0)
-        assert jacobi.evaluate(2, params, 1.0) == pytest.approx(1.0, abs=1e-15)
-        assert jacobi.evaluate(2, params, 0.0) == pytest.approx(-0.5, abs=1e-15)
+        assert evaluate(2, params, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert evaluate(2, params, 0.0) == pytest.approx(-0.5, abs=1e-15)
 
     def test_gegenbauer_zero(self):
-        assert abs(jacobi.evaluate(2, JacobiParams(1, 1), 1 / math.sqrt(5))) < 1e-15
+        assert abs(evaluate(2, JacobiParams(1, 1), 1 / math.sqrt(5))) < 1e-15
 
     def test_against_scipy(self):
         rng = np.random.default_rng(1234)
@@ -119,17 +124,34 @@ class TestEvaluate:
             a = float(rng.uniform(-0.9, 3.0))
             b = float(rng.uniform(-0.9, 3.0))
             x = float(rng.uniform(-1, 1))
-            ours = jacobi.evaluate(n, JacobiParams(a, b), x)
+            ours = evaluate(n, JacobiParams(a, b), x)
             ref = eval_jacobi(n, a, b, x)
             assert rel_close(ours, ref, 1e-10) or abs(ours - ref) < 1e-12
 
     def test_derivative_against_finite_difference(self):
+        # the degree-lowering identity of the zero polish:
+        # d/dx P_n^(a,b) = (n+a+b+1)/2 P_{n-1}^(a+1,b+1)
         params = JacobiParams(0.6, 1.9)
+        a, b = params.alpha, params.beta
         h = 1e-6
         for n in (1, 2, 7):
             for x in (-0.8, 0.05, 0.73):
-                fd = (jacobi.evaluate(n, params, x + h) - jacobi.evaluate(n, params, x - h)) / (2 * h)
-                assert rel_close(jacobi.evaluate_derivative(n, params, x), fd, 1e-7)
+                fd = (evaluate(n, params, x + h) - evaluate(n, params, x - h)) / (2 * h)
+                derivative = (n + a + b + 1) / 2 * jacobi._recurrence(n - 1, a + 1, b + 1, x)
+                assert rel_close(derivative, fd, 1e-7)
+
+
+def _mp_jacobi(n, a, b, x):
+    """P_n^(a,b)(x) by the textbook three-term recurrence, in mpmath."""
+    p_prev, p = 1, (a + 1) + (a + b + 2) * (x - 1) / 2
+    if n == 0:
+        return mpmath.mpf(1)
+    for k in range(2, n + 1):
+        s = 2 * k + a + b
+        p_prev, p = p, (((s - 1) * (s * (s - 2) * x + a * a - b * b) * p
+                         - 2 * (k + a - 1) * (k + b - 1) * s * p_prev)
+                        / (2 * k * (k + a + b) * (s - 2)))
+    return p
 
 
 class TestZeros:
@@ -183,12 +205,29 @@ class TestZeros:
         pts = jacobi.zeros(n, params).points
         grid = np.linspace(-1, 1, 4001)
         scale = max(abs(eval_jacobi(n, params.alpha, params.beta, x)) for x in grid)
-        worst = max(abs(jacobi.evaluate(n, params, x)) for x in pts)
+        worst = max(abs(evaluate(n, params, x)) for x in pts)
         assert worst <= 1e-10 * scale
 
     def test_domain(self):
         with pytest.raises(DomainError):
             jacobi.zeros(0, JacobiParams(0, 0))
+
+    @pytest.mark.parametrize("p,q", [(1e-9, 1e-9), (1e-9, 2e-9), (1e-6, 1e-6), (1e-6, 3e-6),
+                                     (1e-12, 3e-12)])
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_small_endpoint_charges(self, n, p, q):
+        # exponents near -1: 2 + alpha rounds, and if the coefficients add
+        # it before the cancellation the zeros move by up to 1.6e-5
+        params = JacobiParams.from_charges(p, q)
+        ours = jacobi.zeros(n, params).points
+        with mpmath.workdps(60):
+            a, b = mpmath.mpf(params.alpha), mpmath.mpf(params.beta)
+            for x0 in ours:
+                x = mpmath.mpf(x0)
+                for _ in range(2):  # Newton at 60 digits, where the order is moot
+                    x -= (_mp_jacobi(n, a, b, x)
+                          / ((n + a + b + 1) / 2 * _mp_jacobi(n - 1, a + 1, b + 1, x)))
+                assert abs(x - x0) <= 1e-15, (x0, x)
 
     @pytest.mark.parametrize("n,a,b", [(50, 0.4, 1.6), (333, 7.0, 0.5), (800, 1.0, 4.0)])
     def test_vector_polish_matches_scalar_loop(self, n, a, b):
@@ -207,7 +246,7 @@ class TestZeros:
         params = JacobiParams(0.4, 1.6)
         z = jacobi.zeros(60, params)
         assert isinstance(z.residual, float)
-        assert z.residual == max(abs(jacobi.evaluate(60, params, x)) for x in z.points)
+        assert z.residual == max(abs(evaluate(60, params, x)) for x in z.points)
         assert z.residual <= 1e-8 * math.exp(jacobi.value_at_minus_one_signed_log(60, params))
 
 

@@ -142,6 +142,7 @@ def potential_energy_exact(n: int, p: float, q: float) -> Scalar:
     """
     n = check_size(n, "n", 1)
     check_finite_above(0, "endpoint charges", p=p, q=q)
+    jacobi.check_std_size(n, 2 * p + 2 * q)
 
     def body(p, q):
         a, b = 2 * p - 1, 2 * q - 1
@@ -160,6 +161,7 @@ def elliptic_log_energy_exact(n: int, p: float, q: float) -> Scalar:
     """
     n = check_size(n, "n", 1)
     check_finite_above(0, "endpoint charges", p=p, q=q)
+    jacobi.check_std_size(n, 2 * p + 2 * q)
 
     def body(p, q):
         a, b = 2 * p - 1, 2 * q - 1
@@ -177,6 +179,7 @@ def interval_energy_exact(N: int) -> Scalar:
     lambda_0 = D_0 = P_0(1) = 1, giving -log 4 (the two-endpoint value).
     """
     N = check_size(N, "N", 2)
+    jacobi.check_std_size(N, 4)
     if N == 2:
         return -2 * active().ln2
     n = N - 2

@@ -4,13 +4,14 @@ in closed form."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
-from .exceptions import NumericalError, check_finite_above, check_size
-from .precision import Scalar, active
+from .exceptions import CapacityError, NumericalError, check_finite_above, check_size
+from .precision import STD, Scalar, active
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,8 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
     (sufficient for every downstream contract, which are 1e-8..1e-12
     scale).  The polish and the residual gate each run the three-term
     recurrence once over the whole root vector: n numpy passes, not n^2
-    scalar steps.
+    scalar steps.  An extreme zero that rounds onto +-1 (exponents near -1)
+    raises :class:`CapacityError`.
     """
     n = check_size(n, "n", 1)
     from scipy.linalg import eigh_tridiagonal  # most of the package's import time
@@ -159,10 +161,18 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
         step = p / dp
     # the |step| guard skips a root whose derivative is bad far from it
     x = np.where((dp != 0.0) & (np.abs(step) < 1e-8), x - step, x)
-    if not (np.all(np.diff(x) > 0) and x[0] > -1 and x[-1] < 1):
+    if not np.all(np.diff(x) > 0):
         raise NumericalError(
             f"zero set for n={n}, alpha={alpha}, beta={beta} is not strictly "
-            f"ordered/interior after polish"
+            f"ordered after polish"
+        )
+    # the eigensolve and the polish move a zero by rounding only, so an
+    # ordered set that reaches +-1 has an extreme zero within float64
+    # rounding of the endpoint
+    if not (x[0] > -1 and x[-1] < 1):
+        raise CapacityError(
+            f"an extreme zero for n={n}, alpha={alpha}, beta={beta} rounds onto "
+            f"+-1: it is not a strictly interior float64"
         )
     # max(1, |P_n(1)|, |P_n(-1)|), |P_n(+-1)| = (1+alpha)_n / n! and (1+beta)_n / n!,
     # in float64 so the zero finder stays off the mpmath path
@@ -181,7 +191,28 @@ def discriminant_log(n: int, params: JacobiParams) -> Scalar:
     """log D_n^(alpha,beta), from log Barnes G and log Gamma in O(1) per n
     (see :func:`discriminant_log_mp`), rounded once."""
     n = check_size(n, "n", 1)
+    check_std_size(n, params.alpha + params.beta + 2)
     return _guarded(params, lambda a, b: discriminant_log_mp(n, a, b))
+
+
+#: past this n, (log 2) n^2 alone exceeds the float64 maximum
+_STD_MAX_SIZE = math.sqrt(sys.float_info.max) / math.sqrt(math.log(2))
+
+
+def check_std_size(n: int, size: float) -> None:
+    """Raise :class:`CapacityError` at once in ``std`` when n is past
+    :data:`_STD_MAX_SIZE` and ``size`` (alpha + beta + 2 of the exponents
+    involved) is at most n.
+
+    There log D_n and the exact energies are (log 2) n^2 times a factor in
+    [1, 1.8], up to O(log(n)/n), so they overflow float64; checking first
+    saves the seconds ``mpmath.barnesg`` spends before the rounded value
+    reports it.  Larger exponents are left to that evaluation: at
+    p = 1.62 n, q = 1 the potential energy crosses zero.
+    """
+    if active().mode == STD and n > _STD_MAX_SIZE and size <= n:
+        raise CapacityError(
+            f"(log 2) n^2 is not finite in std precision for n > {_STD_MAX_SIZE:.4g}")
 
 
 # -- mpf kernels: the one formula for each Jacobi quantity -------------------

@@ -6,22 +6,21 @@ coincide with Jacobi polynomial zeros; the Fekete problem (max product of
 mutual distances) is solved by fixing the endpoints analytically and
 minimizing the (1,1) field problem inside.
 
-The optimizer works in ordinary float64 in every precision mode, its
-line-search energies included: the energy Hessian is available
-in closed form and is positive definite throughout the ordered interior
-chamber, so Newton with feasibility damping converges to the unique
-minimum from any interior start.
+The optimizer is its own float64 kernel in every precision mode: one
+matrix of pairwise differences per iterate gives the energy, the gradient
+and the Hessian.  The Hessian is positive definite throughout the ordered
+interior chamber, so Newton with feasibility damping converges to the
+unique minimum from any interior start.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import energy
 from .energy import Configuration
 from .exceptions import DomainError, check_finite_above, check_size
-from .precision import STD, precision_mode
 
 _MAX_ITER = 200
 _DEFAULT_TOL = 1e-10
@@ -59,6 +58,38 @@ def _check_interior(points) -> None:
         raise DomainError("points must be pairwise distinct")
 
 
+def _differences(x: np.ndarray) -> np.ndarray:
+    """The matrix x_i - x_j, with ones on the diagonal so that its logarithms
+    and reciprocals stay finite; the kernels below zero the diagonal terms."""
+    d = x[:, None] - x[None, :]
+    np.fill_diagonal(d, 1.0)
+    return d
+
+
+def _energy(x: np.ndarray, d: np.ndarray, p: float, q: float) -> float:
+    """-2 [ p sum log(1-x_i) + sum_{j<k} log|x_j - x_k| + q sum log(1+x_i) ]:
+    the full log|d| sum counts every pair twice and log 1 on the diagonal."""
+    logs = np.abs(d)
+    np.log(logs, out=logs)
+    return float(-logs.sum() - 2.0 * (p * np.log(1.0 - x).sum() + q * np.log(1.0 + x).sum()))
+
+
+def _gradient(x: np.ndarray, d: np.ndarray, p: float, q: float) -> np.ndarray:
+    inv = np.divide(1.0, d)
+    np.fill_diagonal(inv, 0.0)
+    return 2.0 * (p / (1.0 - x) - q / (1.0 + x) - inv.sum(axis=1))
+
+
+def _hessian(x: np.ndarray, d: np.ndarray, p: float, q: float) -> np.ndarray:
+    """The Hessian, built in the memory of ``d``, which it overwrites."""
+    h = np.square(d, out=d)
+    np.divide(-2.0, h, out=h)
+    np.fill_diagonal(h, 0.0)
+    diag = 2.0 * (p / np.square(1.0 - x) + q / np.square(1.0 + x)) - h.sum(axis=1)
+    np.fill_diagonal(h, diag)
+    return h
+
+
 def gradient(config: Configuration) -> np.ndarray:
     """Gradient of the potential energy.
 
@@ -69,28 +100,55 @@ def gradient(config: Configuration) -> np.ndarray:
     _check_interior(config.points)
     p, q = config.charges
     x = np.asarray(config.points, dtype=float)
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, np.inf)
-    interaction = np.sum(1.0 / diff, axis=1)
-    return 2.0 * (p / (1.0 - x) - q / (1.0 + x) - interaction)
-
-
-def _hessian(x: np.ndarray, p: float, q: float) -> np.ndarray:
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, np.inf)
-    inv_sq = 1.0 / diff ** 2
-    h = -2.0 * inv_sq
-    diag = 2.0 * (p / (1.0 - x) ** 2 + q / (1.0 + x) ** 2 + np.sum(inv_sq, axis=1))
-    np.fill_diagonal(h, diag)
-    return h
-
-
-def _potential(x: np.ndarray, p: float, q: float) -> float:
-    return energy.potential_energy_config(Configuration(tuple(x), charges=(p, q)))
+    return _gradient(x, _differences(x), p, q)
 
 
 def _feasible(x: np.ndarray) -> bool:
     return bool(np.all(x > -1.0) and np.all(x < 1.0) and np.all(np.diff(x) > 0))
+
+
+def _newton(x0: np.ndarray, p: float, q: float, tol: float, max_iter: int) -> SolveReport:
+    """The Newton loop of :func:`minimize_potential`, from the ordered interior ``x0``."""
+    x, d = x0, _differences(x0)
+    value = _energy(x, d, p, q)
+    grad = _gradient(x, d, p, q)
+    iterations = 0
+    while True:
+        if np.max(np.abs(grad)) <= tol:
+            stop = "gradient"
+            break
+        # H takes over d's memory: the line search builds the next matrix
+        step = np.linalg.solve(_hessian(x, d, p, q), -grad)
+        if np.max(np.abs(step)) <= _STEP_FLOOR:
+            stop = "step"
+            break
+        if iterations >= max_iter:
+            stop = "max_iter"
+            break
+        iterations += 1
+        t = 1.0
+        while t > 1e-16:
+            candidate = x + t * step
+            if _feasible(candidate):
+                d = _differences(candidate)
+                candidate_value = _energy(candidate, d, p, q)
+                if candidate_value <= value + 1e-14 * (1.0 + abs(value)):
+                    break
+            t *= 0.5
+        else:
+            stop = "line_search"
+            break
+        x = candidate
+        value = candidate_value
+        grad = _gradient(x, d, p, q)
+    return SolveReport(
+        configuration=Configuration(tuple(x.tolist()), charges=(p, q)),
+        iterations=iterations,
+        grad_norm=float(np.max(np.abs(grad))),
+        converged=stop in ("gradient", "step"),
+        energy=value,
+        stop=stop,
+    )
 
 
 def minimize_potential(n: int, p: float, q: float, tol: float = _DEFAULT_TOL,
@@ -111,48 +169,7 @@ def minimize_potential(n: int, p: float, q: float, tol: float = _DEFAULT_TOL,
     check_finite_above(0, "tolerance", tol=tol)
     i = np.arange(1, n + 1)
     x = -np.cos((2 * i - 1) * np.pi / (2 * n)) * (1.0 - 1.0 / n)
-    x = np.sort(x)
-    with precision_mode(STD):
-        value = _potential(x, p, q)
-        grad = gradient(Configuration(tuple(x), charges=(p, q)))
-        iterations = 0
-        while True:
-            if np.max(np.abs(grad)) <= tol:
-                stop = "gradient"
-                break
-            step = np.linalg.solve(_hessian(x, p, q), -grad)
-            if np.max(np.abs(step)) <= _STEP_FLOOR:
-                stop = "step"
-                break
-            if iterations >= max_iter:
-                stop = "max_iter"
-                break
-            iterations += 1
-            t = 1.0
-            accepted = False
-            while t > 1e-16:
-                candidate = x + t * step
-                if _feasible(candidate):
-                    candidate_value = _potential(candidate, p, q)
-                    if candidate_value <= value + 1e-14 * (1.0 + abs(value)):
-                        accepted = True
-                        break
-                t *= 0.5
-            if not accepted:
-                stop = "line_search"
-                break
-            x = candidate
-            value = candidate_value
-            grad = gradient(Configuration(tuple(x), charges=(p, q)))
-    config = Configuration(tuple(float(v) for v in x), charges=(p, q))
-    return SolveReport(
-        configuration=config,
-        iterations=iterations,
-        grad_norm=float(np.max(np.abs(grad))),
-        converged=stop in ("gradient", "step"),
-        energy=float(value),
-        stop=stop,
-    )
+    return _newton(np.sort(x), p, q, tol, max_iter)
 
 
 def fekete_maximize(N: int, tol: float = _DEFAULT_TOL) -> SolveReport:
@@ -176,11 +193,4 @@ def fekete_maximize(N: int, tol: float = _DEFAULT_TOL) -> SolveReport:
         )
     inner = minimize_potential(N - 2, 1.0, 1.0, tol=tol)
     config = Configuration((-1.0,) + inner.points + (1.0,))
-    return SolveReport(
-        configuration=config,
-        iterations=inner.iterations,
-        grad_norm=inner.grad_norm,
-        converged=inner.converged,
-        energy=float(energy.log_energy_config(config)),
-        stop=inner.stop,
-    )
+    return replace(inner, configuration=config, energy=float(energy.log_energy_config(config)))

@@ -145,10 +145,6 @@ class Context:
         return self._const("ln_pi", lambda: mpmath.log(mpmath.pi))
 
     @property
-    def ln_2pi(self) -> Scalar:
-        return self._const("ln_2pi", lambda: mpmath.log(2 * mpmath.pi))
-
-    @property
     def log_glaisher(self) -> Scalar:
         return self._const("log_glaisher", lambda: mpmath.log(mpmath.glaisher))
 

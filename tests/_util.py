@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 from itertools import chain
 
+import mpmath
+
 from fekete.precision import active, as_fraction
 from fekete.specfun import hurwitz_zeta_negint_fraction
 
@@ -104,7 +106,8 @@ def log_gamma_asym(x, a, order: int):
     x = ctx.real(x)
     frac_a = as_fraction(a)
     a = ctx.real(a)
-    head = ((x + a - ctx.real(Fraction(1, 2))) * ctx.log(x), -x, ctx.ln_2pi / 2)
+    half_log_2pi = ctx.guarded(lambda: mpmath.log(2 * mpmath.pi)) / 2
+    head = ((x + a - ctx.real(Fraction(1, 2))) * ctx.log(x), -x, half_log_2pi)
     tail = (ctx.real((-1) ** m * hurwitz_zeta_negint_fraction(m, frac_a) / m) / x ** m
             for m in range(1, order + 1))
     return ctx.fsum(chain(head, tail))

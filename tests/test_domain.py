@@ -44,6 +44,11 @@ def test_rejected(call):
 OVERFLOWS = {
     "negapolygamma2": lambda: specfun.negapolygamma2(1e200),
     "log_gamma": lambda: specfun.log_gamma(1e307),
+    # (log 2) n^2 alone overflows: raised before the Barnes G evaluation
+    "discriminant_log": lambda: jacobi.discriminant_log(10**160, JacobiParams(0.5, 2)),
+    "potential_energy_exact": lambda: energy.potential_energy_exact(10**160, 1, 1.5),
+    "elliptic_log_energy_exact": lambda: energy.elliptic_log_energy_exact(10**160, 1, 1.5),
+    "interval_energy_exact": lambda: energy.interval_energy_exact(10**160),
 }
 
 
@@ -51,6 +56,26 @@ OVERFLOWS = {
 def test_overflow_is_a_capacity_error(call):
     with pytest.raises(CapacityError, match="std precision"):
         call()
+
+
+def _evaluated(*args, **kwargs):
+    raise AssertionError("evaluated")
+
+
+@pytest.mark.parametrize("name", ["discriminant_log", "potential_energy_exact",
+                                  "elliptic_log_energy_exact", "interval_energy_exact"])
+def test_size_overflow_raised_before_evaluation(name, monkeypatch):
+    monkeypatch.setattr(jacobi, "guarded_exact", _evaluated)
+    with pytest.raises(CapacityError, match="std precision"):
+        OVERFLOWS[name]()
+
+
+def test_large_exponents_are_evaluated(monkeypatch):
+    # near p = 1.62 n, q = 1 the potential energy crosses zero, so n alone
+    # does not decide that it overflows
+    monkeypatch.setattr(jacobi, "guarded_exact", _evaluated)
+    with pytest.raises(AssertionError, match="evaluated"):
+        energy.potential_energy_exact(10**160, 1e160, 1)
 
 
 def test_message_names_the_argument():

@@ -9,7 +9,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_jacobi, roots_jacobi
 
 from fekete import jacobi
-from fekete.exceptions import DomainError
+from fekete.exceptions import CapacityError, DomainError
 from fekete.jacobi import JacobiParams
 from fekete.precision import precision_mode
 
@@ -228,6 +228,12 @@ class TestZeros:
                     x -= (_mp_jacobi(n, a, b, x)
                           / ((n + a + b + 1) / 2 * _mp_jacobi(n - 1, a + 1, b + 1, x)))
                 assert abs(x - x0) <= 1e-15, (x0, x)
+
+    @pytest.mark.parametrize("p,q", [(1e-12, 3e-12), (1e-12, 1e-12)])
+    def test_zero_rounding_onto_endpoint_is_a_capacity_error(self, p, q):
+        # the extreme zeros lie within an ulp of +-1 and round onto it
+        with pytest.raises(CapacityError, match="float64"):
+            jacobi.zeros(200, JacobiParams.from_charges(p, q))
 
     @pytest.mark.parametrize("n,a,b", [(50, 0.4, 1.6), (333, 7.0, 0.5), (800, 1.0, 4.0)])
     def test_vector_polish_matches_scalar_loop(self, n, a, b):

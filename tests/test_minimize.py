@@ -11,6 +11,8 @@ from fekete.exceptions import DomainError
 from fekete.jacobi import JacobiParams
 from fekete.precision import precision_mode
 
+from _util import rel_close
+
 
 class TestGradient:
     def test_symmetric_single_charge(self):
@@ -101,7 +103,7 @@ class TestMinimizePotential:
                 if n > 1 and np.min(np.diff(start)) < 1e-3:
                     continue
                 runs += 1
-                report = _newton_from(start, p, q)
+                report = optim._newton(start, p, q, 1e-10, 200)
                 if not report.converged:
                     continue
                 if reference is None:
@@ -152,6 +154,31 @@ class TestMinimizePotential:
         assert (ext.stop, ext.iterations) == (std.stop, std.iterations)
         assert type(ext.energy) is float
 
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    @pytest.mark.parametrize("n,p,q", [(2, 1.0, 1.0), (9, 1.2, 0.4), (64, 0.85, 1.15),
+                                       (107, 4.0, 0.75)])
+    def test_energy_matches_validated_route(self, mode, n, p, q):
+        # the solver's own float64 energy kernel against energy.potential_energy_config
+        report = optim.minimize_potential(n, p, q)
+        with precision_mode(mode):
+            reference = energy.potential_energy_config(report.configuration)
+        assert rel_close(report.energy, reference, 1e-14)
+
+    @pytest.mark.parametrize("n,p,q", [(n, p, q) for n in (50, 200, 400)
+                                       for p, q in [(1.0, 1.0), (0.75, 2.5), (3.0, 0.85)]]
+                             + [(1000, 0.85, 1.15)])
+    def test_weighted_hessian_spectrum(self, n, p, q):
+        # at the minimizer diag(1 - x^2) H has the eigenvalues k (2n + alpha + beta + 1 - k),
+        # k = 1..n; eigvalsh takes the symmetric similar matrix W^1/2 H W^1/2
+        report = optim.minimize_potential(n, p, q)
+        x = np.array(report.points)
+        h = optim._hessian(x, optim._differences(x), p, q)
+        w = np.sqrt(1.0 - x * x)
+        found = np.linalg.eigvalsh(w[:, None] * h * w[None, :])
+        k = np.arange(1, n + 1)
+        expected = np.sort(k * (2 * n + 2 * p + 2 * q - 1 - k))
+        assert np.max(np.abs(found - expected) / expected) <= 1e-12
+
     def test_domain(self):
         with pytest.raises(DomainError):
             optim.minimize_potential(0, 1, 1)
@@ -159,41 +186,6 @@ class TestMinimizePotential:
             optim.minimize_potential(3, -1, 1)
         with pytest.raises(DomainError):
             optim.minimize_potential(3, 1, 1, tol=0)
-
-
-def _newton_from(start, p, q):
-    """Run the optimizer loop from a custom start (uniqueness testing)."""
-    import fekete.minimize as m
-    x = np.asarray(start, dtype=float)
-    value = m._potential(x, p, q)
-    grad = optim.gradient(Configuration(tuple(x), charges=(p, q)))
-    iterations = 0
-    while iterations < 200 and np.max(np.abs(grad)) > 1e-10:
-        iterations += 1
-        step = np.linalg.solve(m._hessian(x, p, q), -grad)
-        t = 1.0
-        accepted = False
-        while t > 1e-16:
-            candidate = x + t * step
-            if m._feasible(candidate):
-                candidate_value = m._potential(candidate, p, q)
-                if candidate_value <= value + 1e-14 * (1.0 + abs(value)):
-                    accepted = True
-                    break
-            t *= 0.5
-        if not accepted:
-            break
-        x = candidate
-        value = candidate_value
-        grad = optim.gradient(Configuration(tuple(x), charges=(p, q)))
-    grad_norm = float(np.max(np.abs(grad)))
-    return optim.SolveReport(
-        configuration=Configuration(tuple(float(v) for v in x), charges=(p, q)),
-        iterations=iterations,
-        grad_norm=grad_norm,
-        converged=grad_norm <= 1e-10,
-        energy=float(value),
-    )
 
 
 class TestFeketeMaximize:

@@ -273,6 +273,3 @@ class TestConstants:
         with mpmath.workdps(40):
             ref = float(mpmath.zeta(-1, 1, 1))
         assert abs((1 / 12 - active().log_glaisher) - ref) <= 1e-14
-
-    def test_half_log_2pi(self):
-        assert active().ln_2pi / 2 == pytest.approx(0.5 * math.log(2 * math.pi), rel=1e-15)

@@ -2,10 +2,12 @@
 
 Each builder returns an :class:`Expansion` holding the leading coefficients
 (of n^2, n log n, n, log n, 1, under fixed keys) and the tail coefficients
-c_m of n^(-m) up to a requested order.  Tail coefficients are assembled
-symbolically from exact-rational Bernoulli data and rounded once into the
-active precision; the constant terms combine log 2, log pi, log A and
-log-gamma / negapolygamma values at O(1) arguments.
+c_m of n^(-m) up to a requested order.  The leading coefficients are one
+mpf kernel of the exact inputs (with log 2, log pi, log A, log-gamma and
+psi^(-2) from mpmath), evaluated at guard digits by
+:meth:`~fekete.precision.Context.guarded` and rounded once each.  Tail
+coefficients are assembled symbolically from exact-rational Bernoulli data
+and rounded once into the active precision.
 
 The series are asymptotic (divergent in general): evaluation never chooses
 a truncation order by itself.
@@ -18,23 +20,13 @@ from fractions import Fraction
 import mpmath
 
 from .energy import IntervalSpec
-from .exceptions import CapacityError, DomainError, check_finite_above, check_size
+from .exceptions import CapacityError, check_finite_above, check_size
 from .jacobi import JacobiParams
-from .precision import EXT, Scalar, active, as_fraction
-from .specfun import bernoulli_number, log_gamma, negapolygamma2
+from .precision import Scalar, active, as_fraction
+from .specfun import bernoulli_number, memo, negapolygamma2_mp
 from .specfun import hurwitz_zeta_negint_fraction as _zeta
 
 LEADING_KEYS = ("n2", "nlogn", "n", "logn", "const")
-
-KINDS = (
-    "log_lambda",
-    "log_P1",
-    "log_D",
-    "potential",
-    "elliptic_E0",
-    "interval_E0",
-    "general_interval_E0",
-)
 
 _MAX_ORDER = {"std": 10, "ext": 16}
 
@@ -165,23 +157,33 @@ def _tail(order: int, coeff_fn) -> tuple[Scalar, ...]:
     return tuple(ctx.real(coeff_fn(m)) for m in range(1, order + 1))
 
 
+def _leading(kernel, *values) -> dict[str, Scalar]:
+    """``kernel(*values)``: the leading coefficients as mpf, in
+    :data:`LEADING_KEYS` order, each rounded once.  At plain guard digits
+    (no ``size``), so the memo key of a psi^(-2) value does not depend on
+    the other input."""
+    return dict(zip(LEADING_KEYS, active().guarded(kernel, *values)))
+
+
+def _endpoint(x):
+    """x log Gamma(x) - psi^(-2)(x): what one endpoint exponent (x = alpha + 1
+    or 2p) adds to the discriminant and elliptic constants."""
+    return x * mpmath.loggamma(x) - memo(negapolygamma2_mp, x)
+
+
 def leading_coeff_expansion(params: JacobiParams, order: int) -> Expansion:
     """log lambda_n ~ (log 2) n - (log n)/2 + (alpha+beta) log 2 - (log pi)/2 + tail."""
     _check_order(order)
-    ctx = active()
-    ab = as_fraction(params.alpha) + as_fraction(params.beta)
-    leading = {
-        "n2": ctx.zero(),
-        "nlogn": ctx.zero(),
-        "n": ctx.ln2,
-        "logn": ctx.real(Fraction(-1, 2)),
-        "const": ctx.real(ab) * ctx.ln2 - ctx.ln_pi / 2,
-    }
+
+    def kernel(a, b):
+        ln2 = mpmath.log(2)
+        return (0, 0, ln2, -0.5, (a + b) * ln2 - mpmath.log(mpmath.pi) / 2)
+
     tail = _tail(order, lambda m: lambda_tail_fraction(m, params.alpha, params.beta))
     return Expansion(
         kind="log_lambda",
         params={"alpha": float(params.alpha), "beta": float(params.beta)},
-        leading=leading,
+        leading=_leading(kernel, params.alpha, params.beta),
         tail=tail,
     )
 
@@ -189,56 +191,43 @@ def leading_coeff_expansion(params: JacobiParams, order: int) -> Expansion:
 def value_at_one_expansion(params: JacobiParams, order: int) -> Expansion:
     """log P_n(1) ~ alpha log n - log Gamma(alpha+1) + tail."""
     _check_order(order)
-    ctx = active()
-    leading = {
-        "n2": ctx.zero(),
-        "nlogn": ctx.zero(),
-        "n": ctx.zero(),
-        "logn": ctx.real(params.alpha),
-        "const": -log_gamma(ctx.real(as_fraction(params.alpha) + 1)),
-    }
+
+    def kernel(a):
+        return (0, 0, 0, a, -mpmath.loggamma(a + 1))
+
     tail = _tail(order, lambda m: value_at_one_tail_fraction(m, params.alpha))
     return Expansion(
         kind="log_P1",
         params={"alpha": float(params.alpha), "beta": float(params.beta)},
-        leading=leading,
+        leading=_leading(kernel, params.alpha),
         tail=tail,
     )
 
 
 def discriminant_expansion(params: JacobiParams, order: int) -> Expansion:
     """log D_n ~ (log 2) n^2 + (2(a+b) log 2 - log pi) n
-    + (5/2 - (a+1)^2 - (b+1)^2)/2 * log n + C(a, b) + tail."""
+    + (5/2 - (a+1)^2 - (b+1)^2)/2 * log n + C(a, b) + tail.
+
+    Every coefficient is symmetric in (a, b) as written, so swapping the
+    exponents gives the same rounded values.
+    """
     _check_order(order)
-    ctx = active()
-    a = as_fraction(params.alpha)
-    b = as_fraction(params.beta)
-    ab = a + b
-    logn_coeff = (Fraction(5, 2) - (a + 1) ** 2 - (b + 1) ** 2) / 2
-    # alpha + 1 rounded once from the exact exponent, not in float64 first
-    a1, b1 = ctx.real(a + 1), ctx.real(b + 1)
-    const = (
-        ctx.real(-Fraction(1, 8) - (ab + Fraction(1, 2)) ** 2 / 2)
-        + ctx.real((Fraction(11, 6) + ab * ab) / 2) * ctx.ln2
-        + ctx.ln_pi
-        + 3 * ctx.log_glaisher
-        + a1 * log_gamma(a1)
-        - negapolygamma2(a1)
-        + b1 * log_gamma(b1)
-        - negapolygamma2(b1)
-    )
-    leading = {
-        "n2": ctx.ln2,
-        "nlogn": ctx.zero(),
-        "n": 2 * ctx.real(ab) * ctx.ln2 - ctx.ln_pi,
-        "logn": ctx.real(logn_coeff),
-        "const": const,
-    }
+
+    def kernel(a, b):
+        ln2, log_pi = mpmath.log(2), mpmath.log(mpmath.pi)
+        ab = a + b
+        const = (-mpmath.mpf(1) / 8 - (ab + 0.5) ** 2 / 2
+                 + (mpmath.mpf(11) / 6 + ab * ab) / 2 * ln2
+                 + log_pi + 3 * mpmath.log(mpmath.glaisher)
+                 + (_endpoint(a + 1) + _endpoint(b + 1)))
+        logn = (2.5 - ((a + 1) ** 2 + (b + 1) ** 2)) / 2
+        return (ln2, 0, 2 * ab * ln2 - log_pi, logn, const)
+
     tail = _tail(order, lambda m: discriminant_tail_fraction(m, params.alpha, params.beta))
     return Expansion(
         kind="log_D",
         params={"alpha": float(params.alpha), "beta": float(params.beta)},
-        leading=leading,
+        leading=_leading(kernel, params.alpha, params.beta),
         tail=tail,
     )
 
@@ -253,28 +242,19 @@ def potential_energy_expansion(p: float, q: float, order: int) -> Expansion:
     """
     _check_order(order)
     check_finite_above(0, "charges", p=p, q=q)
-    ctx = active()
-    fp = as_fraction(p)
-    fq = as_fraction(q)
-    logn_coeff = -2 * ((fp - Fraction(1, 4)) ** 2 + (fq - Fraction(1, 4)) ** 2)
-    const = (
-        ctx.real(2 * ((fp + fq - 1) ** 2 - Fraction(11, 24))) * ctx.ln2
-        - ctx.real(fp + fq) * ctx.ln_pi
-        - 3 * ctx.log_glaisher
-        + negapolygamma2(2 * p)
-        + negapolygamma2(2 * q)
-    )
-    leading = {
-        "n2": ctx.ln2,
-        "nlogn": ctx.real(-1),
-        "n": ctx.real(2 * (fp + fq - 1)) * ctx.ln2,
-        "logn": ctx.real(logn_coeff),
-        "const": const,
-    }
+
+    def kernel(p, q):
+        ln2 = mpmath.log(2)
+        s = p + q
+        const = (2 * ((s - 1) ** 2 - mpmath.mpf(11) / 24) * ln2 - s * mpmath.log(mpmath.pi)
+                 - 3 * mpmath.log(mpmath.glaisher)
+                 + (memo(negapolygamma2_mp, 2 * p) + memo(negapolygamma2_mp, 2 * q)))
+        logn = -2 * ((p - 0.25) ** 2 + (q - 0.25) ** 2)
+        return (ln2, -1, 2 * (s - 1) * ln2, logn, const)
+
     tail = _tail(order, lambda m: potential_tail_fraction(m, p, q))
-    return Expansion(
-        kind="potential", params={"p": float(p), "q": float(q)}, leading=leading, tail=tail
-    )
+    return Expansion(kind="potential", params={"p": float(p), "q": float(q)},
+                     leading=_leading(kernel, p, q), tail=tail)
 
 
 def elliptic_log_energy_expansion(p: float, q: float, order: int) -> Expansion:
@@ -283,28 +263,26 @@ def elliptic_log_energy_expansion(p: float, q: float, order: int) -> Expansion:
     + C_1'(p, q) + tail."""
     _check_order(order)
     check_finite_above(0, "charges", p=p, q=q)
-    ctx = active()
-    fp = as_fraction(p)
-    fq = as_fraction(q)
-    const = (
-        -ctx.real(2 * ((fp + fq) ** 2 - Fraction(13, 24))) * ctx.ln2
-        - 3 * ctx.log_glaisher
-        - 2 * ctx.real(fp) * log_gamma(2 * p)
-        + negapolygamma2(2 * p)
-        - 2 * ctx.real(fq) * log_gamma(2 * q)
-        + negapolygamma2(2 * q)
-    )
-    leading = {
-        "n2": ctx.ln2,
-        "nlogn": ctx.real(-1),
-        "n": -2 * ctx.ln2,
-        "logn": ctx.real(2 * (fp * fp + fq * fq - Fraction(1, 8))),
-        "const": const,
-    }
+
+    def kernel(p, q):
+        ln2 = mpmath.log(2)
+        const = (-2 * ((p + q) ** 2 - mpmath.mpf(13) / 24) * ln2
+                 - 3 * mpmath.log(mpmath.glaisher)
+                 - (_endpoint(2 * p) + _endpoint(2 * q)))
+        return (ln2, -1, -2 * ln2, 2 * (p * p + q * q - 0.125), const)
+
     tail = _tail(order, lambda m: elliptic_tail_fraction(m, p, q))
-    return Expansion(
-        kind="elliptic_E0", params={"p": float(p), "q": float(q)}, leading=leading, tail=tail
-    )
+    return Expansion(kind="elliptic_E0", params={"p": float(p), "q": float(q)},
+                     leading=_leading(kernel, p, q), tail=tail)
+
+
+def _interval_kernel(a, b):
+    """Leading coefficients of the minimal N-point energy of [a, b]:
+    W N^2 - N log N - (log 2 + W) N - (log N)/4 + 13 log 2 / 12 - 3 log A,
+    with W = -log((b - a)/4), minus the log of the capacity."""
+    ln2 = mpmath.log(2)
+    w = -mpmath.log((b - a) / 4)
+    return (w, -1, -(ln2 + w), -0.25, 13 * ln2 / 12 - 3 * mpmath.log(mpmath.glaisher))
 
 
 def interval_energy_expansion(order: int) -> Expansion:
@@ -312,34 +290,18 @@ def interval_energy_expansion(order: int) -> Expansion:
     (log 2) N^2 - N log N - 2 (log 2) N - (log N)/4
     + 13 log 2 / 12 - 3 log A + tail."""
     _check_order(order)
-    ctx = active()
-    leading = {
-        "n2": ctx.ln2,
-        "nlogn": ctx.real(-1),
-        "n": -2 * ctx.ln2,
-        "logn": ctx.real(Fraction(-1, 4)),
-        "const": ctx.real(Fraction(13, 12)) * ctx.ln2 - 3 * ctx.log_glaisher,
-    }
-    tail = _tail(order, interval_tail_fraction)
-    return Expansion(kind="interval_E0", params={}, leading=leading, tail=tail)
+    return Expansion(kind="interval_E0", params={}, leading=_leading(_interval_kernel, -1, 1),
+                     tail=_tail(order, interval_tail_fraction))
 
 
 def general_interval_energy_expansion(a: float, b: float, order: int) -> Expansion:
     """Same as the [-1, 1] expansion with N^2 coefficient W([a, b]) and N
     coefficient -(log 2 + W([a, b])); all other terms are capacity-independent."""
-    capacity = IntervalSpec(a, b).capacity
-    base = interval_energy_expansion(order)
-    ctx = active()
-    w = -ctx.log(ctx.real(capacity))
-    leading = dict(base.leading)
-    leading["n2"] = w
-    leading["n"] = -(ctx.ln2 + w)
-    return Expansion(
-        kind="general_interval_E0",
-        params={"a": float(a), "b": float(b)},
-        leading=leading,
-        tail=base.tail,
-    )
+    IntervalSpec(a, b)  # validates the ends
+    _check_order(order)
+    return Expansion(kind="general_interval_E0", params={"a": float(a), "b": float(b)},
+                     leading=_leading(_interval_kernel, a, b),
+                     tail=_tail(order, interval_tail_fraction))
 
 
 def evaluate_expansion(expansion: Expansion, n: int, order: int | None = None) -> Scalar:
@@ -349,9 +311,8 @@ def evaluate_expansion(expansion: Expansion, n: int, order: int | None = None) -
     n, log n, const), then tail ascending in m.
     """
     n = check_size(n, "n", 2)
-    if order is None:
-        order = expansion.order
-    if order < 0 or order > expansion.order:
+    order = expansion.order if order is None else check_size(order, "order", 0)
+    if order > expansion.order:
         raise CapacityError(
             f"truncation order {order} outside the built tail length {expansion.order}"
         )
@@ -380,13 +341,6 @@ def _scalar_to_json(x: Scalar):
     return mpmath.nstr(x, mpmath.libmp.repr_dps(mpmath.mp.prec))
 
 
-def _scalar_from_json(v) -> Scalar:
-    ctx = active()
-    if isinstance(v, str):
-        return mpmath.mpf(v) if ctx.mode == EXT else float(v)
-    return ctx.real(v)
-
-
 def expansion_to_json(expansion: Expansion) -> dict:
     """JSON-ready dict: {kind, params, leading: named map, tail: array}."""
     return {
@@ -395,16 +349,3 @@ def expansion_to_json(expansion: Expansion) -> dict:
         "leading": {k: _scalar_to_json(expansion.leading[k]) for k in LEADING_KEYS},
         "tail": [_scalar_to_json(c) for c in expansion.tail],
     }
-
-
-def expansion_from_json(data: dict) -> Expansion:
-    if data.get("kind") not in KINDS:
-        raise DomainError(f"unknown expansion kind {data.get('kind')!r}")
-    leading = {k: _scalar_from_json(data["leading"][k]) for k in LEADING_KEYS}
-    tail = tuple(_scalar_from_json(c) for c in data["tail"])
-    return Expansion(
-        kind=data["kind"],
-        params={k: float(v) for k, v in data.get("params", {}).items()},
-        leading=leading,
-        tail=tail,
-    )

@@ -48,30 +48,16 @@ class Configuration:
 
 @dataclass(frozen=True)
 class IntervalSpec:
-    """A compact interval [a, b] with b > a."""
+    """A compact interval [a, b] with b > a; its logarithmic capacity is
+    (b - a)/4."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        # b - a is finite only when both ends are, and then so is the scale
+        # b - a is finite only when both ends are, and the energy needs its log
         if not (math.isfinite(self.b - self.a) and self.b > self.a):
             raise DomainError(f"interval needs finite b > a, got [{self.a}, {self.b}]")
-
-    @property
-    def capacity(self) -> float:
-        """Logarithmic capacity (transfinite diameter), (b - a)/4."""
-        return (self.b - self.a) / 4
-
-    @property
-    def energy_constant(self) -> float:
-        """W([a, b]) = -log capacity."""
-        return -math.log(self.capacity)
-
-    @property
-    def scale(self) -> float:
-        """Scaling factor eta mapping [-1, 1] onto [a, b]."""
-        return (self.b - self.a) / 2
 
 
 def _log_distance_sum(points: tuple[float, ...]) -> Scalar | None:
@@ -132,26 +118,37 @@ def potential_energy_config(config: Configuration) -> Scalar:
     ))
 
 
+def _potential_mp(n: int, p, q):
+    """The minimal potential energy at the caller's mpmath precision:
+    2(n+p+q-1) log lambda_n - log D_n - 2p log P_n(1) - 2q log P_n(-1)-signed,
+    with alpha = 2p-1, beta = 2q-1.  At n = 0 the kernels give
+    lambda_0 = D_0 = P_0(1) = 1, so the energy is 0 up to rounding."""
+    a, b = 2 * p - 1, 2 * q - 1
+    return (2 * (n + p + q - 1) * jacobi.leading_coeff_log_mp(n, a, b)
+            - jacobi.discriminant_log_mp(n, a, b)
+            - 2 * p * jacobi.value_at_one_log_mp(n, a)
+            - 2 * q * jacobi.value_at_one_log_mp(n, b))
+
+
+def _interval_mp(N: int):
+    """The minimal N-point energy of [-1, 1] at the caller's mpmath precision:
+    the endpoints and the zeros of P_{N-2}^(1,1), i.e. the potential energy
+    of N - 2 charges under unit endpoint charges, minus 2 log 2."""
+    return _potential_mp(N - 2, 1, 1) - 2 * mpmath.ln2
+
+
 def potential_energy_exact(n: int, p: float, q: float) -> Scalar:
     """Minimal potential energy of n charges under endpoint charges (p, q).
 
     2(n+p+q-1) log lambda_n - log D_n - 2p log P_n(1) - 2q log P_n(-1)-signed,
     with alpha = 2p-1, beta = 2q-1, as one mpmath expression at guard
-    digits (:func:`jacobi.guarded_exact`), rounded once.  For n = 1 this is
+    digits (:meth:`Context.guarded`), rounded once.  For n = 1 this is
     0 when p = q.
     """
     n = check_size(n, "n", 1)
     check_finite_above(0, "endpoint charges", p=p, q=q)
     jacobi.check_std_size(n, 2 * p + 2 * q)
-
-    def body(p, q):
-        a, b = 2 * p - 1, 2 * q - 1
-        return (2 * (n + p + q - 1) * jacobi.leading_coeff_log_mp(n, a, b)
-                - jacobi.discriminant_log_mp(n, a, b)
-                - 2 * p * jacobi.value_at_one_log_mp(n, a)
-                - 2 * q * jacobi.value_at_one_log_mp(n, b))
-
-    return jacobi.guarded_exact(body, p, q, size=2 * p + 2 * q)
+    return active().guarded(lambda p, q: _potential_mp(n, p, q), p, q, size=2 * p + 2 * q)
 
 
 def elliptic_log_energy_exact(n: int, p: float, q: float) -> Scalar:
@@ -168,29 +165,19 @@ def elliptic_log_energy_exact(n: int, p: float, q: float) -> Scalar:
         return (2 * (n - 1) * jacobi.leading_coeff_log_mp(n, a, b)
                 - jacobi.discriminant_log_mp(n, a, b))
 
-    return jacobi.guarded_exact(body, p, q, size=2 * p + 2 * q)
+    return active().guarded(body, p, q, size=2 * p + 2 * q)
 
 
 def interval_energy_exact(N: int) -> Scalar:
     """Minimal logarithmic N-point energy of [-1, 1].
 
-    2(N-1) log lambda_{N-2}^(1,1) - log D_{N-2}^(1,1) - 4 log P_{N-2}^(1,1)(1)
-    - 2 log 2.  The N = 2 member uses the degenerate n = 0 conventions
-    lambda_0 = D_0 = P_0(1) = 1, giving -log 4 (the two-endpoint value).
+    The potential energy of N - 2 charges under endpoint charges (1, 1)
+    minus 2 log 2, rounded once: the optimal points are the endpoints and
+    the zeros of P_{N-2}^(1,1).  N = 2 gives -log 4, the two endpoints.
     """
     N = check_size(N, "N", 2)
     jacobi.check_std_size(N, 4)
-    if N == 2:
-        return -2 * active().ln2
-    n = N - 2
-
-    def body(a, b):
-        return (2 * (N - 1) * jacobi.leading_coeff_log_mp(n, a, b)
-                - jacobi.discriminant_log_mp(n, a, b)
-                - 4 * jacobi.value_at_one_log_mp(n, a)
-                - 2 * mpmath.ln2)
-
-    return jacobi.guarded_exact(body, 1, 1, size=4)
+    return active().guarded(lambda: _interval_mp(N), size=4)
 
 
 def discriminant_N_log(N: int) -> Scalar:
@@ -211,7 +198,11 @@ def pq_discriminant_log(n: int, p: float, q: float) -> Scalar:
 
 def interval_energy_on(interval: IntervalSpec, N: int) -> Scalar:
     """Minimal logarithmic N-point energy of a general interval [a, b]:
-    the [-1, 1] value minus N(N-1) log eta, eta = (b - a)/2."""
-    ctx = active()
-    log_eta = ctx.log(ctx.real(interval.scale))
-    return interval_energy_exact(N) - log_eta * N * (N - 1)
+    the [-1, 1] value minus N(N-1) log eta, eta = (b - a)/2, as one mpmath
+    expression rounded once (the n^2 terms cancel when the capacity is
+    near 1)."""
+    N = check_size(N, "N", 2)
+    jacobi.check_std_size(N, 4)
+    return active().guarded(
+        lambda a, b: _interval_mp(N) - N * (N - 1) * mpmath.log((b - a) / 2),
+        interval.a, interval.b, size=4)

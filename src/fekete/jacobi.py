@@ -12,6 +12,7 @@ import numpy as np
 
 from .exceptions import CapacityError, NumericalError, check_finite_above, check_size
 from .precision import STD, Scalar, active
+from .specfun import memo
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,6 @@ class JacobiParams:
     def q(self) -> float:
         return (self.beta + 1) / 2
 
-    def swapped(self) -> "JacobiParams":
-        return JacobiParams(alpha=self.beta, beta=self.alpha)
-
 
 @dataclass(frozen=True)
 class ZeroSet:
@@ -64,7 +62,8 @@ def leading_coeff_log(n: int, params: JacobiParams) -> Scalar:
     n = check_size(n, "n", 0)
     if n == 0:
         return active().zero()  # lambda_0 = 1
-    return _guarded(params, lambda a, b: leading_coeff_log_mp(n, a, b))
+    a, b = params.alpha, params.beta
+    return active().guarded(lambda a, b: leading_coeff_log_mp(n, a, b), a, b, size=a + b + 2)
 
 
 def value_at_one_log(n: int, params: JacobiParams) -> Scalar:
@@ -72,12 +71,8 @@ def value_at_one_log(n: int, params: JacobiParams) -> Scalar:
     n = check_size(n, "n", 0)
     if n == 0:
         return active().zero()
-    return _guarded(params, lambda a, b: value_at_one_log_mp(n, a))
-
-
-def value_at_minus_one_signed_log(n: int, params: JacobiParams) -> Scalar:
-    """log[(-1)^n P_n(-1)] = log[(1+beta)_n / n!], via the reflection symmetry."""
-    return value_at_one_log(n, params.swapped())
+    a, b = params.alpha, params.beta
+    return active().guarded(lambda a: value_at_one_log_mp(n, a), a, size=a + b + 2)
 
 
 def _recurrence(n: int, alpha, beta, x):
@@ -191,8 +186,9 @@ def discriminant_log(n: int, params: JacobiParams) -> Scalar:
     """log D_n^(alpha,beta), from log Barnes G and log Gamma in O(1) per n
     (see :func:`discriminant_log_mp`), rounded once."""
     n = check_size(n, "n", 1)
-    check_std_size(n, params.alpha + params.beta + 2)
-    return _guarded(params, lambda a, b: discriminant_log_mp(n, a, b))
+    a, b = params.alpha, params.beta
+    check_std_size(n, a + b + 2)
+    return active().guarded(lambda a, b: discriminant_log_mp(n, a, b), a, b, size=a + b + 2)
 
 
 #: past this n, (log 2) n^2 alone exceeds the float64 maximum
@@ -218,42 +214,19 @@ def check_std_size(n: int, size: float) -> None:
 # -- mpf kernels: the one formula for each Jacobi quantity -------------------
 #
 # They take mpf exponents and run at the caller's mpmath precision; the
-# public functions above and the exact energies wrap them in guarded_exact.
-
-
-def guarded_exact(fn, *values, size: float) -> Scalar:
-    """``fn(*values)`` with the values as mpf, by mpmath at the digits of
-    :meth:`Context.guarded` plus ``2 mag(size)`` bits, rounded once into the
-    active scalar type.
-
-    ``size`` is alpha + beta + 2 of the exponents involved.  log G(alpha + 2)
-    grows like alpha^2 log alpha while the quantities built from it grow
-    like n^2 log alpha, and the lgamma differences scaled by n + p + q in
-    the exact energies cancel alike, so large exponents lose about
-    2 mag(alpha) bits.
-    """
-    extra = max(0, 2 * mpmath.mag(size))
-
-    def body():
-        with mpmath.extraprec(extra):
-            return fn(*(mpmath.mpf(v) for v in values))
-
-    return active().guarded(body)
-
-
-def _guarded(params: JacobiParams, fn) -> Scalar:
-    return guarded_exact(fn, params.alpha, params.beta, size=params.alpha + params.beta + 2)
+# public functions above and the exact energies evaluate them through
+# Context.guarded, with alpha + beta + 2 as its size.
 
 
 def leading_coeff_log_mp(n: int, a, b):
-    """log lambda_n^(a,b) for n >= 1."""
+    """log lambda_n^(a,b) for n >= 1 (and 0 at n = 0 when a + b + 1 > 0)."""
     ab = a + b
     return (-n * mpmath.ln2 + mpmath.loggamma(2 * n + ab + 1)
             - mpmath.loggamma(n + ab + 1) - mpmath.loggamma(n + 1))
 
 
 def value_at_one_log_mp(n: int, a):
-    """log P_n^(a,b)(1) = lgamma(n+a+1) - lgamma(a+1) - lgamma(n+1) for n >= 1."""
+    """log P_n^(a,b)(1) = lgamma(n+a+1) - lgamma(a+1) - lgamma(n+1) for n >= 0."""
     return mpmath.loggamma(n + a + 1) - mpmath.loggamma(a + 1) - mpmath.loggamma(n + 1)
 
 
@@ -261,25 +234,16 @@ def _log_barnes_g(x):
     return mpmath.log(mpmath.barnesg(x))
 
 
-#: log G(s+2) per (exponent, mpmath precision): the n-free term of T(s)
-_log_g_cache: dict = {}
-
-
 def _t_sum(n: int, s):
     """T(s) = sum_{v=1..n} (v-1) log(v+s)
     = (n-1) lgamma(n+s+1) - log G(n+s+1) + log G(s+2)."""
-    # keyed on the working precision too, so a value never depends on which
-    # caller filled the cache first
-    key = (s, mpmath.mp.prec)
-    head = _log_g_cache.get(key)
-    if head is None:
-        head = _log_g_cache[key] = _log_barnes_g(s + 2)
-    return (n - 1) * mpmath.loggamma(n + s + 1) - _log_barnes_g(n + s + 1) + head
+    return ((n - 1) * mpmath.loggamma(n + s + 1) - _log_barnes_g(n + s + 1)
+            + memo(_log_barnes_g, s + 2))
 
 
 def discriminant_log_mp(n: int, a, b):
-    """log D_n^(a,b) for n >= 1 (0 exactly at n = 1) from the closed product
-    formula
+    """log D_n^(a,b) for n >= 1 (0 exactly at n = 1; at n = 0 with a + b > -1
+    it gives log D_0 = 0 up to rounding) from the closed product formula
 
         -n(n-1) log 2 + sum_{v=1..n} [ (v-2n+2) log v + (v-1) log(v+a)
         + (v-1) log(v+b) + (n-v) log(v+n+a+b) ],

@@ -9,10 +9,14 @@ Two modes are supported and applied uniformly at run time:
   the float64 noise floor of the O(n^2) energies.
 
 Numeric kernels obtain the active :class:`Context` through :func:`active`
-and route elementary functions, sums and transcendental constants through
-it; plain Python operators then keep the scalar type (float or ``mpf``)
-throughout a computation.  Sums go through :meth:`Context.fsum`, which
-rounds the exact sum of its terms once (``math.fsum`` / ``mpmath.fsum``).
+and route elementary functions and sums through it; plain Python
+operators then keep the scalar type (float or ``mpf``) throughout a
+computation.  Sums go through :meth:`Context.fsum`, which rounds the exact
+sum of its terms once (``math.fsum`` / ``mpmath.fsum``).
+Every closed-form value -- exact energies, Jacobi quantities, expansion
+constants -- is one mpmath expression evaluated at guard digits by
+:meth:`Context.guarded`, the one place where it is rounded into the
+active scalar type.
 
 :func:`use` sets the process-wide default mode (the CLI's start-up
 setting).  :func:`precision_mode` overrides it for the current thread (or
@@ -71,21 +75,16 @@ def as_fraction(x) -> Fraction:
 class Context:
     """Arithmetic backend for one precision mode."""
 
-    __slots__ = ("mode", "dps", "_consts")
+    __slots__ = ("mode", "dps")
 
     def __init__(self, mode: str):
         if mode not in (STD, EXT):
             raise ValueError(f"unknown precision mode {mode!r} (expected 'std' or 'ext')")
         self.mode = mode
         self.dps = 16 if mode == STD else EXTENDED_DPS
-        self._consts: dict = {}
 
     def __repr__(self) -> str:
         return f"Context(mode={self.mode!r}, dps={self.dps})"
-
-    @property
-    def key(self) -> tuple:
-        return (self.mode, self.dps)
 
     # -- conversions -----------------------------------------------------
 
@@ -105,48 +104,41 @@ class Context:
     def log(self, x) -> Scalar:
         return math.log(x) if self.mode == STD else mpmath.log(x)
 
-    def lgamma(self, x) -> Scalar:
-        # caller guarantees x > 0
-        return math.lgamma(x) if self.mode == STD else mpmath.loggamma(x)
-
     def fsum(self, terms) -> Scalar:
         """The exact sum of ``terms`` (any iterable), rounded once."""
         return math.fsum(terms) if self.mode == STD else mpmath.fsum(terms)
 
-    # -- transcendental values at guarded precision --------------------------
+    # -- closed-form values: the one rounding into the scalar type ----------
 
-    def guarded(self, fn) -> Scalar:
-        """``fn()`` evaluated by mpmath with :data:`_GUARD_DPS` digits beyond
-        the mode's, then rounded once into the active scalar type (after the
-        guard digits are dropped, so ``ext`` results carry ``dps`` digits).
+    def guarded(self, fn, *values, size: float = 0):
+        """``fn(*values)`` with the values as mpf, evaluated by mpmath with
+        :data:`_GUARD_DPS` digits beyond the mode's plus ``2 mag(size)``
+        bits, then rounded once into the active scalar type (after the guard
+        digits are dropped, so ``ext`` results carry ``dps`` digits).  A
+        tuple result is rounded element by element.
 
-        Raises :class:`CapacityError` when the rounded value is not finite,
+        ``size`` is alpha + beta + 2 of the Jacobi exponents involved, for
+        the formulas in log Barnes G: log G(alpha + 2) grows like
+        alpha^2 log alpha while the quantities built from it grow like
+        n^2 log alpha, and the lgamma differences scaled by n + p + q in the
+        exact energies cancel alike, so large exponents lose about
+        2 mag(alpha) bits.
+
+        Raises :class:`CapacityError` when a rounded value is not finite,
         i.e. when it overflows float64 in ``std``."""
-        with mpmath.workdps(self.dps + _GUARD_DPS):
-            raw = fn()
+        extra = max(0, 2 * mpmath.mag(size))
+        with mpmath.workdps(self.dps + _GUARD_DPS), mpmath.extraprec(extra):
+            raw = fn(*(mpmath.mpf(v) for v in values))
+        if isinstance(raw, tuple):
+            return tuple(self._rounded(r) for r in raw)
+        return self._rounded(raw)
+
+    def _rounded(self, raw) -> Scalar:
         value = self.real(raw)
         if not mpmath.isfinite(value):
             raise CapacityError(
                 f"{mpmath.nstr(raw, 5)} is not finite in {self.mode} precision")
         return value
-
-    def _const(self, name: str, fn) -> Scalar:
-        value = self._consts.get(name)
-        if value is None:
-            value = self._consts[name] = self.guarded(fn)
-        return value
-
-    @property
-    def ln2(self) -> Scalar:
-        return self._const("ln2", lambda: mpmath.log(2))
-
-    @property
-    def ln_pi(self) -> Scalar:
-        return self._const("ln_pi", lambda: mpmath.log(mpmath.pi))
-
-    @property
-    def log_glaisher(self) -> Scalar:
-        return self._const("log_glaisher", lambda: mpmath.log(mpmath.glaisher))
 
 
 _CONTEXTS = {STD: Context(STD), EXT: Context(EXT)}

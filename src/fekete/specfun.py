@@ -1,9 +1,10 @@
 """Special-function kernel.
 
-Exact-rational Bernoulli data, Hurwitz zeta at nonpositive integer first
-argument, log-gamma, and the antiderivative of log-gamma (negapolygamma of
-order -2) from ``mpmath.zeta(-1, x, 1)`` at guard digits.  Everything is a
-pure function of its arguments plus immutable tables built on first use.
+Exact-rational Bernoulli data (from ``mpmath.bernfrac``) and Hurwitz zeta
+at nonpositive integer first argument; the mpf kernel of the antiderivative
+of log-gamma (negapolygamma of order -2) from ``mpmath.zeta(-1, x, 1)``;
+and :func:`memo`, the one memo of O(1)-argument kernel values.  Callers
+round kernel values through :meth:`fekete.precision.Context.guarded`.
 """
 from __future__ import annotations
 
@@ -14,8 +15,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .exceptions import CapacityError, DomainError, check_finite_above, check_size
-from .precision import Scalar, active
+from .exceptions import CapacityError, check_size
 
 #: exact Bernoulli numbers are stored through this index; polynomial
 #: coefficient rows extend two orders beyond it
@@ -39,20 +39,13 @@ class BernoulliTable:
 @lru_cache(maxsize=1)
 def bernoulli_table() -> BernoulliTable:
     top = BERNOULLI_MAX_ORDER + 2
-    numbers: list[Fraction] = [Fraction(1)]
-    for m in range(1, top + 1):
-        # sum_{k=0}^{m} C(m+1, k) B_k = 0 for m >= 1
-        acc = Fraction(0)
-        for k in range(m):
-            acc += math.comb(m + 1, k) * numbers[k]
-        numbers.append(-acc / (m + 1))
-    rows = []
-    for m in range(top + 1):
-        rows.append(tuple(math.comb(m, k) * numbers[m - k] for k in range(m + 1)))
+    numbers = [Fraction(*mpmath.bernfrac(m)) for m in range(top + 1)]
+    rows = tuple(tuple(math.comb(m, k) * numbers[m - k] for k in range(m + 1))
+                 for m in range(top + 1))
     return BernoulliTable(
         max_order=BERNOULLI_MAX_ORDER,
         numbers=tuple(numbers[: BERNOULLI_MAX_ORDER + 1]),
-        poly_coeffs=tuple(rows),
+        poly_coeffs=rows,
     )
 
 
@@ -86,42 +79,32 @@ def hurwitz_zeta_negint_fraction(m: int, a: Fraction) -> Fraction:
     return -bernoulli_poly_fraction(m + 1, a) / (m + 1)
 
 
-def log_gamma(x) -> Scalar:
-    """log Gamma(x) for x > 0."""
-    ctx = active()
-    x = ctx.real(x)
-    check_finite_above(0, "log_gamma argument", x=x)
-    try:
-        return ctx.lgamma(x)
-    except OverflowError:
-        raise CapacityError(f"log Gamma({x}) overflows {ctx.mode} precision") from None
+# -- O(1)-argument kernels ----------------------------------------------------
+
+#: kernel values per (kernel, argument, mpmath working precision); keyed on
+#: the precision too, so a value never depends on which caller filled it
+_memo: dict = {}
 
 
-# -- antiderivative of log-gamma ----------------------------------------------
+def memo(kernel, x):
+    """``kernel(x)`` at the working precision, computed once per (kernel, x,
+    precision).  For the O(1) arguments that many calls share: psi^(-2) in
+    the expansion constants and log G(s + 2) in the discriminant."""
+    key = (kernel, x, mpmath.mp.prec)
+    value = _memo.get(key)
+    if value is None:
+        value = _memo[key] = kernel(x)
+    return value
 
-_npg2_cache: dict = {}
 
+def negapolygamma2_mp(x):
+    """psi^(-2)(x) = integral_0^x log Gamma(t) dt for mpf x >= 0, at the
+    working precision:
 
-def negapolygamma2(x) -> Scalar:
-    """psi^(-2)(x) = integral_0^x log Gamma(t) dt for x >= 0.
-
-    Evaluated as zeta'(-1, x) - zeta'(-1) + (1-x)x/2 + (x/2) log 2pi, with
-    zeta'(-1) = 1/12 - log A, by mpmath at guard digits and rounded once.
+    zeta'(-1, x) - zeta'(-1) + (1-x)x/2 + (x/2) log 2pi, zeta'(-1) = 1/12 - log A.
     """
-    ctx = active()
-    x = ctx.real(x)
-    if not 0 <= x < math.inf:
-        raise DomainError(f"negapolygamma2 requires finite x >= 0, got {x}")
     if x == 0:
-        return ctx.zero()
-    key = (x, ctx.key)
-    cached = _npg2_cache.get(key)
-    if cached is None:
-        cached = _npg2_cache[key] = ctx.guarded(lambda: _negapolygamma2_mp(mpmath.mpf(x)))
-    return cached
-
-
-def _negapolygamma2_mp(x: mpmath.mpf) -> mpmath.mpf:
+        return mpmath.mpf(0)
     # psi^(-2)(x) ~ x log(1/x) as x -> 0, while zeta'(-1, x) - zeta'(-1)
     # cancels two terms of size 0.17: carry log2(1/x) more bits for it
     with mpmath.extraprec(max(0, -mpmath.mag(x))):

@@ -7,8 +7,21 @@ from itertools import chain
 
 import mpmath
 
-from fekete.precision import active, as_fraction
+from fekete.asym import LEADING_KEYS, Expansion
+from fekete.exceptions import DomainError
+from fekete.precision import EXT, active, as_fraction
 from fekete.specfun import hurwitz_zeta_negint_fraction
+
+#: the expansion kinds that ``expansion_to_json`` writes
+KINDS = (
+    "log_lambda",
+    "log_P1",
+    "log_D",
+    "potential",
+    "elliptic_E0",
+    "interval_E0",
+    "general_interval_E0",
+)
 
 
 def rel_close(actual, expected, rtol: float, floor: float = 1e-300) -> bool:
@@ -30,6 +43,38 @@ def fit_slope(ns, errors) -> float:
     return cov / var
 
 
+def ln2():
+    """log 2 rounded once into the active precision."""
+    return active().guarded(lambda: mpmath.log(2))
+
+
+def log_glaisher():
+    """log A (Glaisher-Kinkelin) rounded once into the active precision."""
+    return active().guarded(lambda: mpmath.log(mpmath.glaisher))
+
+
+def _scalar_from_json(v):
+    ctx = active()
+    if isinstance(v, str):
+        return mpmath.mpf(v) if ctx.mode == EXT else float(v)
+    return ctx.real(v)
+
+
+def expansion_from_json(data: dict) -> Expansion:
+    """The :class:`Expansion` that ``asym.expansion_to_json`` wrote, in the
+    active precision."""
+    if data.get("kind") not in KINDS:
+        raise DomainError(f"unknown expansion kind {data.get('kind')!r}")
+    leading = {k: _scalar_from_json(data["leading"][k]) for k in LEADING_KEYS}
+    tail = tuple(_scalar_from_json(c) for c in data["tail"])
+    return Expansion(
+        kind=data["kind"],
+        params={k: float(v) for k, v in data.get("params", {}).items()},
+        leading=leading,
+        tail=tail,
+    )
+
+
 def discriminant_log_product(n: int, alpha, beta):
     """log D_n^(alpha,beta) from the closed product formula, one ``fsum``
     over 4n logarithms in the active precision (the independent route for
@@ -42,7 +87,7 @@ def discriminant_log_product(n: int, alpha, beta):
     alpha, beta = ctx.real(alpha), ctx.real(beta)
     vs = range(1, n + 1)
     return ctx.fsum(chain(
-        (-n * (n - 1) * ctx.ln2,),
+        (-n * (n - 1) * ln2(),),
         ((v - 2 * n + 2) * ctx.log(ctx.real(v)) for v in vs),
         ((v - 1) * ctx.log(v + alpha) for v in vs),
         ((v - 1) * ctx.log(v + beta) for v in vs),
@@ -71,7 +116,7 @@ def discriminant_N_log_sum(N: int):
     """
     ctx = active()
     return ctx.fsum(chain(
-        (N * (N - 1) * ctx.ln2, N * ctx.log(ctx.real(N))),
+        (N * (N - 1) * ln2(), N * ctx.log(ctx.real(N))),
         (3 * t for t in shifted_terms(0, N - 1, 0)),
         (-t for t in shifted_terms(N - 2, 2 * N - 2, 0)),
     ))
@@ -88,7 +133,7 @@ def pq_discriminant_log_sum(n: int, p, q):
     ctx = active()
     p, q = ctx.real(p), ctx.real(q)
     return ctx.fsum(chain(
-        (n * (n + 2 * p + 2 * q - 1) * ctx.ln2,),
+        (n * (n + 2 * p + 2 * q - 1) * ln2(),),
         shifted_terms(0, n, 0),
         shifted_terms(0, n, 2 * p - 1),
         shifted_terms(0, n, 2 * q - 1),

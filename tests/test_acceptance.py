@@ -12,7 +12,8 @@ from fekete.energy import Configuration, IntervalSpec
 from fekete.jacobi import JacobiParams
 from fekete.precision import active, precision_mode
 
-from _util import discriminant_N_log_sum, fit_slope, pq_discriminant_log_sum, rel_close
+from _util import (discriminant_N_log_sum, fit_slope, log_glaisher, pq_discriminant_log_sum,
+                   rel_close)
 
 
 @contextmanager
@@ -175,9 +176,10 @@ def test_criterion_6_constant_term_certification():
 
 def test_criterion_7_special_function_anchors():
     with criterion(7, "special-function anchors"):
-        assert abs(specfun.negapolygamma2(1) - 0.5 * math.log(2 * math.pi)) <= 1e-10
-        assert abs(specfun.negapolygamma2(2) - (math.log(2 * math.pi) - 1)) <= 1e-10
-        log_a = active().log_glaisher
+        psi2 = specfun.negapolygamma2_mp
+        assert abs(active().guarded(psi2, 1) - 0.5 * math.log(2 * math.pi)) <= 1e-10
+        assert abs(active().guarded(psi2, 2) - (math.log(2 * math.pi) - 1)) <= 1e-10
+        log_a = log_glaisher()
         assert abs(mpmath.zeta(-1, 1, 1) - (1 / 12 - log_a)) <= 1e-10
         assert abs(math.exp(log_a) - 1.28242712) <= 1e-8
 

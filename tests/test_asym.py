@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from fractions import Fraction
@@ -8,10 +9,10 @@ import pytest
 from fekete import asym, energy, jacobi, specfun
 from fekete.exceptions import CapacityError, DomainError
 from fekete.jacobi import JacobiParams
-from fekete.precision import active, precision_mode
+from fekete.precision import precision_mode
 
 from _series import add_term, diff_report, new_series, plus, scaled, times_n
-from _util import fit_slope, rel_close
+from _util import expansion_from_json, fit_slope, log_glaisher, rel_close
 
 
 def zeta_frac(m, a):
@@ -199,7 +200,7 @@ class TestDiscriminantExpansion:
     def test_constant_legendre_assembly(self):
         e = asym.discriminant_expansion(JacobiParams(0, 0), 1)
         expected = (-0.25 + (11 / 12) * math.log(2) + math.log(math.pi)
-                    + 3 * active().log_glaisher - math.log(2 * math.pi))
+                    + 3 * log_glaisher() - math.log(2 * math.pi))
         assert e.leading["const"] == pytest.approx(expected, rel=1e-13)
 
     def test_constant_by_extrapolation(self):
@@ -250,7 +251,7 @@ class TestPotentialExpansion:
     def test_constant_unit_charges(self):
         # C1(1,1) = (37/12) log 2 - 2 - 3 log A, via psi^(-2)(2) = log(2 pi) - 1
         e = asym.potential_energy_expansion(1, 1, 1)
-        expected = (37 / 12) * math.log(2) - 2 - 3 * active().log_glaisher
+        expected = (37 / 12) * math.log(2) - 2 - 3 * log_glaisher()
         assert e.leading["const"] == pytest.approx(expected, rel=1e-12)
 
     def test_constant_by_extrapolation(self):
@@ -336,7 +337,7 @@ class TestIntervalExpansion:
     def test_constant(self):
         e = asym.interval_energy_expansion(0)
         assert e.leading["const"] == pytest.approx(
-            (13 / 12) * math.log(2) - 3 * active().log_glaisher, rel=1e-14)
+            (13 / 12) * math.log(2) - 3 * log_glaisher(), rel=1e-14)
 
     def test_truncated_accuracy_extended(self):
         with precision_mode("ext"):
@@ -379,6 +380,103 @@ class TestGeneralIntervalExpansion:
             exact = energy.interval_energy_on(spec, N)
             approx = asym.evaluate_expansion(e, N, 2)
             assert abs(exact - approx) <= 2.0 * N ** -3
+
+
+#: charges of the leading-coefficient accuracy test
+CHARGE_GRID = [0.75 + 0.25 * k for k in range(14)] + [0.3, 0.55, 7.1]
+
+
+@functools.lru_cache(maxsize=None)
+def _psi2_ref(x):
+    """psi^(-2)(x) = x(1-x)/2 + (x/2) log 2pi + x log Gamma(x) - log G(1+x),
+    which does not go through the zeta' kernel under test."""
+    return (x * (1 - x) / 2 + x / 2 * mpmath.log(2 * mpmath.pi) + x * mpmath.loggamma(x)
+            - mpmath.log(mpmath.barnesg(1 + x)))
+
+
+@functools.lru_cache(maxsize=None)
+def _leading_refs(p, q):
+    """The five leading coefficients of each charge-pair kind at 60 digits,
+    from the exact charges and exponents."""
+    with mpmath.workdps(60):
+        ln2, log_pi = mpmath.log(2), mpmath.log(mpmath.pi)
+        log_a = mpmath.log(mpmath.glaisher)
+        params = JacobiParams.from_charges(p, q)
+        a, b = mpmath.mpf(params.alpha), mpmath.mpf(params.beta)
+        p, q = mpmath.mpf(p), mpmath.mpf(q)
+        ab, a1, b1 = a + b, a + 1, b + 1
+        lg, psi2, frac = mpmath.loggamma, _psi2_ref, mpmath.mpf
+        return {
+            "lambda": (0, 0, ln2, frac(-1) / 2, ab * ln2 - log_pi / 2),
+            "p1": (0, 0, 0, a, -lg(a1)),
+            "disc": (ln2, 0, 2 * ab * ln2 - log_pi, (frac(5) / 2 - a1 ** 2 - b1 ** 2) / 2,
+                     -frac(1) / 8 - (ab + frac(1) / 2) ** 2 / 2
+                     + (frac(11) / 6 + ab * ab) / 2 * ln2 + log_pi + 3 * log_a
+                     + a1 * lg(a1) - psi2(a1) + b1 * lg(b1) - psi2(b1)),
+            "potential": (ln2, -1, 2 * (p + q - 1) * ln2,
+                          -2 * ((p - frac(1) / 4) ** 2 + (q - frac(1) / 4) ** 2),
+                          2 * ((p + q - 1) ** 2 - frac(11) / 24) * ln2 - (p + q) * log_pi
+                          - 3 * log_a + psi2(2 * p) + psi2(2 * q)),
+            "elliptic": (ln2, -1, -2 * ln2, 2 * (p * p + q * q - frac(1) / 8),
+                         -2 * ((p + q) ** 2 - frac(13) / 24) * ln2 - 3 * log_a
+                         - 2 * p * lg(2 * p) + psi2(2 * p) - 2 * q * lg(2 * q) + psi2(2 * q)),
+        }
+
+
+def _leading_built(p, q):
+    params = JacobiParams.from_charges(p, q)
+    built = {
+        "lambda": asym.leading_coeff_expansion(params, 0),
+        "p1": asym.value_at_one_expansion(params, 0),
+        "disc": asym.discriminant_expansion(params, 0),
+        "potential": asym.potential_energy_expansion(p, q, 0),
+        "elliptic": asym.elliptic_log_energy_expansion(p, q, 0),
+    }
+    return {kind: [e.leading[k] for k in asym.LEADING_KEYS] for kind, e in built.items()}
+
+
+class TestLeadingCoefficientsRoundedOnce:
+    """Each leading coefficient is one kernel value rounded once."""
+
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    def test_against_60_digit_reference(self, mode):
+        for p in CHARGE_GRID:
+            for q in CHARGE_GRID:
+                with precision_mode(mode):
+                    built = _leading_built(p, q)
+                with mpmath.workdps(60):
+                    for kind, refs in _leading_refs(p, q).items():
+                        for key, value, ref in zip(asym.LEADING_KEYS, built[kind], refs):
+                            err = abs(mpmath.mpf(value) - ref)
+                            if mode == "std":
+                                bound = 0.5 * math.ulp(float(ref))
+                            else:
+                                bound = 1e-33 * abs(ref)
+                            assert err <= bound, (kind, key, p, q, err)
+
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    def test_discriminant_symmetric_bit_for_bit(self, mode):
+        # D_n is symmetric in alpha <-> beta, and so is every rounded coefficient
+        with precision_mode(mode):
+            for a, b in [(2, 0.5), (0.1, 13.2), (-0.4, 3.5)]:
+                assert (asym.discriminant_expansion(JacobiParams(a, b), 2).leading
+                        == asym.discriminant_expansion(JacobiParams(b, a), 2).leading)
+
+    def test_psi2_memo_serves_the_rebuild(self, monkeypatch):
+        calls = []
+        zeta = mpmath.zeta
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return zeta(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "_memo", {})
+        monkeypatch.setattr(mpmath, "zeta", counted)
+        first = asym.potential_energy_expansion(1.25, 2.5, 4)
+        built = len(calls)
+        assert built > 0
+        assert asym.potential_energy_expansion(1.25, 2.5, 4) == first
+        assert len(calls) == built
 
 
 class TestEvaluateExpansion:
@@ -496,7 +594,7 @@ class TestSerialization:
     def test_round_trip_std(self):
         e = asym.potential_energy_expansion(0.7, 1.3, 5)
         data = json.loads(json.dumps(asym.expansion_to_json(e)))
-        back = asym.expansion_from_json(data)
+        back = expansion_from_json(data)
         assert back.kind == e.kind
         assert back.params == e.params
         assert back.tail == e.tail
@@ -506,7 +604,7 @@ class TestSerialization:
         with precision_mode("ext"):
             e = asym.discriminant_expansion(JacobiParams(0.4, 1.6), 4)
             data = json.loads(json.dumps(asym.expansion_to_json(e)))
-            back = asym.expansion_from_json(data)
+            back = expansion_from_json(data)
             assert all(u == v for u, v in zip(back.tail, e.tail))
             assert all(back.leading[k] == e.leading[k] for k in asym.LEADING_KEYS)
 
@@ -518,7 +616,7 @@ class TestSerialization:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
-            asym.expansion_from_json({"kind": "nope", "leading": {}, "tail": []})
+            expansion_from_json({"kind": "nope", "leading": {}, "tail": []})
 
 
 class TestTailSanity:

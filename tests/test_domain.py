@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fekete import asym, energy, jacobi, minimize, specfun
+from fekete import asym, energy, jacobi, minimize, precision
 from fekete.energy import Configuration
 from fekete.exceptions import CapacityError, DomainError
 from fekete.jacobi import JacobiParams
@@ -23,14 +23,17 @@ CASES = {
     "negative_degree": lambda: jacobi.leading_coeff_log(-1, JacobiParams(0, 0)),
     "float_degree": lambda: jacobi.zeros(3.0, JacobiParams(0, 0)),
     "expansion_at_n=1": lambda: asym.evaluate_expansion(asym.interval_energy_expansion(2), 1),
+    "float_order": lambda: asym.evaluate_expansion(asym.interval_energy_expansion(3), 10, 2.5),
+    "bool_order": lambda: asym.evaluate_expansion(asym.interval_energy_expansion(3), 10, True),
     "-inf_expansion_charge": lambda: asym.potential_energy_expansion(1, -inf, 2),
     "infinite_interval": lambda: asym.general_interval_energy_expansion(0, inf, 2),
     "inf_minimizer_charge": lambda: minimize.minimize_potential(5, inf, 1),
     "maximizer_N=1": lambda: minimize.fekete_maximize(1),
-    "nan_log_gamma": lambda: specfun.log_gamma(nan),
-    "nan_negapolygamma2": lambda: specfun.negapolygamma2(nan),
-    "inf_negapolygamma2": lambda: specfun.negapolygamma2(inf),
-    "inf_log_gamma": lambda: specfun.log_gamma(inf),
+    # charges that would reach log Gamma and psi^(-2) in the expansion constants
+    "nan_log_gamma": lambda: asym.elliptic_log_energy_expansion(nan, 1, 2),
+    "nan_negapolygamma2": lambda: asym.potential_energy_expansion(nan, 1, 2),
+    "inf_negapolygamma2": lambda: asym.potential_energy_expansion(inf, 1, 2),
+    "inf_log_gamma": lambda: asym.elliptic_log_energy_expansion(1, inf, 2),
 }
 
 
@@ -42,8 +45,9 @@ def test_rejected(call):
 
 #: values that overflow float64 in std
 OVERFLOWS = {
-    "negapolygamma2": lambda: specfun.negapolygamma2(1e200),
-    "log_gamma": lambda: specfun.log_gamma(1e307),
+    # expansion constants whose psi^(-2)(2p) and 2p log Gamma(2p) overflow
+    "negapolygamma2": lambda: asym.potential_energy_expansion(1e200, 1, 0),
+    "log_gamma": lambda: asym.elliptic_log_energy_expansion(1e200, 1, 0),
     # (log 2) n^2 alone overflows: raised before the Barnes G evaluation
     "discriminant_log": lambda: jacobi.discriminant_log(10**160, JacobiParams(0.5, 2)),
     "potential_energy_exact": lambda: energy.potential_energy_exact(10**160, 1, 1.5),
@@ -65,7 +69,7 @@ def _evaluated(*args, **kwargs):
 @pytest.mark.parametrize("name", ["discriminant_log", "potential_energy_exact",
                                   "elliptic_log_energy_exact", "interval_energy_exact"])
 def test_size_overflow_raised_before_evaluation(name, monkeypatch):
-    monkeypatch.setattr(jacobi, "guarded_exact", _evaluated)
+    monkeypatch.setattr(precision.Context, "guarded", _evaluated)
     with pytest.raises(CapacityError, match="std precision"):
         OVERFLOWS[name]()
 
@@ -73,7 +77,7 @@ def test_size_overflow_raised_before_evaluation(name, monkeypatch):
 def test_large_exponents_are_evaluated(monkeypatch):
     # near p = 1.62 n, q = 1 the potential energy crosses zero, so n alone
     # does not decide that it overflows
-    monkeypatch.setattr(jacobi, "guarded_exact", _evaluated)
+    monkeypatch.setattr(precision.Context, "guarded", _evaluated)
     with pytest.raises(AssertionError, match="evaluated"):
         energy.potential_energy_exact(10**160, 1e160, 1)
 

@@ -8,7 +8,7 @@ from fekete import energy, jacobi
 from fekete.energy import Configuration, IntervalSpec, INFINITE_ENERGY
 from fekete.exceptions import DomainError
 from fekete.jacobi import JacobiParams
-from fekete.precision import precision_mode
+from fekete.precision import active, precision_mode
 
 from _util import (
     discriminant_N_log_sum,
@@ -155,6 +155,12 @@ class TestIntervalEnergyExact:
         assert rel_close(energy.interval_energy_exact(2), -math.log(4), 1e-14)
         assert rel_close(energy.interval_energy_exact(3), -math.log(4), 1e-12)
 
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    def test_two_points_round_to_minus_log_four(self, mode):
+        # the n = 0 kernels leave about 1e-41 of rounding, far below one ulp
+        with precision_mode(mode):
+            assert energy.interval_energy_exact(2) == active().guarded(lambda: -mpmath.log(4))
+
     def test_three_is_symmetric_optimum(self):
         # brute-force oracle: E0({-1, t, 1}) is minimized at t = 0
         base = energy.log_energy_config(Configuration((-1, 0, 1)))
@@ -234,7 +240,7 @@ class TestEndpointAugmentation:
         closed = (
             2 * (n + 1) * jacobi.leading_coeff_log(n, params)
             - jacobi.discriminant_log(n, params)
-            - 2 * jacobi.value_at_minus_one_signed_log(n, params)
+            - 2 * jacobi.value_at_one_log(n, JacobiParams(params.beta, params.alpha))  # at -1
             - 2 * jacobi.value_at_one_log(n, params)
             - 2 * math.log(2)
         )
@@ -302,14 +308,28 @@ class TestRescale:
 
     def test_interval_spec_path(self):
         spec = IntervalSpec(0.0, 1.0)
-        assert spec.capacity == 0.25
-        assert spec.energy_constant == math.log(4)
         for N in (5, 80):
             assert rel_close(
                 energy.interval_energy_on(spec, N),
                 energy.interval_energy_exact(N) + math.log(2) * (N * N - N),
                 1e-12,
             )
+
+    @pytest.mark.parametrize("mode,rtol", [("std", 2.2e-16), ("ext", 1e-31)])
+    @pytest.mark.parametrize("N", [10**2, 10**4, 10**6])
+    def test_capacity_one_against_zeta_route(self, mode, rtol, N):
+        # on [0, 4] the N^2 terms cancel, leaving about -N log N.  Reference:
+        # the hyperfactorial form of the N-th discriminant through Hurwitz
+        # zeta'(-1, x) at 80 digits, minus N(N-1) log 2 for eta = 2
+        with mpmath.workdps(80):
+            z = lambda x: mpmath.zeta(-1, mpmath.mpf(x), 1)
+            log_disc = (N * (N - 1) * mpmath.log(2) + N * mpmath.log(N)
+                        + 3 * (z(N) - z(1)) - (z(2 * N - 1) - z(N - 1)))
+            ref = -log_disc - N * (N - 1) * mpmath.log(2)
+        with precision_mode(mode):
+            value = energy.interval_energy_on(IntervalSpec(0, 4), N)
+        with mpmath.workdps(80):
+            assert abs(value - ref) <= rtol * abs(ref)
 
     def test_domain(self):
         with pytest.raises(DomainError):

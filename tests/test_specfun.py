@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from fekete import specfun
+from fekete import asym, specfun
 from fekete.exceptions import CapacityError, DomainError
+from fekete.jacobi import JacobiParams
 from fekete.precision import active, precision_mode
 
-from _util import fit_slope, log_gamma_asym, rel_close, zeta_prime_neg1_asym
+from _util import fit_slope, log_gamma_asym, log_glaisher, rel_close, zeta_prime_neg1_asym
 
 
 def _zeta_prime(x):
@@ -100,24 +101,33 @@ class TestHurwitzZetaNegint:
             specfun.hurwitz_zeta_negint_fraction(34, Fraction(1))
 
 
+def _psi2(x):
+    """psi^(-2)(x) by its kernel at guard digits, rounded once: the route of
+    the expansion constants."""
+    return active().guarded(specfun.negapolygamma2_mp, x)
+
+
 class TestLogGamma:
+    """mpmath.loggamma, the log-gamma of the expansion constants."""
+
     def test_trivial(self):
-        assert specfun.log_gamma(1.0) == 0.0
-        assert specfun.log_gamma(2.0) == 0.0
+        assert active().guarded(mpmath.loggamma, 1.0) == 0.0
+        assert active().guarded(mpmath.loggamma, 2.0) == 0.0
 
     def test_half(self):
-        assert rel_close(specfun.log_gamma(0.5), 0.5 * math.log(math.pi), 1e-14)
+        assert rel_close(active().guarded(mpmath.loggamma, 0.5), 0.5 * math.log(math.pi), 1e-14)
 
     def test_against_mpmath(self):
         for x in (0.1, 0.9, 3.7, 12.0, 250.5):
             expected = float(mpmath.loggamma(mpmath.mpf(x)))
-            assert rel_close(specfun.log_gamma(x), expected, 1e-14)
+            assert rel_close(active().guarded(mpmath.loggamma, x), expected, 1e-14)
 
     def test_domain(self):
+        # log Gamma is taken at alpha + 1 and 2p, which the inputs keep > 0
         with pytest.raises(DomainError):
-            specfun.log_gamma(0.0)
+            asym.elliptic_log_energy_expansion(0.0, 1, 2)
         with pytest.raises(DomainError):
-            specfun.log_gamma(-2.5)
+            asym.value_at_one_expansion(JacobiParams(-2.5, 0), 2)
 
 
 class TestLogGammaAsym:
@@ -150,26 +160,26 @@ class TestNegapolygamma2:
         oracle, err = quad(gammaln, 0, 1, limit=200)
         assert err < 1e-10
         assert abs(oracle - 0.5 * math.log(2 * math.pi)) <= 1e-9
-        assert abs(specfun.negapolygamma2(1) - 0.5 * math.log(2 * math.pi)) <= 1e-13
+        assert abs(_psi2(1) - 0.5 * math.log(2 * math.pi)) <= 1e-13
 
     def test_at_two(self):
-        assert abs(specfun.negapolygamma2(2) - (math.log(2 * math.pi) - 1)) <= 1e-13
+        assert abs(_psi2(2) - (math.log(2 * math.pi) - 1)) <= 1e-13
 
     def test_empty_integral(self):
-        assert specfun.negapolygamma2(0) == 0.0
+        assert _psi2(0) == 0.0
 
     def test_against_quad_oracle(self):
         for x in (0.3, 0.5, 1.7, 4.25, 9.5):
             oracle, err = quad(gammaln, 0, x, limit=400)
             assert err < 1e-10
-            assert abs(specfun.negapolygamma2(x) - oracle) <= 1e-9
+            assert abs(_psi2(x) - oracle) <= 1e-9
 
     def test_absolute_accuracy_vs_mpmath(self):
         for x in (0.3, 1.0, 1.5, 2.5, 2.6, 5.5, 10.0):
             with mpmath.workdps(40):
                 ref = ((1 - mpmath.mpf(x)) * x / 2 + mpmath.mpf(x) / 2 * mpmath.log(2 * mpmath.pi)
                        - mpmath.zeta(-1, 1, 1) + mpmath.zeta(-1, mpmath.mpf(x), 1))
-                err = abs(specfun.negapolygamma2(x) - ref)
+                err = abs(_psi2(x) - ref)
             assert err <= 0.5 * math.ulp(float(ref)) + 1e-20
 
     def test_relative_accuracy_near_zero(self):
@@ -181,19 +191,22 @@ class TestNegapolygamma2:
                 ref = (t - t * mpmath.log(t) - mpmath.euler * t * t / 2
                        + mpmath.fsum((-1) ** k * mpmath.zeta(k) * t ** (k + 1) / (k * (k + 1))
                                      for k in range(2, 30)))
-                assert abs(specfun.negapolygamma2(x) - ref) <= 0.5 * math.ulp(float(ref))
+                assert abs(_psi2(x) - ref) <= 0.5 * math.ulp(float(ref))
             with precision_mode("ext"):
-                value = specfun.negapolygamma2(x)
+                value = _psi2(x)
             with mpmath.workdps(50):
                 assert abs(value - ref) <= ref * mpmath.mpf(10) ** -31
 
     def test_domain(self):
+        # psi^(-2) is taken at alpha + 1 and 2p, which the inputs keep > 0
         with pytest.raises(DomainError):
-            specfun.negapolygamma2(-0.1)
+            asym.potential_energy_expansion(-0.05, 1, 2)
+        with pytest.raises(DomainError):
+            asym.discriminant_expansion(JacobiParams(0, -1.1), 2)
 
     def test_extended_mode(self):
         with precision_mode("ext"):
-            value = specfun.negapolygamma2(1)
+            value = _psi2(1)
             with mpmath.workdps(40):
                 ref = mpmath.log(2 * mpmath.pi) / 2
             assert abs(value - ref) < mpmath.mpf(10) ** -28
@@ -202,7 +215,7 @@ class TestNegapolygamma2:
 class TestZetaPrimeNeg1:
     def test_at_one_equals_constant(self):
         # zeta'(-1) = 1/12 - log A
-        assert abs(_zeta_prime(1) - (1 / 12 - active().log_glaisher)) <= 1e-13
+        assert abs(_zeta_prime(1) - (1 / 12 - log_glaisher())) <= 1e-13
 
 
 class TestZetaPrimeNeg1Asym:
@@ -259,12 +272,12 @@ class TestZetaPrimeNeg1Asym:
 
 class TestConstants:
     def test_glaisher_digits(self):
-        assert abs(math.exp(active().log_glaisher) - 1.28242712) <= 1e-8
+        assert abs(math.exp(log_glaisher()) - 1.28242712) <= 1e-8
 
     def test_zeta_prime_identity(self):
         # zeta'(-1) = 1/12 - log A, at the extended digits
         with precision_mode("ext"):
-            value = 1 / mpmath.mpf(12) - active().log_glaisher
+            value = 1 / mpmath.mpf(12) - log_glaisher()
             with mpmath.workdps(40):
                 ref = mpmath.zeta(-1, 1, 1)
             assert abs(value - ref) <= mpmath.mpf(10) ** -31
@@ -272,4 +285,4 @@ class TestConstants:
     def test_against_mpmath_derivative(self):
         with mpmath.workdps(40):
             ref = float(mpmath.zeta(-1, 1, 1))
-        assert abs((1 / 12 - active().log_glaisher) - ref) <= 1e-14
+        assert abs((1 / 12 - log_glaisher()) - ref) <= 1e-14

@@ -304,11 +304,13 @@ def general_interval_energy_expansion(a: float, b: float, order: int) -> Expansi
                      tail=_tail(order, interval_tail_fraction))
 
 
-def evaluate_expansion(expansion: Expansion, n: int, order: int | None = None) -> Scalar:
-    """Numeric value of the leading terms plus the tail truncated at ``order``.
+def truncations(expansion: Expansion, n: int, order: int | None = None) -> tuple[Scalar, ...]:
+    """Values of the expansion at n truncated after 0, 1, ..., ``order`` tail
+    terms, as the running partial sums of one pass.
 
     Deterministic evaluation order: leading terms descending (n^2, n log n,
-    n, log n, const), then tail ascending in m.
+    n, log n, const), then tail ascending in m; the sum through tail term m
+    is the sum through m - 1 plus that term.
     """
     n = check_size(n, "n", 2)
     order = expansion.order if order is None else check_size(order, "order", 0)
@@ -325,11 +327,19 @@ def evaluate_expansion(expansion: Expansion, n: int, order: int | None = None) -
     value += lead["n"] * nn
     value += lead["logn"] * logn
     value += lead["const"]
+    sums = [value]
     npow = nn
     for m in range(order):
         value += expansion.tail[m] / npow
         npow *= nn
-    return value
+        sums.append(value)
+    return tuple(sums)
+
+
+def evaluate_expansion(expansion: Expansion, n: int, order: int | None = None) -> Scalar:
+    """Numeric value of the leading terms plus the tail truncated at ``order``:
+    the last of :func:`truncations`."""
+    return truncations(expansion, n, order)[-1]
 
 
 # -- serialization (the CLI wire format) -------------------------------------

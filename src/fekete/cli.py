@@ -195,8 +195,7 @@ def cmd_table(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     for n in cfg.values:
         exact = kind.exact(n, *inputs)
         row = [str(n), _format_scalar(exact)]
-        for mp_ in range(cfg.order + 1):
-            approx = asym.evaluate_expansion(expansion, n, mp_)
+        for approx in asym.truncations(expansion, n, cfg.order):
             row += [_format_scalar(approx), _format_scalar(abs(exact - approx))]
         rows.append(tuple(row))
     return tuple(header), rows
@@ -241,17 +240,14 @@ def cmd_verify(cfg: RunConfig):
     kind, inputs = _kind(cfg)
     expansion = kind.expansion(cfg.order, *inputs)
     exacts = {n: kind.exact(n, *inputs) for n in cfg.values}
-    errors_by_n = {n: [] for n in cfg.values}
+    approx_by_n = {n: asym.truncations(expansion, n, cfg.order) for n in cfg.values}
+    errors_by_n = {n: [abs(exacts[n] - a) for a in approx_by_n[n]] for n in cfg.values}
     for order in range(cfg.order + 1):
-        errors = []
+        errors = [errors_by_n[n][order] for n in cfg.values]
         for n in cfg.values:
-            approx = asym.evaluate_expansion(expansion, n, order)
-            err = abs(exacts[n] - approx)
-            errors.append(err)
-            errors_by_n[n].append(err)
             rows.append(("point", cfg.kind, str(order), str(n),
-                         _format_scalar(exacts[n]), _format_scalar(approx),
-                         _format_scalar(err), "", "", ""))
+                         _format_scalar(exacts[n]), _format_scalar(approx_by_n[n][order]),
+                         _format_scalar(errors_by_n[n][order]), "", "", ""))
         slope = _fit_slope(cfg.values, errors)
         expected = -(order + 1)
         good = abs(slope - expected) <= cfg.slope_tol

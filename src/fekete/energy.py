@@ -199,10 +199,11 @@ def pq_discriminant_log(n: int, p: float, q: float) -> Scalar:
 def interval_energy_on(interval: IntervalSpec, N: int) -> Scalar:
     """Minimal logarithmic N-point energy of a general interval [a, b]:
     the [-1, 1] value minus N(N-1) log eta, eta = (b - a)/2, as one mpmath
-    expression rounded once (the n^2 terms cancel when the capacity is
-    near 1)."""
+    expression rounded once.  When the capacity is near 1 the N^2 terms
+    cancel down to about -N log N, a loss of log2(N / log N) bits, so the
+    evaluation carries log2 N bits more (``size`` sqrt(N))."""
     N = check_size(N, "N", 2)
     jacobi.check_std_size(N, 4)
     return active().guarded(
         lambda a, b: _interval_mp(N) - N * (N - 1) * mpmath.log((b - a) / 2),
-        interval.a, interval.b, size=4)
+        interval.a, interval.b, size=max(4, math.isqrt(N)))

@@ -12,7 +12,7 @@ import numpy as np
 
 from .exceptions import CapacityError, NumericalError, check_finite_above, check_size
 from .precision import STD, Scalar, active
-from .specfun import memo
+from .specfun import log_barnes_g_mp, memo
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,9 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
 
 def discriminant_log(n: int, params: JacobiParams) -> Scalar:
     """log D_n^(alpha,beta), from log Barnes G and log Gamma in O(1) per n
-    (see :func:`discriminant_log_mp`), rounded once."""
+    (see :func:`discriminant_log_mp`), rounded once; log G is the series
+    kernel :func:`fekete.specfun.log_barnes_g_mp`, so G itself, of size
+    exp(n^2 log n), is never formed."""
     n = check_size(n, "n", 1)
     a, b = params.alpha, params.beta
     check_std_size(n, a + b + 2)
@@ -202,8 +204,8 @@ def check_std_size(n: int, size: float) -> None:
 
     There log D_n and the exact energies are (log 2) n^2 times a factor in
     [1, 1.8], up to O(log(n)/n), so they overflow float64; checking first
-    saves the seconds ``mpmath.barnesg`` spends before the rounded value
-    reports it.  Larger exponents are left to that evaluation: at
+    reports that before any mpmath evaluation.  Larger exponents are left
+    to the evaluation, whose rounded value reports an overflow: at
     p = 1.62 n, q = 1 the potential energy crosses zero.
     """
     if active().mode == STD and n > _STD_MAX_SIZE and size <= n:
@@ -230,15 +232,11 @@ def value_at_one_log_mp(n: int, a):
     return mpmath.loggamma(n + a + 1) - mpmath.loggamma(a + 1) - mpmath.loggamma(n + 1)
 
 
-def _log_barnes_g(x):
-    return mpmath.log(mpmath.barnesg(x))
-
-
 def _t_sum(n: int, s):
     """T(s) = sum_{v=1..n} (v-1) log(v+s)
     = (n-1) lgamma(n+s+1) - log G(n+s+1) + log G(s+2)."""
-    return ((n - 1) * mpmath.loggamma(n + s + 1) - _log_barnes_g(n + s + 1)
-            + memo(_log_barnes_g, s + 2))
+    return ((n - 1) * mpmath.loggamma(n + s + 1) - log_barnes_g_mp(n + s + 1)
+            + memo(log_barnes_g_mp, s + 2))
 
 
 def discriminant_log_mp(n: int, a, b):
@@ -248,7 +246,8 @@ def discriminant_log_mp(n: int, a, b):
         -n(n-1) log 2 + sum_{v=1..n} [ (v-2n+2) log v + (v-1) log(v+a)
         + (v-1) log(v+b) + (n-v) log(v+n+a+b) ],
 
-    with each sum in log Barnes G and log Gamma (G(z+1) = Gamma(z) G(z)):
+    with each sum in log Barnes G (:func:`~fekete.specfun.log_barnes_g_mp`)
+    and log Gamma (G(z+1) = Gamma(z) G(z)):
     sum (v-2n+2) log v = (2-n) lgamma(n+1) - log G(n+1), the middle sums
     are T(a) and T(b) of :func:`_t_sum`, and the last is
     log G(2n+a+b+1) - log G(n+a+b+2) - (n-1) lgamma(n+a+b+1).
@@ -257,6 +256,7 @@ def discriminant_log_mp(n: int, a, b):
         return mpmath.mpf(0)  # D_1 = 1
     c = n + a + b
     return (-n * (n - 1) * mpmath.ln2
-            + (2 - n) * mpmath.loggamma(n + 1) - _log_barnes_g(n + 1)
+            + (2 - n) * mpmath.loggamma(n + 1) - log_barnes_g_mp(n + 1)
             + _t_sum(n, a) + _t_sum(n, b)
-            + _log_barnes_g(n + c + 1) - _log_barnes_g(c + 2) - (n - 1) * mpmath.loggamma(c + 1))
+            + log_barnes_g_mp(n + c + 1) - log_barnes_g_mp(c + 2)
+            - (n - 1) * mpmath.loggamma(c + 1))

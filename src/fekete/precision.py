@@ -117,12 +117,14 @@ class Context:
         digits are dropped, so ``ext`` results carry ``dps`` digits).  A
         tuple result is rounded element by element.
 
-        ``size`` is alpha + beta + 2 of the Jacobi exponents involved, for
-        the formulas in log Barnes G: log G(alpha + 2) grows like
-        alpha^2 log alpha while the quantities built from it grow like
-        n^2 log alpha, and the lgamma differences scaled by n + p + q in the
-        exact energies cancel alike, so large exponents lose about
-        2 mag(alpha) bits.
+        ``size`` is a scale s at which the formula cancels about
+        2 log2 s bits.  For the formulas in log Barnes G it is
+        alpha + beta + 2 of the Jacobi exponents involved: log G(alpha + 2)
+        grows like alpha^2 log alpha while the quantities built from it grow
+        like n^2 log alpha, and the lgamma differences scaled by n + p + q
+        in the exact energies cancel alike, so large exponents lose about
+        2 mag(alpha) bits.  For the energy of an interval of capacity near
+        1 it is sqrt(N): its N^2 terms cancel down to about N log N.
 
         Raises :class:`CapacityError` when a rounded value is not finite,
         i.e. when it overflows float64 in ``std``."""

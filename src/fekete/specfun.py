@@ -1,10 +1,12 @@
 """Special-function kernel.
 
 Exact-rational Bernoulli data (from ``mpmath.bernfrac``) and Hurwitz zeta
-at nonpositive integer first argument; the mpf kernel of the antiderivative
-of log-gamma (negapolygamma of order -2) from ``mpmath.zeta(-1, x, 1)``;
-and :func:`memo`, the one memo of O(1)-argument kernel values.  Callers
-round kernel values through :meth:`fekete.precision.Context.guarded`.
+at nonpositive integer first argument; two mpf kernels at the caller's
+working precision: the antiderivative of log-gamma (negapolygamma of order
+-2) from ``mpmath.zeta(-1, x, 1)``, and log Barnes G by its asymptotic
+series, summed in the log domain without forming G; and :func:`memo`, the
+one memo of O(1)-argument kernel values.  Callers round kernel values
+through :meth:`fekete.precision.Context.guarded`.
 """
 from __future__ import annotations
 
@@ -110,3 +112,72 @@ def negapolygamma2_mp(x):
     with mpmath.extraprec(max(0, -mpmath.mag(x))):
         return (mpmath.zeta(-1, x, 1) - mpmath.mpf(1) / 12 + mpmath.log(mpmath.glaisher)
                 + (1 - x) * x / 2 + x * mpmath.log(2 * mpmath.pi) / 2)
+
+
+#: per working precision: (log(2 pi)/2, zeta'(-1) = 1/12 - log A, the shift
+#: threshold w, the series terms (mag c_k, c_k), c_k = B_{2k+2} / (4k(k+1)),
+#: through the first whose term at z = w is below 2^-prec), built on first use
+_log_g_series: dict = {}
+
+
+def _log_g_data(prec: int) -> tuple:
+    data = _log_g_series.get(prec)
+    if data is None:
+        w = prec // 6 + 1
+        terms = []
+        while not terms or terms[-1][0] - 2 * len(terms) * math.log2(w) >= -prec:
+            k = len(terms) + 1
+            num, den = mpmath.bernfrac(2 * k + 2)
+            c = mpmath.mpf(num) / (4 * k * (k + 1) * den)
+            terms.append((mpmath.mag(c), c))
+        data = _log_g_series[prec] = (
+            mpmath.log(2 * mpmath.pi) / 2, mpmath.mpf(1) / 12 - mpmath.log(mpmath.glaisher),
+            w, tuple(terms))
+    return data
+
+
+def log_barnes_g_mp(x):
+    """log G(x) for real x > 0 (int or mpf) at the working precision, within
+    about an ulp of max(|log G(x)|, 1), without forming G(x).
+
+    With z = x - 1 at least w = wp/6 (wp: the working bits plus guard
+    bits), the asymptotic series (DLMF 5.17.5 with Stirling's series
+    substituted for log Gamma(z + 1))
+
+        log G(z + 1) = (z^2/2 - 1/12) log z - 3z^2/4 + (z/2) log 2pi
+                       + zeta'(-1) + sum_{k>=1} B_{2k+2} / (4k(k+1) z^(2k))
+
+    is summed by Horner through the last term above 2^-wp; its smallest
+    term, about exp(-2 pi z) < 2^(-1.5 wp), lies far below that.  A smaller
+    z is shifted first to z + m >= w, m = ceil(w - z), through
+    G(z + 1 + m) = G(z + 1) prod_{j=1..m} Gamma(z + j), where
+    sum_{j=1..m} log Gamma(z + j) = m lgamma(z + 1) + log prod_{i<m} (z + i)^(m-i).
+    The guard bits cover that subtraction, which cancels about
+    log2 log G(w + 1) < 2 log2 wp bits.
+    """
+    with mpmath.extraprec(10 + 2 * mpmath.mp.prec.bit_length()):
+        wp = mpmath.mp.prec
+        half_log_2pi, zeta1, w, terms = _log_g_data(wp)
+        z = mpmath.mpf(x) - 1  # an mpf from here on, so that 1/z^2 is not a float
+        shift = 0
+        if z < w:
+            m = int(mpmath.ceil(w - z))
+            rising = power = mpmath.mpf(1)
+            for i in range(1, m):  # power = prod_{i<m} (z + i)^(m - i)
+                rising *= z + i
+                power *= rising
+            shift = m * mpmath.loggamma(z + 1) + mpmath.log(power)
+            z += m
+        log_z = mpmath.log(z)
+        log2_z = float(log_z) / math.log(2)
+        count = 0  # the terms above 2^-wp at this z
+        while count < len(terms) and terms[count][0] - 2 * (count + 1) * log2_z >= -wp:
+            count += 1
+        u = 1 / (z * z)
+        series = 0
+        for k in range(count - 1, -1, -1):
+            series = (series + terms[k][1]) * u
+        z2 = z * z
+        value = ((z2 / 2 - mpmath.mpf(1) / 12) * log_z - 3 * z2 / 4 + z * half_log_2pi
+                 + zeta1 + series - shift)
+    return +value

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fekete import energy, jacobi
+from fekete import energy, jacobi, specfun
 from fekete.energy import Configuration, IntervalSpec, INFINITE_ENERGY
 from fekete.exceptions import DomainError
 from fekete.jacobi import JacobiParams
@@ -316,7 +316,7 @@ class TestRescale:
             )
 
     @pytest.mark.parametrize("mode,rtol", [("std", 2.2e-16), ("ext", 1e-31)])
-    @pytest.mark.parametrize("N", [10**2, 10**4, 10**6])
+    @pytest.mark.parametrize("N", [10**2, 10**4, 10**6, 10**9, 10**12, 10**15])
     def test_capacity_one_against_zeta_route(self, mode, rtol, N):
         # on [0, 4] the N^2 terms cancel, leaving about -N log N.  Reference:
         # the hyperfactorial form of the N-th discriminant through Hurwitz
@@ -338,6 +338,22 @@ class TestRescale:
             IntervalSpec(-1e308, 1e308)  # finite ends, infinite scale
         with pytest.raises(DomainError):
             energy.interval_energy_on(IntervalSpec(0.0, 3.0), 1)
+
+
+class TestBarnesGFree:
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    def test_exact_values_do_not_call_barnesg(self, mode, monkeypatch):
+        def barnesg(*_):
+            raise AssertionError("mpmath.barnesg called")
+
+        monkeypatch.setattr(mpmath, "barnesg", barnesg)
+        monkeypatch.setattr(specfun, "_memo", {})
+        with precision_mode(mode):
+            for n in (2, 40, 2560, 10**9):
+                energy.potential_energy_exact(n, 0.75, 2.5)
+                energy.elliptic_log_energy_exact(n, 0.75, 2.5)
+                energy.interval_energy_exact(n)
+                jacobi.discriminant_log(n, JacobiParams(0.5, 4.0))
 
 
 class TestExtendedMode:

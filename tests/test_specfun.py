@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -210,6 +211,44 @@ class TestNegapolygamma2:
             with mpmath.workdps(40):
                 ref = mpmath.log(2 * mpmath.pi) / 2
             assert abs(value - ref) < mpmath.mpf(10) ** -28
+
+
+#: arguments of the log-G kernel test: 1 to 1e12, below and above the shift
+#: threshold (about 19 at 26 digits, 77 at 130 digits)
+LOG_G_ARGS = [1, 2, 3, 5, 17, 25, 40, 100, 1000, 10**6, 10**9, 10**12,
+              1.5, 7.25, 33.3, 12345.678]
+
+
+@functools.lru_cache(maxsize=None)
+def _log_g_ref(x, dps):
+    """log G(x) by mpmath.barnesg, 30 digits beyond ``dps``."""
+    with mpmath.workdps(dps + 30):
+        return mpmath.log(mpmath.barnesg(mpmath.mpf(x)))
+
+
+class TestLogBarnesG:
+    @pytest.mark.parametrize("dps", [26, 42, 60, 130])
+    def test_against_mpmath_barnesg(self, dps):
+        with mpmath.workdps(dps):
+            for x in LOG_G_ARGS:
+                ref = _log_g_ref(x, dps)
+                # int arguments as the discriminant passes n + 1, and mpf
+                args = (x, mpmath.mpf(x)) if isinstance(x, int) else (mpmath.mpf(x),)
+                for arg in args:
+                    value = specfun.log_barnes_g_mp(arg)
+                    assert isinstance(value, mpmath.mpf)
+                    two_ulp = mpmath.mpf(2) ** (mpmath.mag(max(abs(ref), 1)) - mpmath.mp.prec + 1)
+                    with mpmath.workdps(dps + 30):
+                        assert abs(value - ref) <= two_ulp, (dps, arg, value, ref)
+
+    def test_functional_equation(self):
+        # G(x + 1) = Gamma(x) G(x) across the shift threshold
+        with mpmath.workdps(42):
+            for x in (0.5, 1.25, 18.5, 40.75, 300.5):
+                x = mpmath.mpf(x)
+                lhs = specfun.log_barnes_g_mp(x + 1)
+                rhs = mpmath.loggamma(x) + specfun.log_barnes_g_mp(x)
+                assert abs(lhs - rhs) <= mpmath.mpf(10) ** -40 * max(abs(lhs), 1)
 
 
 class TestZetaPrimeNeg1:

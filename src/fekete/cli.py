@@ -240,13 +240,14 @@ def cmd_verify(cfg: RunConfig):
     kind, inputs = _kind(cfg)
     expansion = kind.expansion(cfg.order, *inputs)
     exacts = {n: kind.exact(n, *inputs) for n in cfg.values}
+    exact_text = {n: _format_scalar(exacts[n]) for n in cfg.values}
     approx_by_n = {n: asym.truncations(expansion, n, cfg.order) for n in cfg.values}
     errors_by_n = {n: [abs(exacts[n] - a) for a in approx_by_n[n]] for n in cfg.values}
     for order in range(cfg.order + 1):
         errors = [errors_by_n[n][order] for n in cfg.values]
         for n in cfg.values:
             rows.append(("point", cfg.kind, str(order), str(n),
-                         _format_scalar(exacts[n]), _format_scalar(approx_by_n[n][order]),
+                         exact_text[n], _format_scalar(approx_by_n[n][order]),
                          _format_scalar(errors_by_n[n][order]), "", "", ""))
         slope = _fit_slope(cfg.values, errors)
         expected = -(order + 1)

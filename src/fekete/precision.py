@@ -35,6 +35,7 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath
+from mpmath.libmp import from_rational, round_nearest
 
 from .exceptions import CapacityError, DomainError
 
@@ -93,7 +94,8 @@ class Context:
         if isinstance(x, Fraction):
             if self.mode == STD:
                 return x.numerator / x.denominator
-            return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+            return mpmath.mp.make_mpf(from_rational(
+                x.numerator, x.denominator, mpmath.mp.prec, round_nearest))
         return float(x) if self.mode == STD else mpmath.mpf(x)
 
     def zero(self) -> Scalar:

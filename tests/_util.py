@@ -141,6 +141,15 @@ def pq_discriminant_log_sum(n: int, p, q):
     ))
 
 
+def bernoulli_poly_horner(m: int, x: Fraction) -> Fraction:
+    """B_m(x) by the plain Fraction Horner over binom(m, k) B_{m-k}, B_j from
+    ``mpmath.bernfrac``: the reference of ``specfun.bernoulli_poly_fraction``."""
+    acc = Fraction(0)
+    for k in range(m, -1, -1):
+        acc = acc * x + math.comb(m, k) * Fraction(*mpmath.bernfrac(m - k))
+    return acc
+
+
 def log_gamma_asym(x, a, order: int):
     """Poincare-type truncation of log Gamma(x + a) for fixed a, x >= 1:
 

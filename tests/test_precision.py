@@ -4,7 +4,7 @@ import time
 
 import mpmath
 
-from fekete import jacobi, precision
+from fekete import asym, jacobi, precision
 from fekete.jacobi import JacobiParams
 from fekete.precision import EXTENDED_DPS, active, precision_mode
 
@@ -86,3 +86,21 @@ def test_precision_mode_overrides_the_default():
         assert active().mode == "ext"
     finally:
         precision.use("std")
+
+
+def test_fraction_rounds_once_in_ext():
+    # the tail coefficients are exact rationals whose numerators are far
+    # wider than 32 digits at non-dyadic charges; each must equal the
+    # 60-digit value rounded once to the ext precision
+    p, q = 0.1, 0.3
+    with precision_mode("ext"):
+        prec = mpmath.mp.prec
+        for build, coeff in ((asym.potential_energy_expansion, asym.potential_tail_fraction),
+                             (asym.elliptic_log_energy_expansion, asym.elliptic_tail_fraction)):
+            tail = build(p, q, 16).tail
+            for m, value in enumerate(tail, 1):
+                exact = coeff(m, p, q)
+                with mpmath.workdps(60):
+                    ref = mpmath.mpf(exact.numerator) / exact.denominator
+                with mpmath.workprec(prec):
+                    assert value == +ref, (build.__name__, m)

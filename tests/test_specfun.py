@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
@@ -15,7 +15,8 @@ from fekete.exceptions import CapacityError, DomainError
 from fekete.jacobi import JacobiParams
 from fekete.precision import active, precision_mode
 
-from _util import fit_slope, log_gamma_asym, log_glaisher, rel_close, zeta_prime_neg1_asym
+from _util import (bernoulli_poly_horner, fit_slope, log_gamma_asym, log_glaisher, rel_close,
+                   zeta_prime_neg1_asym)
 
 
 def _zeta_prime(x):
@@ -70,6 +71,21 @@ class TestBernoulli:
         lhs = specfun.bernoulli_poly_fraction(m, x + 1) - specfun.bernoulli_poly_fraction(m, x)
         rhs = m * x ** (m - 1) if m >= 1 else Fraction(0)
         assert lhs == rhs
+
+    @given(
+        m=st.integers(min_value=0, max_value=34),
+        num=st.integers(min_value=-10**6, max_value=10**6),
+        den=st.one_of(st.integers(min_value=0, max_value=60).map(lambda e: 2 ** e),
+                      st.integers(min_value=0, max_value=5000).map(lambda k: 2 * k + 1)),
+    )
+    @example(m=34, num=0, den=1)
+    @example(m=33, num=-7, den=2 ** 55)
+    @settings(max_examples=300, deadline=None)
+    def test_integer_horner_matches_fraction_horner(self, m, num, den):
+        x = Fraction(num, den)
+        value = specfun.bernoulli_poly_fraction(m, x)
+        expected = bernoulli_poly_horner(m, x)
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
 
 
 class TestHurwitzZetaNegint:
@@ -226,20 +242,53 @@ def _log_g_ref(x, dps):
         return mpmath.log(mpmath.barnesg(mpmath.mpf(x)))
 
 
+def _assert_log_g_close(arg):
+    """The kernel at ``arg`` is an mpf within 2 ulp of max(|log G|, 1) of
+    mpmath.barnesg at the working precision."""
+    value = specfun.log_barnes_g_mp(arg)
+    assert isinstance(value, mpmath.mpf)
+    ref = _log_g_ref(mpmath.mpf(arg), mpmath.mp.dps)
+    two_ulp = mpmath.mpf(2) ** (mpmath.mag(max(abs(ref), 1)) - mpmath.mp.prec + 1)
+    with mpmath.extradps(30):
+        assert abs(value - ref) <= two_ulp, (mpmath.mp.prec, arg, value, ref)
+
+
+#: non-dyadic Jacobi exponents (alpha, beta) of the discriminant's arguments
+LOG_G_EXPONENTS = [(0.3, 1.7), (-0.45, 2.9), (5.05, 11.3)]
+
+
 class TestLogBarnesG:
     @pytest.mark.parametrize("dps", [26, 42, 60, 130])
     def test_against_mpmath_barnesg(self, dps):
         with mpmath.workdps(dps):
             for x in LOG_G_ARGS:
-                ref = _log_g_ref(x, dps)
                 # int arguments as the discriminant passes n + 1, and mpf
-                args = (x, mpmath.mpf(x)) if isinstance(x, int) else (mpmath.mpf(x),)
-                for arg in args:
-                    value = specfun.log_barnes_g_mp(arg)
-                    assert isinstance(value, mpmath.mpf)
-                    two_ulp = mpmath.mpf(2) ** (mpmath.mag(max(abs(ref), 1)) - mpmath.mp.prec + 1)
-                    with mpmath.workdps(dps + 30):
-                        assert abs(value - ref) <= two_ulp, (dps, arg, value, ref)
+                for arg in (x, mpmath.mpf(x)) if isinstance(x, int) else (mpmath.mpf(x),):
+                    _assert_log_g_close(arg)
+
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    @pytest.mark.parametrize("alpha, beta", LOG_G_EXPONENTS)
+    def test_discriminant_arguments(self, mode, alpha, beta):
+        # at the precision Context.guarded sets for the discriminant: the
+        # mode's digits + 10 guard digits + 2 mag(alpha + beta + 2) bits
+        extra = 2 * mpmath.mag(alpha + beta + 2)
+        with mpmath.workdps(26 if mode == "std" else 42), mpmath.extraprec(extra):
+            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+            for n in (2, 40, 1000, 10**6):
+                _assert_log_g_close(n + a + b + 2)
+                _assert_log_g_close(2 * n + a + b + 1)
+
+    @pytest.mark.parametrize("dps", [26, 42, 130])
+    def test_around_shift_threshold(self, dps):
+        # z = x - 1 at w - 1 (shifted by one), w and w + 1 (series alone),
+        # w = wp/6 + 1 with wp the working bits plus the kernel's guard bits;
+        # and z = 10^12, where the series needs its fewest terms
+        with mpmath.workdps(dps):
+            prec = mpmath.mp.prec
+            w = (prec + 10 + 2 * prec.bit_length()) // 6 + 1
+            for z in (w - 1, w, w + 1, 10**12):
+                _assert_log_g_close(z + 1)
+                _assert_log_g_close(mpmath.mpf(z) + 1)
 
     def test_functional_equation(self):
         # G(x + 1) = Gamma(x) G(x) across the shift threshold

@@ -6,7 +6,6 @@ from .precision import EXT, EXTENDED_DPS, STD, active, precision_mode, use
 from .jacobi import JacobiParams, ZeroSet, zeros
 from .energy import INFINITE_ENERGY, Configuration, IntervalSpec
 from .asym import Expansion, evaluate_expansion
-from .minimize import SolveReport, fekete_maximize, minimize_potential
 
 __all__ = [
     "CapacityError",
@@ -33,3 +32,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+#: the float64 solver's names, resolved on first use: its module loads numpy,
+#: which the exact values and expansions never need
+_SOLVER_NAMES = ("SolveReport", "fekete_maximize", "minimize_potential")
+
+
+def __getattr__(name):
+    if name in _SOLVER_NAMES:
+        from . import minimize
+        return getattr(minimize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

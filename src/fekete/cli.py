@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import click
 import mpmath
 
-from . import __version__, asym, energy, jacobi, minimize as optim
+from . import __version__, asym, energy, jacobi
 from .energy import IntervalSpec
 from .exceptions import FeketeError
 from .jacobi import JacobiParams
@@ -224,6 +224,8 @@ def cmd_verify(cfg: RunConfig):
     rows: list[tuple[str, ...]] = []
     ok = True
     if cfg.kind == "minimize":
+        from . import minimize as optim  # loads numpy, which no other kind needs
+
         p = cfg.p if cfg.p is not None else 1.0
         q = cfg.q if cfg.q is not None else 1.0
         for n in cfg.values:
@@ -276,6 +278,8 @@ def cmd_zeros(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
 
 
 def cmd_minimize(cfg: RunConfig) -> dict:
+    from . import minimize as optim
+
     (n,) = cfg.values
     report = optim.minimize_potential(n, cfg.p, cfg.q, tol=cfg.tol)
     return {
@@ -324,13 +328,19 @@ def _kind_options(*extra_kinds):
 
 
 class _Command(click.Command):
-    """Reports the package's errors as usage errors: exit 2, no traceback."""
+    """Reports the package's errors, and a request too large for memory, as
+    usage errors: exit 2, no traceback."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except FeketeError as exc:
             raise click.UsageError(str(exc), ctx) from exc
+        except MemoryError as exc:
+            given = ", ".join(f"{name}={value!r}" for name, value in ctx.params.items()
+                              if ctx.get_parameter_source(name) != click.ParameterSource.DEFAULT)
+            raise click.UsageError(
+                f"not enough memory for {ctx.command_path} with {given}", ctx) from exc
 
 
 class _Group(click.Group):

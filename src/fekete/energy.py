@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import mpmath
-import numpy as np
 
 from . import jacobi
 from .exceptions import DomainError, check_finite_above, check_size
@@ -70,6 +69,8 @@ def _log_distance_sum(points: tuple[float, ...]) -> Scalar | None:
     """
     ctx = active()
     if ctx.mode == STD:
+        import numpy as np  # only the float64 kernels load numpy
+
         x = np.asarray(points, dtype=float)
         rows = []
         for j in range(len(x) - 1):

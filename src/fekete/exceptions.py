@@ -1,7 +1,6 @@
 """Exception types shared across the package, and the input validator."""
 import math
-
-import numpy as np
+from numbers import Integral
 
 
 class FeketeError(Exception):
@@ -23,8 +22,12 @@ class NumericalError(FeketeError, RuntimeError):
 
 def check_size(value, name: str, minimum: int) -> int:
     """``value`` as an ``int``: an integer (Python or numpy, not a bool) of
-    at least ``minimum``.  ``name`` is the caller's argument, for the message."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    at least ``minimum``.  ``name`` is the caller's argument, for the message.
+
+    numpy integers are registered with :class:`numbers.Integral` and numpy
+    bools are not, so no numpy import is needed; a plain ``int`` skips the
+    ABC check, which costs several times the type test."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")

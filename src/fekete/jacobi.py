@@ -8,7 +8,6 @@ import sys
 from dataclasses import dataclass
 
 import mpmath
-import numpy as np
 
 from .exceptions import CapacityError, NumericalError, check_finite_above, check_size
 from .precision import STD, Scalar, active
@@ -101,9 +100,11 @@ def _recurrence(n: int, alpha, beta, x):
     return p
 
 
-def _recurrence_coeffs(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the n x n symmetric Jacobi matrix, with
-    the integer parts added last as in :func:`_recurrence`."""
+def _recurrence_coeffs(n: int, alpha: float, beta: float):
+    """Diagonal and off-diagonal of the n x n symmetric Jacobi matrix, as
+    numpy arrays, with the integer parts added last as in :func:`_recurrence`."""
+    import numpy as np  # only the float64 kernels load numpy
+
     c = (alpha + 1) + (beta + 1)
     k = np.arange(n, dtype=float)
     s = (2 * k - 2) + c
@@ -140,6 +141,7 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
     raises :class:`CapacityError`.
     """
     n = check_size(n, "n", 1)
+    import numpy as np
     from scipy.linalg import eigh_tridiagonal  # most of the package's import time
 
     alpha, beta = float(params.alpha), float(params.beta)

@@ -14,6 +14,7 @@ unique minimum from any interior start.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -193,4 +194,6 @@ def fekete_maximize(N: int, tol: float = _DEFAULT_TOL) -> SolveReport:
         )
     inner = minimize_potential(N - 2, 1.0, 1.0, tol=tol)
     config = Configuration((-1.0,) + inner.points + (1.0,))
-    return replace(inner, configuration=config, energy=float(energy.log_energy_config(config)))
+    # the pairs with an endpoint are the (1, 1) field terms of the inner
+    # energy; the one pair left, (-1, 1), adds -2 log 2
+    return replace(inner, configuration=config, energy=inner.energy - 2 * math.log(2))

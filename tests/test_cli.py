@@ -20,11 +20,49 @@ def runner():
     return CliRunner()
 
 
-def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg is most of the import cost and only `zeros` needs it
-    code = "import sys, fekete.cli; sys.exit('scipy.linalg' in sys.modules)"
+#: every exact-side command, each kind, both modes; prints what it loaded of
+#: numpy and scipy
+_EXACT_SIDE = """
+import sys
+from fekete import cli, precision
+from fekete.cli import KINDS, RunConfig
+for mode in ("std", "ext"):
+    precision.use(mode)
+    cli.cmd_exact(RunConfig("exact", "pq", values=(5, 6), p=1.0, q=1.5))
+    cli.cmd_exact(RunConfig("exact", "interval", values=(5, 6)))
+    for kind in KINDS:
+        cfg = RunConfig("verify", kind, values=(20, 40), p=1.0, q=1.5, order=2, a=-1.0, b=2.0)
+        cli.cmd_coeffs(cfg)
+        cli.cmd_table(cfg)
+        cli.cmd_verify(cfg)
+print(" ".join(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
+"""
+
+
+def test_exact_side_leaves_numpy_unloaded():
+    # numpy and scipy are most of the import cost, and only the float64
+    # kernels (zeros, std configuration energies, the minimizer) need them
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    result = subprocess.run([sys.executable, "-c", _EXACT_SIDE], env=env, timeout=120,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
+
+
+def test_solver_names_stay_public():
+    import fekete
+    import fekete.minimize
+
+    from fekete import SolveReport, fekete_maximize
+
+    assert fekete.minimize_potential is fekete.minimize.minimize_potential
+    assert (SolveReport, fekete_maximize) == (fekete.minimize.SolveReport,
+                                              fekete.minimize.fekete_maximize)
+    namespace = {}
+    exec("from fekete import *", namespace)
+    assert set(fekete.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fekete.no_such_name
 
 
 def test_version_without_install(runner):
@@ -46,6 +84,24 @@ def test_bad_input_is_a_usage_error(runner, args):
     result = runner.invoke(cli, args.split())
     assert result.exit_code == 2
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("target, args, message", [
+    ("fekete.jacobi.zeros", "zeros --n 100000000000 --p 1 --q 1",
+     "cli zeros with n_range='100000000000', p=1.0, q=1.0"),
+    ("fekete.minimize.minimize_potential", "verify --kind minimize --n 3000000000",
+     "cli verify with kind='minimize', n_range='3000000000'"),
+])
+def test_memory_error_is_a_usage_error(runner, monkeypatch, target, args, message):
+    # stands in for numpy failing to allocate a request this large
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(target, exhausted)
+    result = runner.invoke(cli, args.split())
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"not enough memory for {message}\n" in result.output
 
 
 class TestExact:

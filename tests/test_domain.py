@@ -20,6 +20,10 @@ CASES = {
     "nan_exponent": lambda: JacobiParams(0, nan),
     "nan_point": lambda: Configuration((0.1, nan)),
     "inf_config_charge": lambda: Configuration((0.1,), charges=(1, inf)),
+    # sizes that pass the minimum, so only the type check rejects them
+    "bool_degree": lambda: jacobi.leading_coeff_log(True, JacobiParams(0, 0)),
+    "numpy_bool_degree": lambda: jacobi.leading_coeff_log(np.bool_(True), JacobiParams(0, 0)),
+    "numpy_float_N": lambda: energy.interval_energy_exact(np.float64(3.0)),
     "negative_degree": lambda: jacobi.leading_coeff_log(-1, JacobiParams(0, 0)),
     "float_degree": lambda: jacobi.zeros(3.0, JacobiParams(0, 0)),
     "expansion_at_n=1": lambda: asym.evaluate_expansion(asym.interval_energy_expansion(2), 1),
@@ -90,6 +94,7 @@ def test_message_names_the_argument():
 
 
 def test_numpy_integers_accepted():
-    assert energy.interval_energy_exact(np.int64(40)) == energy.interval_energy_exact(40)
+    for integer in (np.uint8, np.int32, np.int64):
+        assert energy.interval_energy_exact(integer(40)) == energy.interval_energy_exact(40)
     params = JacobiParams(0.5, 1.5)
     assert jacobi.zeros(np.int32(7), params) == jacobi.zeros(7, params)

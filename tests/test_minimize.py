@@ -211,6 +211,14 @@ class TestFeketeMaximize:
         assert report.converged
         assert abs(report.energy - float(energy.interval_energy_exact(N))) <= 1e-8
 
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    @pytest.mark.parametrize("N", [3, 10, 109, 500])
+    def test_energy_is_the_configuration_energy(self, N, mode):
+        with precision_mode(mode):
+            report = optim.fekete_maximize(N)
+            direct = energy.log_energy_config(report.configuration)
+        assert rel_close(report.energy, direct, 1e-15)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             optim.fekete_maximize(1)

@@ -59,26 +59,43 @@ class IntervalSpec:
             raise DomainError(f"interval needs finite b > a, got [{self.a}, {self.b}]")
 
 
+#: element budget of one row tile of :func:`_log_distance_sum` in ``std``
+_TILE = 1 << 13
+
+
 def _log_distance_sum(points: tuple[float, ...]) -> Scalar | None:
     """sum_{j<k} log|x_j - x_k|, or ``None`` when two points coincide.
 
-    In ``std`` each row j of distances is one numpy vector (O(n) extra
-    memory, never an n x n matrix) and the row sums are combined by
-    :func:`math.fsum`; in ``ext`` one ``fsum`` over the mpf pair logarithms
-    carries the extended digits.
+    In ``std`` the rows j of distances are taken a tile at a time,
+    max(1, _TILE // n) rows (at most n - 1) x the columns k from the
+    tile's first row on, in one reused buffer (O(n) extra memory, never an
+    n x n matrix).  Entries
+    at or below the diagonal are set to 1 so their logarithms vanish, a
+    zero left means two points coincide, and the tile sums are combined by
+    :func:`math.fsum`.  In ``ext`` one ``fsum`` over the mpf pair
+    logarithms carries the extended digits.
     """
     ctx = active()
     if ctx.mode == STD:
         import numpy as np  # only the float64 kernels load numpy
 
         x = np.asarray(points, dtype=float)
-        rows = []
-        for j in range(len(x) - 1):
-            dist = np.abs(x[j + 1:] - x[j])
-            if not dist.all():
+        n = len(x)
+        rows = max(1, min(n - 1, _TILE // max(n, 1)))
+        lower = np.tri(rows, dtype=bool)
+        buf = np.empty(rows * n)
+        sums = []
+        for j in range(0, n - 1, rows):
+            r = min(rows, n - 1 - j)
+            tile = buf[:r * (n - j)].reshape(r, n - j)
+            np.subtract(x[j:j + r, None], x[None, j:], out=tile)
+            np.abs(tile, out=tile)
+            np.copyto(tile[:, :r], 1.0, where=lower[:r, :r])
+            if not tile.all():
                 return None
-            rows.append(np.log(dist).sum())
-        return math.fsum(rows)
+            np.log(tile, out=tile)
+            sums.append(tile.sum())
+        return math.fsum(sums)
     if len(set(points)) < len(points):
         return None
     x = [ctx.real(xj) for xj in points]
@@ -92,7 +109,8 @@ def log_energy_config(config: Configuration) -> Scalar:
     :data:`INFINITE_ENERGY`.
     """
     pairs = _log_distance_sum(config.points)
-    return INFINITE_ENERGY if pairs is None else -2 * pairs
+    # 0 - 2 pairs, not -2 pairs: an empty sum gives +0.0 in std
+    return INFINITE_ENERGY if pairs is None else 0 - 2 * pairs
 
 
 def potential_energy_config(config: Configuration) -> Scalar:
@@ -111,12 +129,16 @@ def potential_energy_config(config: Configuration) -> Scalar:
     pairs = _log_distance_sum(pts)
     if pairs is None:
         return INFINITE_ENERGY
-    x = [ctx.real(xj) for xj in pts]
-    return -2 * ctx.fsum(chain(
-        (pairs,),
-        (p * ctx.log(1 - xj) for xj in x),
-        (q * ctx.log(1 + xj) for xj in x),
-    ))
+    if ctx.mode == STD:
+        import numpy as np  # only the float64 kernels load numpy
+
+        x = np.asarray(pts, dtype=float)
+        charge_terms = chain((p * np.log(1 - x)).tolist(), (q * np.log(1 + x)).tolist())
+    else:
+        x = [ctx.real(xj) for xj in pts]
+        charge_terms = chain((p * ctx.log(1 - xj) for xj in x),
+                             (q * ctx.log(1 + xj) for xj in x))
+    return 0 - 2 * ctx.fsum(chain((pairs,), charge_terms))  # +0.0 with no points
 
 
 def _potential_mp(n: int, p, q):

@@ -74,30 +74,44 @@ def value_at_one_log(n: int, params: JacobiParams) -> Scalar:
     return active().guarded(lambda a: value_at_one_log_mp(n, a), a, size=a + b + 2)
 
 
-def _recurrence(n: int, alpha, beta, x):
-    """P_n^(alpha,beta)(x) by the forward three-term recurrence.
+def _recurrence(n: int, alpha: float, beta: float, x):
+    """P_n^(alpha,beta)(x) by the forward three-term recurrence, elementwise
+    on a float or a numpy array of floats (a float in, a numpy scalar out).
 
-    Works for float or mpf scalars alike, and elementwise on a numpy array;
-    coefficients stay rational in the inputs so no elementary-function
-    dispatch is needed.  The coefficients are built from c = alpha + beta + 2
-    (as (alpha + 1) + (beta + 1)), alpha and beta with the integer part added
+    The coefficients of every step k = 2..n are one numpy table, built once
+    per call and normalised by the leading one, so step k is
+    P_k = (A_k + B_k x) P_{k-1} - C_k P_{k-2}: five in-place ufunc calls on
+    buffers reused from step to step, no allocation and no scalar
+    arithmetic.  The table is built from c = alpha + beta + 2 (as
+    (alpha + 1) + (beta + 1)), alpha and beta with the integer part added
     last, and from alpha^2 - beta^2 as a product: with exponents near -1,
     2 + alpha and alpha^2 round, and that rounding survives the cancellation.
     """
+    import numpy as np  # only the float64 kernels load numpy
+
+    x = np.asarray(x, dtype=float)
+    p_prev = np.ones_like(x)
     if n == 0:
-        return x * 0 + 1
+        return p_prev[()]
     c = (alpha + 1) + (beta + 1)
     diff = (alpha - beta) * (alpha + beta)
-    p_prev = x * 0 + 1
-    p = (alpha + 1) + c * (x - 1) / 2
-    for k in range(2, n + 1):
-        s = (2 * k - 2) + c
-        a1 = 2 * k * ((k - 2) + c) * ((2 * k - 4) + c)
-        a2 = ((2 * k - 3) + c) * diff
-        a3 = ((2 * k - 3) + c) * s * ((2 * k - 4) + c)
-        a4 = 2 * ((k - 1) + alpha) * ((k - 1) + beta) * s
-        p_prev, p = p, ((a2 + a3 * x) * p - a4 * p_prev) / a1
-    return p
+    p = np.empty_like(x)  # an array even for a float x: the loop writes in place
+    p[...] = (alpha + 1) + c * (x - 1) / 2
+    k = np.arange(2, n + 1, dtype=float)
+    s = (2 * k - 2) + c
+    a1 = 2 * k * ((k - 2) + c) * ((2 * k - 4) + c)
+    a2 = ((2 * k - 3) + c) * diff
+    a3 = ((2 * k - 3) + c) * s * ((2 * k - 4) + c)
+    a4 = 2 * ((k - 1) + alpha) * ((k - 1) + beta) * s
+    t = np.empty_like(x)
+    for A, B, C in zip((a2 / a1).tolist(), (a3 / a1).tolist(), (a4 / a1).tolist()):
+        np.multiply(x, B, out=t)
+        t += A
+        t *= p
+        p_prev *= C  # P_{k-2} is not needed past this step
+        t -= p_prev
+        p_prev, p, t = p, t, p_prev
+    return p[()]
 
 
 def _recurrence_coeffs(n: int, alpha: float, beta: float):
@@ -135,10 +149,11 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
     Computed as eigenvalues of the symmetric tridiagonal recurrence matrix
     (Golub-Welsch) followed by a single Newton polish; always float64
     (sufficient for every downstream contract, which are 1e-8..1e-12
-    scale).  The polish and the residual gate each run the three-term
-    recurrence once over the whole root vector: n numpy passes, not n^2
-    scalar steps.  An extreme zero that rounds onto +-1 (exponents near -1)
-    raises :class:`CapacityError`.
+    scale).  The polish (P_n and its derivative, P_{n-1}^(alpha+1,beta+1))
+    and the residual gate run :func:`_recurrence` over the whole root
+    vector, three passes of n steps, each step five in-place numpy calls.
+    An extreme zero that rounds onto +-1 (exponents near -1) raises
+    :class:`CapacityError`.
     """
     n = check_size(n, "n", 1)
     import numpy as np

@@ -168,6 +168,7 @@ def minimize_potential(n: int, p: float, q: float, tol: float = _DEFAULT_TOL,
     n = check_size(n, "n", 1)
     check_finite_above(0, "charges", p=p, q=q)
     check_finite_above(0, "tolerance", tol=tol)
+    max_iter = check_size(max_iter, "max_iter", 0)
     i = np.arange(1, n + 1)
     x = -np.cos((2 * i - 1) * np.pi / (2 * n)) * (1.0 - 1.0 / n)
     return _newton(np.sort(x), p, q, tol, max_iter)

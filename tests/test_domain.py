@@ -32,6 +32,10 @@ CASES = {
     "-inf_expansion_charge": lambda: asym.potential_energy_expansion(1, -inf, 2),
     "infinite_interval": lambda: asym.general_interval_energy_expansion(0, inf, 2),
     "inf_minimizer_charge": lambda: minimize.minimize_potential(5, inf, 1),
+    "negative_max_iter": lambda: minimize.minimize_potential(5, 1, 1, max_iter=-1),
+    "float_max_iter": lambda: minimize.minimize_potential(5, 1, 1, max_iter=2.5),
+    "nan_max_iter": lambda: minimize.minimize_potential(5, 1, 1, max_iter=nan),
+    "bool_max_iter": lambda: minimize.minimize_potential(5, 1, 1, max_iter=True),
     "maximizer_N=1": lambda: minimize.fekete_maximize(1),
     # charges that would reach log Gamma and psi^(-2) in the expansion constants
     "nan_log_gamma": lambda: asym.elliptic_log_energy_expansion(nan, 1, 2),

@@ -109,6 +109,78 @@ class TestConfigEnergyKernels:
             Configuration(pts, charges=(1.0, 1.0))) == INFINITE_ENERGY
 
 
+def _potential_loop(points, p, q):
+    """The potential energy by the scalar loops, summed by one fsum."""
+    terms = [_pair_log_loop(points)]
+    terms += [p * math.log(1 - x) for x in points]
+    terms += [q * math.log(1 + x) for x in points]
+    return -2 * math.fsum(terms)
+
+
+class TestTiledKernel:
+    """The std row tiles of ``_log_distance_sum`` against the scalar loops,
+    at the sizes where the tiling changes shape; a budget of 64 elements
+    makes many tiles, and one row per tile, cheap to reach."""
+
+    P, Q = 0.7, 1.3
+
+    @staticmethod
+    def _points(n):
+        # unsorted, so a tile's rows are not its nearest neighbours
+        return tuple(np.random.default_rng(n).uniform(-0.999, 0.999, n).tolist())
+
+    @staticmethod
+    def _one_tile_limit():
+        # the largest n whose n - 1 rows fit one tile of _TILE // n rows
+        return max(n for n in range(2, energy._TILE) if energy._TILE // n >= n - 1)
+
+    def _check(self, n):
+        pts = self._points(n)
+        assert rel_close(energy.log_energy_config(Configuration(pts)),
+                         -2 * _pair_log_loop(pts), 1e-15), n
+        assert rel_close(energy.potential_energy_config(Configuration(pts, (self.P, self.Q))),
+                         _potential_loop(pts, self.P, self.Q), 1e-15), n
+
+    @pytest.mark.parametrize("tile", [None, 64])
+    def test_matches_scalar_loop(self, tile, monkeypatch):
+        if tile is not None:
+            monkeypatch.setattr(energy, "_TILE", tile)
+        limit = self._one_tile_limit()
+        # two tiles past the limit, several with a short last one
+        sizes = [0, 1, 2, 3, limit - 1, limit, limit + 1, 3 * limit]
+        if tile is not None:
+            # one row per tile; at the default budget the scalar loop is too slow
+            sizes.append(tile + 7)
+        for n in sizes:
+            self._check(n)
+
+    @pytest.mark.parametrize("n", [9, 20, 40, 70])
+    def test_coincident_pair_at_every_seam(self, n, monkeypatch):
+        monkeypatch.setattr(energy, "_TILE", 64)
+        rows = max(1, min(n - 1, 64 // n))
+        base = list(self._points(n))
+        # pairs across each seam, from a tile's last row to its last column,
+        # and the last pair of all
+        pairs = [(s - 1, s) for s in range(rows, n - 1, rows)]
+        pairs += [(s - 1, n - 1) for s in range(rows, n - 1, rows)]
+        pairs.append((n - 2, n - 1))
+        for j, k in pairs:
+            pts = base.copy()
+            pts[k] = pts[j]
+            assert energy.log_energy_config(Configuration(pts)) == INFINITE_ENERGY, (j, k)
+            assert energy.potential_energy_config(
+                Configuration(pts, (self.P, self.Q))) == INFINITE_ENERGY, (j, k)
+
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    def test_empty_sum_is_plus_zero(self, mode):
+        with precision_mode(mode):
+            values = [energy.log_energy_config(Configuration(())),
+                      energy.log_energy_config(Configuration((0.3,))),
+                      energy.potential_energy_config(Configuration((), charges=(1, 1)))]
+        for value in values:
+            assert value == 0 and math.copysign(1, value) == 1
+
+
 class TestPotentialEnergyExact:
     def test_single_symmetric_charge(self):
         for p in (0.5, 1.0, 2.5):

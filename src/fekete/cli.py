@@ -17,7 +17,7 @@ import mpmath
 
 from . import __version__, asym, energy, jacobi
 from .energy import IntervalSpec
-from .exceptions import FeketeError
+from .exceptions import FeketeError, check_finite_above
 from .jacobi import JacobiParams
 from .precision import STD, active, use
 
@@ -219,6 +219,7 @@ def cmd_verify(cfg: RunConfig):
     -(order+1) by more than the slope tolerance (or, for the minimizer
     check, when a zero deviates beyond the tolerance).
     """
+    check_finite_above(0, "tolerances", slope_tol=cfg.slope_tol, tol=cfg.tol)
     header = ("record", "kind", "order", "n", "exact", "truncated", "error",
               "slope", "expected", "ok")
     rows: list[tuple[str, ...]] = []

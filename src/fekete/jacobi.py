@@ -46,14 +46,15 @@ class JacobiParams:
 class ZeroSet:
     """The n simple zeros of P_n^(alpha,beta), ascending, all in (-1, 1).
 
-    ``residual`` is max |P_n(x_i)| over the returned points, the value the
-    residual gate of :func:`zeros` accepted.
+    ``step_bound`` is the largest |P_n(x_i)/P_n'(x_i)| at the eigenvalues,
+    the Newton step that polished them: a distance in x, and the value the
+    gate of :func:`zeros` accepted.
     """
 
     n: int
     params: JacobiParams
     points: tuple[float, ...]
-    residual: float
+    step_bound: float
 
 
 def leading_coeff_log(n: int, params: JacobiParams) -> Scalar:
@@ -74,49 +75,14 @@ def value_at_one_log(n: int, params: JacobiParams) -> Scalar:
     return active().guarded(lambda a: value_at_one_log_mp(n, a), a, size=a + b + 2)
 
 
-def _recurrence(n: int, alpha: float, beta: float, x):
-    """P_n^(alpha,beta)(x) by the forward three-term recurrence, elementwise
-    on a float or a numpy array of floats (a float in, a numpy scalar out).
-
-    The coefficients of every step k = 2..n are one numpy table, built once
-    per call and normalised by the leading one, so step k is
-    P_k = (A_k + B_k x) P_{k-1} - C_k P_{k-2}: five in-place ufunc calls on
-    buffers reused from step to step, no allocation and no scalar
-    arithmetic.  The table is built from c = alpha + beta + 2 (as
-    (alpha + 1) + (beta + 1)), alpha and beta with the integer part added
-    last, and from alpha^2 - beta^2 as a product: with exponents near -1,
-    2 + alpha and alpha^2 round, and that rounding survives the cancellation.
-    """
-    import numpy as np  # only the float64 kernels load numpy
-
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev[()]
-    c = (alpha + 1) + (beta + 1)
-    diff = (alpha - beta) * (alpha + beta)
-    p = np.empty_like(x)  # an array even for a float x: the loop writes in place
-    p[...] = (alpha + 1) + c * (x - 1) / 2
-    k = np.arange(2, n + 1, dtype=float)
-    s = (2 * k - 2) + c
-    a1 = 2 * k * ((k - 2) + c) * ((2 * k - 4) + c)
-    a2 = ((2 * k - 3) + c) * diff
-    a3 = ((2 * k - 3) + c) * s * ((2 * k - 4) + c)
-    a4 = 2 * ((k - 1) + alpha) * ((k - 1) + beta) * s
-    t = np.empty_like(x)
-    for A, B, C in zip((a2 / a1).tolist(), (a3 / a1).tolist(), (a4 / a1).tolist()):
-        np.multiply(x, B, out=t)
-        t += A
-        t *= p
-        p_prev *= C  # P_{k-2} is not needed past this step
-        t -= p_prev
-        p_prev, p, t = p, t, p_prev
-    return p[()]
-
-
 def _recurrence_coeffs(n: int, alpha: float, beta: float):
     """Diagonal and off-diagonal of the n x n symmetric Jacobi matrix, as
-    numpy arrays, with the integer parts added last as in :func:`_recurrence`."""
+    numpy arrays: the orthonormal three-term recurrence of P_k^(alpha,beta).
+
+    Built from c = alpha + beta + 2 as (alpha + 1) + (beta + 1), with the
+    integer parts added last and alpha^2 - beta^2 as a product: with
+    exponents near -1, 2 + alpha and alpha^2 round, and that rounding
+    survives the cancellation."""
     import numpy as np  # only the float64 kernels load numpy
 
     c = (alpha + 1) + (beta + 1)
@@ -124,35 +90,70 @@ def _recurrence_coeffs(n: int, alpha: float, beta: float):
     s = (2 * k - 2) + c
     diag = np.empty(n)
     diag[0] = (beta - alpha) / c
-    if n > 1:
-        diag[1:] = (beta - alpha) * (beta + alpha) / (s[1:] * (s[1:] + 2))
+    diag[1:] = (beta - alpha) * (beta + alpha) / (s[1:] * (s[1:] + 2))
     off = np.empty(max(n - 1, 0))
-    if n > 1:
-        off[0] = math.sqrt(4 * (alpha + 1) * (beta + 1) / (c ** 2 * (c + 1)))
-    if n > 2:
-        kk = k[2:]
-        sq = (
-            4
-            * kk
-            * (kk + alpha)
-            * (kk + beta)
-            * ((kk - 2) + c)
-            / (s[2:] ** 2 * (s[2:] + 1) * (s[2:] - 1))
-        )
-        off[1:] = np.sqrt(sq)
+    off[:1] = math.sqrt(4 * (alpha + 1) * (beta + 1) / (c ** 2 * (c + 1)))
+    kk = k[2:]
+    off[1:] = np.sqrt(4 * kk * (kk + alpha) * (kk + beta) * ((kk - 2) + c)
+                      / (s[2:] ** 2 * (s[2:] + 1) * (s[2:] - 1)))
     return diag, off
+
+
+def _newton_step(diag, off, x):
+    """P_n(x)/P_n'(x) at every point of the numpy array ``x``, for the
+    polynomial whose zeros are the eigenvalues of the Jacobi matrix
+    (``diag``, ``off``), n = len(diag).
+
+    One pass of its orthonormal recurrence
+    b_k p_{k+1} = (x - a_k) p_k - b_{k-1} p_{k-1}, p_0 = 1, carries the
+    value and the derivative together, ten in-place numpy calls per
+    degree.  The normalisation cancels in the ratio, so the last step takes
+    b_{n-1} = 1 and needs no entry past ``off``, and every 16 degrees each
+    point's four values are scaled, exactly, by a power of two that brings
+    |p_k| + |p_k'| to [1/2, 1): at an eigenvalue the p_k grow like the
+    inverse square root of its Gauss weight, past the float64 range at
+    large n and exponents (n = 1000, alpha = 1000).
+    """
+    import numpy as np  # only the float64 kernels load numpy
+
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+    u, t = np.empty_like(x), np.empty_like(x)
+    b = [0.0] + off.tolist() + [1.0]  # b_{-1} = 0 and b_{n-1} = 1
+    for k, (a_k, b_prev, b_k) in enumerate(zip(diag.tolist(), b, b[1:])):
+        if k % 16 == 15:
+            shift = -np.frexp(np.abs(p) + np.abs(dp))[1]
+            for v in (p, p_prev, dp, dp_prev):
+                np.ldexp(v, shift, out=v)
+        np.subtract(x, a_k, out=u)
+        # p'_{k+1} = ((x - a_k) p'_k + p_k - b_{k-1} p'_{k-1}) / b_k
+        np.multiply(u, dp, out=t)
+        t += p
+        dp_prev *= b_prev  # p'_{k-1} is not needed past this step
+        t -= dp_prev
+        t /= b_k
+        dp_prev, dp, t = dp, t, dp_prev
+        # p_{k+1} = ((x - a_k) p_k - b_{k-1} p_{k-1}) / b_k
+        np.multiply(u, p, out=t)
+        p_prev *= b_prev
+        t -= p_prev
+        t /= b_k
+        p_prev, p, t = p, t, p_prev
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return p / dp
 
 
 def zeros(n: int, params: JacobiParams) -> ZeroSet:
     """Zeros of P_n^(alpha,beta), ascending.
 
-    Computed as eigenvalues of the symmetric tridiagonal recurrence matrix
-    (Golub-Welsch) followed by a single Newton polish; always float64
-    (sufficient for every downstream contract, which are 1e-8..1e-12
-    scale).  The polish (P_n and its derivative, P_{n-1}^(alpha+1,beta+1))
-    and the residual gate run :func:`_recurrence` over the whole root
-    vector, three passes of n steps, each step five in-place numpy calls.
-    An extreme zero that rounds onto +-1 (exponents near -1) raises
+    Computed as eigenvalues of the symmetric tridiagonal Jacobi matrix
+    (Golub-Welsch), each polished by one Newton step from
+    :func:`_newton_step`, one recurrence pass over the whole root vector on
+    the same matrix; always float64 (sufficient for every downstream
+    contract, which are 1e-8..1e-12 scale).  The gate: every step must be
+    finite and below 1e-8, else :class:`NumericalError`; a step is a
+    distance in x, so the gate does not depend on the size of P_n.  An
+    extreme zero that rounds onto +-1 (exponents near -1) raises
     :class:`CapacityError`.
     """
     n = check_size(n, "n", 1)
@@ -167,12 +168,14 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
         raise NumericalError(
             f"tridiagonal eigensolve failed for n={n}, alpha={alpha}, beta={beta}: {exc}"
         ) from exc
-    p = _recurrence(n, alpha, beta, x)
-    dp = (n + alpha + beta + 1) / 2 * _recurrence(n - 1, alpha + 1, beta + 1, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = p / dp
-    # the |step| guard skips a root whose derivative is bad far from it
-    x = np.where((dp != 0.0) & (np.abs(step) < 1e-8), x - step, x)
+    step = _newton_step(diag, off, x)
+    step_bound = float(np.max(np.abs(step)))  # NaN if any step is NaN
+    if not step_bound < 1e-8:
+        raise NumericalError(
+            f"Newton step {step_bound:.3e} at an eigenvalue is not below 1e-8 "
+            f"for n={n}, alpha={alpha}, beta={beta}"
+        )
+    x -= step
     if not np.all(np.diff(x) > 0):
         raise NumericalError(
             f"zero set for n={n}, alpha={alpha}, beta={beta} is not strictly "
@@ -186,17 +189,7 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
             f"an extreme zero for n={n}, alpha={alpha}, beta={beta} rounds onto "
             f"+-1: it is not a strictly interior float64"
         )
-    # max(1, |P_n(1)|, |P_n(-1)|), |P_n(+-1)| = (1+alpha)_n / n! and (1+beta)_n / n!,
-    # in float64 so the zero finder stays off the mpmath path
-    log_end = max(math.lgamma(n + s + 1) - math.lgamma(s + 1) for s in (alpha, beta))
-    scale = max(1.0, math.exp(log_end - math.lgamma(n + 1)))
-    residual = float(np.max(np.abs(_recurrence(n, alpha, beta, x))))
-    if not residual <= 1e-8 * scale:
-        raise NumericalError(
-            f"zero residual {residual:.3e} exceeds 1e-8 * {scale:.3e} "
-            f"for n={n}, alpha={alpha}, beta={beta}"
-        )
-    return ZeroSet(n=n, params=params, points=tuple(x.tolist()), residual=residual)
+    return ZeroSet(n=n, params=params, points=tuple(x.tolist()), step_bound=step_bound)
 
 
 def discriminant_log(n: int, params: JacobiParams) -> Scalar:

@@ -79,6 +79,10 @@ def test_version_without_install(runner):
     "verify --kind potential --n 0,5 --p 1 --q 1",
     "verify --kind interval --N 20,20",
     "table --kind lambda --n 10,20",
+    "verify --kind potential --n 20,40 --p 1 --q 1 --slope-tol nan",
+    "verify --kind potential --n 20,40 --p 1 --q 1 --slope-tol -1",
+    "verify --kind minimize --n 5,6 --tol nan",
+    "verify --kind minimize --n 5,6 --tol -1",
 ])
 def test_bad_input_is_a_usage_error(runner, args):
     result = runner.invoke(cli, args.split())

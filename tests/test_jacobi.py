@@ -9,7 +9,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_jacobi, roots_jacobi
 
 from fekete import jacobi
-from fekete.exceptions import CapacityError, DomainError
+from fekete.exceptions import CapacityError, DomainError, NumericalError
 from fekete.jacobi import JacobiParams
 from fekete.precision import precision_mode
 
@@ -17,8 +17,27 @@ from _util import discriminant_log_product, rel_close
 
 
 def evaluate(n, params, x):
-    """P_n^(alpha,beta)(x) by the recurrence the zero polish and gate use."""
-    return jacobi._recurrence(n, params.alpha, params.beta, x)
+    """P_n^(alpha,beta)(x) by scipy, independent of the package's recurrence."""
+    return float(eval_jacobi(n, params.alpha, params.beta, x))
+
+
+def newton_step(n, a, b, x):
+    """P_n^(a,b)(x)/P_n'(x) by the package's one recurrence pass, at an
+    array of points."""
+    diag, off = jacobi._recurrence_coeffs(n, a, b)
+    return jacobi._newton_step(diag, off, np.asarray(x, dtype=float))
+
+
+def scalar_newton_step(diag, off, x):
+    """The recurrence of :func:`jacobi._newton_step` at one point, in plain
+    Python floats, in the same operation order."""
+    p_prev, p, dp_prev, dp, b_prev = 0.0, 1.0, 0.0, 0.0, 0.0
+    for a_k, b_k in zip(diag.tolist(), off.tolist() + [1.0]):
+        u = x - a_k
+        p_prev, p, dp_prev, dp = (p, (u * p - b_prev * p_prev) / b_k,
+                                  dp, (u * dp + p - b_prev * dp_prev) / b_k)
+        b_prev = b_k
+    return p / dp
 
 
 def mp_log_leading(n, alpha, beta):
@@ -102,36 +121,59 @@ class TestEndpointValues:
 
 
 class TestEvaluate:
+    """The Newton step P_n/P_n' of the zero polish."""
+
     def test_legendre_p2(self):
-        params = JacobiParams(0, 0)
-        assert evaluate(2, params, 1.0) == pytest.approx(1.0, abs=1e-15)
-        assert evaluate(2, params, 0.0) == pytest.approx(-0.5, abs=1e-15)
+        # P_2 = (3x^2 - 1)/2, P_2' = 3x, so the step is (3x^2 - 1)/(6x)
+        step = newton_step(2, 0.0, 0.0, [1.0, 0.5, -0.25])
+        assert step[0] == pytest.approx(1 / 3, rel=1e-15)
+        assert step[1] == pytest.approx(-1 / 12, rel=1e-15)
+        assert step[2] == pytest.approx(0.8125 / 1.5, rel=1e-15)
 
     def test_gegenbauer_zero(self):
-        assert abs(evaluate(2, JacobiParams(1, 1), 1 / math.sqrt(5))) < 1e-15
+        assert abs(newton_step(2, 1.0, 1.0, [1 / math.sqrt(5)])[0]) < 1e-16
 
     def test_against_scipy(self):
         rng = np.random.default_rng(1234)
         for _ in range(60):
-            n = int(rng.integers(0, 31))
+            n = int(rng.integers(1, 31))
             a = float(rng.uniform(-0.9, 3.0))
             b = float(rng.uniform(-0.9, 3.0))
             x = float(rng.uniform(-1, 1))
-            ours = evaluate(n, JacobiParams(a, b), x)
-            ref = eval_jacobi(n, a, b, x)
+            ours = newton_step(n, a, b, [x])[0]
+            ref = eval_jacobi(n, a, b, x) / ((n + a + b + 1) / 2
+                                             * eval_jacobi(n - 1, a + 1, b + 1, x))
             assert rel_close(ours, ref, 1e-10) or abs(ours - ref) < 1e-12
 
     def test_derivative_against_finite_difference(self):
-        # the degree-lowering identity of the zero polish:
-        # d/dx P_n^(a,b) = (n+a+b+1)/2 P_{n-1}^(a+1,b+1)
+        # the derivative the step divides by, P_n / step, against a central
+        # difference of scipy's P_n
         params = JacobiParams(0.6, 1.9)
-        a, b = params.alpha, params.beta
         h = 1e-6
         for n in (1, 2, 7):
-            for x in (-0.8, 0.05, 0.73):
+            xs = [-0.8, 0.05, 0.73]
+            steps = newton_step(n, params.alpha, params.beta, xs)
+            for x, step in zip(xs, steps):
                 fd = (evaluate(n, params, x + h) - evaluate(n, params, x - h)) / (2 * h)
-                derivative = (n + a + b + 1) / 2 * jacobi._recurrence(n - 1, a + 1, b + 1, x)
-                assert rel_close(derivative, fd, 1e-7)
+                assert rel_close(evaluate(n, params, x) / step, fd, 1e-7)
+
+    @pytest.mark.parametrize("n,a,b", [(12, 0.4, 1.6), (333, 7.0, 0.5), (800, -0.9, 5.0),
+                                       (60, -0.999, -0.5), (100, 1e8, 0.5)])
+    def test_against_40_digits(self, n, a, b):
+        # where the polish uses it: at the eigenvalues and 1e-12 either side,
+        # the step is within 2.5e-16 of P_n/P_n' at 40 digits (measured:
+        # 1.6e-16 at most, at n = 800)
+        diag, off = jacobi._recurrence_coeffs(n, a, b)
+        x0 = eigh_tridiagonal(diag, off, eigvals_only=True)
+        picked = sorted({0, 1, n // 3, n // 2, n - 2, n - 1})
+        xs = np.concatenate([x0[picked] + d for d in (-1e-12, 0.0, 1e-12)])
+        steps = jacobi._newton_step(diag, off, xs)
+        with mpmath.workdps(40):
+            ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+            for x, step in zip(xs.tolist(), steps.tolist()):
+                exact = (_mp_jacobi(n, ma, mb, x)
+                         / ((n + ma + mb + 1) / 2 * _mp_jacobi(n - 1, ma + 1, mb + 1, x)))
+                assert abs(step - exact) <= 2.5e-16, (x, step, exact)
 
 
 def _mp_jacobi(n, a, b, x):
@@ -145,6 +187,16 @@ def _mp_jacobi(n, a, b, x):
                          - 2 * (k + a - 1) * (k + b - 1) * s * p_prev)
                         / (2 * k * (k + a + b) * (s - 2)))
     return p
+
+
+def mp_zero_error(n, a, b, x0):
+    """|x0 - x|, x the zero of P_n^(a,b) that two 60-digit Newton steps
+    reach from x0."""
+    with mpmath.workdps(60):
+        a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x0)
+        for _ in range(2):
+            x -= _mp_jacobi(n, a, b, x) / ((n + a + b + 1) / 2 * _mp_jacobi(n - 1, a + 1, b + 1, x))
+        return float(abs(x - x0))
 
 
 class TestZeros:
@@ -222,23 +274,65 @@ class TestZeros:
                           / ((n + a + b + 1) / 2 * _mp_jacobi(n - 1, a + 1, b + 1, x)))
                 assert abs(x - x0) <= 1e-15, (x0, x)
 
-    @pytest.mark.parametrize("p,q", [(1e-12, 3e-12), (1e-12, 1e-12)])
+    @pytest.mark.parametrize("p,q", [(1e-14, 1e-14), (1e-14, 3e-14)])
     def test_zero_rounding_onto_endpoint_is_a_capacity_error(self, p, q):
-        # the extreme zeros lie within an ulp of +-1 and round onto it
+        # at 60 digits the extreme zeros of n = 200 lie 1.0e-18 and 3.0e-18
+        # from +-1, far under half an ulp (5.55e-17), so they round onto it.
+        # Rounding the Jacobi matrix to float64 moves them by up to ~1.1e-16,
+        # which decides the cases nearer half an ulp; here the rounded
+        # matrix's own extreme zeros lie within 3e-17 of +-1
         with pytest.raises(CapacityError, match="float64"):
             jacobi.zeros(200, JacobiParams.from_charges(p, q))
 
+    @pytest.mark.parametrize("p,q", [(1e-12, 3e-12), (1e-12, 1e-12)])
+    def test_zero_half_an_ulp_from_endpoint_stays_interior(self, p, q):
+        # the extreme zeros lie 1.005e-16 from +-1, so their nearest floats
+        # are interior: within 2.5e-16 of the 60-digit zeros
+        n, params = 200, JacobiParams.from_charges(p, q)
+        ours = jacobi.zeros(n, params).points
+        for i in (0, 1, 2, n // 2, n - 3, n - 2, n - 1):
+            assert mp_zero_error(n, params.alpha, params.beta, ours[i]) <= 2.5e-16, i
+
+    @pytest.mark.parametrize("n,a,b", [(100, 1e8, 0.5), (40, 1e12, 3.0)])
+    def test_huge_exponent(self, n, a, b):
+        # P_n(+-1) overflows float64 here; the step gate does not need it.
+        # Every zero within 2e-16 of a 60-digit Newton refinement
+        # (measured: 1.0e-16 and 7.0e-17)
+        for i, x0 in enumerate(jacobi.zeros(n, JacobiParams(a, b)).points):
+            assert mp_zero_error(n, a, b, x0) <= 2e-16, i
+
+    def test_recurrence_values_past_float64_range(self):
+        # the orthonormal p_k at the extreme eigenvalues pass 1e308 here, so
+        # the pass rescales them; picked zeros within 2e-16 of a 60-digit
+        # Newton refinement (measured: 6.6e-17)
+        n, a, b = 1000, 1e3, 0.0
+        ours = jacobi.zeros(n, JacobiParams(a, b)).points
+        for i in (0, 1, n // 2, n - 2, n - 1):
+            assert mp_zero_error(n, a, b, ours[i]) <= 2e-16, i
+
+    @pytest.mark.parametrize("n,a,b", [(333, 7.0, 0.5), (60, 0.4, 1.6)])
+    def test_gate_rejects_a_shifted_eigenvalue(self, monkeypatch, n, a, b):
+        # an eigensolve that returns its middle eigenvalue 1e-6 off: its
+        # Newton step is about 1e-6, far above the 1e-8 gate
+        import scipy.linalg
+
+        solve = scipy.linalg.eigh_tridiagonal
+
+        def shifted(*args, **kwargs):
+            x = solve(*args, **kwargs)
+            x[len(x) // 2] += 1e-6
+            return x
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", shifted)
+        with pytest.raises(NumericalError, match=f"n={n}, alpha={a}, beta={b}"):
+            jacobi.zeros(n, JacobiParams(a, b))
+
     @pytest.mark.parametrize("n,a,b", [(50, 0.4, 1.6), (333, 7.0, 0.5), (800, 1.0, 4.0)])
     def test_vector_polish_matches_scalar_loop(self, n, a, b):
-        # the per-root scalar Newton polish, applied to the same eigenvalues
+        # the same recurrence, one eigenvalue at a time in plain floats
         diag, off = jacobi._recurrence_coeffs(n, a, b)
-        expected = []
-        for x in eigh_tridiagonal(diag, off, eigvals_only=True):
-            p = jacobi._recurrence(n, a, b, x)
-            dp = (n + a + b + 1) / 2 * jacobi._recurrence(n - 1, a + 1, b + 1, x)
-            if dp != 0.0 and abs(p / dp) < 1e-8:
-                x = x - p / dp
-            expected.append(float(x))
+        eigenvalues = eigh_tridiagonal(diag, off, eigvals_only=True).tolist()
+        expected = [x - scalar_newton_step(diag, off, x) for x in eigenvalues]
         assert jacobi.zeros(n, JacobiParams(a, b)).points == tuple(expected)
 
     def test_polish_accuracy_at_scale(self):
@@ -257,12 +351,15 @@ class TestZeros:
                       / ((n + a + b + 1) / 2 * _mp_jacobi(n - 1, a + 1, b + 1, x)))
                 assert abs(x - ours[i]) <= 2e-16, (i, ours[i], x)
 
-    def test_residual_reported(self):
-        params = JacobiParams(0.4, 1.6)
-        z = jacobi.zeros(60, params)
-        assert isinstance(z.residual, float)
-        assert z.residual == max(abs(evaluate(60, params, x)) for x in z.points)
-        assert z.residual <= 1e-8 * math.exp(jacobi.value_at_one_log(60, JacobiParams(1.6, 0.4)))
+    def test_step_bound_reported(self):
+        n, params = 60, JacobiParams(0.4, 1.6)
+        z = jacobi.zeros(n, params)
+        diag, off = jacobi._recurrence_coeffs(n, params.alpha, params.beta)
+        steps = [scalar_newton_step(diag, off, x)
+                 for x in eigh_tridiagonal(diag, off, eigvals_only=True).tolist()]
+        assert isinstance(z.step_bound, float)
+        assert z.step_bound == max(abs(s) for s in steps)
+        assert z.step_bound < 1e-14
 
 
 class TestDiscriminant:

@@ -143,14 +143,11 @@ def potential_energy_config(config: Configuration) -> Scalar:
 
 def _potential_mp(n: int, p, q):
     """The minimal potential energy at the caller's mpmath precision:
-    2(n+p+q-1) log lambda_n - log D_n - 2p log P_n(1) - 2q log P_n(-1)-signed,
-    with alpha = 2p-1, beta = 2q-1.  At n = 0 the kernels give
-    lambda_0 = D_0 = P_0(1) = 1, so the energy is 0 up to rounding."""
-    a, b = 2 * p - 1, 2 * q - 1
-    return (2 * (n + p + q - 1) * jacobi.leading_coeff_log_mp(n, a, b)
-            - jacobi.discriminant_log_mp(n, a, b)
-            - 2 * p * jacobi.value_at_one_log_mp(n, a)
-            - 2 * q * jacobi.value_at_one_log_mp(n, b))
+    2(n+p+q-1) log lambda_n - log D_n - 2p log P_n(1) - 2q log |P_n(-1)|,
+    with alpha + 1 = 2p, beta + 1 = 2q; n - 1 is added to p + q last, so
+    that tiny charges at n = 1 keep their weight.  At n = 0 it is exactly 0."""
+    lam, disc, at_one, at_minus_one = jacobi.log_values_mp(n, 2 * p, 2 * q)
+    return 2 * ((n - 1) + (p + q)) * lam - disc - 2 * p * at_one - 2 * q * at_minus_one
 
 
 def _interval_mp(N: int):
@@ -184,9 +181,8 @@ def elliptic_log_energy_exact(n: int, p: float, q: float) -> Scalar:
     jacobi.check_std_size(n, 2 * p + 2 * q)
 
     def body(p, q):
-        a, b = 2 * p - 1, 2 * q - 1
-        return (2 * (n - 1) * jacobi.leading_coeff_log_mp(n, a, b)
-                - jacobi.discriminant_log_mp(n, a, b))
+        lam, disc, _, _ = jacobi.log_values_mp(n, 2 * p, 2 * q)
+        return 2 * (n - 1) * lam - disc
 
     return active().guarded(body, p, q, size=2 * p + 2 * q)
 

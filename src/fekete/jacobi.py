@@ -8,10 +8,11 @@ import sys
 from dataclasses import dataclass
 
 import mpmath
+from mpmath.libmp import ln2_fixed
 
 from .exceptions import CapacityError, NumericalError, check_finite_above, check_size
 from .precision import STD, Scalar, active
-from .specfun import log_barnes_g_mp, memo
+from .specfun import fixed_bits, log_gamma_g_fixed, memo
 
 
 @dataclass(frozen=True)
@@ -57,13 +58,20 @@ class ZeroSet:
     step_bound: float
 
 
+def _log_value(n: int, params: JacobiParams, index: int) -> Scalar:
+    """Element ``index`` of :func:`log_values_mp` at the exponents of
+    ``params``, rounded once; n is checked, alpha + beta + 2 is the size."""
+    a, b = params.alpha, params.beta
+    return active().guarded(lambda a, b: log_values_mp(n, a + 1, b + 1)[index], a, b,
+                            size=a + b + 2)
+
+
 def leading_coeff_log(n: int, params: JacobiParams) -> Scalar:
     """log lambda_n = -n log 2 + lgamma(2n+a+b+1) - lgamma(n+a+b+1) - lgamma(n+1)."""
     n = check_size(n, "n", 0)
     if n == 0:
         return active().zero()  # lambda_0 = 1
-    a, b = params.alpha, params.beta
-    return active().guarded(lambda a, b: leading_coeff_log_mp(n, a, b), a, b, size=a + b + 2)
+    return _log_value(n, params, 0)
 
 
 def value_at_one_log(n: int, params: JacobiParams) -> Scalar:
@@ -71,8 +79,7 @@ def value_at_one_log(n: int, params: JacobiParams) -> Scalar:
     n = check_size(n, "n", 0)
     if n == 0:
         return active().zero()
-    a, b = params.alpha, params.beta
-    return active().guarded(lambda a: value_at_one_log_mp(n, a), a, size=a + b + 2)
+    return _log_value(n, params, 2)
 
 
 def _recurrence_coeffs(n: int, alpha: float, beta: float):
@@ -194,13 +201,11 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
 
 def discriminant_log(n: int, params: JacobiParams) -> Scalar:
     """log D_n^(alpha,beta), from log Barnes G and log Gamma in O(1) per n
-    (see :func:`discriminant_log_mp`), rounded once; log G is the series
-    kernel :func:`fekete.specfun.log_barnes_g_mp`, so G itself, of size
+    (see :func:`log_values_mp`), rounded once; G itself, of size
     exp(n^2 log n), is never formed."""
     n = check_size(n, "n", 1)
-    a, b = params.alpha, params.beta
-    check_std_size(n, a + b + 2)
-    return active().guarded(lambda a, b: discriminant_log_mp(n, a, b), a, b, size=a + b + 2)
+    check_std_size(n, params.alpha + params.beta + 2)
+    return _log_value(n, params, 1)
 
 
 #: past this n, (log 2) n^2 alone exceeds the float64 maximum
@@ -223,50 +228,54 @@ def check_std_size(n: int, size: float) -> None:
             f"(log 2) n^2 is not finite in std precision for n > {_STD_MAX_SIZE:.4g}")
 
 
-# -- mpf kernels: the one formula for each Jacobi quantity -------------------
+# -- the one formula for the Jacobi quantities --------------------------------
 #
-# They take mpf exponents and run at the caller's mpmath precision; the
-# public functions above and the exact energies evaluate them through
+# It takes mpf values and runs at the caller's mpmath precision; the public
+# functions above and the exact energies evaluate it through
 # Context.guarded, with alpha + beta + 2 as its size.
 
 
-def leading_coeff_log_mp(n: int, a, b):
-    """log lambda_n^(a,b) for n >= 1 (and 0 at n = 0 when a + b + 1 > 0)."""
-    ab = a + b
-    return (-n * mpmath.ln2 + mpmath.loggamma(2 * n + ab + 1)
-            - mpmath.loggamma(n + ab + 1) - mpmath.loggamma(n + 1))
+def log_values_mp(n: int, ap1, bp1) -> tuple:
+    """(log lambda_n, log D_n, log P_n(1), log |P_n(-1)|) of P_n^(a,b), for
+    n >= 0 and mpf ap1 = a + 1 > 0, bp1 = b + 1 > 0 (taken as given, so
+    that 2p and 2q reach the formulas unrounded, also when p or q is
+    tiny), with s = a + b + 1:
 
+        log lambda_n = -n log 2 + lgamma(2n+s) - lgamma(n+s) - lgamma(n+1),
+        log P_n(1) = lgamma(n+a+1) - lgamma(a+1) - lgamma(n+1),
 
-def value_at_one_log_mp(n: int, a):
-    """log P_n^(a,b)(1) = lgamma(n+a+1) - lgamma(a+1) - lgamma(n+1) for n >= 0."""
-    return mpmath.loggamma(n + a + 1) - mpmath.loggamma(a + 1) - mpmath.loggamma(n + 1)
+    log |P_n(-1)| the same in b, and log D_n from the closed product
+    formula -n(n-1) log 2 + sum_{v=1..n} [ (v-2n+2) log v + (v-1) log(v+a)
+    + (v-1) log(v+b) + (n-v) log(v+n+a+b) ], whose sums are, in log G and
+    lgamma (G(x+1) = Gamma(x) G(x)),
 
+        (2-n) lgamma(n+1) - log G(n+1),
+        T(a) = (n-1) lgamma(n+a+1) - log G(n+a+1) + lgamma(a+1) + log G(a+1),
+        T(b) likewise, and log G(2n+s) - log G(n+s) - n lgamma(n+s).
 
-def _t_sum(n: int, s):
-    """T(s) = sum_{v=1..n} (v-1) log(v+s)
-    = (n-1) lgamma(n+s+1) - log G(n+s+1) + log G(s+2)."""
-    return ((n - 1) * mpmath.loggamma(n + s + 1) - log_barnes_g_mp(n + s + 1)
-            + memo(log_barnes_g_mp, s + 2))
-
-
-def discriminant_log_mp(n: int, a, b):
-    """log D_n^(a,b) for n >= 1 (0 exactly at n = 1; at n = 0 with a + b > -1
-    it gives log D_0 = 0 up to rounding) from the closed product formula
-
-        -n(n-1) log 2 + sum_{v=1..n} [ (v-2n+2) log v + (v-1) log(v+a)
-        + (v-1) log(v+b) + (n-v) log(v+n+a+b) ],
-
-    with each sum in log Barnes G (:func:`~fekete.specfun.log_barnes_g_mp`)
-    and log Gamma (G(z+1) = Gamma(z) G(z)):
-    sum (v-2n+2) log v = (2-n) lgamma(n+1) - log G(n+1), the middle sums
-    are T(a) and T(b) of :func:`_t_sum`, and the last is
-    log G(2n+a+b+1) - log G(n+a+b+2) - (n-1) lgamma(n+a+b+1).
+    Each distinct argument among n+1, n+a+1, n+b+1, n+s and 2n+s takes
+    one call of the fixed-point kernel
+    :func:`~fekete.specfun.log_gamma_g_fixed`, a + 1 and b + 1 one
+    :func:`~fekete.specfun.memo` entry each; the four values are integer
+    combinations of its outputs, each converted to mpf once.  Exactly 0
+    at n = 0, and log D_1 = 0.
     """
-    if n == 1:
-        return mpmath.mpf(0)  # D_1 = 1
-    c = n + a + b
-    return (-n * (n - 1) * mpmath.ln2
-            + (2 - n) * mpmath.loggamma(n + 1) - log_barnes_g_mp(n + 1)
-            + _t_sum(n, a) + _t_sum(n, b)
-            + log_barnes_g_mp(n + c + 1) - log_barnes_g_mp(c + 2)
-            - (n - 1) * mpmath.loggamma(c + 1))
+    if n == 0:
+        return (mpmath.mpf(0),) * 4  # lambda_0 = D_0 = P_0 = 1
+    ab2 = ap1 + bp1  # a + b + 2, so that n + s keeps a tiny a + 1 + b + 1
+    args = (n + 1, n + ap1, n + bp1, (n - 1) + ab2, (2 * n - 1) + ab2)
+    values = {}
+    for x in args:
+        if x not in values:
+            values[x] = log_gamma_g_fixed(x)
+    (g1, G1), (ga, Ga), (gb, Gb), (gs, Gs), (g2s, G2s) = (values[x] for x in args)
+    ga0, Ga0 = memo(log_gamma_g_fixed, ap1)
+    gb0, Gb0 = memo(log_gamma_g_fixed, bp1)
+    fp = fixed_bits()
+    ln2 = ln2_fixed(fp)
+    lam = -n * ln2 + g2s - gs - g1
+    disc = 0 if n == 1 else (
+        -n * (n - 1) * ln2 + (2 - n) * g1 - G1
+        + (n - 1) * (ga + gb) - Ga - Gb + ga0 + Ga0 + gb0 + Gb0
+        + G2s - Gs - n * gs)
+    return tuple(mpmath.mpf((v, -fp)) for v in (lam, disc, ga - ga0 - g1, gb - gb0 - g1))

@@ -2,23 +2,24 @@
 
 Exact-rational Bernoulli data (from ``mpmath.bernfrac``) and Hurwitz zeta
 at nonpositive integer first argument, the Bernoulli polynomials evaluated
-by Horner in integers over each row's common denominator; two mpf kernels
-at the caller's working precision: the antiderivative of log-gamma
-(negapolygamma of order -2) from ``mpmath.zeta(-1, x, 1)``, and log Barnes
-G by its asymptotic series, summed in fixed-point integers in the log
-domain without forming G; and :func:`memo`, the one memo of O(1)-argument
-kernel values.  Callers round kernel values through
+by Horner in integers over each row's common denominator; the mpf kernel
+of the antiderivative of log-gamma (negapolygamma of order -2) from
+``mpmath.zeta(-1, x, 1)``; one fixed-point kernel for log Gamma and log
+Barnes G together, by their asymptotic series summed in integers in the
+log domain without forming Gamma or G; and :func:`memo`, the one memo of
+O(1)-argument kernel values.  Callers round kernel values through
 :meth:`fekete.precision.Context.guarded`.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-from mpmath.libmp import mpf_log, round_nearest, to_fixed, to_float
+from mpmath.libmp import from_man_exp, mpf_log, round_nearest, to_fixed
 
 from .exceptions import CapacityError, check_size
 
@@ -106,7 +107,8 @@ _memo: dict = {}
 def memo(kernel, x):
     """``kernel(x)`` at the working precision, computed once per (kernel, x,
     precision).  For the O(1) arguments that many calls share: psi^(-2) in
-    the expansion constants and log G(s + 2) in the discriminant."""
+    the expansion constants, and log Gamma and log G at 2p and 2q in the
+    Jacobi quantities."""
     key = (kernel, x, mpmath.mp.prec)
     value = _memo.get(key)
     if value is None:
@@ -129,84 +131,152 @@ def negapolygamma2_mp(x):
                 + (1 - x) * x / 2 + x * mpmath.log(2 * mpmath.pi) / 2)
 
 
-#: per working precision wp: the fixed-point data of the log G series at
-#: fp = wp + 8 fractional bits -- log(2 pi)/2, zeta'(-1) = 1/12 - log A and
-#: the series terms (mag c_k, c_k), c_k = B_{2k+2} / (4k(k+1)), each as an
-#: integer scaled by 2^fp, through the first term whose value at z = w is
-#: below 2^-wp -- and the shift threshold w; built on first use
-_log_g_series: dict = {}
+def fixed_bits() -> int:
+    """fp, the fractional bits of the values of :func:`log_gamma_g_fixed` at
+    the working precision: the working bits, 10 + 2 bitlen(prec) guard bits
+    for the cancellation of the shift (see there) and 8 bits for the
+    truncations of the fixed-point arithmetic."""
+    prec = mpmath.mp.prec
+    return prec + 18 + 2 * prec.bit_length()
 
 
-def _log_g_data(wp: int) -> tuple:
-    data = _log_g_series.get(wp)
+#: per fp: the fixed-point data of the Stirling series of log Gamma and of
+#: the asymptotic series of log G at fp fractional bits -- log(2 pi)/2,
+#: zeta'(-1) = 1/12 - log A, the shift threshold w and the two term tables
+#: (see :func:`_series_terms`); built on first use
+_fixed_series: dict = {}
+
+
+def _series_terms(fp: int, w: int, term) -> tuple:
+    """The terms of a series sum_k c_k z^(-e_k), k = 1, 2, ..., with
+    ``term(k)`` = (numerator, denominator, e_k) of c_k, through the first
+    whose value at z = w is below 2^-wp, wp = fp - 8: the c_k 2^fp,
+    rounded, and for each k the negated bound min_{j<=k} (mag c_j + wp)/e_j
+    on log2 z up to which the first k terms are all above 2^-wp."""
+    wp, coeffs, bounds = fp - 8, [], []
+    while not bounds or -bound >= math.log2(w):
+        num, den, e = term(len(coeffs) + 1)
+        c = ((num << (fp + 1)) // den + 1) >> 1
+        bound = -(abs(c).bit_length() - fp + wp) / e
+        coeffs.append(c)
+        bounds.append(max(bound, bounds[-1]) if bounds else bound)
+    return tuple(bounds), tuple(coeffs)
+
+
+def _gamma_term(k: int) -> tuple:
+    num, den = mpmath.bernfrac(2 * k)  # B_2k / (2k (2k - 1)) z^(1 - 2k)
+    return num, den * 2 * k * (2 * k - 1), 2 * k - 1
+
+
+def _g_term(k: int) -> tuple:
+    num, den = mpmath.bernfrac(2 * k + 2)  # B_(2k+2) / (4k (k + 1)) z^(-2k)
+    return num, den * 4 * k * (k + 1), 2 * k
+
+
+def _fixed_data(fp: int) -> tuple:
+    data = _fixed_series.get(fp)
     if data is None:
-        fp = wp + 8
-        w = wp // 6 + 1
-        terms = []
-        while not terms or terms[-1][0] - 2 * len(terms) * math.log2(w) >= -wp:
-            k = len(terms) + 1
-            num, den = mpmath.bernfrac(2 * k + 2)
-            den *= 4 * k * (k + 1)
-            c = ((num << (fp + 1)) // den + 1) >> 1  # c_k 2^fp, rounded
-            terms.append((abs(c).bit_length() - fp, c))
+        w = (fp - 8) // 6 + 1
         with mpmath.workprec(fp + 10):
             half_log_2pi = to_fixed((mpmath.log(2 * mpmath.pi) / 2)._mpf_, fp)
             zeta1 = to_fixed((mpmath.mpf(1) / 12 - mpmath.log(mpmath.glaisher))._mpf_, fp)
-        data = _log_g_series[wp] = (half_log_2pi, zeta1, w, tuple(terms))
+        data = _fixed_series[fp] = (half_log_2pi, zeta1, w, _series_terms(fp, w, _gamma_term),
+                                    _series_terms(fp, w, _g_term))
     return data
 
 
-def log_barnes_g_mp(x):
-    """log G(x) for real x > 0 (int or mpf) at the working precision, within
-    about an ulp of max(|log G(x)|, 1), without forming G(x).
+def _log_fixed(man: int, exp: int, fp: int) -> int:
+    """log(man 2^exp), man > 0, as an integer scaled by 2^fp."""
+    bits = fp + abs(exp + man.bit_length()).bit_length() + 2
+    return to_fixed(mpf_log(from_man_exp(man, exp), bits, round_nearest), fp)
 
-    With z = x - 1 at least w = wp/6 (wp: the working bits plus guard
-    bits), the asymptotic series (DLMF 5.17.5 with Stirling's series
-    substituted for log Gamma(z + 1))
 
+def _horner(terms: tuple, log2_z: float, u: int, fp: int) -> int:
+    """sum_{k<K} c_(k+1) u^k 2^fp over the first K terms of a table of
+    :func:`_series_terms` whose value at this z is above 2^-wp, by the
+    integer Horner step s = ((s u) >> fp) + c."""
+    bounds, coeffs = terms
+    s = 0
+    for c in coeffs[bisect_right(bounds, -log2_z) - 1::-1]:
+        s = ((s * u) >> fp) + c
+    return s
+
+
+def log_gamma_g_fixed(x) -> tuple[int, int]:
+    """(log Gamma(x), log G(x)) for real x > 0 (int or mpf), as integers
+    scaled by 2^fp, fp = :func:`fixed_bits` at the working precision, each
+    within a few units of 2^(8 - fp) max(|value|, 1), and exactly 0 at
+    x = 1 and 2, where Gamma and G are 1; neither Gamma nor G is formed.
+
+    With z = x - 1 at least w = wp/6 (wp = fp - 8), one log z serves
+    Stirling's series and the asymptotic series of log G (DLMF 5.11.1,
+    and 5.17.5 with Stirling's series substituted for log Gamma(z + 1)):
+
+        log Gamma(z + 1) = (z + 1/2) log z - z + (1/2) log 2pi
+                           + sum_{k>=1} B_2k / (2k(2k-1) z^(2k-1)),
         log G(z + 1) = (z^2/2 - 1/12) log z - 3z^2/4 + (z/2) log 2pi
-                       + zeta'(-1) + sum_{k>=1} B_{2k+2} / (4k(k+1) z^(2k))
+                       + zeta'(-1) + sum_{k>=1} B_{2k+2} / (4k(k+1) z^(2k)),
 
-    is summed through the last term above 2^-wp; its smallest term, about
-    exp(-2 pi z) < 2^(-1.5 wp), lies far below that.  The whole right-hand
-    side is formed in fixed point, as integers scaled by 2^fp with
-    fp = wp + 8: the series by the integer Horner step
-    s = ((s + c_k 2^fp) U) >> fp with U = 2^fp / z^2, log z from
-    ``mpmath.libmp.mpf_log``, and one conversion back to mpf at the end.
-    Each truncation costs at most about z^2 units of 2^-fp, while the
-    value grows like z^2 (log z)/2, so the 8 bits beyond wp cover them.
+    each summed through its last term above 2^-wp; their smallest terms,
+    about exp(-2 pi z) < 2^(-1.5 wp), lie far below that.  Everything is
+    formed in fixed point, as integers scaled by 2^fp: the series by the
+    Horner step of :func:`_horner` with u = 2^fp / z^2 (times 1/z for
+    log Gamma, 1/z^2 for log G), log z by ``mpmath.libmp.mpf_log``.  Each
+    truncation costs at most about z^2 units of 2^-fp, while the values
+    grow like z^2 (log z)/2, so the 8 bits beyond wp cover them.
 
-    A smaller z is shifted first to z + m >= w, m = ceil(w - z), through
-    G(z + 1 + m) = G(z + 1) prod_{j=1..m} Gamma(z + j), where
-    sum_{j=1..m} log Gamma(z + j) = m lgamma(z + 1) + log prod_{i<m} (z + i)^(m-i),
-    in mpf at wp bits.  The guard bits cover that subtraction, which
-    cancels about log2 log G(w + 1) < 2 log2 wp bits.
+    A smaller z is shifted first to z + m >= w, m = ceil(w - z): with
+    Q1 = prod_{i<m} (x + i) and Q2 = prod_{i<m} (x + i)^(i+1),
+
+        log Gamma(x) = log Gamma(x + m) - log Q1,
+        log G(x) = log G(x + m) - m log Gamma(x + m) + log Q2.
+
+    Each factor x + i is an exact integer times 2^-t, with t the fractional
+    bits of x: small for the arguments n + 2p of charges with short
+    binary expansions, 0 for n + 1, and large for a tiny x (2p near 0),
+    which so keeps its digits.  The two products are integer mantissas,
+    cut to fp + bitlen(m) + 4 bits as they grow, times powers of two; one
+    ``mpf_log`` each.  The guard bits of :func:`fixed_bits` cover the
+    subtraction, which cancels about log2 log G(w + 1) < 2 log2 wp bits.
     """
-    with mpmath.extraprec(10 + 2 * mpmath.mp.prec.bit_length()):
-        wp = mpmath.mp.prec
-        fp = wp + 8
-        half_log_2pi, zeta1, w, terms = _log_g_data(wp)
-        z = mpmath.mpf(x) - 1  # an mpf from here on
-        shift = 0
-        if z < w:
-            m = int(mpmath.ceil(w - z))
-            rising = power = mpmath.mpf(1)
-            for i in range(1, m):  # power = prod_{i<m} (z + i)^(m - i)
-                rising *= z + i
-                power *= rising
-            shift = to_fixed((m * mpmath.loggamma(z + 1) + mpmath.log(power))._mpf_, fp)
-            z += m
-        log_z = mpf_log(z._mpf_, fp, round_nearest)
-        log2_z = to_float(log_z) / math.log(2)
-        count = 0  # the terms above 2^-wp at this z
-        while count < len(terms) and terms[count][0] - 2 * (count + 1) * log2_z >= -wp:
-            count += 1
-        zf = to_fixed(z._mpf_, fp)  # exact: z >= w has no bits below 2^-wp
-        zz = zf * zf
-        z2, u = zz >> fp, (1 << (3 * fp)) // zz
-        series = 0
-        for k in range(count - 1, -1, -1):
-            series = ((series + terms[k][1]) * u) >> fp
-        value = ((((z2 >> 1) - (1 << fp) // 12) * to_fixed(log_z, fp)) >> fp) - ((3 * z2) >> 2)
-        value += ((zf * half_log_2pi) >> fp) + zeta1 + series - shift
-    return mpmath.mpf((value, -fp))
+    fp = fixed_bits()
+    one = 1 << fp
+    x = mpmath.mpf(x)._mpf_
+    if x[0] or not x[1]:  # sign set, or a zero, inf or nan
+        raise ValueError(f"log Gamma and log G need a finite x > 0, got {mpmath.mpf(x)}")
+    z = to_fixed(x, fp) - one  # exact for x >= 1, which has no bits below 2^-fp
+    if z == 0 or z == one:
+        return 0, 0
+    half_log_2pi, zeta1, w, gamma_terms, g_terms = _fixed_data(fp)
+    m = max(0, ((w << fp) - z + one - 1) >> fp)
+    z += m << fp
+    log_z = _log_fixed(z, -fp, fp)
+    log2_z = log_z / one / math.log(2)
+    zz = z * z
+    z2, u, v = zz >> fp, (1 << (3 * fp)) // zz, (1 << (2 * fp)) // z
+    lg = (((z + (one >> 1)) * log_z) >> fp) - z + half_log_2pi
+    lg += (_horner(gamma_terms, log2_z, u, fp) * v) >> fp
+    lG = ((((z2 >> 1) - one // 12) * log_z) >> fp) - ((3 * z2) >> 2)
+    lG += ((z * half_log_2pi) >> fp) + zeta1 + ((_horner(g_terms, log2_z, u, fp) * u) >> fp)
+    if m:
+        bits = fp + m.bit_length() + 4
+        t = max(0, -x[2])  # x 2^t is an integer, and so is each factor below
+        xt = x[1] << max(0, x[2])
+        q1 = q2 = 1
+        e1 = e2 = 0
+        for i in range(m - 1, -1, -1):  # q1 2^e1 = prod_{j>=i} (x + j), q2 2^e2 = prod of the q1
+            q1 *= xt + (i << t)
+            e1 -= t
+            drop = q1.bit_length() - bits
+            if drop > 0:
+                q1 >>= drop
+                e1 += drop
+            q2 *= q1
+            e2 += e1
+            drop = q2.bit_length() - bits
+            if drop > 0:
+                q2 >>= drop
+                e2 += drop
+        lG += _log_fixed(q2, e2, fp) - m * lg
+        lg -= _log_fixed(q1, e1, fp)
+    return lg, lG

@@ -119,6 +119,15 @@ class TestExact:
         assert rel_close(float(rows[0][1]), -math.log(4), 1e-12)
         assert rel_close(float(rows[1][1]), -math.log(4), 1e-12)
 
+    @pytest.mark.parametrize("precision", ["std", "ext"])
+    def test_tiny_charges(self, runner, precision):
+        # a tiny charge used to reach lgamma's pole through alpha = 2p - 1
+        result = runner.invoke(cli, ["exact", "--n", "2", "--p", "1e-300", "--q", "1e-300",
+                                     "--precision", precision])
+        assert result.exit_code == 0, result.output
+        row = result.output.strip().splitlines()[1].split(",")
+        assert all(math.isfinite(float(v)) for v in row[1:])
+
     def test_pq_single(self, runner):
         result = runner.invoke(cli, ["exact", "--n", "1", "--p", "1", "--q", "1"])
         assert result.exit_code == 0

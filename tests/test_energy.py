@@ -183,8 +183,13 @@ class TestTiledKernel:
 
 class TestPotentialEnergyExact:
     def test_single_symmetric_charge(self):
-        for p in (0.5, 1.0, 2.5):
+        for p in (1e-300, 0.5, 1.0, 2.5):
             assert abs(energy.potential_energy_exact(1, p, p)) < 1e-12
+        # at p = 1e-300 the terms 2p log lambda_1 and 2p log P_1(+-1) are
+        # about 1e-297 and cancel
+        for mode in ("std", "ext"):
+            with precision_mode(mode):
+                assert abs(energy.potential_energy_exact(1, 1e-300, 1e-300)) < 1e-310
 
     def test_stieltjes_two_points(self):
         pts = jacobi.zeros(2, JacobiParams(1, 1)).points
@@ -201,6 +206,19 @@ class TestPotentialEnergyExact:
             energy.potential_energy_config(config),
             1e-9,
         )
+
+    @pytest.mark.parametrize("mode,rtol", [("std", 1e-14), ("ext", 1e-30)])
+    def test_tiny_charge(self, mode, rtol):
+        # 2p reaches the formulas unrounded: built from alpha = 2p - 1, it
+        # rounded to -1 at guard digits and lgamma(alpha + 1) hit the pole,
+        # while 2p log P_n(1) -> 0 keeps the energy finite; the reference is
+        # the product formula at 400 digits
+        for p in (1e-30, 1e-50, 1e-300):
+            with precision_mode("ext"), mpmath.workdps(400):
+                ref = -pq_discriminant_log_sum(5, p, 0.5)
+            with precision_mode(mode):
+                value = energy.potential_energy_exact(5, p, 0.5)
+            assert abs(value - ref) <= rtol * abs(ref), (p, value, ref)
 
 
 class TestEllipticLogEnergyExact:
@@ -426,6 +444,25 @@ class TestBarnesGFree:
                 energy.elliptic_log_energy_exact(n, 0.75, 2.5)
                 energy.interval_energy_exact(n)
                 jacobi.discriminant_log(n, JacobiParams(0.5, 4.0))
+
+    def test_one_kernel_call_per_argument(self, monkeypatch):
+        # the n-dependent arguments n+1, n+2p, n+2q, n+2p+2q-1 and
+        # 2n+2p+2q-1 take one fused log Gamma / log G call each (four when
+        # p = q), 2p and 2q go through the memo, and mpmath.loggamma is not
+        # called at all
+        def loggamma(*_):
+            raise AssertionError("mpmath.loggamma called")
+
+        kernel, calls = jacobi.log_gamma_g_fixed, []
+        monkeypatch.setattr(jacobi, "log_gamma_g_fixed", lambda x: calls.append(x) or kernel(x))
+        monkeypatch.setattr(mpmath, "loggamma", loggamma)
+        for mode in ("std", "ext"):
+            with precision_mode(mode):
+                for n, p, q, count in ((2, 0.3, 1.7, 5), (40, 0.75, 2.5, 5),
+                                       (10**6, 1e-300, 3.0, 5), (40, 1.25, 1.25, 4)):
+                    calls.clear()
+                    energy.potential_energy_exact(n, p, q)
+                    assert len([x for x in calls if x not in (2 * p, 2 * q)]) == count, calls
 
 
 class TestExtendedMode:

@@ -229,42 +229,48 @@ class TestNegapolygamma2:
             assert abs(value - ref) < mpmath.mpf(10) ** -28
 
 
-#: arguments of the log-G kernel test: 1 to 1e12, below and above the shift
-#: threshold (about 19 at 26 digits, 77 at 130 digits)
+#: arguments of the log Gamma / log G kernel test: 1 to 1e12, below and
+#: above the shift threshold (about 19 at 26 digits, 145 at 250 digits),
+#: dyadic and other non-integers, and 2e-300, 2p at p = 1e-300
 LOG_G_ARGS = [1, 2, 3, 5, 17, 25, 40, 100, 1000, 10**6, 10**9, 10**12,
-              1.5, 7.25, 33.3, 12345.678]
+              1.5, 7.25, 0.375, 160.625, 33.3, 12345.678, 2e-300]
 
 
 @functools.lru_cache(maxsize=None)
-def _log_g_ref(x, dps):
-    """log G(x) by mpmath.barnesg, 30 digits beyond ``dps``."""
+def _log_gamma_g_ref(x, dps):
+    """(log Gamma(x), log G(x)) by mpmath.loggamma and mpmath.barnesg, 30
+    digits beyond ``dps``."""
     with mpmath.workdps(dps + 30):
-        return mpmath.log(mpmath.barnesg(mpmath.mpf(x)))
+        return mpmath.loggamma(x), mpmath.log(mpmath.barnesg(x))
 
 
-def _assert_log_g_close(arg):
-    """The kernel at ``arg`` is an mpf within 2 ulp of max(|log G|, 1) of
-    mpmath.barnesg at the working precision."""
-    value = specfun.log_barnes_g_mp(arg)
-    assert isinstance(value, mpmath.mpf)
-    ref = _log_g_ref(mpmath.mpf(arg), mpmath.mp.dps)
-    two_ulp = mpmath.mpf(2) ** (mpmath.mag(max(abs(ref), 1)) - mpmath.mp.prec + 1)
-    with mpmath.extradps(30):
-        assert abs(value - ref) <= two_ulp, (mpmath.mp.prec, arg, value, ref)
+def _assert_kernel_close(arg):
+    """Both values of the fused kernel at ``arg`` are within 2 ulp of
+    max(|value|, 1) of mpmath at the working precision."""
+    lg, lG = specfun.log_gamma_g_fixed(arg)
+    assert isinstance(lg, int) and isinstance(lG, int)
+    fp = specfun.fixed_bits()
+    refs = _log_gamma_g_ref(mpmath.mpf(arg), mpmath.mp.dps)
+    for value, ref in zip((lg, lG), refs):
+        value = mpmath.mpf((value, -fp))
+        two_ulp = mpmath.mpf(2) ** (mpmath.mag(max(abs(ref), 1)) - mpmath.mp.prec + 1)
+        with mpmath.extradps(30):
+            assert abs(value - ref) <= two_ulp, (mpmath.mp.prec, arg, value, ref)
 
 
-#: non-dyadic Jacobi exponents (alpha, beta) of the discriminant's arguments
-LOG_G_EXPONENTS = [(0.3, 1.7), (-0.45, 2.9), (5.05, 11.3)]
+#: non-dyadic Jacobi exponents (alpha, beta) of the discriminant's
+#: arguments, and the huge exponent of the closed-form test in test_jacobi
+LOG_G_EXPONENTS = [(0.3, 1.7), (-0.45, 2.9), (5.05, 11.3), (2e12, 1)]
 
 
 class TestLogBarnesG:
-    @pytest.mark.parametrize("dps", [26, 42, 60, 130])
+    @pytest.mark.parametrize("dps", [26, 42, 60, 130, 250])
     def test_against_mpmath_barnesg(self, dps):
         with mpmath.workdps(dps):
             for x in LOG_G_ARGS:
                 # int arguments as the discriminant passes n + 1, and mpf
                 for arg in (x, mpmath.mpf(x)) if isinstance(x, int) else (mpmath.mpf(x),):
-                    _assert_log_g_close(arg)
+                    _assert_kernel_close(arg)
 
     @pytest.mark.parametrize("mode", ["std", "ext"])
     @pytest.mark.parametrize("alpha, beta", LOG_G_EXPONENTS)
@@ -273,31 +279,42 @@ class TestLogBarnesG:
         # mode's digits + 10 guard digits + 2 mag(alpha + beta + 2) bits
         extra = 2 * mpmath.mag(alpha + beta + 2)
         with mpmath.workdps(26 if mode == "std" else 42), mpmath.extraprec(extra):
-            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
-            for n in (2, 40, 1000, 10**6):
-                _assert_log_g_close(n + a + b + 2)
-                _assert_log_g_close(2 * n + a + b + 1)
+            a1, b1 = mpmath.mpf(alpha) + 1, mpmath.mpf(beta) + 1
+            _assert_kernel_close(a1)
+            for n in (2, 40, 2560, 10**6):
+                _assert_kernel_close(n + a1)
+                _assert_kernel_close((n - 1) + a1 + b1)
+                _assert_kernel_close((2 * n - 1) + a1 + b1)
 
-    @pytest.mark.parametrize("dps", [26, 42, 130])
+    @pytest.mark.parametrize("dps", [26, 42, 130, 250])
     def test_around_shift_threshold(self, dps):
-        # z = x - 1 at w - 1 (shifted by one), w and w + 1 (series alone),
-        # w = wp/6 + 1 with wp the working bits plus the kernel's guard bits;
-        # and z = 10^12, where the series needs its fewest terms
+        # z = x - 1 just below w (shifted by one, or by a half), at w and
+        # just above (series alone), w = wp/6 + 1 with wp = fp - 8; and
+        # z = 10^12, where the series need their fewest terms
         with mpmath.workdps(dps):
-            prec = mpmath.mp.prec
-            w = (prec + 10 + 2 * prec.bit_length()) // 6 + 1
-            for z in (w - 1, w, w + 1, 10**12):
-                _assert_log_g_close(z + 1)
-                _assert_log_g_close(mpmath.mpf(z) + 1)
+            w = (specfun.fixed_bits() - 8) // 6 + 1
+            for z in (w - 1, w - 0.5, w, w + 0.5, w + 1, 10**12):
+                _assert_kernel_close(mpmath.mpf(z) + 1)
+                if isinstance(z, int):
+                    _assert_kernel_close(z + 1)
 
     def test_functional_equation(self):
-        # G(x + 1) = Gamma(x) G(x) across the shift threshold
+        # Gamma(x + 1) = x Gamma(x) and G(x + 1) = Gamma(x) G(x), across the
+        # shift threshold and down to the tiny argument of a tiny charge
         with mpmath.workdps(42):
-            for x in (0.5, 1.25, 18.5, 40.75, 300.5):
+            fp = specfun.fixed_bits()
+            for x in (2e-300, 0.5, 1.25, 18.5, 40.75, 300.5):
                 x = mpmath.mpf(x)
-                lhs = specfun.log_barnes_g_mp(x + 1)
-                rhs = mpmath.loggamma(x) + specfun.log_barnes_g_mp(x)
-                assert abs(lhs - rhs) <= mpmath.mpf(10) ** -40 * max(abs(lhs), 1)
+                lg, lG = (mpmath.mpf((v, -fp)) for v in specfun.log_gamma_g_fixed(x))
+                lg1, lG1 = (mpmath.mpf((v, -fp)) for v in specfun.log_gamma_g_fixed(x + 1))
+                assert abs(lg1 - (lg + mpmath.log(x))) <= mpmath.mpf(10) ** -40 * max(abs(lg1), 1)
+                assert abs(lG1 - (lg + lG)) <= mpmath.mpf(10) ** -40 * max(abs(lG1), 1)
+
+    def test_exact_at_one_and_two(self):
+        # Gamma(1) = Gamma(2) = G(1) = G(2) = 1, so that log P_n(1) is 0 at
+        # alpha = 0 and the energy at n = 1, p = q is 0, as int and as mpf
+        for x in (1, 2, mpmath.mpf(1), mpmath.mpf(2)):
+            assert specfun.log_gamma_g_fixed(x) == (0, 0)
 
 
 class TestZetaPrimeNeg1:

@@ -6,19 +6,19 @@ result as a JSON bench file.
         --seeds 401-410 --out BENCH_14.json
 
 ``--parent`` and ``--change`` are git revisions, exported with
-``git archive`` into temporary directories, or existing checkouts.  For
-every workload of ``BENCHMARK.json`` and every seed, one pair of
-``perfbench/run.py`` runs is made, one per side, with the same seed and
-``--seconds``; the side that runs first alternates from pair to pair.
+``git archive`` into temporary directories.  For every workload of
+``BENCHMARK.json`` and every seed, one pair of ``perfbench/run.py`` runs
+is made, one per side, with the same seed and the benchmark's
+``run_seconds``; the side that runs first alternates from pair to pair.
 The runs are sequential, one process at a time.
 
 For each workload and end-to-end metric the file records both sides'
 values run by run, their medians and quartiles, how many pairs the change
 won (ties count for neither) and whether the gain rule holds: wins in at
 least nine tenths of the pairs, and medians further apart than the
-distance between the parent's quartiles.  With ``--trace`` one traced run
-per side and workload, at the first seed, adds the per-layer scaling
-exponents (the ``*.exp`` metrics).
+distance between the parent's quartiles.  One traced run per side and
+workload, at the first seed, adds the per-layer scaling exponents (the
+``*.exp`` metrics).
 """
 from __future__ import annotations
 
@@ -42,9 +42,7 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def checkout(rev: str, into: Path) -> Path:
-    """An existing directory as is, else ``git archive`` of ``rev`` in ``into``."""
-    if Path(rev).is_dir():
-        return Path(rev).resolve()
+    """``git archive`` of ``rev``, extracted in ``into``."""
     into.mkdir()
     git = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", str(into)], stdin=git.stdout, check=True)
@@ -85,21 +83,14 @@ def summarise(parent: list[float], change: list[float], better: str) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", default="HEAD~1", help="git revision or directory")
-    ap.add_argument("--change", default="HEAD", help="git revision or directory")
+    ap.add_argument("--parent", default="HEAD~1", help="git revision")
+    ap.add_argument("--change", default="HEAD", help="git revision")
     ap.add_argument("--seeds", default="401-410", help="'401-410' or '401,402,...'")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length of each run (default: BENCHMARK.json run_seconds)")
-    ap.add_argument("--workloads", nargs="*", default=None,
-                    help="workloads to run (default: those of BENCHMARK.json)")
-    ap.add_argument("--trace", action="store_true",
-                    help="also record the per-layer exponents from one traced run per side")
     ap.add_argument("--out", required=True, help="path of the JSON bench file")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seeds = parse_seeds(args.seeds)
 
@@ -108,7 +99,7 @@ def main(argv=None) -> int:
                  "change": checkout(args.change, Path(tmp) / "change")}
         result = {"parent": args.parent, "change": args.change, "seeds": seeds,
                   "seconds": seconds, "workloads": {}}
-        for workload in workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             values = {"parent": {m: [] for m in better}, "change": {m: [] for m in better}}
             failed = {"parent": 0, "change": 0}
             order = []
@@ -126,12 +117,11 @@ def main(argv=None) -> int:
             row = {"pairing_order": order, "failed_ops": failed,
                    "metrics": {m: summarise(values["parent"][m], values["change"][m], b)
                                for m, b in better.items()}}
-            if args.trace:
-                row["layer_exponents"] = {}
-                for side in ("parent", "change"):
-                    metrics = run(trees[side], workload, seeds[0], seconds, 1)["metrics"]
-                    row["layer_exponents"][side] = {k: v["value"] for k, v in metrics.items()
-                                                    if k.endswith(".exp")}
+            row["layer_exponents"] = {}
+            for side in ("parent", "change"):
+                metrics = run(trees[side], workload, seeds[0], seconds, 1)["metrics"]
+                row["layer_exponents"][side] = {k: v["value"] for k, v in metrics.items()
+                                                if k.endswith(".exp")}
             result["workloads"][workload] = row
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     return 0

@@ -75,7 +75,12 @@ def leading_coeff_log(n: int, params: JacobiParams) -> Scalar:
 
 
 def value_at_one_log(n: int, params: JacobiParams) -> Scalar:
-    """log P_n(1) = log[(1+alpha)_n / n!]."""
+    """log P_n(1) = log[(1+alpha)_n / n!].
+
+    The value does not involve beta, but its cost does: it is one element
+    of :func:`log_values_mp`, which evaluates all five arguments, at the
+    precision :meth:`Context.guarded` sets for the size alpha + beta + 2.
+    """
     n = check_size(n, "n", 0)
     if n == 0:
         return active().zero()

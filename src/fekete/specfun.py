@@ -194,10 +194,10 @@ def _log_fixed(man: int, exp: int, fp: int) -> int:
 def _horner(terms: tuple, log2_z: float, u: int, fp: int) -> int:
     """sum_{k<K} c_(k+1) u^k 2^fp over the first K terms of a table of
     :func:`_series_terms` whose value at this z is above 2^-wp, by the
-    integer Horner step s = ((s u) >> fp) + c."""
+    integer Horner step s = ((s u) >> fp) + c; 0 when there are none."""
     bounds, coeffs = terms
     s = 0
-    for c in coeffs[bisect_right(bounds, -log2_z) - 1::-1]:
+    for c in reversed(coeffs[:bisect_right(bounds, -log2_z)]):
         s = ((s * u) >> fp) + c
     return s
 

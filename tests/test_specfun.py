@@ -298,6 +298,25 @@ class TestLogBarnesG:
                 if isinstance(z, int):
                     _assert_kernel_close(z + 1)
 
+    def test_series_empty_at_large_z(self, monkeypatch):
+        # at 26 digits, z = x - 1 just above 2^(wp/2) is past the first log
+        # G term and z just above 2^wp past the first Stirling term: the
+        # value is the leading terms alone, and the Horner sums are empty
+        sums = []
+        horner = specfun._horner
+
+        def counting_horner(*args):
+            sums.append(horner(*args))
+            return sums[-1]
+
+        monkeypatch.setattr(specfun, "_horner", counting_horner)
+        with mpmath.workdps(26):
+            wp = specfun.fixed_bits() - 8
+            for log2_z, empty in ((wp // 2 + 1, [False, True]), (wp + 1, [True, True])):
+                sums.clear()
+                _assert_kernel_close(mpmath.mpf(2) ** log2_z + 3)
+                assert [s == 0 for s in sums] == empty, (log2_z, sums)
+
     def test_functional_equation(self):
         # Gamma(x + 1) = x Gamma(x) and G(x + 1) = Gamma(x) G(x), across the
         # shift threshold and down to the tiny argument of a tiny charge

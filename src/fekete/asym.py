@@ -3,8 +3,9 @@
 Each builder returns an :class:`Expansion` holding the leading coefficients
 (of n^2, n log n, n, log n, 1, under fixed keys) and the tail coefficients
 c_m of n^(-m) up to a requested order.  The leading coefficients are one
-mpf kernel of the exact inputs (with log 2, log pi, log A, log-gamma and
-psi^(-2) from mpmath), evaluated at guard digits by
+mpf kernel of the exact inputs (with log 2, log pi and log A from mpmath,
+log-gamma, log Barnes G and psi^(-2) from the fixed-point kernel of
+:mod:`fekete.specfun`), evaluated at guard digits by
 :meth:`~fekete.precision.Context.guarded` and rounded once each.  Tail
 coefficients are assembled symbolically from exact-rational Bernoulli data
 and rounded once into the active precision.
@@ -23,7 +24,7 @@ from .energy import IntervalSpec
 from .exceptions import CapacityError, check_finite_above, check_size
 from .jacobi import JacobiParams
 from .precision import Scalar, active, as_fraction
-from .specfun import bernoulli_number, memo, negapolygamma2_mp
+from .specfun import bernoulli_number, negapolygamma2_mp, psi2_fixed
 from .specfun import hurwitz_zeta_negint_fraction as _zeta
 
 LEADING_KEYS = ("n2", "nlogn", "n", "logn", "const")
@@ -160,15 +161,17 @@ def _tail(order: int, coeff_fn) -> tuple[Scalar, ...]:
 def _leading(kernel, *values) -> dict[str, Scalar]:
     """``kernel(*values)``: the leading coefficients as mpf, in
     :data:`LEADING_KEYS` order, each rounded once.  At plain guard digits
-    (no ``size``), so the memo key of a psi^(-2) value does not depend on
-    the other input."""
+    (no ``size``), so the memo key of a log Gamma / log G value does not
+    depend on the other input."""
     return dict(zip(LEADING_KEYS, active().guarded(kernel, *values)))
 
 
 def _endpoint(x):
-    """x log Gamma(x) - psi^(-2)(x): what one endpoint exponent (x = alpha + 1
-    or 2p) adds to the discriminant and elliptic constants."""
-    return x * mpmath.loggamma(x) - memo(negapolygamma2_mp, x)
+    """x log Gamma(x) - psi^(-2)(x) = log G(1 + x) - x(1 - x)/2 - (x/2) log 2pi:
+    what one endpoint exponent (x = alpha + 1 or 2p) adds to the
+    discriminant and elliptic constants."""
+    fp, _, value = psi2_fixed(x)
+    return mpmath.mpf((value, -fp))
 
 
 def leading_coeff_expansion(params: JacobiParams, order: int) -> Expansion:
@@ -248,7 +251,7 @@ def potential_energy_expansion(p: float, q: float, order: int) -> Expansion:
         s = p + q
         const = (2 * ((s - 1) ** 2 - mpmath.mpf(11) / 24) * ln2 - s * mpmath.log(mpmath.pi)
                  - 3 * mpmath.log(mpmath.glaisher)
-                 + (memo(negapolygamma2_mp, 2 * p) + memo(negapolygamma2_mp, 2 * q)))
+                 + (negapolygamma2_mp(2 * p) + negapolygamma2_mp(2 * q)))
         logn = -2 * ((p - 0.25) ** 2 + (q - 0.25) ** 2)
         return (ln2, -1, 2 * (s - 1) * ln2, logn, const)
 

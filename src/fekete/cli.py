@@ -12,7 +12,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import click
 import mpmath
 
 from . import __version__, asym, energy, jacobi
@@ -20,6 +19,11 @@ from .energy import IntervalSpec
 from .exceptions import FeketeError, check_finite_above
 from .jacobi import JacobiParams
 from .precision import STD, active, use
+
+
+class UsageError(Exception):
+    """A request the command line cannot run: reported with the command's
+    usage, exit status 2."""
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,7 @@ class RunConfig:
 def _parse_range(text: str | None, flag: str) -> tuple[int, ...]:
     """Parse 'a..b' (inclusive) or a comma list of integers."""
     if text is None or not text.strip():
-        raise click.UsageError(f"empty range for {flag}")
+        raise UsageError(f"empty range for {flag}")
     text = text.strip()
     try:
         if ".." in text:
@@ -53,7 +57,7 @@ def _parse_range(text: str | None, flag: str) -> tuple[int, ...]:
             return tuple(range(lo, hi + 1))
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise click.UsageError(f"cannot parse range {text!r} for {flag}: {exc}") from exc
+        raise UsageError(f"cannot parse range {text!r} for {flag}: {exc}") from exc
 
 
 def _resolve_charges(p, q, alpha, beta, required: bool) -> tuple:
@@ -61,17 +65,17 @@ def _resolve_charges(p, q, alpha, beta, required: bool) -> tuple:
     has_pq = p is not None or q is not None
     has_ab = alpha is not None or beta is not None
     if has_pq and has_ab:
-        raise click.UsageError("give either --p/--q or --alpha/--beta, not both")
+        raise UsageError("give either --p/--q or --alpha/--beta, not both")
     if has_pq:
         if p is None or q is None:
-            raise click.UsageError("--p and --q must be given together")
+            raise UsageError("--p and --q must be given together")
         return float(p), float(q)
     if has_ab:
         if alpha is None or beta is None:
-            raise click.UsageError("--alpha and --beta must be given together")
+            raise UsageError("--alpha and --beta must be given together")
         return (alpha + 1) / 2, (beta + 1) / 2
     if required:
-        raise click.UsageError("this command needs --p/--q (or --alpha/--beta)")
+        raise UsageError("this command needs --p/--q (or --alpha/--beta)")
     return None, None
 
 
@@ -88,10 +92,14 @@ def _json_scalar(x):
 
 def _write(text: str, out: str | None) -> None:
     if out is None:
-        click.echo(text, nl=False)
-    else:
-        with open(out, "w", newline="") as handle:
-            handle.write(text)
+        sys.stdout.write(text)
+        return
+    try:
+        handle = open(out, "w", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out!r}: {exc.strerror}") from exc
+    with handle:
+        handle.write(text)
 
 
 def _emit_table(header: tuple[str, ...], rows, fmt: str, out: str | None,
@@ -109,7 +117,7 @@ def _emit_table(header: tuple[str, ...], rows, fmt: str, out: str | None,
         _write(json.dumps(payload, indent=2) + "\n", out)
 
 
-# -- command implementations (testable without the click layer) ---------------
+# -- command implementations (testable without the option layer) --------------
 
 
 def cmd_exact(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
@@ -173,10 +181,10 @@ def _kind(cfg: RunConfig) -> tuple[Kind, tuple]:
     """The table entry for ``cfg.kind`` and the inputs its functions take."""
     kind = KINDS.get(cfg.kind)
     if kind is None:
-        raise click.UsageError(f"unknown kind {cfg.kind!r}")
+        raise UsageError(f"unknown kind {cfg.kind!r}")
     inputs = tuple(getattr(cfg, name) for name in kind.inputs)
     if None in inputs:
-        raise click.UsageError(f"kind {cfg.kind!r} needs --{'/--'.join(kind.inputs)}")
+        raise UsageError(f"kind {cfg.kind!r} needs --{'/--'.join(kind.inputs)}")
     return kind, inputs
 
 
@@ -239,7 +247,7 @@ def cmd_verify(cfg: RunConfig):
                          _format_scalar(deviation), "", "", str(good).lower()))
         return header, rows, ok
     if len(set(cfg.values)) < 2:
-        raise click.UsageError("verify needs at least two distinct n values to fit slopes")
+        raise UsageError("verify needs at least two distinct n values to fit slopes")
     kind, inputs = _kind(cfg)
     expansion = kind.expansion(cfg.order, *inputs)
     exacts = {n: kind.exact(n, *inputs) for n in cfg.values}
@@ -296,72 +304,13 @@ def cmd_minimize(cfg: RunConfig) -> dict:
     }
 
 
-# -- click layer ---------------------------------------------------------------
+# -- option layer ----------------------------------------------------------------
+#
+# Each command is a function of its option values, run by cli(); the options
+# are (flags, add_argument keywords) pairs, and argparse is imported and the
+# parser built only when the command line runs.
 
 
-def _common_options(fn):
-    fn = click.option("--precision", type=click.Choice(["std", "ext"]),
-                      envvar="FEKETE_PRECISION", default="std", expose_value=False,
-                      callback=lambda _ctx, _param, mode: use(mode),
-                      help="Scalar arithmetic mode (also via FEKETE_PRECISION).")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                      default="csv", help="Output format.")(fn)
-    fn = click.option("--out", type=click.Path(dir_okay=False, writable=True),
-                      default=None, help="Output path (default: stdout).")(fn)
-    return fn
-
-
-def _charge_options(fn):
-    fn = click.option("--p", type=float, default=None, help="Charge at +1.")(fn)
-    fn = click.option("--q", type=float, default=None, help="Charge at -1.")(fn)
-    fn = click.option("--alpha", type=float, default=None, help="Jacobi exponent alpha = 2p-1.")(fn)
-    fn = click.option("--beta", type=float, default=None, help="Jacobi exponent beta = 2q-1.")(fn)
-    return fn
-
-
-def _kind_options(*extra_kinds):
-    """--kind from :data:`KINDS` (plus ``extra_kinds``), and --a/--b for general-interval."""
-    def decorate(fn):
-        fn = click.option("--b", type=float, default=None, help="Right endpoint (general-interval).")(fn)
-        fn = click.option("--a", type=float, default=None, help="Left endpoint (general-interval).")(fn)
-        return click.option("--kind", type=click.Choice((*KINDS, *extra_kinds)), required=True)(fn)
-    return decorate
-
-
-class _Command(click.Command):
-    """Reports the package's errors, and a request too large for memory, as
-    usage errors: exit 2, no traceback."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except FeketeError as exc:
-            raise click.UsageError(str(exc), ctx) from exc
-        except MemoryError as exc:
-            given = ", ".join(f"{name}={value!r}" for name, value in ctx.params.items()
-                              if ctx.get_parameter_source(name) != click.ParameterSource.DEFAULT)
-            raise click.UsageError(
-                f"not enough memory for {ctx.command_path} with {given}", ctx) from exc
-
-
-class _Group(click.Group):
-    command_class = _Command
-
-
-@click.group(cls=_Group)
-@click.version_option(version=__version__)
-def cli():
-    """Exact minimal logarithmic energies of interval point configurations,
-    their complete asymptotic expansions, and numerical verification."""
-
-
-@cli.command("exact")
-@click.option("--kind", type=click.Choice(["pq", "interval"]), default=None,
-              help="pq: external-field problem rows; interval: Fekete rows.")
-@click.option("--n", "n_range", default=None, help="Range a..b or comma list (pq kind).")
-@click.option("--N", "N_range", default=None, help="Range a..b or comma list (interval kind).")
-@_charge_options
-@_common_options
 def exact_command(kind, n_range, N_range, p, q, alpha, beta, fmt, out):
     """Exact energies and log-discriminants for a range of sizes."""
     if kind is None:
@@ -377,12 +326,6 @@ def exact_command(kind, n_range, N_range, p, q, alpha, beta, fmt, out):
     _emit_table(header, rows, fmt, out, "exact")
 
 
-@cli.command("coeffs")
-@_kind_options()
-@click.option("--order", "--M", "order", type=int, default=4,
-              help="Number of tail coefficients.")
-@_charge_options
-@_common_options
 def coeffs_command(kind, order, a, b, p, q, alpha, beta, fmt, out):
     """Expansion coefficients as serialized JSON."""
     p, q = _resolve_charges(p, q, alpha, beta, required=False)
@@ -390,12 +333,6 @@ def coeffs_command(kind, order, a, b, p, q, alpha, beta, fmt, out):
     _write(json.dumps(cmd_coeffs(cfg), indent=2) + "\n", out)
 
 
-@cli.command("table")
-@_kind_options()
-@click.option("--n", "--N", "n_range", default=None, help="Range a..b or comma list.")
-@click.option("--order", "--M", "order", type=int, default=2)
-@_charge_options
-@_common_options
 def table_command(kind, n_range, order, a, b, p, q, alpha, beta, fmt, out):
     """Convergence table: exact value, truncations and errors per n."""
     p, q = _resolve_charges(p, q, alpha, beta, required=False)
@@ -405,10 +342,6 @@ def table_command(kind, n_range, order, a, b, p, q, alpha, beta, fmt, out):
     _emit_table(header, rows, fmt, out, "table")
 
 
-@cli.command("zeros")
-@click.option("--n", "n_range", required=True, help="Degree range a..b or comma list.")
-@_charge_options
-@_common_options
 def zeros_command(n_range, p, q, alpha, beta, fmt, out):
     """Zeros of the Jacobi polynomial attached to the charges."""
     p, q = _resolve_charges(p, q, alpha, beta, required=True)
@@ -418,11 +351,6 @@ def zeros_command(n_range, p, q, alpha, beta, fmt, out):
     _emit_table(header, rows, fmt, out, "zeros")
 
 
-@cli.command("minimize")
-@click.option("--n", "n_value", type=int, required=True)
-@click.option("--tol", type=float, default=1e-10)
-@_charge_options
-@_common_options
 def minimize_command(n_value, tol, p, q, alpha, beta, fmt, out):
     """Run the electrostatic Newton solver and report the configuration."""
     p, q = _resolve_charges(p, q, alpha, beta, required=True)
@@ -437,18 +365,6 @@ def minimize_command(n_value, tol, p, q, alpha, beta, fmt, out):
         _emit_table(header, rows, fmt, out, "minimize")
 
 
-@cli.command("verify")
-@_kind_options("minimize")
-@click.option("--n", "--N", "n_range", required=True,
-              help="Sizes to test, e.g. 20,40,80,160.")
-@click.option("--order", "--M", "order", type=int, default=2,
-              help="Largest truncation order to check.")
-@click.option("--slope-tol", type=float, default=0.15,
-              help="Allowed deviation of fitted slopes from -(order+1).")
-@click.option("--tol", type=float, default=1e-8,
-              help="Zero-deviation tolerance for --kind minimize.")
-@_charge_options
-@_common_options
 def verify_command(kind, n_range, order, slope_tol, tol, a, b, p, q, alpha, beta, fmt, out):
     """Check truncation-order decay (or minimizer agreement) and set the
     exit status accordingly."""
@@ -467,6 +383,122 @@ def verify_command(kind, n_range, order, slope_tol, tol, a, b, p, q, alpha, beta
         _emit_table(header, rows, fmt, out, "verify")
     if not ok:
         sys.exit(1)
+
+
+_CHARGE_OPTIONS = (
+    (("--p",), dict(type=float, help="Charge at +1.")),
+    (("--q",), dict(type=float, help="Charge at -1.")),
+    (("--alpha",), dict(type=float, help="Jacobi exponent alpha = 2p-1.")),
+    (("--beta",), dict(type=float, help="Jacobi exponent beta = 2q-1.")),
+    (("--format",), dict(dest="fmt", choices=("csv", "json"), default="csv",
+                         help="Output format.")),
+    (("--out",), dict(metavar="PATH", help="Output path (default: stdout).")),
+)
+
+
+def _kind_options(*extra_kinds):
+    """--kind from :data:`KINDS` (plus ``extra_kinds``), and --a/--b for general-interval."""
+    return ((("--kind",), dict(choices=(*KINDS, *extra_kinds), required=True)),
+            (("--a",), dict(type=float, help="Left endpoint (general-interval).")),
+            (("--b",), dict(type=float, help="Right endpoint (general-interval).")))
+
+
+#: command name -> (function of the option values, options)
+COMMANDS = {
+    "exact": (exact_command, (
+        (("--kind",), dict(choices=("pq", "interval"),
+                           help="pq: external-field problem rows; interval: Fekete rows.")),
+        (("--n",), dict(dest="n_range", metavar="RANGE",
+                        help="Range a..b or comma list (pq kind).")),
+        (("--N",), dict(dest="N_range", metavar="RANGE",
+                        help="Range a..b or comma list (interval kind).")),
+        *_CHARGE_OPTIONS)),
+    "coeffs": (coeffs_command, (
+        *_kind_options(),
+        (("--order", "--M"), dict(dest="order", type=int, default=4,
+                                  help="Number of tail coefficients.")),
+        *_CHARGE_OPTIONS)),
+    "table": (table_command, (
+        *_kind_options(),
+        (("--n", "--N"), dict(dest="n_range", metavar="RANGE",
+                                help="Range a..b or comma list.")),
+        (("--order", "--M"), dict(dest="order", type=int, default=2)),
+        *_CHARGE_OPTIONS)),
+    "zeros": (zeros_command, (
+        (("--n",), dict(dest="n_range", metavar="RANGE", required=True,
+                        help="Degree range a..b or comma list.")),
+        *_CHARGE_OPTIONS)),
+    "minimize": (minimize_command, (
+        (("--n",), dict(dest="n_value", type=int, required=True)),
+        (("--tol",), dict(type=float, default=1e-10)),
+        *_CHARGE_OPTIONS)),
+    "verify": (verify_command, (
+        *_kind_options("minimize"),
+        (("--n", "--N"), dict(dest="n_range", metavar="RANGE", required=True,
+                              help="Sizes to test, e.g. 20,40,80,160.")),
+        (("--order", "--M"), dict(dest="order", type=int, default=2,
+                                  help="Largest truncation order to check.")),
+        (("--slope-tol",), dict(dest="slope_tol", type=float, default=0.15,
+                                help="Allowed deviation of fitted slopes from -(order+1).")),
+        (("--tol",), dict(type=float, default=1e-8,
+                          help="Zero-deviation tolerance for --kind minimize.")),
+        *_CHARGE_OPTIONS)),
+}
+
+#: an option value that argparse would otherwise take for an option: a
+#: negative number in any form float() reads, such as -1e5 or -inf
+_NEGATIVE_NUMBER = r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$"
+
+
+def cli(args=None, prog=None):
+    """Exact minimal logarithmic energies of interval point configurations,
+    their complete asymptotic expansions, and numerical verification.
+
+    Runs the command line ``args`` (default: ``sys.argv[1:]``); ``prog`` is
+    the program name in messages (default: from ``sys.argv[0]``).  A usage
+    error, a package error and a request too large for memory exit with
+    status 2 and a message, without a traceback; a failed verification
+    exits with 1.  The mode comes from --precision, else from the
+    ``FEKETE_PRECISION`` variable, else ``std``.
+    """
+    import argparse
+    import os
+    import re
+
+    parser = argparse.ArgumentParser(prog=prog, description=cli.__doc__.split("\n\n")[0],
+                                     allow_abbrev=False)
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    negative = re.compile(_NEGATIVE_NUMBER, re.IGNORECASE)
+    subparsers = {}
+    for name, (run, options) in COMMANDS.items():
+        # options left out take no attribute, so the namespace lists the
+        # given ones in command-line order; the defaults are applied below
+        sub = subparsers[name] = commands.add_parser(
+            name, prog=f"{parser.prog} {name}", help=run.__doc__.split("\n\n")[0],
+            description=run.__doc__, allow_abbrev=False, argument_default=argparse.SUPPRESS)
+        sub._negative_number_matcher = negative
+        for flags, spec in options:
+            sub.add_argument(*flags, **{k: v for k, v in spec.items() if k != "default"})
+        sub.add_argument("--precision", choices=("std", "ext"),
+                         help="Scalar arithmetic mode (also via FEKETE_PRECISION).")
+    given = vars(parser.parse_args(args))
+    name = given.pop("command")
+    sub, (run, options) = subparsers[name], COMMANDS[name]
+    mode = given.pop("precision", None) or os.environ.get("FEKETE_PRECISION") or "std"
+    if mode not in ("std", "ext"):
+        sub.error(f"invalid value for --precision (FEKETE_PRECISION): {mode!r} is not one "
+                  f"of 'std', 'ext'")
+    values = {spec.get("dest", flags[0][2:]): spec.get("default") for flags, spec in options}
+    use(mode)
+    try:
+        run(**{**values, **given})
+    except (UsageError, FeketeError) as exc:
+        sub.error(str(exc))
+    except MemoryError:
+        listed = ", ".join(f"{key}={value!r}" for key, value in given.items())
+        sub.error(f"not enough memory for {sub.prog} with {listed}")
 
 
 def main():

@@ -60,10 +60,13 @@ class ZeroSet:
 
 def _log_value(n: int, params: JacobiParams, index: int) -> Scalar:
     """Element ``index`` of :func:`log_values_mp` at the exponents of
-    ``params``, rounded once; n is checked, alpha + beta + 2 is the size."""
+    ``params``, rounded once; n is checked.  The size is that of the
+    exponents the element involves: alpha + beta + 2 for log lambda_n and
+    log D_n, alpha + 2 for log P_n(1), beta + 2 for log |P_n(-1)|."""
     a, b = params.alpha, params.beta
+    size = (a + b + 2, a + b + 2, a + 2, b + 2)[index]
     return active().guarded(lambda a, b: log_values_mp(n, a + 1, b + 1)[index], a, b,
-                            size=a + b + 2)
+                            size=size)
 
 
 def leading_coeff_log(n: int, params: JacobiParams) -> Scalar:
@@ -75,12 +78,7 @@ def leading_coeff_log(n: int, params: JacobiParams) -> Scalar:
 
 
 def value_at_one_log(n: int, params: JacobiParams) -> Scalar:
-    """log P_n(1) = log[(1+alpha)_n / n!].
-
-    The value does not involve beta, but its cost does: it is one element
-    of :func:`log_values_mp`, which evaluates all five arguments, at the
-    precision :meth:`Context.guarded` sets for the size alpha + beta + 2.
-    """
+    """log P_n(1) = log[(1+alpha)_n / n!]."""
     n = check_size(n, "n", 0)
     if n == 0:
         return active().zero()

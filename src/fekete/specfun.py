@@ -1,13 +1,14 @@
 """Special-function kernel.
 
-Exact-rational Bernoulli data (from ``mpmath.bernfrac``) and Hurwitz zeta
-at nonpositive integer first argument, the Bernoulli polynomials evaluated
-by Horner in integers over each row's common denominator; the mpf kernel
-of the antiderivative of log-gamma (negapolygamma of order -2) from
-``mpmath.zeta(-1, x, 1)``; one fixed-point kernel for log Gamma and log
-Barnes G together, by their asymptotic series summed in integers in the
-log domain without forming Gamma or G; and :func:`memo`, the one memo of
-O(1)-argument kernel values.  Callers round kernel values through
+Exact-rational Bernoulli data and Hurwitz zeta at nonpositive integer
+first argument: every Bernoulli number comes from one integer source, the
+tangent-number recurrence, and the Bernoulli polynomials are evaluated by
+Horner in integers over each row's common denominator.  One fixed-point
+kernel for log Gamma and log Barnes G together, by their asymptotic series
+summed in integers in the log domain without forming Gamma or G; the
+antiderivative of log-gamma (negapolygamma of order -2) from one value of
+that kernel; and :func:`memo`, the one memo of O(1)-argument kernel values.
+Callers round kernel values through
 :meth:`fekete.precision.Context.guarded`.
 """
 from __future__ import annotations
@@ -49,10 +50,44 @@ def _integer_row(coeffs: list[Fraction]) -> tuple[int, tuple[int, ...]]:
     return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
 
 
+#: B_0, B_1, ... exactly, through an odd index; see :func:`_bernoulli`
+_bernoulli_numbers: tuple[Fraction, ...] = ()
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """[0, T_1, ..., T_n], tan x = sum_k T_k x^(2k-1)/(2k-1)!, by the integer
+    recurrence of Brent & Harvey (2013, Algorithm TangentNumbers): O(n^2)
+    small multiples and additions of integers of O(n log n) bits."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+def _bernoulli(m: int) -> Fraction:
+    """Exact B_m (B_1 = -1/2) for any m >= 0: B_2k = (-1)^(k-1) 2k T_k /
+    (4^k (4^k - 1)) from :func:`_tangent_numbers`, and 0 at odd m > 1.  The
+    one source of Bernoulli numbers; the table is memoised and, when an
+    index past it is asked for, rebuilt at least twice as long."""
+    global _bernoulli_numbers
+    if m >= len(_bernoulli_numbers):
+        n = max(len(_bernoulli_numbers), m // 2 + 1, 32)
+        t = _tangent_numbers(n)
+        numbers = [Fraction(1), Fraction(-1, 2)]
+        for k in range(1, n + 1):
+            numbers += (Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1)),
+                        Fraction(0))
+        _bernoulli_numbers = tuple(numbers)
+    return _bernoulli_numbers[m]
+
+
 @lru_cache(maxsize=1)
 def bernoulli_table() -> BernoulliTable:
     top = BERNOULLI_MAX_ORDER + 2
-    numbers = [Fraction(*mpmath.bernfrac(m)) for m in range(top + 1)]
+    numbers = [_bernoulli(m) for m in range(top + 1)]
     rows = tuple(_integer_row([math.comb(m, k) * numbers[m - k] for k in range(m + 1)])
                  for m in range(top + 1))
     return BernoulliTable(
@@ -116,21 +151,6 @@ def memo(kernel, x):
     return value
 
 
-def negapolygamma2_mp(x):
-    """psi^(-2)(x) = integral_0^x log Gamma(t) dt for mpf x >= 0, at the
-    working precision:
-
-    zeta'(-1, x) - zeta'(-1) + (1-x)x/2 + (x/2) log 2pi, zeta'(-1) = 1/12 - log A.
-    """
-    if x == 0:
-        return mpmath.mpf(0)
-    # psi^(-2)(x) ~ x log(1/x) as x -> 0, while zeta'(-1, x) - zeta'(-1)
-    # cancels two terms of size 0.17: carry log2(1/x) more bits for it
-    with mpmath.extraprec(max(0, -mpmath.mag(x))):
-        return (mpmath.zeta(-1, x, 1) - mpmath.mpf(1) / 12 + mpmath.log(mpmath.glaisher)
-                + (1 - x) * x / 2 + x * mpmath.log(2 * mpmath.pi) / 2)
-
-
 def fixed_bits() -> int:
     """fp, the fractional bits of the values of :func:`log_gamma_g_fixed` at
     the working precision: the working bits, 10 + 2 bitlen(prec) guard bits
@@ -164,13 +184,13 @@ def _series_terms(fp: int, w: int, term) -> tuple:
 
 
 def _gamma_term(k: int) -> tuple:
-    num, den = mpmath.bernfrac(2 * k)  # B_2k / (2k (2k - 1)) z^(1 - 2k)
-    return num, den * 2 * k * (2 * k - 1), 2 * k - 1
+    b = _bernoulli(2 * k)  # B_2k / (2k (2k - 1)) z^(1 - 2k)
+    return b.numerator, b.denominator * 2 * k * (2 * k - 1), 2 * k - 1
 
 
 def _g_term(k: int) -> tuple:
-    num, den = mpmath.bernfrac(2 * k + 2)  # B_(2k+2) / (4k (k + 1)) z^(-2k)
-    return num, den * 4 * k * (k + 1), 2 * k
+    b = _bernoulli(2 * k + 2)  # B_(2k+2) / (4k (k + 1)) z^(-2k)
+    return b.numerator, b.denominator * 4 * k * (k + 1), 2 * k
 
 
 def _fixed_data(fp: int) -> tuple:
@@ -280,3 +300,33 @@ def log_gamma_g_fixed(x) -> tuple[int, int]:
         lG += _log_fixed(q2, e2, fp) - m * lg
         lg -= _log_fixed(q1, e1, fp)
     return lg, lG
+
+
+def psi2_fixed(x) -> tuple[int, int, int]:
+    """(fp, psi^(-2)(x), x log Gamma(x) - psi^(-2)(x)) for x > 0, the two
+    values as integers scaled by 2^fp, from one :func:`memo` value of
+    :func:`log_gamma_g_fixed`.  With psi^(-2)(x) = integral_0^x log Gamma
+    (DLMF 5.17.4, and G(x + 1) = Gamma(x) G(x)):
+
+        psi^(-2)(x) = x(1 - x)/2 + (x/2) log 2pi + (x - 1) log Gamma(x) - log G(x),
+        x log Gamma(x) - psi^(-2)(x) = log G(x + 1) - x(1 - x)/2 - (x/2) log 2pi.
+
+    As x -> 0, log Gamma(x) and -log G(x) both approach log(1/x) while the
+    values are about x log(1/x) and -x: the kernel runs with log2(1/x)
+    more bits for that cancellation."""
+    x = mpmath.mpf(x)
+    with mpmath.extraprec(max(0, -mpmath.mag(x))):
+        fp = fixed_bits()
+        lg, lG = memo(log_gamma_g_fixed, x)
+    one, xf = 1 << fp, to_fixed(x._mpf_, fp)
+    half = (xf * (one - xf + 2 * _fixed_data(fp)[0])) >> (fp + 1)  # x(1-x)/2 + (x/2) log 2pi
+    return fp, half + (((xf - one) * lg) >> fp) - lG, lg + lG - half
+
+
+def negapolygamma2_mp(x):
+    """psi^(-2)(x) = integral_0^x log Gamma(t) dt for x >= 0, as mpf at the
+    working precision (see :func:`psi2_fixed`)."""
+    if x == 0:
+        return mpmath.mpf(0)
+    fp, psi2, _ = psi2_fixed(x)
+    return mpmath.mpf((psi2, -fp))

@@ -43,14 +43,24 @@ def fit_slope(ns, errors) -> float:
     return cov / var
 
 
+def _constant(fn):
+    """``fn()`` rounded once into the active precision; in ``ext`` under a
+    working precision above the mode's (a reference under
+    ``mpmath.workdps``), ``fn()`` at that precision."""
+    ctx = active()
+    if ctx.mode == EXT and mpmath.mp.dps > ctx.dps:
+        return fn()
+    return ctx.guarded(fn)
+
+
 def ln2():
-    """log 2 rounded once into the active precision."""
-    return active().guarded(lambda: mpmath.log(2))
+    """log 2 in the active precision (see :func:`_constant`)."""
+    return _constant(lambda: mpmath.log(2))
 
 
 def log_glaisher():
-    """log A (Glaisher-Kinkelin) rounded once into the active precision."""
-    return active().guarded(lambda: mpmath.log(mpmath.glaisher))
+    """log A (Glaisher-Kinkelin) in the active precision (see :func:`_constant`)."""
+    return _constant(lambda: mpmath.log(mpmath.glaisher))
 
 
 def _scalar_from_json(v):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from fekete import asym, energy, jacobi, specfun
+from fekete import asym, cli, energy, jacobi, specfun
 from fekete.exceptions import CapacityError, DomainError
 from fekete.jacobi import JacobiParams
 from fekete.precision import precision_mode
@@ -389,7 +389,8 @@ CHARGE_GRID = [0.75 + 0.25 * k for k in range(14)] + [0.3, 0.55, 7.1]
 @functools.lru_cache(maxsize=None)
 def _psi2_ref(x):
     """psi^(-2)(x) = x(1-x)/2 + (x/2) log 2pi + x log Gamma(x) - log G(1+x),
-    which does not go through the zeta' kernel under test."""
+    by mpmath.loggamma and mpmath.barnesg, not by the fixed-point kernel
+    under test."""
     return (x * (1 - x) / 2 + x / 2 * mpmath.log(2 * mpmath.pi) + x * mpmath.loggamma(x)
             - mpmath.log(mpmath.barnesg(1 + x)))
 
@@ -464,19 +465,54 @@ class TestLeadingCoefficientsRoundedOnce:
 
     def test_psi2_memo_serves_the_rebuild(self, monkeypatch):
         calls = []
-        zeta = mpmath.zeta
+        kernel = specfun.log_gamma_g_fixed
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return zeta(*args, **kwargs)
+            return kernel(*args, **kwargs)
 
         monkeypatch.setattr(specfun, "_memo", {})
-        monkeypatch.setattr(mpmath, "zeta", counted)
+        monkeypatch.setattr(specfun, "log_gamma_g_fixed", counted)
         first = asym.potential_energy_expansion(1.25, 2.5, 4)
         built = len(calls)
         assert built > 0
         assert asym.potential_energy_expansion(1.25, 2.5, 4) == first
         assert len(calls) == built
+
+
+class TestRuntimeRoute:
+    """psi^(-2) and the endpoint term from the fused kernel, the Bernoulli
+    numbers from the tangent numbers: no mpmath.zeta, no mpmath.bernfrac."""
+
+    @pytest.mark.parametrize("dps", [26, 42, 130])
+    def test_endpoint_against_loggamma_and_zeta(self, dps):
+        # x log Gamma(x) - psi^(-2)(x), with psi^(-2) from Hurwitz zeta'
+        with mpmath.workdps(dps):
+            prec = mpmath.mp.prec
+            for x in map(mpmath.mpf, ["1e-300", "1e-6", "0.3", "1.5", "2", "7.75", "1e3", "2e16"]):
+                value = asym._endpoint(x)
+                with mpmath.workdps(dps + 30), mpmath.extraprec(max(0, -mpmath.mag(x))):
+                    ref = (x * mpmath.loggamma(x) - mpmath.zeta(-1, x, 1) + mpmath.zeta(-1, 1, 1)
+                           - x * (1 - x) / 2 - x / 2 * mpmath.log(2 * mpmath.pi))
+                    assert abs(value - ref) <= abs(ref) * mpmath.mpf(2) ** (1 - prec), (dps, x)
+
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    def test_coeffs_call_neither_zeta_nor_bernfrac(self, mode, monkeypatch):
+        # from empty tables and memo, as in a new process, every kind at its
+        # highest order
+        def forbidden(*_):
+            raise AssertionError("mpmath.zeta or mpmath.bernfrac called")
+
+        monkeypatch.setattr(mpmath, "zeta", forbidden)
+        monkeypatch.setattr(mpmath, "bernfrac", forbidden)
+        monkeypatch.setattr(specfun, "_memo", {})
+        monkeypatch.setattr(specfun, "_fixed_series", {})
+        monkeypatch.setattr(specfun, "_bernoulli_numbers", ())
+        specfun.bernoulli_table.cache_clear()
+        with precision_mode(mode):
+            for kind in cli.KINDS:
+                cli.cmd_coeffs(cli.RunConfig("coeffs", kind, p=0.3, q=2.75, a=-1.0, b=2.0,
+                                             order=asym.max_order()))
 
 
 class TestEvaluateExpansion:

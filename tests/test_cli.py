@@ -1,11 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from typing import NamedTuple
+from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 
 from fekete import energy
 from fekete.cli import cli
@@ -15,9 +18,54 @@ from fekete.precision import use
 from _util import rel_close
 
 
+class Result(NamedTuple):
+    """One in-process run: ``output`` is stdout and stderr as written, with
+    CRLF read as LF; ``stdout_bytes`` the raw stdout; ``exception`` what
+    ended a run with a nonzero status (a SystemExit, or an uncaught error)."""
+
+    output: str
+    stdout_bytes: bytes
+    exit_code: int
+    exception: BaseException | None
+
+
+class _Tee(io.StringIO):
+    """A stream that also copies what it is given to ``both``."""
+
+    def __init__(self, both):
+        super().__init__(newline="")
+        self.both = both
+
+    def write(self, text):
+        self.both.write(text)
+        return super().write(text)
+
+
+class Runner:
+    """Runs a command-line function in this process, with its stdout and
+    stderr captured and, for the call, ``env`` added to the environment;
+    the program name in messages is the function's name."""
+
+    def invoke(self, fn, args, env=None):
+        both = io.StringIO(newline="")
+        out, err = _Tee(both), _Tee(both)
+        exit_code, exception = 0, None
+        with mock.patch.dict(os.environ, env or {}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                fn(list(args), prog=fn.__name__)
+            except SystemExit as exc:
+                exit_code = exc.code if isinstance(exc.code, int) else 0 if exc.code is None else 1
+                exception = exc if exit_code else None
+            except Exception as exc:
+                exit_code, exception = 1, exc
+        return Result(both.getvalue().replace("\r\n", "\n"), out.getvalue().encode(),
+                      exit_code, exception)
+
+
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 #: every exact-side command, each kind, both modes; prints what it loaded of

@@ -120,6 +120,26 @@ class TestEndpointValues:
             )
 
 
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    def test_guard_follows_the_exponent_involved(self, mode, monkeypatch):
+        # log P_n(1) does not involve beta: at beta = 1e300 its kernel runs
+        # at the precision for the size alpha + 2, not ~2000 bits above it
+        precs = []
+        kernel = jacobi.log_gamma_g_fixed
+        monkeypatch.setattr(jacobi, "log_gamma_g_fixed",
+                            lambda x: precs.append(mpmath.mp.prec) or kernel(x))
+        with precision_mode(mode):
+            for n, alpha in ((2, 0.5), (40, 3.25), (10**6, 0.1)):
+                value = jacobi.value_at_one_log(n, JacobiParams(alpha, 1e300))
+                with mpmath.workdps(60):
+                    a = mpmath.mpf(alpha)
+                    ref = (mpmath.loggamma(n + a + 1) - mpmath.loggamma(a + 1)
+                           - mpmath.loggamma(n + 1))
+                    bound = abs(ref) * (2.0 ** -52 if mode == "std" else mpmath.mpf(10) ** -31)
+                    assert abs(value - ref) <= bound, (n, alpha)
+        assert max(precs) < 256
+
+
 class TestEvaluate:
     """The Newton step P_n/P_n' of the zero polish."""
 

@@ -15,8 +15,8 @@ from fekete.exceptions import CapacityError, DomainError
 from fekete.jacobi import JacobiParams
 from fekete.precision import active, precision_mode
 
-from _util import (bernoulli_poly_horner, fit_slope, log_gamma_asym, log_glaisher, rel_close,
-                   zeta_prime_neg1_asym)
+from _util import (bernoulli_poly_horner, fit_slope, ln2, log_gamma_asym, log_glaisher,
+                   rel_close, zeta_prime_neg1_asym)
 
 
 def _zeta_prime(x):
@@ -60,6 +60,15 @@ class TestBernoulli:
             specfun.bernoulli_poly_fraction(35, Fraction(1, 2))
         with pytest.raises(CapacityError):
             specfun.bernoulli_number(33)
+
+    def test_tangent_source_matches_bernfrac(self, monkeypatch):
+        # from an empty table, built short first and then grown by doubling
+        monkeypatch.setattr(specfun, "_bernoulli_numbers", ())
+        assert specfun._bernoulli(10) == Fraction(5, 66)
+        short = len(specfun._bernoulli_numbers)
+        for m in range(301):
+            assert specfun._bernoulli(m) == Fraction(*mpmath.bernfrac(m)), m
+        assert len(specfun._bernoulli_numbers) >= 4 * short
 
     @given(
         m=st.integers(min_value=0, max_value=32),
@@ -171,6 +180,17 @@ class TestLogGammaAsym:
         assert abs(slope + (order + 1)) <= 0.2
 
 
+#: arguments of the psi^(-2) reference tests: 2p at p = 5e-301, small,
+#: either side of 1 and 2, around and past the shift threshold, and huge
+PSI2_ARGS = ["1e-300", "1e-6", "0.3", "1.5", "2", "7.75", "1e3", "2e16"]
+
+
+def _psi2_zeta(x):
+    """psi^(-2)(x) from Hurwitz zeta': independent of the fused kernel."""
+    return (mpmath.zeta(-1, x, 1) - mpmath.zeta(-1, 1, 1) + x * (1 - x) / 2
+            + x / 2 * mpmath.log(2 * mpmath.pi))
+
+
 class TestNegapolygamma2:
     def test_raabe(self):
         # independent oracle: adaptive quadrature of gammaln over [0, 1]
@@ -220,6 +240,19 @@ class TestNegapolygamma2:
             asym.potential_energy_expansion(-0.05, 1, 2)
         with pytest.raises(DomainError):
             asym.discriminant_expansion(JacobiParams(0, -1.1), 2)
+
+    @pytest.mark.parametrize("dps", [26, 42, 130, 250])
+    def test_against_zeta_formula(self, dps):
+        # the route the kernel replaced, 30 digits beyond the working
+        # precision and with log2(1/x) more bits for its cancellation at
+        # small x: zeta'(-1, x) - zeta'(-1) + x(1-x)/2 + (x/2) log 2pi
+        with mpmath.workdps(dps):
+            prec = mpmath.mp.prec
+            for x in map(mpmath.mpf, PSI2_ARGS):
+                value = specfun.negapolygamma2_mp(x)
+                with mpmath.workdps(dps + 30), mpmath.extraprec(max(0, -mpmath.mag(x))):
+                    ref = _psi2_zeta(x)
+                    assert abs(value - ref) <= abs(ref) * mpmath.mpf(2) ** (1 - prec), (dps, x)
 
     def test_extended_mode(self):
         with precision_mode("ext"):
@@ -405,6 +438,15 @@ class TestConstants:
             with mpmath.workdps(40):
                 ref = mpmath.zeta(-1, 1, 1)
             assert abs(value - ref) <= mpmath.mpf(10) ** -31
+
+    def test_helpers_at_a_higher_working_precision(self):
+        # a reference under workdps(400) gets 400-digit constants, not the
+        # mode's digits + 10
+        with precision_mode("ext"), mpmath.workdps(400):
+            assert abs(ln2() - mpmath.log(2)) <= mpmath.mpf(10) ** -399
+            assert abs(log_glaisher() - mpmath.log(mpmath.glaisher)) <= mpmath.mpf(10) ** -399
+        with mpmath.workdps(400):
+            assert ln2() == math.log(2)  # std stays float64
 
     def test_against_mpmath_derivative(self):
         with mpmath.workdps(40):

@@ -3,7 +3,7 @@
 Each builder returns an :class:`Expansion` holding the leading coefficients
 (of n^2, n log n, n, log n, 1, under fixed keys) and the tail coefficients
 c_m of n^(-m) up to a requested order.  The leading coefficients are one
-mpf kernel of the exact inputs (with log 2, log pi and log A from mpmath,
+mpf kernel of the exact inputs (with log 2 and log pi from mpmath, log A,
 log-gamma, log Barnes G and psi^(-2) from the fixed-point kernel of
 :mod:`fekete.specfun`), evaluated at guard digits by
 :meth:`~fekete.precision.Context.guarded` and rounded once each.  Tail
@@ -24,7 +24,7 @@ from .energy import IntervalSpec
 from .exceptions import CapacityError, check_finite_above, check_size
 from .jacobi import JacobiParams
 from .precision import Scalar, active, as_fraction
-from .specfun import bernoulli_number, negapolygamma2_mp, psi2_fixed
+from .specfun import bernoulli_number, log_glaisher_mp, negapolygamma2_mp, psi2_fixed
 from .specfun import hurwitz_zeta_negint_fraction as _zeta
 
 LEADING_KEYS = ("n2", "nlogn", "n", "logn", "const")
@@ -221,7 +221,7 @@ def discriminant_expansion(params: JacobiParams, order: int) -> Expansion:
         ab = a + b
         const = (-mpmath.mpf(1) / 8 - (ab + 0.5) ** 2 / 2
                  + (mpmath.mpf(11) / 6 + ab * ab) / 2 * ln2
-                 + log_pi + 3 * mpmath.log(mpmath.glaisher)
+                 + log_pi + 3 * log_glaisher_mp()
                  + (_endpoint(a + 1) + _endpoint(b + 1)))
         logn = (2.5 - ((a + 1) ** 2 + (b + 1) ** 2)) / 2
         return (ln2, 0, 2 * ab * ln2 - log_pi, logn, const)
@@ -250,7 +250,7 @@ def potential_energy_expansion(p: float, q: float, order: int) -> Expansion:
         ln2 = mpmath.log(2)
         s = p + q
         const = (2 * ((s - 1) ** 2 - mpmath.mpf(11) / 24) * ln2 - s * mpmath.log(mpmath.pi)
-                 - 3 * mpmath.log(mpmath.glaisher)
+                 - 3 * log_glaisher_mp()
                  + (negapolygamma2_mp(2 * p) + negapolygamma2_mp(2 * q)))
         logn = -2 * ((p - 0.25) ** 2 + (q - 0.25) ** 2)
         return (ln2, -1, 2 * (s - 1) * ln2, logn, const)
@@ -270,7 +270,7 @@ def elliptic_log_energy_expansion(p: float, q: float, order: int) -> Expansion:
     def kernel(p, q):
         ln2 = mpmath.log(2)
         const = (-2 * ((p + q) ** 2 - mpmath.mpf(13) / 24) * ln2
-                 - 3 * mpmath.log(mpmath.glaisher)
+                 - 3 * log_glaisher_mp()
                  - (_endpoint(2 * p) + _endpoint(2 * q)))
         return (ln2, -1, -2 * ln2, 2 * (p * p + q * q - 0.125), const)
 
@@ -285,7 +285,7 @@ def _interval_kernel(a, b):
     with W = -log((b - a)/4), minus the log of the capacity."""
     ln2 = mpmath.log(2)
     w = -mpmath.log((b - a) / 4)
-    return (w, -1, -(ln2 + w), -0.25, 13 * ln2 / 12 - 3 * mpmath.log(mpmath.glaisher))
+    return (w, -1, -(ln2 + w), -0.25, 13 * ln2 / 12 - 3 * log_glaisher_mp())
 
 
 def interval_energy_expansion(order: int) -> Expansion:

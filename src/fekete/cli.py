@@ -6,7 +6,6 @@ success, 1 on verification failure, 2 on usage errors.
 """
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -102,6 +101,12 @@ def _write(text: str, out: str | None) -> None:
         handle.write(text)
 
 
+def _write_json(payload, out: str | None) -> None:
+    import json  # only JSON output needs it
+
+    _write(json.dumps(payload, indent=2) + "\n", out)
+
+
 def _emit_table(header: tuple[str, ...], rows, fmt: str, out: str | None,
                 command: str) -> None:
     if fmt == "csv":
@@ -114,7 +119,7 @@ def _emit_table(header: tuple[str, ...], rows, fmt: str, out: str | None,
             "command": command,
             "rows": [dict(zip(header, row)) for row in rows],
         }
-        _write(json.dumps(payload, indent=2) + "\n", out)
+        _write_json(payload, out)
 
 
 # -- command implementations (testable without the option layer) --------------
@@ -330,7 +335,7 @@ def coeffs_command(kind, order, a, b, p, q, alpha, beta, fmt, out):
     """Expansion coefficients as serialized JSON."""
     p, q = _resolve_charges(p, q, alpha, beta, required=False)
     cfg = RunConfig(command="coeffs", kind=kind, order=order, fmt=fmt, a=a, b=b, p=p, q=q)
-    _write(json.dumps(cmd_coeffs(cfg), indent=2) + "\n", out)
+    _write_json(cmd_coeffs(cfg), out)
 
 
 def table_command(kind, n_range, order, a, b, p, q, alpha, beta, fmt, out):
@@ -358,7 +363,7 @@ def minimize_command(n_value, tol, p, q, alpha, beta, fmt, out):
                     p=p, q=q, tol=tol, fmt=fmt)
     payload = cmd_minimize(cfg)
     if fmt == "json":
-        _write(json.dumps(payload, indent=2) + "\n", out)
+        _write_json(payload, out)
     else:
         header = ("index", "x")
         rows = [(str(i), str(v)) for i, v in enumerate(payload["points"], start=1)]
@@ -378,14 +383,15 @@ def verify_command(kind, n_range, order, slope_tol, tol, a, b, p, q, alpha, beta
             "ok": ok,
             "rows": [dict(zip(header, row)) for row in rows],
         }
-        _write(json.dumps(payload, indent=2) + "\n", out)
+        _write_json(payload, out)
     else:
         _emit_table(header, rows, fmt, out, "verify")
     if not ok:
         sys.exit(1)
 
 
-_CHARGE_OPTIONS = (
+#: the charges and the output, taken by every command
+_SHARED_OPTIONS = (
     (("--p",), dict(type=float, help="Charge at +1.")),
     (("--q",), dict(type=float, help="Charge at -1.")),
     (("--alpha",), dict(type=float, help="Jacobi exponent alpha = 2p-1.")),
@@ -412,26 +418,26 @@ COMMANDS = {
                         help="Range a..b or comma list (pq kind).")),
         (("--N",), dict(dest="N_range", metavar="RANGE",
                         help="Range a..b or comma list (interval kind).")),
-        *_CHARGE_OPTIONS)),
+        *_SHARED_OPTIONS)),
     "coeffs": (coeffs_command, (
         *_kind_options(),
         (("--order", "--M"), dict(dest="order", type=int, default=4,
                                   help="Number of tail coefficients.")),
-        *_CHARGE_OPTIONS)),
+        *_SHARED_OPTIONS)),
     "table": (table_command, (
         *_kind_options(),
         (("--n", "--N"), dict(dest="n_range", metavar="RANGE",
                                 help="Range a..b or comma list.")),
         (("--order", "--M"), dict(dest="order", type=int, default=2)),
-        *_CHARGE_OPTIONS)),
+        *_SHARED_OPTIONS)),
     "zeros": (zeros_command, (
         (("--n",), dict(dest="n_range", metavar="RANGE", required=True,
                         help="Degree range a..b or comma list.")),
-        *_CHARGE_OPTIONS)),
+        *_SHARED_OPTIONS)),
     "minimize": (minimize_command, (
         (("--n",), dict(dest="n_value", type=int, required=True)),
         (("--tol",), dict(type=float, default=1e-10)),
-        *_CHARGE_OPTIONS)),
+        *_SHARED_OPTIONS)),
     "verify": (verify_command, (
         *_kind_options("minimize"),
         (("--n", "--N"), dict(dest="n_range", metavar="RANGE", required=True,
@@ -442,7 +448,7 @@ COMMANDS = {
                                 help="Allowed deviation of fitted slopes from -(order+1).")),
         (("--tol",), dict(type=float, default=1e-8,
                           help="Zero-deviation tolerance for --kind minimize.")),
-        *_CHARGE_OPTIONS)),
+        *_SHARED_OPTIONS)),
 }
 
 #: an option value that argparse would otherwise take for an option: a
@@ -478,7 +484,7 @@ def cli(args=None, prog=None):
         sub = subparsers[name] = commands.add_parser(
             name, prog=f"{parser.prog} {name}", help=run.__doc__.split("\n\n")[0],
             description=run.__doc__, allow_abbrev=False, argument_default=argparse.SUPPRESS)
-        sub._negative_number_matcher = negative
+        sub._negative_number_matcher = negative  # argparse's own reads -1e5 as an option
         for flags, spec in options:
             sub.add_argument(*flags, **{k: v for k, v in spec.items() if k != "default"})
         sub.add_argument("--precision", choices=("std", "ext"),

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-from mpmath.libmp import from_man_exp, mpf_log, round_nearest, to_fixed
+from mpmath.libmp import fone, from_man_exp, ftwo, mpf_log, round_nearest, to_fixed
 
 from .exceptions import CapacityError, check_size
 
@@ -199,9 +199,12 @@ def _fixed_data(fp: int) -> tuple:
         w = (fp - 8) // 6 + 1
         with mpmath.workprec(fp + 10):
             half_log_2pi = to_fixed((mpmath.log(2 * mpmath.pi) / 2)._mpf_, fp)
-            zeta1 = to_fixed((mpmath.mpf(1) / 12 - mpmath.log(mpmath.glaisher))._mpf_, fp)
-        data = _fixed_series[fp] = (half_log_2pi, zeta1, w, _series_terms(fp, w, _gamma_term),
-                                    _series_terms(fp, w, _g_term))
+        data = (half_log_2pi, 0, w, _series_terms(fp, w, _gamma_term),
+                _series_terms(fp, w, _g_term))
+        # with zeta'(-1) left out of the log G series, the kernel's value of
+        # log G(1) = 0, by the shift from 1 + w, comes out as -zeta'(-1)
+        zeta1 = -_log_gamma_g(fone, fp, data)[1]
+        data = _fixed_series[fp] = (half_log_2pi, zeta1, *data[2:])
     return data
 
 
@@ -258,16 +261,25 @@ def log_gamma_g_fixed(x) -> tuple[int, int]:
     cut to fp + bitlen(m) + 4 bits as they grow, times powers of two; one
     ``mpf_log`` each.  The guard bits of :func:`fixed_bits` cover the
     subtraction, which cancels about log2 log G(w + 1) < 2 log2 wp bits.
+    The constant zeta'(-1) = 1/12 - log A comes from the same arithmetic:
+    it is minus the value of log G(1) = 0 computed with the constant left
+    out (see ``_fixed_data``), so it carries the error of one shifted value.
     """
-    fp = fixed_bits()
-    one = 1 << fp
     x = mpmath.mpf(x)._mpf_
     if x[0] or not x[1]:  # sign set, or a zero, inf or nan
         raise ValueError(f"log Gamma and log G need a finite x > 0, got {mpmath.mpf(x)}")
-    z = to_fixed(x, fp) - one  # exact for x >= 1, which has no bits below 2^-fp
-    if z == 0 or z == one:
+    if x in (fone, ftwo):
         return 0, 0
-    half_log_2pi, zeta1, w, gamma_terms, g_terms = _fixed_data(fp)
+    fp = fixed_bits()
+    return _log_gamma_g(x, fp, _fixed_data(fp))
+
+
+def _log_gamma_g(x: tuple, fp: int, data: tuple) -> tuple[int, int]:
+    """:func:`log_gamma_g_fixed` at the mpf tuple x > 0, from the data of
+    ``_fixed_data``."""
+    one = 1 << fp
+    z = to_fixed(x, fp) - one  # exact for x >= 1, which has no bits below 2^-fp
+    half_log_2pi, zeta1, w, gamma_terms, g_terms = data
     m = max(0, ((w << fp) - z + one - 1) >> fp)
     z += m << fp
     log_z = _log_fixed(z, -fp, fp)
@@ -321,6 +333,14 @@ def psi2_fixed(x) -> tuple[int, int, int]:
     one, xf = 1 << fp, to_fixed(x._mpf_, fp)
     half = (xf * (one - xf + 2 * _fixed_data(fp)[0])) >> (fp + 1)  # x(1-x)/2 + (x/2) log 2pi
     return fp, half + (((xf - one) * lg) >> fp) - lG, lg + lG - half
+
+
+def log_glaisher_mp():
+    """log A = 1/12 - zeta'(-1), A the Glaisher-Kinkelin constant, as mpf
+    at the working precision, from the kernel's own zeta'(-1) (see
+    :func:`log_gamma_g_fixed`)."""
+    fp = fixed_bits()
+    return mpmath.mpf(((1 << fp) // 12 - _fixed_data(fp)[1], -fp))
 
 
 def negapolygamma2_mp(x):

@@ -499,12 +499,13 @@ class TestRuntimeRoute:
     @pytest.mark.parametrize("mode", ["std", "ext"])
     def test_coeffs_call_neither_zeta_nor_bernfrac(self, mode, monkeypatch):
         # from empty tables and memo, as in a new process, every kind at its
-        # highest order
+        # highest order; log A does not come from mpmath.glaisher either
         def forbidden(*_):
             raise AssertionError("mpmath.zeta or mpmath.bernfrac called")
 
         monkeypatch.setattr(mpmath, "zeta", forbidden)
         monkeypatch.setattr(mpmath, "bernfrac", forbidden)
+        monkeypatch.setattr(mpmath, "glaisher", None)
         monkeypatch.setattr(specfun, "_memo", {})
         monkeypatch.setattr(specfun, "_fixed_series", {})
         monkeypatch.setattr(specfun, "_bernoulli_numbers", ())

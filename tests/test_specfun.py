@@ -439,6 +439,16 @@ class TestConstants:
                 ref = mpmath.zeta(-1, 1, 1)
             assert abs(value - ref) <= mpmath.mpf(10) ** -31
 
+    @pytest.mark.parametrize("dps", [15, 26, 42, 130, 250])
+    def test_kernel_log_glaisher(self, dps):
+        # log A from the kernel's zeta'(-1), against mpmath's constant
+        with mpmath.workdps(dps):
+            prec = mpmath.mp.prec
+            value = specfun.log_glaisher_mp()
+            with mpmath.workdps(dps + 30):
+                ref = mpmath.log(mpmath.glaisher)
+                assert abs(value - ref) <= ref * mpmath.mpf(2) ** (1 - prec)
+
     def test_helpers_at_a_higher_working_precision(self):
         # a reference under workdps(400) gets 400-digit constants, not the
         # mode's digits + 10

@@ -7,25 +7,27 @@ mpf kernel of the exact inputs (with log 2 and log pi from mpmath, log A,
 log-gamma, log Barnes G and psi^(-2) from the fixed-point kernel of
 :mod:`fekete.specfun`), evaluated at guard digits by
 :meth:`~fekete.precision.Context.guarded` and rounded once each.  Tail
-coefficients are assembled symbolically from exact-rational Bernoulli data
-and rounded once into the active precision.
+coefficients are exact rationals of Bernoulli data, each assembled as one
+integer numerator over one integer denominator and rounded once into the
+active precision.
 
 The series are asymptotic (divergent in general): evaluation never chooses
 a truncation order by itself.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import repr_dps, to_str
 
 from .energy import IntervalSpec
 from .exceptions import CapacityError, check_finite_above, check_size
 from .jacobi import JacobiParams
-from .precision import Scalar, active, as_fraction
+from .precision import Scalar, active, integer_ratio
 from .specfun import bernoulli_number, log_glaisher_mp, negapolygamma2_mp, psi2_fixed
-from .specfun import hurwitz_zeta_negint_fraction as _zeta
+from .specfun import hurwitz_zeta_negint_numerators as _zeta
 
 LEADING_KEYS = ("n2", "nlogn", "n", "logn", "const")
 
@@ -57,105 +59,138 @@ def _check_order(order: int) -> None:
         raise CapacityError(f"order {order} exceeds the mode maximum {max_order()}")
 
 
-_ONE = Fraction(1)
+# -- tail coefficients from integer numerators ------------------------------
+#
+# Each c_m is an exact rational of the Hurwitz zeta values
+# zeta(-k, a) = -B_(k+1)(a)/(k+1) at the arguments of its kind.  The
+# arguments are written over one common denominator S, so that
+# hurwitz_zeta_negint_numerators gives every zeta(-k, a) as Z_k / (d_k S^top)
+# with d_k and S^top shared by all of them.  Each c_m is then one integer
+# numerator over one integer denominator -- integer combinations of the Z_k
+# with the weights 1 - 2^-m = (2^m - 1)/2^m, 2p = P/S, 1/(m(m+1)), ... held
+# as integer pairs, no gcd taken -- rounded once by Context.ratio.  Each
+# generator yields (num, den) for m = 1, ..., order.
 
 
-def _half_pow(m: int) -> Fraction:
-    """1 - 2^(-m)."""
-    return _ONE - Fraction(1, 2 ** m)
+def _over_common_denominator(*values) -> tuple[int, tuple[int, ...]]:
+    """(S, (R_1, ...)), S > 0, with each value exactly R_i / S."""
+    pairs = [integer_ratio(v) for v in values]
+    s = math.lcm(*(den for _, den in pairs))
+    return s, tuple(num * (s // den) for num, den in pairs)
 
 
-# -- exact-rational tail coefficients ---------------------------------------
-
-
-def lambda_tail_fraction(m: int, alpha, beta) -> Fraction:
+def _lambda_tail(order: int, alpha, beta):
     """c_m of log lambda_n: (-1)^(m-1)/m [(1-2^-m) zeta(-m, a+b+1) + zeta(-m)]."""
-    ab1 = as_fraction(alpha) + as_fraction(beta) + 1
-    value = (_half_pow(m) * _zeta(m, ab1) + _zeta(m, _ONE)) / m
-    return value if m % 2 else -value
+    s, (a, b) = _over_common_denominator(alpha, beta)
+    top = order + 1
+    z_ab1, z_1 = _zeta(a + b + s, s, top), _zeta(s, s, top)
+    s_top = s ** top
+    for m in range(1, order + 1):
+        (u, d), (v, _) = z_ab1[m], z_1[m]
+        w = 1 << m
+        num = (w - 1) * u + w * v
+        yield (num if m % 2 else -num), m * w * d * s_top
 
 
-def value_at_one_tail_fraction(m: int, alpha) -> Fraction:
+def _value_at_one_tail(order: int, alpha):
     """c_m of log P_n(1): (-1)^m/m [zeta(-m, alpha+1) - zeta(-m)]."""
-    a1 = as_fraction(alpha) + 1
-    value = (_zeta(m, a1) - _zeta(m, _ONE)) / m
-    return -value if m % 2 else value
+    s, (a,) = _over_common_denominator(alpha)
+    top = order + 1
+    z_a1, z_1 = _zeta(a + s, s, top), _zeta(s, s, top)
+    s_top = s ** top
+    for m in range(1, order + 1):
+        (u, d), (v, _) = z_a1[m], z_1[m]
+        num = u - v
+        yield (-num if m % 2 else num), m * d * s_top
 
 
-def discriminant_psi_fraction(m: int, alpha, beta) -> Fraction:
-    """The bracket Psi_m(alpha, beta) of the discriminant expansion."""
-    a1 = as_fraction(alpha) + 1
-    b1 = as_fraction(beta) + 1
-    ab1 = a1 + b1 - 1
-    half = _half_pow(m)
-    value = -Fraction(2 * m + 1, m + 1) * _zeta(m + 1, _ONE) - 2 * _zeta(m, _ONE)
-    value += a1 * _zeta(m, a1) - _zeta(m + 1, a1) / (m + 1)
-    value += b1 * _zeta(m, b1) - _zeta(m + 1, b1) / (m + 1)
-    value -= ((2 - Fraction(1, 2 ** m)) * m + half) / (m + 1) * _zeta(m + 1, ab1)
-    value += (ab1 - 1) * half * _zeta(m, ab1)
-    return value
+def _discriminant_tail(order: int, alpha, beta):
+    """c_m of log D_n: (-1)^(m-1)/m * Psi_m(alpha, beta), with the bracket
+
+        Psi_m = -(2m+1)/(m+1) zeta(-m-1) - 2 zeta(-m)
+                + a1 zeta(-m, a1) - zeta(-m-1, a1)/(m+1)
+                + b1 zeta(-m, b1) - zeta(-m-1, b1)/(m+1)
+                - ((2 - 2^-m) m + 1 - 2^-m)/(m+1) zeta(-m-1, a1+b1-1)
+                + (a1 + b1 - 2)(1 - 2^-m) zeta(-m, a1+b1-1),
+
+    a1 = alpha + 1, b1 = beta + 1.  (With this sign the truncation error
+    decays at the next tail order and the tails compose exactly to the
+    potential-energy expansion.)  Over (m+1) 2^m d_(m+1) S^top the
+    zeta(-m-1) terms have the numerator F, over 2^m S d_m S^top the
+    zeta(-m) terms have G."""
+    s, (a, b) = _over_common_denominator(alpha, beta)
+    top = order + 2
+    z_1, z_a1, z_b1, z_ab1 = (_zeta(r, s, top) for r in (s, a + s, b + s, a + b + s))
+    s_top = s ** top
+    for m in range(1, order + 1):
+        w = 1 << m
+        (f1, d1), (fa, _), (fb, _), (fab, _) = z_1[m + 1], z_a1[m + 1], z_b1[m + 1], z_ab1[m + 1]
+        f = (-(2 * m + 1) * w * f1 - w * (fa + fb)
+             - ((2 * w - 1) * m + w - 1) * fab)
+        (g1, d0), (ga, _), (gb, _), (gab, _) = z_1[m], z_a1[m], z_b1[m], z_ab1[m]
+        g = w * (-2 * s * g1 + (a + s) * ga + (b + s) * gb) + (w - 1) * (a + b) * gab
+        num = f * s * d0 + (m + 1) * d1 * g
+        yield (num if m % 2 else -num), m * (m + 1) * w * s * d0 * d1 * s_top
 
 
-def discriminant_tail_fraction(m: int, alpha, beta) -> Fraction:
-    """c_m of log D_n: (-1)^(m-1)/m * Psi_m(alpha, beta).
-
-    (With this sign the truncation error decays at the next tail order and
-    the tails compose exactly to the potential-energy expansion.)
-    """
-    value = discriminant_psi_fraction(m, alpha, beta) / m
-    return value if m % 2 else -value
+def _potential_h(m: int, w: int, z_1, z_p, z_q, z_pq) -> int:
+    """2^m d_(m+1) S^top H_m, with H_m(p, q) = zeta(-m-1) + zeta(-m-1, 2p)
+    + zeta(-m-1, 2q) + (1 - 2^-m) zeta(-m-1, 2p+2q-1)."""
+    return w * (z_1[m + 1][0] + z_p[m + 1][0] + z_q[m + 1][0]) + (w - 1) * z_pq[m + 1][0]
 
 
-def potential_h_fraction(m: int, p, q) -> Fraction:
-    """H_m(p, q) = zeta(-m-1) + zeta(-m-1, 2p) + zeta(-m-1, 2q)
-    + (1 - 2^-m) zeta(-m-1, 2p+2q-1)."""
-    p = as_fraction(p)
-    q = as_fraction(q)
-    return (
-        _zeta(m + 1, _ONE)
-        + _zeta(m + 1, 2 * p)
-        + _zeta(m + 1, 2 * q)
-        + _half_pow(m) * _zeta(m + 1, 2 * p + 2 * q - 1)
-    )
+def _charge_rows(order: int, p, q):
+    """S, 2p S, 2q S, S^top and the zeta numerators at 1, 2p, 2q and
+    2p + 2q - 1 through zeta(-order-1, .)."""
+    s, (p1, q1) = _over_common_denominator(p, q)
+    p2, q2 = 2 * p1, 2 * q1
+    top = order + 2
+    rows = tuple(_zeta(r, s, top) for r in (s, p2, q2, p2 + q2 - s))
+    return s, p2, q2, s ** top, rows
 
 
-def potential_tail_fraction(m: int, p, q) -> Fraction:
+def _potential_tail(order: int, p, q):
     """c_m of the potential energy: (-1)^(m-1)/(m(m+1)) H_m(p, q)."""
-    value = potential_h_fraction(m, p, q) / (m * (m + 1))
-    return value if m % 2 else -value
+    s, _, _, s_top, rows = _charge_rows(order, p, q)
+    for m in range(1, order + 1):
+        w = 1 << m
+        num = _potential_h(m, w, *rows)
+        yield (num if m % 2 else -num), m * (m + 1) * w * rows[0][m + 1][1] * s_top
 
 
-def elliptic_h_fraction(m: int, p, q) -> Fraction:
-    """H'_m(p, q) of the elliptic-configuration logarithmic energy."""
-    p = as_fraction(p)
-    q = as_fraction(q)
-    half = _half_pow(m)
-    value = potential_h_fraction(m, p, q) / (m + 1)
-    value -= 2 * p * _zeta(m, 2 * p)
-    value -= 2 * q * _zeta(m, 2 * q)
-    value -= 2 * half * (p + q) * _zeta(m, 2 * p + 2 * q - 1)
-    return value
+def _elliptic_tail(order: int, p, q):
+    """c_m of the elliptic logarithmic energy: (-1)^(m-1)/m H'_m(p, q), with
+
+        H'_m = H_m/(m+1) - 2p zeta(-m, 2p) - 2q zeta(-m, 2q)
+               - 2 (1 - 2^-m)(p + q) zeta(-m, 2p+2q-1);
+
+    the last three terms have the numerator e over 2^m S d_m S^top."""
+    s, p2, q2, s_top, rows = _charge_rows(order, p, q)
+    _, z_p, z_q, z_pq = rows
+    for m in range(1, order + 1):
+        w = 1 << m
+        d0, d1 = rows[0][m][1], rows[0][m + 1][1]
+        e = w * (p2 * z_p[m][0] + q2 * z_q[m][0]) + (w - 1) * (p2 + q2) * z_pq[m][0]
+        num = _potential_h(m, w, *rows) * s * d0 - (m + 1) * d1 * e
+        yield (num if m % 2 else -num), m * (m + 1) * w * s * d0 * d1 * s_top
 
 
-def elliptic_tail_fraction(m: int, p, q) -> Fraction:
-    """c_m of the elliptic logarithmic energy: (-1)^(m-1)/m H'_m(p, q)."""
-    value = elliptic_h_fraction(m, p, q) / m
-    return value if m % 2 else -value
-
-
-def interval_tail_fraction(m: int) -> Fraction:
+def _interval_tail(order: int):
     """c_m of the interval energy:
     [1 - 2^-m + 4 (1 - 2^-(m+2)) B_{m+2}/(m+2)] / (m(m+1))."""
-    bracket = _half_pow(m) + 4 * _half_pow(m + 2) * bernoulli_number(m + 2) / (m + 2)
-    return bracket / (m * (m + 1))
+    for m in range(1, order + 1):
+        b = bernoulli_number(m + 2)
+        bn, bd, w = b.numerator, b.denominator, 1 << m
+        yield ((w - 1) * (m + 2) * bd + (4 * w - 1) * bn), m * (m + 1) * w * (m + 2) * bd
 
 
 # -- expansion builders ------------------------------------------------------
 
 
-def _tail(order: int, coeff_fn) -> tuple[Scalar, ...]:
-    ctx = active()
-    return tuple(ctx.real(coeff_fn(m)) for m in range(1, order + 1))
+def _tail(coeffs) -> tuple[Scalar, ...]:
+    """The (num, den) pairs of a tail generator, each rounded once."""
+    ratio = active().ratio
+    return tuple(ratio(num, den) for num, den in coeffs)
 
 
 def _leading(kernel, *values) -> dict[str, Scalar]:
@@ -182,7 +217,7 @@ def leading_coeff_expansion(params: JacobiParams, order: int) -> Expansion:
         ln2 = mpmath.log(2)
         return (0, 0, ln2, -0.5, (a + b) * ln2 - mpmath.log(mpmath.pi) / 2)
 
-    tail = _tail(order, lambda m: lambda_tail_fraction(m, params.alpha, params.beta))
+    tail = _tail(_lambda_tail(order, params.alpha, params.beta))
     return Expansion(
         kind="log_lambda",
         params={"alpha": float(params.alpha), "beta": float(params.beta)},
@@ -198,7 +233,7 @@ def value_at_one_expansion(params: JacobiParams, order: int) -> Expansion:
     def kernel(a):
         return (0, 0, 0, a, -mpmath.loggamma(a + 1))
 
-    tail = _tail(order, lambda m: value_at_one_tail_fraction(m, params.alpha))
+    tail = _tail(_value_at_one_tail(order, params.alpha))
     return Expansion(
         kind="log_P1",
         params={"alpha": float(params.alpha), "beta": float(params.beta)},
@@ -226,7 +261,7 @@ def discriminant_expansion(params: JacobiParams, order: int) -> Expansion:
         logn = (2.5 - ((a + 1) ** 2 + (b + 1) ** 2)) / 2
         return (ln2, 0, 2 * ab * ln2 - log_pi, logn, const)
 
-    tail = _tail(order, lambda m: discriminant_tail_fraction(m, params.alpha, params.beta))
+    tail = _tail(_discriminant_tail(order, params.alpha, params.beta))
     return Expansion(
         kind="log_D",
         params={"alpha": float(params.alpha), "beta": float(params.beta)},
@@ -255,7 +290,7 @@ def potential_energy_expansion(p: float, q: float, order: int) -> Expansion:
         logn = -2 * ((p - 0.25) ** 2 + (q - 0.25) ** 2)
         return (ln2, -1, 2 * (s - 1) * ln2, logn, const)
 
-    tail = _tail(order, lambda m: potential_tail_fraction(m, p, q))
+    tail = _tail(_potential_tail(order, p, q))
     return Expansion(kind="potential", params={"p": float(p), "q": float(q)},
                      leading=_leading(kernel, p, q), tail=tail)
 
@@ -274,7 +309,7 @@ def elliptic_log_energy_expansion(p: float, q: float, order: int) -> Expansion:
                  - (_endpoint(2 * p) + _endpoint(2 * q)))
         return (ln2, -1, -2 * ln2, 2 * (p * p + q * q - 0.125), const)
 
-    tail = _tail(order, lambda m: elliptic_tail_fraction(m, p, q))
+    tail = _tail(_elliptic_tail(order, p, q))
     return Expansion(kind="elliptic_E0", params={"p": float(p), "q": float(q)},
                      leading=_leading(kernel, p, q), tail=tail)
 
@@ -294,7 +329,7 @@ def interval_energy_expansion(order: int) -> Expansion:
     + 13 log 2 / 12 - 3 log A + tail."""
     _check_order(order)
     return Expansion(kind="interval_E0", params={}, leading=_leading(_interval_kernel, -1, 1),
-                     tail=_tail(order, interval_tail_fraction))
+                     tail=_tail(_interval_tail(order)))
 
 
 def general_interval_energy_expansion(a: float, b: float, order: int) -> Expansion:
@@ -304,7 +339,7 @@ def general_interval_energy_expansion(a: float, b: float, order: int) -> Expansi
     _check_order(order)
     return Expansion(kind="general_interval_E0", params={"a": float(a), "b": float(b)},
                      leading=_leading(_interval_kernel, a, b),
-                     tail=_tail(order, interval_tail_fraction))
+                     tail=_tail(_interval_tail(order)))
 
 
 def truncations(expansion: Expansion, n: int, order: int | None = None) -> tuple[Scalar, ...]:
@@ -349,9 +384,11 @@ def evaluate_expansion(expansion: Expansion, n: int, order: int | None = None) -
 
 
 def _scalar_to_json(x: Scalar):
+    """A float as it is; an mpf as the decimal string with the digits that
+    recover it at the active precision."""
     if isinstance(x, float):
         return x
-    return mpmath.nstr(x, mpmath.libmp.repr_dps(mpmath.mp.prec))
+    return to_str(x._mpf_, repr_dps(active().prec))
 
 
 def expansion_to_json(expansion: Expansion) -> dict:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import mpmath
+from mpmath.libmp import to_str
 
 from . import __version__, asym, energy, jacobi
 from .energy import IntervalSpec
@@ -79,10 +80,12 @@ def _resolve_charges(p, q, alpha, beta, required: bool) -> tuple:
 
 
 def _format_scalar(x) -> str:
+    """17 significant digits in ``std``; in ``ext`` the mode's digits, as
+    ``mpmath.nstr`` writes them."""
     ctx = active()
     if ctx.mode == STD:
         return format(float(x), ".17g")
-    return mpmath.nstr(mpmath.mpf(x), 32)
+    return to_str((x if isinstance(x, mpmath.mpf) else ctx.real(x))._mpf_, ctx.dps)
 
 
 def _json_scalar(x):

@@ -65,7 +65,7 @@ def _log_value(n: int, params: JacobiParams, index: int) -> Scalar:
     log D_n, alpha + 2 for log P_n(1), beta + 2 for log |P_n(-1)|."""
     a, b = params.alpha, params.beta
     size = (a + b + 2, a + b + 2, a + 2, b + 2)[index]
-    return active().guarded(lambda a, b: log_values_mp(n, a + 1, b + 1)[index], a, b,
+    return active().guarded(lambda a, b: log_values_mp(n, a + 1, b + 1, (index,))[0], a, b,
                             size=size)
 
 
@@ -238,11 +238,21 @@ def check_std_size(n: int, size: float) -> None:
 # Context.guarded, with alpha + beta + 2 as its size.
 
 
-def log_values_mp(n: int, ap1, bp1) -> tuple:
-    """(log lambda_n, log D_n, log P_n(1), log |P_n(-1)|) of P_n^(a,b), for
-    n >= 0 and mpf ap1 = a + 1 > 0, bp1 = b + 1 > 0 (taken as given, so
-    that 2p and 2q reach the formulas unrounded, also when p or q is
-    tiny), with s = a + b + 1:
+class _KernelValues(dict):
+    """:func:`~fekete.specfun.log_gamma_g_fixed` at each argument looked up,
+    evaluated on the first lookup only."""
+
+    def __missing__(self, x):
+        value = self[x] = log_gamma_g_fixed(x)
+        return value
+
+
+def log_values_mp(n: int, ap1, bp1, outputs=(0, 1, 2, 3)) -> tuple:
+    """(log lambda_n, log D_n, log P_n(1), log |P_n(-1)|) of P_n^(a,b), or
+    the elements of that tuple at the indices ``outputs``, for n >= 0 and
+    mpf ap1 = a + 1 > 0, bp1 = b + 1 > 0 (taken as given, so that 2p and
+    2q reach the formulas unrounded, also when p or q is tiny), with
+    s = a + b + 1:
 
         log lambda_n = -n log 2 + lgamma(2n+s) - lgamma(n+s) - lgamma(n+1),
         log P_n(1) = lgamma(n+a+1) - lgamma(a+1) - lgamma(n+1),
@@ -256,29 +266,37 @@ def log_values_mp(n: int, ap1, bp1) -> tuple:
         T(a) = (n-1) lgamma(n+a+1) - log G(n+a+1) + lgamma(a+1) + log G(a+1),
         T(b) likewise, and log G(2n+s) - log G(n+s) - n lgamma(n+s).
 
-    Each distinct argument among n+1, n+a+1, n+b+1, n+s and 2n+s takes
-    one call of the fixed-point kernel
-    :func:`~fekete.specfun.log_gamma_g_fixed`, a + 1 and b + 1 one
-    :func:`~fekete.specfun.memo` entry each; the four values are integer
-    combinations of its outputs, each converted to mpf once.  Exactly 0
-    at n = 0, and log D_1 = 0.
+    Each distinct argument among n+1, n+a+1, n+b+1, n+s and 2n+s that the
+    requested outputs involve takes one call of the fixed-point kernel
+    :func:`~fekete.specfun.log_gamma_g_fixed` -- n+1, n+s and 2n+s for
+    log lambda_n, n+1 and n+a+1 for log P_n(1), all five for log D_n --
+    and a + 1 and b + 1 one :func:`~fekete.specfun.memo` entry each; the
+    values are integer combinations of its outputs, each converted to mpf
+    once.  Exactly 0 at n = 0, and log D_1 = 0.
     """
     if n == 0:
-        return (mpmath.mpf(0),) * 4  # lambda_0 = D_0 = P_0 = 1
+        return (mpmath.mpf(0),) * len(outputs)  # lambda_0 = D_0 = P_0 = 1
     ab2 = ap1 + bp1  # a + b + 2, so that n + s keeps a tiny a + 1 + b + 1
-    args = (n + 1, n + ap1, n + bp1, (n - 1) + ab2, (2 * n - 1) + ab2)
-    values = {}
-    for x in args:
-        if x not in values:
-            values[x] = log_gamma_g_fixed(x)
-    (g1, G1), (ga, Ga), (gb, Gb), (gs, Gs), (g2s, G2s) = (values[x] for x in args)
-    ga0, Ga0 = memo(log_gamma_g_fixed, ap1)
-    gb0, Gb0 = memo(log_gamma_g_fixed, bp1)
+    x1, xa, xb, xs, x2s = n + 1, n + ap1, n + bp1, (n - 1) + ab2, (2 * n - 1) + ab2
+    k = _KernelValues()
     fp = fixed_bits()
     ln2 = ln2_fixed(fp)
-    lam = -n * ln2 + g2s - gs - g1
-    disc = 0 if n == 1 else (
-        -n * (n - 1) * ln2 + (2 - n) * g1 - G1
-        + (n - 1) * (ga + gb) - Ga - Gb + ga0 + Ga0 + gb0 + Gb0
-        + G2s - Gs - n * gs)
-    return tuple(mpmath.mpf((v, -fp)) for v in (lam, disc, ga - ga0 - g1, gb - gb0 - g1))
+
+    def lam():
+        return -n * ln2 + k[x2s][0] - k[xs][0] - k[x1][0]
+
+    def disc():
+        if n == 1:
+            return 0
+        (g1, G1), (ga, Ga), (gb, Gb), (gs, Gs) = k[x1], k[xa], k[xb], k[xs]
+        ga0, Ga0 = memo(log_gamma_g_fixed, ap1)
+        gb0, Gb0 = memo(log_gamma_g_fixed, bp1)
+        return (-n * (n - 1) * ln2 + (2 - n) * g1 - G1
+                + (n - 1) * (ga + gb) - Ga - Gb + ga0 + Ga0 + gb0 + Gb0
+                + k[x2s][1] - Gs - n * gs)
+
+    def at_end(x, xp1):
+        return k[x][0] - memo(log_gamma_g_fixed, xp1)[0] - k[x1][0]
+
+    formulas = (lam, disc, lambda: at_end(xa, ap1), lambda: at_end(xb, bp1))
+    return tuple(mpmath.mpf((formulas[i](), -fp)) for i in outputs)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 from .exceptions import CapacityError, DomainError
 
@@ -51,38 +51,41 @@ EXTENDED_DPS = 32
 _GUARD_DPS = 10
 
 
-def as_fraction(x) -> Fraction:
-    """Exact rational value of ``x`` (int, float, Fraction or mpf).
+def integer_ratio(x) -> tuple[int, int]:
+    """(num, den), den > 0, with num/den the exact value of ``x`` (int,
+    float, Fraction or mpf); unreduced for an mpf.
 
     Every finite binary float *is* a rational, so no rounding occurs.
     """
-    if isinstance(x, Fraction):
-        return x
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     if isinstance(x, float):
         if not math.isfinite(x):
             raise DomainError(f"cannot convert non-finite value {x!r} to a rational")
-        return Fraction(x)
+        return x.as_integer_ratio()
     if isinstance(x, mpmath.mpf):
         if not mpmath.isfinite(x):
             raise DomainError(f"cannot convert non-finite value {x!r} to a rational")
         sign, man, exp, _ = x._mpf_
-        value = Fraction(man) * Fraction(2) ** exp
-        return -value if sign else value
+        man = -man if sign else man
+        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
     raise TypeError(f"no exact rational conversion for {type(x).__name__}")
 
 
 class Context:
     """Arithmetic backend for one precision mode."""
 
-    __slots__ = ("mode", "dps")
+    __slots__ = ("mode", "dps", "prec")
 
     def __init__(self, mode: str):
         if mode not in (STD, EXT):
             raise ValueError(f"unknown precision mode {mode!r} (expected 'std' or 'ext')")
         self.mode = mode
         self.dps = 16 if mode == STD else EXTENDED_DPS
+        #: bits of the scalar type: float64's, or mpmath's at ``dps`` digits
+        self.prec = 53 if mode == STD else dps_to_prec(EXTENDED_DPS)
 
     def __repr__(self) -> str:
         return f"Context(mode={self.mode!r}, dps={self.dps})"
@@ -92,11 +95,25 @@ class Context:
     def real(self, x) -> Scalar:
         """Convert ``x`` to the active scalar type, rounding once."""
         if isinstance(x, Fraction):
-            if self.mode == STD:
-                return x.numerator / x.denominator
-            return mpmath.mp.make_mpf(from_rational(
-                x.numerator, x.denominator, mpmath.mp.prec, round_nearest))
+            return self.ratio(x.numerator, x.denominator)
         return float(x) if self.mode == STD else mpmath.mpf(x)
+
+    def ratio(self, num: int, den: int) -> Scalar:
+        """The rational num/den (integers, den > 0, in any terms) rounded once
+        into the active scalar type, to nearest: Python's correctly rounded
+        int division in ``std``; in ``ext`` an integer quotient q of at
+        least prec + 2 bits and a sticky bit for a nonzero remainder, 2q + 1
+        lying strictly between the same two rounding midpoints as num/den
+        (as ``mpf_div`` does; ``from_rational`` first strips the trailing
+        zero bits of num and den 8 at a time, quadratic in their number)."""
+        if self.mode == STD:
+            return num / den
+        prec, size = mpmath.mp.prec, abs(num)
+        extra = prec + 3 - size.bit_length() + den.bit_length()
+        q, r = divmod(size << extra, den) if extra >= 0 else divmod(size, den << -extra)
+        man = (q << 1) | (r > 0)
+        return mpmath.mp.make_mpf(from_man_exp(-man if num < 0 else man, -extra - 1, prec,
+                                               round_nearest))
 
     def zero(self) -> Scalar:
         return 0.0 if self.mode == STD else mpmath.mpf(0)

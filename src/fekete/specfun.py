@@ -2,8 +2,9 @@
 
 Exact-rational Bernoulli data and Hurwitz zeta at nonpositive integer
 first argument: every Bernoulli number comes from one integer source, the
-tangent-number recurrence, and the Bernoulli polynomials are evaluated by
-Horner in integers over each row's common denominator.  One fixed-point
+tangent-number recurrence, and the Hurwitz zeta values of one argument,
+through the Bernoulli polynomial rows, come from one pass in integers as
+numerators over known denominators.  One fixed-point
 kernel for log Gamma and log Barnes G together, by their asymptotic series
 summed in integers in the log domain without forming Gamma or G; the
 antiderivative of log-gamma (negapolygamma of order -2) from one value of
@@ -18,6 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import mpmath
 from mpmath.libmp import fone, from_man_exp, ftwo, mpf_log, round_nearest, to_fixed
@@ -106,30 +108,29 @@ def bernoulli_number(m: int) -> Fraction:
     return table.numbers[m]
 
 
-def bernoulli_poly_fraction(m: int, x: Fraction) -> Fraction:
-    """Exact rational B_m(x).
+def hurwitz_zeta_negint_numerators(r: int, s: int, top: int) -> tuple[tuple[int, int], ...]:
+    """((Z_0, d_0), ..., (Z_(top-1), d_(top-1))) with
 
-    With x = r/s, the homogeneous Horner sum sum_k A_k r^k s^(m-k) of the
-    integer row runs in integers; one division by L_m s^m at the end."""
-    m = check_size(m, "m", 0)
+        zeta(-k, r/s) = -B_(k+1)(r/s)/(k+1) = Z_k / (d_k s^top),
+
+    s > 0, unreduced: d_k = (k + 1) L_(k+1) depends on k alone, and the
+    power s^top is the same for every k, so values at arguments written
+    over one common s combine by their numerators.
+
+    One pass per argument: the powers r^j s^(top-j), j <= top, once, then
+    each integer row (L_m, A_m) of :func:`bernoulli_table` as the dot
+    product -sum_j A_mj r^j s^(top-j) = -s^(top-m) L_m B_m(r/s)."""
     table = bernoulli_table()
-    if m > table.max_order + 2:
+    if top > table.max_order + 2:
         raise CapacityError(
-            f"Bernoulli polynomials tabulated through {table.max_order + 2}, got {m}"
-        )
-    den, coeffs = table.poly_rows[m]
-    r, s = x.numerator, x.denominator
-    acc, s_pow = coeffs[m], 1
-    for k in range(m - 1, -1, -1):
-        s_pow *= s
-        acc = acc * r + coeffs[k] * s_pow
-    return Fraction(acc, den * s_pow)
-
-
-def hurwitz_zeta_negint_fraction(m: int, a: Fraction) -> Fraction:
-    """Exact zeta(-m, a) = -B_{m+1}(a)/(m+1) for m >= 0."""
-    m = check_size(m, "m", 0)
-    return -bernoulli_poly_fraction(m + 1, a) / (m + 1)
+            f"Bernoulli polynomials tabulated through {table.max_order + 2}, got {top}")
+    r_pows, s_pows = [1], [1]
+    for _ in range(top):
+        r_pows.append(r_pows[-1] * r)
+        s_pows.append(s_pows[-1] * s)
+    weights = list(map(mul, r_pows, reversed(s_pows)))
+    return tuple((-sum(map(mul, coeffs, weights)), m * den)
+                 for m, (den, coeffs) in enumerate(table.poly_rows[1:top + 1], start=1))
 
 
 # -- O(1)-argument kernels ----------------------------------------------------

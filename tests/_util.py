@@ -9,8 +9,9 @@ import mpmath
 
 from fekete.asym import LEADING_KEYS, Expansion
 from fekete.exceptions import DomainError
-from fekete.precision import EXT, active, as_fraction
-from fekete.specfun import hurwitz_zeta_negint_fraction
+from fekete.precision import EXT, active
+
+from _tails import as_fraction, hurwitz_zeta_negint_fraction
 
 #: the expansion kinds that ``expansion_to_json`` writes
 KINDS = (
@@ -153,7 +154,8 @@ def pq_discriminant_log_sum(n: int, p, q):
 
 def bernoulli_poly_horner(m: int, x: Fraction) -> Fraction:
     """B_m(x) by the plain Fraction Horner over binom(m, k) B_{m-k}, B_j from
-    ``mpmath.bernfrac``: the reference of ``specfun.bernoulli_poly_fraction``."""
+    ``mpmath.bernfrac``: the reference of ``_tails.bernoulli_poly_fraction`` and
+of the Bernoulli rows of ``specfun.hurwitz_zeta_negint_numerators``."""
     acc = Fraction(0)
     for k in range(m, -1, -1):
         acc = acc * x + math.comb(m, k) * Fraction(*mpmath.bernfrac(m - k))

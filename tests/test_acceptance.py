@@ -12,6 +12,7 @@ from fekete.energy import Configuration, IntervalSpec
 from fekete.jacobi import JacobiParams
 from fekete.precision import active, precision_mode
 
+from _tails import exact_tail
 from _util import (discriminant_N_log_sum, fit_slope, log_glaisher, pq_discriminant_log_sum,
                    rel_close)
 
@@ -186,9 +187,8 @@ def test_criterion_7_special_function_anchors():
 
 def test_criterion_8_tail_coefficient_golden_values():
     with criterion(8, "exact rational tail coefficients"):
-        assert asym.interval_tail_fraction(1) == Fraction(1, 4)
-        assert asym.interval_tail_fraction(2) == Fraction(23, 192)
-        assert asym.potential_h_fraction(1, 1, 1) == Fraction(-9, 2)
+        assert exact_tail(asym._interval_tail(2)) == [Fraction(1, 4), Fraction(23, 192)]
+        assert 2 * exact_tail(asym._potential_tail(1, 1, 1))[0] == Fraction(-9, 2)  # H_1
 
 
 def test_criterion_9_scaling_laws():

@@ -12,11 +12,18 @@ from fekete.jacobi import JacobiParams
 from fekete.precision import precision_mode
 
 from _series import add_term, diff_report, new_series, plus, scaled, times_n
+from _tails import exact_tail, hurwitz_zeta_negint_fraction
 from _util import expansion_from_json, fit_slope, log_glaisher, rel_close
 
 
 def zeta_frac(m, a):
-    return specfun.hurwitz_zeta_negint_fraction(m, Fraction(a))
+    return hurwitz_zeta_negint_fraction(m, Fraction(a))
+
+
+def add_tail(s, coeffs):
+    """The exact c_m of an ``asym`` tail generator as the n^-m terms of ``s``."""
+    for m, c in enumerate(exact_tail(coeffs), 1):
+        add_term(s, -m, 0, "1", c)
 
 
 # -- symbolic building blocks (independent re-assembly of the expansions) ----
@@ -28,8 +35,7 @@ def lambda_series(alpha: Fraction, beta: Fraction, order: int):
     add_term(s, 0, 1, "1", Fraction(-1, 2))
     add_term(s, 0, 0, "log2", alpha + beta)
     add_term(s, 0, 0, "logpi", Fraction(-1, 2))
-    for m in range(1, order + 1):
-        add_term(s, -m, 0, "1", asym.lambda_tail_fraction(m, alpha, beta))
+    add_tail(s, asym._lambda_tail(order, alpha, beta))
     return s
 
 
@@ -37,8 +43,7 @@ def p1_series(alpha: Fraction, gamma_symbol: str, order: int):
     s = new_series()
     add_term(s, 0, 1, "1", alpha)
     add_term(s, 0, 0, gamma_symbol, -1)
-    for m in range(1, order + 1):
-        add_term(s, -m, 0, "1", asym.value_at_one_tail_fraction(m, alpha))
+    add_tail(s, asym._value_at_one_tail(order, alpha))
     return s
 
 
@@ -57,8 +62,7 @@ def disc_series(alpha: Fraction, beta: Fraction, order: int):
     add_term(s, 0, 0, "psi_2p", -1)
     add_term(s, 0, 0, "lgamma_2q", beta + 1)
     add_term(s, 0, 0, "psi_2q", -1)
-    for m in range(1, order + 1):
-        add_term(s, -m, 0, "1", asym.discriminant_tail_fraction(m, alpha, beta))
+    add_tail(s, asym._discriminant_tail(order, alpha, beta))
     return s
 
 
@@ -73,8 +77,7 @@ def potential_target(p: Fraction, q: Fraction, order: int):
     add_term(s, 0, 0, "logA", -3)
     add_term(s, 0, 0, "psi_2p", 1)
     add_term(s, 0, 0, "psi_2q", 1)
-    for m in range(1, order + 1):
-        add_term(s, -m, 0, "1", asym.potential_tail_fraction(m, p, q))
+    add_tail(s, asym._potential_tail(order, p, q))
     return s
 
 
@@ -90,8 +93,7 @@ def elliptic_target(p: Fraction, q: Fraction, order: int):
     add_term(s, 0, 0, "psi_2p", 1)
     add_term(s, 0, 0, "lgamma_2q", -2 * q)
     add_term(s, 0, 0, "psi_2q", 1)
-    for m in range(1, order + 1):
-        add_term(s, -m, 0, "1", asym.elliptic_tail_fraction(m, p, q))
+    add_tail(s, asym._elliptic_tail(order, p, q))
     return s
 
 
@@ -117,19 +119,22 @@ def zeta_prime_series(scale: int, a: Fraction, order: int):
 
 
 class TestGoldenTailCoefficients:
+    """The exact rationals of the integer numerators, before rounding."""
+
     def test_interval_c1_c2_exact(self):
-        assert asym.interval_tail_fraction(1) == Fraction(1, 4)
-        assert asym.interval_tail_fraction(2) == Fraction(23, 192)
+        assert exact_tail(asym._interval_tail(2)) == [Fraction(1, 4), Fraction(23, 192)]
 
     def test_h1_at_unit_charges(self):
-        assert asym.potential_h_fraction(1, 1, 1) == Fraction(-9, 2)
+        # c_1 = H_1/2
+        assert 2 * exact_tail(asym._potential_tail(1, 1, 1))[0] == Fraction(-9, 2)
 
     def test_lambda_c1_legendre(self):
         # (1/2) zeta(-1,1) + zeta(-1) = -1/8
-        assert asym.lambda_tail_fraction(1, 0, 0) == Fraction(-1, 8)
+        assert exact_tail(asym._lambda_tail(1, 0, 0)) == [Fraction(-1, 8)]
 
     def test_psi1_vanishes_for_legendre(self):
-        assert asym.discriminant_psi_fraction(1, 0, 0) == 0
+        # c_1 = Psi_1
+        assert exact_tail(asym._discriminant_tail(1, 0, 0)) == [0]
 
     def test_psi1_assembly_from_displayed_zeta_values(self):
         # zeta(-1) = -1/12, zeta(-2) = 0, zeta(-2,1) = 0 plugged into the bracket
@@ -140,23 +145,23 @@ class TestGoldenTailCoefficients:
             + 0
         )
         assert expected == 0
-        assert asym.discriminant_psi_fraction(1, 0, 0) == expected
+        assert exact_tail(asym._discriminant_tail(1, 0, 0)) == [expected]
 
     def test_p1_tails_match_log_shift_series(self):
         # alpha = 1: log P_n(1) = log(n+1) = log n + sum (-1)^(m-1)/m n^-m
-        for m in range(1, 9):
-            assert asym.value_at_one_tail_fraction(m, 1) == Fraction((-1) ** (m - 1), m)
+        assert exact_tail(asym._value_at_one_tail(8, 1)) == [
+            Fraction((-1) ** (m - 1), m) for m in range(1, 9)]
 
     def test_symmetric_field_specialization(self):
         # p = q collapses the bracket to its symmetric form, exactly
         for p in (Fraction(1, 2), Fraction(1), Fraction(7, 10), Fraction(5, 2)):
-            for m in range(1, 9):
+            for m, c in enumerate(exact_tail(asym._potential_tail(8, p, p)), 1):
                 expected = (
                     zeta_frac(m + 1, 1)
                     + 2 * zeta_frac(m + 1, 2 * p)
                     + (1 - Fraction(1, 2 ** m)) * zeta_frac(m + 1, 4 * p - 1)
                 )
-                assert asym.potential_h_fraction(m, p, p) == expected
+                assert (-1) ** (m - 1) * m * (m + 1) * c == expected
 
 
 class TestLeadingCoeffExpansion:
@@ -621,8 +626,7 @@ class TestCompositionConsistency:
         add_term(target, 0, 1, "1", Fraction(-1, 4))
         add_term(target, 0, 0, "log2", Fraction(13, 12))
         add_term(target, 0, 0, "logA", -3)
-        for m in range(1, order + 1):
-            add_term(target, -m, 0, "1", asym.interval_tail_fraction(m))
+        add_tail(target, asym._interval_tail(order))
         problems = diff_report(composed, target, min_power=-order)
         assert not problems, "\n".join(problems)
 
@@ -660,9 +664,9 @@ class TestTailSanity:
     def test_tails_finite_and_stable(self):
         # rational assembly vs float-input assembly agree to 1e-10 relative
         for (p, q) in [(0.3, 2.9), (1.5, 0.2), (3.0, 3.0)]:
-            for m in range(1, 11):
-                exact = asym.potential_tail_fraction(m, Fraction(p), Fraction(q))
-                via_float = asym.potential_tail_fraction(m, p, q)
+            exact_tails = exact_tail(asym._potential_tail(10, Fraction(p), Fraction(q)))
+            float_tails = exact_tail(asym._potential_tail(10, p, q))
+            for exact, via_float in zip(exact_tails, float_tails):
                 exact_f = float(exact)
                 assert math.isfinite(exact_f)
                 if exact != 0:
@@ -671,10 +675,9 @@ class TestTailSanity:
     def test_psi_brackets_finite_and_stable(self):
         for (p, q) in [(0.3, 2.9), (1.5, 0.2), (3.0, 3.0)]:
             alpha, beta = 2 * p - 1, 2 * q - 1
-            for m in range(1, 11):
-                exact = asym.discriminant_psi_fraction(
-                    m, Fraction(alpha), Fraction(beta))
-                via_float = asym.discriminant_psi_fraction(m, alpha, beta)
+            exact_tails = exact_tail(asym._discriminant_tail(10, Fraction(alpha), Fraction(beta)))
+            float_tails = exact_tail(asym._discriminant_tail(10, alpha, beta))
+            for exact, via_float in zip(exact_tails, float_tails):
                 assert math.isfinite(float(exact))
                 if exact != 0:
                     assert abs(float(via_float) - float(exact)) <= 1e-10 * abs(float(exact))

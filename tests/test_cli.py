@@ -3,17 +3,19 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from typing import NamedTuple
 from unittest import mock
 
+import mpmath
 import pytest
 
-from fekete import energy
-from fekete.cli import cli
+from fekete import asym, energy
+from fekete.cli import _format_scalar, cli
 from fekete.energy import IntervalSpec
-from fekete.precision import use
+from fekete.precision import precision_mode, use
 
 from _util import rel_close
 
@@ -413,9 +415,41 @@ class TestOutputContracts:
         result = runner.invoke(
             cli, ["coeffs", "--kind", "potential", "--p", "1", "--q", "1", "--order", "4"])
         data = json.loads(result.output)
-        from fekete import asym
         from _util import expansion_from_json
         back = expansion_from_json(data)
         rebuilt = asym.potential_energy_expansion(1, 1, 4)
         assert back.tail == rebuilt.tail
         assert back.leading == rebuilt.leading
+
+
+class TestFormatting:
+    """The text of a value is what ``mpmath.nstr`` writes, byte for byte:
+    the mode's digits on the CLI, the digits that recover the value in
+    the JSON of an expansion."""
+
+    @staticmethod
+    def _values():
+        rng = random.Random(5)
+        values = [mpmath.mpf(v) for v in ("0", "-0.5", "1e-300", "-1e-300", "1e300", "-1e300",
+                                          "3", "-17", "1e40", "0.1", "123456.789")]
+        values += [mpmath.mpf(rng.uniform(-1, 1)) * mpmath.mpf(10) ** rng.randrange(-40, 40)
+                   / 3 for _ in range(200)]
+        # ints, and the floats of the std kernels (the minimizer's deviation)
+        return values + [0, 7, -12345678901234567890, 0.0, -2.5e-17, 1e-300, 0.1]
+
+    def test_format_scalar_matches_nstr(self):
+        with precision_mode("ext"):
+            for x in self._values():
+                assert _format_scalar(x) == mpmath.nstr(mpmath.mpf(x), 32), x
+        for x in self._values():
+            assert _format_scalar(x) == format(float(x), ".17g"), x
+
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    def test_json_scalar_matches_nstr(self, mode):
+        with precision_mode(mode):
+            digits = mpmath.libmp.repr_dps(mpmath.mp.prec)
+            for x in self._values():
+                if isinstance(x, mpmath.mpf):
+                    assert asym._scalar_to_json(x) == mpmath.nstr(x, digits), x
+                elif isinstance(x, float):
+                    assert asym._scalar_to_json(x) is x

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_jacobi, roots_jacobi
 
-from fekete import jacobi
+from fekete import jacobi, specfun
 from fekete.exceptions import CapacityError, DomainError, NumericalError
 from fekete.jacobi import JacobiParams
-from fekete.precision import precision_mode
+from fekete.precision import active, precision_mode
 
 from _util import discriminant_log_product, rel_close
 
@@ -431,3 +431,32 @@ class TestDiscriminant:
                 closed = jacobi.discriminant_log(n, params)
                 product = discriminant_log_product(n, alpha, beta)
                 assert abs(closed - product) <= rtol * max(abs(product), 1), (n, closed, product)
+
+
+class TestKernelArguments:
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    def test_each_function_evaluates_only_its_arguments(self, mode, monkeypatch):
+        # log lambda_n needs the kernel at n+1, n+s and 2n+s (s = a+b+1),
+        # log P_n(1) at n+1, n+a+1 and, through the memo, a+1; log D_n at
+        # all five n-dependent arguments and a+1, b+1; each value as before
+        kernel, calls = jacobi.log_gamma_g_fixed, []
+        monkeypatch.setattr(jacobi, "log_gamma_g_fixed", lambda x: calls.append(x) or kernel(x))
+        with precision_mode(mode):
+            for n, a, b in ((2, 0.5, 1.25), (40, 3.25, 0.75), (10**6, 0.125, 2.5), (40, 1.5, 1.5)):
+                params = JacobiParams(a, b)
+                s = a + b + 1
+                for fn, args in ((jacobi.leading_coeff_log, {n + 1, n + s, 2 * n + s}),
+                                 (jacobi.value_at_one_log, {n + 1, n + a + 1, a + 1}),
+                                 (jacobi.discriminant_log,
+                                  {n + 1, n + a + 1, n + b + 1, n + s, 2 * n + s, a + 1, b + 1})):
+                    monkeypatch.setattr(specfun, "_memo", {})
+                    calls.clear()
+                    value = fn(n, params)
+                    assert len(calls) == len(args), (fn.__name__, n, a, b, calls)
+                    assert {float(x) for x in calls} == args
+                    all_four = active().guarded(
+                        lambda a, b: jacobi.log_values_mp(n, a + 1, b + 1), a, b,
+                        size=(a + 2 if fn is jacobi.value_at_one_log else a + b + 2))
+                    index = (jacobi.leading_coeff_log, jacobi.discriminant_log,
+                             jacobi.value_at_one_log).index(fn)
+                    assert value == all_four[index]

@@ -8,6 +8,8 @@ from fekete import asym, jacobi, precision
 from fekete.jacobi import JacobiParams
 from fekete.precision import EXTENDED_DPS, active, precision_mode
 
+from _tails import elliptic_tail_fraction, potential_tail_fraction
+
 
 def test_precision_mode_is_per_thread():
     params = JacobiParams(0.4, 1.6)
@@ -95,8 +97,8 @@ def test_fraction_rounds_once_in_ext():
     p, q = 0.1, 0.3
     with precision_mode("ext"):
         prec = mpmath.mp.prec
-        for build, coeff in ((asym.potential_energy_expansion, asym.potential_tail_fraction),
-                             (asym.elliptic_log_energy_expansion, asym.elliptic_tail_fraction)):
+        for build, coeff in ((asym.potential_energy_expansion, potential_tail_fraction),
+                             (asym.elliptic_log_energy_expansion, elliptic_tail_fraction)):
             tail = build(p, q, 16).tail
             for m, value in enumerate(tail, 1):
                 exact = coeff(m, p, q)

@@ -100,12 +100,13 @@ class Context:
 
     def ratio(self, num: int, den: int) -> Scalar:
         """The rational num/den (integers, den > 0, in any terms) rounded once
-        into the active scalar type, to nearest: Python's correctly rounded
-        int division in ``std``; in ``ext`` an integer quotient q of at
-        least prec + 2 bits and a sticky bit for a nonzero remainder, 2q + 1
-        lying strictly between the same two rounding midpoints as num/den
-        (as ``mpf_div`` does; ``from_rational`` first strips the trailing
-        zero bits of num and den 8 at a time, quadratic in their number)."""
+        to nearest into the active scalar type: Python's correctly rounded
+        int division in ``std``.  In ``ext`` the integer quotient q of
+        num 2^k / den, with at least prec + 2 bits, plus a sticky half for a
+        nonzero remainder: q + 1/2 then lies between the same rounding
+        midpoints as the exact quotient, as in ``mpf_div``.  (``from_rational`` would
+        first strip the trailing zero bits of num and den 8 at a time, which
+        is quadratic in their number.)"""
         if self.mode == STD:
             return num / den
         prec, size = mpmath.mp.prec, abs(num)

@@ -2,10 +2,10 @@
 
 Exact-rational Bernoulli data and Hurwitz zeta at nonpositive integer
 first argument: every Bernoulli number comes from one integer source, the
-tangent-number recurrence, and the Hurwitz zeta values of one argument,
-through the Bernoulli polynomial rows, come from one pass in integers as
-numerators over known denominators.  One fixed-point
-kernel for log Gamma and log Barnes G together, by their asymptotic series
+tangent-number recurrence, and the Hurwitz zeta values of one argument
+come from one integer pass over the Bernoulli polynomial rows, as
+numerators over known denominators.  One fixed-point kernel for log
+Gamma and log Barnes G together, by their asymptotic series
 summed in integers in the log domain without forming Gamma or G; the
 antiderivative of log-gamma (negapolygamma of order -2) from one value of
 that kernel; and :func:`memo`, the one memo of O(1)-argument kernel values.

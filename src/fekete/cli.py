@@ -28,7 +28,7 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed invocation: command, ranges, charges, order, output shape."""
+    """Parsed invocation: command, ranges, charges, order, tolerances."""
 
     command: str
     kind: str
@@ -36,7 +36,6 @@ class RunConfig:
     p: float | None = None
     q: float | None = None
     order: int = 0
-    fmt: str = "csv"
     a: float | None = None
     b: float | None = None
     tol: float = 1e-8
@@ -217,10 +216,10 @@ def cmd_table(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     return tuple(header), rows
 
 
-def _fit_slope(ns, errors) -> float:
+def _fit_slope(ns, errors: list[float]) -> float:
     xs = [math.log(n) for n in ns]
     floor = sys.float_info.min
-    ys = [math.log(max(float(e), floor)) for e in errors]
+    ys = [math.log(max(e, floor)) for e in errors]
     mean_x = sum(xs) / len(xs)
     mean_y = sum(ys) / len(ys)
     var = sum((x - mean_x) ** 2 for x in xs)
@@ -262,13 +261,14 @@ def cmd_verify(cfg: RunConfig):
     exact_text = {n: _format_scalar(exacts[n]) for n in cfg.values}
     approx_by_n = {n: asym.truncations(expansion, n, cfg.order) for n in cfg.values}
     errors_by_n = {n: [abs(exacts[n] - a) for a in approx_by_n[n]] for n in cfg.values}
+    error_floats = {n: [float(e) for e in errs] for n, errs in errors_by_n.items()}
+    error_text = {n: [_format_scalar(e) for e in errs] for n, errs in errors_by_n.items()}
     for order in range(cfg.order + 1):
-        errors = [errors_by_n[n][order] for n in cfg.values]
         for n in cfg.values:
             rows.append(("point", cfg.kind, str(order), str(n),
                          exact_text[n], _format_scalar(approx_by_n[n][order]),
-                         _format_scalar(errors_by_n[n][order]), "", "", ""))
-        slope = _fit_slope(cfg.values, errors)
+                         error_text[n][order], "", "", ""))
+        slope = _fit_slope(cfg.values, [error_floats[n][order] for n in cfg.values])
         expected = -(order + 1)
         good = abs(slope - expected) <= cfg.slope_tol
         ok = ok and good
@@ -277,10 +277,9 @@ def cmd_verify(cfg: RunConfig):
     # empirically optimal truncation per n (the series is asymptotic: more
     # terms stop helping once below the precision floor)
     for n in cfg.values:
-        errs = errors_by_n[n]
-        best = min(range(len(errs)), key=lambda i: float(errs[i]))
+        best = min(range(cfg.order + 1), key=error_floats[n].__getitem__)
         rows.append(("best", cfg.kind, str(best), str(n), "", "",
-                     _format_scalar(errs[best]), "", "", ""))
+                     error_text[n][best], "", "", ""))
     return header, rows, ok
 
 
@@ -325,11 +324,11 @@ def exact_command(kind, n_range, N_range, p, q, alpha, beta, fmt, out):
         kind = "interval" if N_range is not None else "pq"
     if kind == "interval":
         values = _parse_range(N_range, "--N")
-        cfg = RunConfig(command="exact", kind=kind, values=values, fmt=fmt)
+        cfg = RunConfig(command="exact", kind=kind, values=values)
     else:
         values = _parse_range(n_range, "--n")
         p, q = _resolve_charges(p, q, alpha, beta, required=True)
-        cfg = RunConfig(command="exact", kind=kind, values=values, p=p, q=q, fmt=fmt)
+        cfg = RunConfig(command="exact", kind=kind, values=values, p=p, q=q)
     header, rows = cmd_exact(cfg)
     _emit_table(header, rows, fmt, out, "exact")
 
@@ -337,7 +336,7 @@ def exact_command(kind, n_range, N_range, p, q, alpha, beta, fmt, out):
 def coeffs_command(kind, order, a, b, p, q, alpha, beta, fmt, out):
     """Expansion coefficients as serialized JSON."""
     p, q = _resolve_charges(p, q, alpha, beta, required=False)
-    cfg = RunConfig(command="coeffs", kind=kind, order=order, fmt=fmt, a=a, b=b, p=p, q=q)
+    cfg = RunConfig(command="coeffs", kind=kind, order=order, a=a, b=b, p=p, q=q)
     _write_json(cmd_coeffs(cfg), out)
 
 
@@ -345,7 +344,7 @@ def table_command(kind, n_range, order, a, b, p, q, alpha, beta, fmt, out):
     """Convergence table: exact value, truncations and errors per n."""
     p, q = _resolve_charges(p, q, alpha, beta, required=False)
     cfg = RunConfig(command="table", kind=kind, values=_parse_range(n_range, "--n"),
-                    order=order, fmt=fmt, a=a, b=b, p=p, q=q)
+                    order=order, a=a, b=b, p=p, q=q)
     header, rows = cmd_table(cfg)
     _emit_table(header, rows, fmt, out, "table")
 
@@ -353,8 +352,7 @@ def table_command(kind, n_range, order, a, b, p, q, alpha, beta, fmt, out):
 def zeros_command(n_range, p, q, alpha, beta, fmt, out):
     """Zeros of the Jacobi polynomial attached to the charges."""
     p, q = _resolve_charges(p, q, alpha, beta, required=True)
-    cfg = RunConfig(command="zeros", kind="zeros", values=_parse_range(n_range, "--n"),
-                    p=p, q=q, fmt=fmt)
+    cfg = RunConfig(command="zeros", kind="zeros", values=_parse_range(n_range, "--n"), p=p, q=q)
     header, rows = cmd_zeros(cfg)
     _emit_table(header, rows, fmt, out, "zeros")
 
@@ -362,8 +360,7 @@ def zeros_command(n_range, p, q, alpha, beta, fmt, out):
 def minimize_command(n_value, tol, p, q, alpha, beta, fmt, out):
     """Run the electrostatic Newton solver and report the configuration."""
     p, q = _resolve_charges(p, q, alpha, beta, required=True)
-    cfg = RunConfig(command="minimize", kind="minimize", values=(n_value,),
-                    p=p, q=q, tol=tol, fmt=fmt)
+    cfg = RunConfig(command="minimize", kind="minimize", values=(n_value,), p=p, q=q, tol=tol)
     payload = cmd_minimize(cfg)
     if fmt == "json":
         _write_json(payload, out)
@@ -378,7 +375,7 @@ def verify_command(kind, n_range, order, slope_tol, tol, a, b, p, q, alpha, beta
     exit status accordingly."""
     p, q = _resolve_charges(p, q, alpha, beta, required=False)
     cfg = RunConfig(command="verify", kind=kind, values=_parse_range(n_range, "--n"),
-                    order=order, slope_tol=slope_tol, tol=tol, fmt=fmt, a=a, b=b, p=p, q=q)
+                    order=order, slope_tol=slope_tol, tol=tol, a=a, b=b, p=p, q=q)
     header, rows, ok = cmd_verify(cfg)
     if fmt == "json":
         payload = {

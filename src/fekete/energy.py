@@ -167,7 +167,6 @@ def potential_energy_exact(n: int, p: float, q: float) -> Scalar:
     """
     n = check_size(n, "n", 1)
     check_finite_above(0, "endpoint charges", p=p, q=q)
-    jacobi.check_std_size(n, 2 * p + 2 * q)
     return active().guarded(lambda p, q: _potential_mp(n, p, q), p, q, size=2 * p + 2 * q)
 
 
@@ -178,7 +177,6 @@ def elliptic_log_energy_exact(n: int, p: float, q: float) -> Scalar:
     """
     n = check_size(n, "n", 1)
     check_finite_above(0, "endpoint charges", p=p, q=q)
-    jacobi.check_std_size(n, 2 * p + 2 * q)
 
     def body(p, q):
         lam, disc, _, _ = jacobi.log_values_mp(n, 2 * p, 2 * q)
@@ -195,7 +193,6 @@ def interval_energy_exact(N: int) -> Scalar:
     the zeros of P_{N-2}^(1,1).  N = 2 gives -log 4, the two endpoints.
     """
     N = check_size(N, "N", 2)
-    jacobi.check_std_size(N, 4)
     return active().guarded(lambda: _interval_mp(N), size=4)
 
 
@@ -222,7 +219,6 @@ def interval_energy_on(interval: IntervalSpec, N: int) -> Scalar:
     cancel down to about -N log N, a loss of log2(N / log N) bits, so the
     evaluation carries log2 N bits more (``size`` sqrt(N))."""
     N = check_size(N, "N", 2)
-    jacobi.check_std_size(N, 4)
     return active().guarded(
         lambda a, b: _interval_mp(N) - N * (N - 1) * mpmath.log((b - a) / 2),
         interval.a, interval.b, size=max(4, math.isqrt(N)))

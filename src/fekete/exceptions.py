@@ -12,8 +12,8 @@ class DomainError(FeketeError, ValueError):
 
 
 class CapacityError(FeketeError, ValueError):
-    """A requested order exceeds a precomputed table or expansion capacity,
-    or a value overflows the active scalar type."""
+    """A requested order exceeds an expansion's capacity, a value overflows
+    the active scalar type, or an input is below float64's resolution."""
 
 
 class NumericalError(FeketeError, RuntimeError):

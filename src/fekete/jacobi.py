@@ -4,14 +4,13 @@ in closed form."""
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import mpmath
 from mpmath.libmp import ln2_fixed
 
 from .exceptions import CapacityError, NumericalError, check_finite_above, check_size
-from .precision import STD, Scalar, active
+from .precision import Scalar, active
 from .specfun import fixed_bits, log_gamma_g_fixed, memo
 
 
@@ -31,8 +30,14 @@ class JacobiParams:
 
     @classmethod
     def from_charges(cls, p: float, q: float) -> "JacobiParams":
+        """Exponents 2p - 1, 2q - 1 in float64; :class:`CapacityError` for a
+        charge so small (below about 2.8e-17) that its exponent rounds to -1."""
         check_finite_above(0, "endpoint charges", p=p, q=q)
-        return cls(alpha=2 * p - 1, beta=2 * q - 1)
+        alpha, beta = 2 * p - 1, 2 * q - 1
+        if alpha == -1 or beta == -1:
+            name, charge = ("p", p) if alpha == -1 else ("q", q)
+            raise CapacityError(f"exponent 2{name} - 1 rounds to -1 in float64 at {name}={charge}")
+        return cls(alpha=alpha, beta=beta)
 
     @property
     def p(self) -> float:
@@ -71,18 +76,12 @@ def _log_value(n: int, params: JacobiParams, index: int) -> Scalar:
 
 def leading_coeff_log(n: int, params: JacobiParams) -> Scalar:
     """log lambda_n = -n log 2 + lgamma(2n+a+b+1) - lgamma(n+a+b+1) - lgamma(n+1)."""
-    n = check_size(n, "n", 0)
-    if n == 0:
-        return active().zero()  # lambda_0 = 1
-    return _log_value(n, params, 0)
+    return _log_value(check_size(n, "n", 0), params, 0)
 
 
 def value_at_one_log(n: int, params: JacobiParams) -> Scalar:
     """log P_n(1) = log[(1+alpha)_n / n!]."""
-    n = check_size(n, "n", 0)
-    if n == 0:
-        return active().zero()
-    return _log_value(n, params, 2)
+    return _log_value(check_size(n, "n", 0), params, 2)
 
 
 def _recurrence_coeffs(n: int, alpha: float, beta: float):
@@ -206,29 +205,7 @@ def discriminant_log(n: int, params: JacobiParams) -> Scalar:
     """log D_n^(alpha,beta), from log Barnes G and log Gamma in O(1) per n
     (see :func:`log_values_mp`), rounded once; G itself, of size
     exp(n^2 log n), is never formed."""
-    n = check_size(n, "n", 1)
-    check_std_size(n, params.alpha + params.beta + 2)
-    return _log_value(n, params, 1)
-
-
-#: past this n, (log 2) n^2 alone exceeds the float64 maximum
-_STD_MAX_SIZE = math.sqrt(sys.float_info.max) / math.sqrt(math.log(2))
-
-
-def check_std_size(n: int, size: float) -> None:
-    """Raise :class:`CapacityError` at once in ``std`` when n is past
-    :data:`_STD_MAX_SIZE` and ``size`` (alpha + beta + 2 of the exponents
-    involved) is at most n.
-
-    There log D_n and the exact energies are (log 2) n^2 times a factor in
-    [1, 1.8], up to O(log(n)/n), so they overflow float64; checking first
-    reports that before any mpmath evaluation.  Larger exponents are left
-    to the evaluation, whose rounded value reports an overflow: at
-    p = 1.62 n, q = 1 the potential energy crosses zero.
-    """
-    if active().mode == STD and n > _STD_MAX_SIZE and size <= n:
-        raise CapacityError(
-            f"(log 2) n^2 is not finite in std precision for n > {_STD_MAX_SIZE:.4g}")
+    return _log_value(check_size(n, "n", 1), params, 1)
 
 
 # -- the one formula for the Jacobi quantities --------------------------------

@@ -109,15 +109,12 @@ class Context:
         is quadratic in their number.)"""
         if self.mode == STD:
             return num / den
-        prec, size = mpmath.mp.prec, abs(num)
+        prec, size = self.prec, abs(num)
         extra = prec + 3 - size.bit_length() + den.bit_length()
         q, r = divmod(size << extra, den) if extra >= 0 else divmod(size, den << -extra)
         man = (q << 1) | (r > 0)
         return mpmath.mp.make_mpf(from_man_exp(-man if num < 0 else man, -extra - 1, prec,
                                                round_nearest))
-
-    def zero(self) -> Scalar:
-        return 0.0 if self.mode == STD else mpmath.mpf(0)
 
     # -- elementary functions ---------------------------------------------
 

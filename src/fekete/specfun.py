@@ -3,8 +3,9 @@
 Exact-rational Bernoulli data and Hurwitz zeta at nonpositive integer
 first argument: every Bernoulli number comes from one integer source, the
 tangent-number recurrence, and the Hurwitz zeta values of one argument
-come from one integer pass over the Bernoulli polynomial rows, as
-numerators over known denominators.  One fixed-point kernel for log
+come from one integer pass over the Bernoulli polynomial rows, each
+built when an order first needs it, as numerators over known
+denominators.  One fixed-point kernel for log
 Gamma and log Barnes G together, by their asymptotic series
 summed in integers in the log domain without forming Gamma or G; the
 antiderivative of log-gamma (negapolygamma of order -2) from one value of
@@ -16,40 +17,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 import mpmath
 from mpmath.libmp import fone, from_man_exp, ftwo, mpf_log, round_nearest, to_fixed
 
-from .exceptions import CapacityError, check_size
-
-#: exact Bernoulli numbers are stored through this index; polynomial
-#: coefficient rows extend two orders beyond it
-BERNOULLI_MAX_ORDER = 32
-
-
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Exact rational Bernoulli numbers and integer polynomial rows.
-
-    Convention: B_1 = -1/2, so that B_1(x) = x - 1/2 and
-    zeta(-m, a) = -B_{m+1}(a)/(m+1) holds with zeta(0, 1) = -1/2.
-    ``poly_rows[m]`` is (L_m, (A_0, ..., A_m)): B_m(x) = sum_k A_k x^k / L_m,
-    with L_m the least common denominator of the coefficients
-    binom(m, k) B_{m-k}.
-    """
-
-    max_order: int
-    numbers: tuple[Fraction, ...]
-    poly_rows: tuple[tuple[int, tuple[int, ...]], ...]
-
-
-def _integer_row(coeffs: list[Fraction]) -> tuple[int, tuple[int, ...]]:
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
+from .exceptions import check_size
 
 
 #: B_0, B_1, ... exactly, through an odd index; see :func:`_bernoulli`
@@ -86,26 +60,29 @@ def _bernoulli(m: int) -> Fraction:
     return _bernoulli_numbers[m]
 
 
-@lru_cache(maxsize=1)
-def bernoulli_table() -> BernoulliTable:
-    top = BERNOULLI_MAX_ORDER + 2
-    numbers = [_bernoulli(m) for m in range(top + 1)]
-    rows = tuple(_integer_row([math.comb(m, k) * numbers[m - k] for k in range(m + 1)])
-                 for m in range(top + 1))
-    return BernoulliTable(
-        max_order=BERNOULLI_MAX_ORDER,
-        numbers=tuple(numbers[: BERNOULLI_MAX_ORDER + 1]),
-        poly_rows=rows,
-    )
+#: the rows of :func:`_bernoulli_rows`, through the highest m asked for so far
+_poly_rows: tuple[tuple[int, tuple[int, ...]], ...] = ()
+
+
+def _bernoulli_rows(top: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Rows (L_m, (A_0, ..., A_m)), m = 0, 1, ..., at least through m = top,
+    with B_m(x) = sum_k A_k x^k / L_m and L_m the least common denominator
+    of the coefficients binom(m, k) B_(m-k); each built when first needed.
+    Threads that race here may build a row twice, never a wrong one."""
+    global _poly_rows
+    rows = _poly_rows
+    for m in range(len(rows), top + 1):
+        coeffs = [math.comb(m, k) * _bernoulli(m - k) for k in range(m + 1)]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        rows += ((den, tuple(c.numerator * (den // c.denominator) for c in coeffs)),)
+    _poly_rows = rows
+    return rows
 
 
 def bernoulli_number(m: int) -> Fraction:
-    """Exact Bernoulli number B_m (B_1 = -1/2 convention)."""
-    m = check_size(m, "m", 0)
-    table = bernoulli_table()
-    if m > table.max_order:
-        raise CapacityError(f"Bernoulli numbers tabulated through {table.max_order}, got {m}")
-    return table.numbers[m]
+    """Exact Bernoulli number B_m, any m >= 0, with B_1 = -1/2, so that
+    zeta(-m, a) = -B_{m+1}(a)/(m+1) holds with zeta(0, 1) = -1/2."""
+    return _bernoulli(check_size(m, "m", 0))
 
 
 def hurwitz_zeta_negint_numerators(r: int, s: int, top: int) -> tuple[tuple[int, int], ...]:
@@ -118,19 +95,15 @@ def hurwitz_zeta_negint_numerators(r: int, s: int, top: int) -> tuple[tuple[int,
     over one common s combine by their numerators.
 
     One pass per argument: the powers r^j s^(top-j), j <= top, once, then
-    each integer row (L_m, A_m) of :func:`bernoulli_table` as the dot
+    each integer row (L_m, A_m) of :func:`_bernoulli_rows` as the dot
     product -sum_j A_mj r^j s^(top-j) = -s^(top-m) L_m B_m(r/s)."""
-    table = bernoulli_table()
-    if top > table.max_order + 2:
-        raise CapacityError(
-            f"Bernoulli polynomials tabulated through {table.max_order + 2}, got {top}")
     r_pows, s_pows = [1], [1]
     for _ in range(top):
         r_pows.append(r_pows[-1] * r)
         s_pows.append(s_pows[-1] * s)
     weights = list(map(mul, r_pows, reversed(s_pows)))
     return tuple((-sum(map(mul, coeffs, weights)), m * den)
-                 for m, (den, coeffs) in enumerate(table.poly_rows[1:top + 1], start=1))
+                 for m, (den, coeffs) in enumerate(_bernoulli_rows(top)[1:top + 1], start=1))
 
 
 # -- O(1)-argument kernels ----------------------------------------------------

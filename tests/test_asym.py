@@ -514,11 +514,28 @@ class TestRuntimeRoute:
         monkeypatch.setattr(specfun, "_memo", {})
         monkeypatch.setattr(specfun, "_fixed_series", {})
         monkeypatch.setattr(specfun, "_bernoulli_numbers", ())
-        specfun.bernoulli_table.cache_clear()
+        monkeypatch.setattr(specfun, "_poly_rows", ())
         with precision_mode(mode):
             for kind in cli.KINDS:
                 cli.cmd_coeffs(cli.RunConfig("coeffs", kind, p=0.3, q=2.75, a=-1.0, b=2.0,
                                              order=asym.max_order()))
+
+    #: the last Bernoulli polynomial row an order-M tail of each kind reads,
+    #: as M + this: B_(M+1) for zeta(-M, .), B_(M+2) where the kind also
+    #: needs zeta(-M-1, .); the interval kinds read Bernoulli numbers only
+    TOP_ROW = {"lambda": 1, "p1": 1, "disc": 2, "potential": 2, "elliptic": 2,
+               "interval": None, "general-interval": None}
+
+    @pytest.mark.parametrize("kind", TOP_ROW)
+    def test_rows_built_to_the_order(self, kind, monkeypatch):
+        # the first order-4 expansion from empty memos builds the rows it
+        # reads and none past order + 2
+        order = 4
+        monkeypatch.setattr(specfun, "_bernoulli_numbers", ())
+        monkeypatch.setattr(specfun, "_poly_rows", ())
+        cli.cmd_coeffs(cli.RunConfig("coeffs", kind, p=0.3, q=2.75, a=-1.0, b=2.0, order=order))
+        extra = self.TOP_ROW[kind]
+        assert len(specfun._poly_rows) == (0 if extra is None else order + extra + 1)
 
 
 class TestEvaluateExpansion:

@@ -44,6 +44,21 @@ def test_usage_errors_exit_2_without_traceback(args):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("args, message", [
+    # (log 2) n^2 alone is past the float64 maximum
+    (("exact", "--n", str(10**160), "--p", "1", "--q", "1"), "std precision"),
+    # 2p - 1 rounds to -1 for the Jacobi kinds
+    (("coeffs", "--kind", "disc", "--p", "1e-17", "--q", "0.5", "--order", "2"),
+     "rounds to -1 in float64 at p=1e-17"),
+])
+def test_capacity_errors_exit_2_without_traceback(args, message):
+    result = fekete(*args)
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 def test_negative_number_is_a_value():
     # "-1e5" reaches the charge check instead of being read as an option
     result = fekete("exact", "--n", "3", "--p", "-1e5", "--q", "1")

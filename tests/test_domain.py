@@ -56,7 +56,7 @@ OVERFLOWS = {
     # expansion constants whose psi^(-2)(2p) and 2p log Gamma(2p) overflow
     "negapolygamma2": lambda: asym.potential_energy_expansion(1e200, 1, 0),
     "log_gamma": lambda: asym.elliptic_log_energy_expansion(1e200, 1, 0),
-    # (log 2) n^2 alone overflows: raised before the Barnes G evaluation
+    # (log 2) n^2 alone overflows: the rounded kernel value reports it
     "discriminant_log": lambda: jacobi.discriminant_log(10**160, JacobiParams(0.5, 2)),
     "potential_energy_exact": lambda: energy.potential_energy_exact(10**160, 1, 1.5),
     "elliptic_log_energy_exact": lambda: energy.elliptic_log_energy_exact(10**160, 1, 1.5),
@@ -74,20 +74,30 @@ def _evaluated(*args, **kwargs):
     raise AssertionError("evaluated")
 
 
-@pytest.mark.parametrize("name", ["discriminant_log", "potential_energy_exact",
-                                  "elliptic_log_energy_exact", "interval_energy_exact"])
-def test_size_overflow_raised_before_evaluation(name, monkeypatch):
-    monkeypatch.setattr(precision.Context, "guarded", _evaluated)
-    with pytest.raises(CapacityError, match="std precision"):
-        OVERFLOWS[name]()
-
-
 def test_large_exponents_are_evaluated(monkeypatch):
     # near p = 1.62 n, q = 1 the potential energy crosses zero, so n alone
-    # does not decide that it overflows
+    # does not decide that it overflows: the value is evaluated
     monkeypatch.setattr(precision.Context, "guarded", _evaluated)
     with pytest.raises(AssertionError, match="evaluated"):
         energy.potential_energy_exact(10**160, 1e160, 1)
+
+
+@pytest.mark.parametrize("p, q, named", [(1e-17, 0.5, "p=1e-17"), (0.5, 2e-17, "q=2e-17")])
+def test_tiny_charge_exponent_is_a_capacity_error(p, q, named):
+    # 2p - 1 rounds to -1 in float64: the error names the charge the caller
+    # gave and float64, not an exponent of -1
+    with pytest.raises(CapacityError, match=f"rounds to -1 in float64 at {named}$"):
+        JacobiParams.from_charges(p, q)
+    assert JacobiParams.from_charges(3e-17, 0.5).alpha > -1
+
+
+def test_capacity_one_interval_is_finite_past_float64_n2():
+    # on [0, 4], of capacity 1, the N^2 terms cancel: the energy is about
+    # -N log N and finite at N = 10^160, where (log 2) N^2 alone is not
+    N = 10**160
+    value = energy.interval_energy_on(energy.IntervalSpec(0, 4), N)
+    expansion = asym.general_interval_energy_expansion(0.0, 4.0, 2)
+    assert math.isclose(value, asym.evaluate_expansion(expansion, N, 2), rel_tol=1e-15)
 
 
 def test_message_names_the_argument():

@@ -106,3 +106,13 @@ def test_fraction_rounds_once_in_ext():
                     ref = mpmath.mpf(exact.numerator) / exact.denominator
                 with mpmath.workprec(prec):
                     assert value == +ref, (build.__name__, m)
+
+
+def test_ratio_rounds_at_the_mode_precision():
+    # the context's own precision, not mpmath's working precision: 1/3 has
+    # no finite binary expansion, so a wider working precision would show
+    with precision_mode("ext") as ctx:
+        third = ctx.ratio(1, 3)
+        assert third._mpf_[1].bit_length() <= ctx.prec
+        with mpmath.workprec(300):
+            assert ctx.ratio(1, 3)._mpf_ == third._mpf_

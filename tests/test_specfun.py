@@ -1,5 +1,7 @@
 import functools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +13,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from fekete import asym, specfun
-from fekete.exceptions import CapacityError, DomainError
+from fekete.exceptions import DomainError
 from fekete.jacobi import JacobiParams
 from fekete.precision import active, precision_mode
 
@@ -32,8 +34,7 @@ def _log_gamma(x):
 class TestBernoulli:
     def test_numbers_match_sympy(self):
         # oracle: sympy's Bernoulli polynomial at 0 (convention-independent)
-        table = specfun.bernoulli_table()
-        for m in range(table.max_order + 1):
+        for m in range(33):
             expected = Fraction(str(sympy.Rational(sympy.bernoulli(m, 0))))
             assert specfun.bernoulli_number(m) == expected
 
@@ -59,13 +60,9 @@ class TestBernoulli:
             assert b(1, Fraction(0)) == Fraction(-1, 2)
             assert b(4, Fraction(0)) == Fraction(-1, 30)
 
-    def test_capacity_error(self):
-        with pytest.raises(CapacityError):
-            specfun.hurwitz_zeta_negint_numerators(1, 2, 35)
-        with pytest.raises(CapacityError):
-            bernoulli_poly_fraction(35, Fraction(1, 2))
-        with pytest.raises(CapacityError):
-            specfun.bernoulli_number(33)
+    def test_numbers_match_bernfrac(self):
+        for m in range(101):
+            assert specfun.bernoulli_number(m) == Fraction(*mpmath.bernfrac(m)), m
 
     def test_tangent_source_matches_bernfrac(self, monkeypatch):
         # from an empty table, built short first and then grown by doubling
@@ -105,6 +102,30 @@ class TestBernoulli:
             assert ((value.numerator, value.denominator)
                     == (expected.numerator, expected.denominator))
 
+    def test_rows_grown_by_racing_threads(self, monkeypatch):
+        # threads growing the row memo from empty to different orders at
+        # once each get the rows a single thread builds
+        reference = specfun._bernoulli_rows(40)
+        monkeypatch.setattr(specfun, "_poly_rows", ())
+        results, interval = {}, sys.getswitchinterval()
+
+        def grow(top):
+            results[top] = specfun._bernoulli_rows(top)
+
+        threads = [threading.Thread(target=grow, args=(top,)) for top in range(3, 41, 3)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(results) == len(threads)
+        for top, rows in results.items():
+            assert rows[:top + 1] == reference[:top + 1], top
+        assert specfun._bernoulli_rows(40)[:41] == reference[:41]
+
 
 class TestHurwitzZetaNegint:
     def test_examples(self):
@@ -131,9 +152,18 @@ class TestHurwitzZetaNegint:
         rhs = a ** m + zeta_from_numerators(m, a + 1)
         assert lhs == rhs
 
-    def test_capacity_error(self):
-        with pytest.raises(CapacityError):
-            zeta_from_numerators(34, Fraction(1))
+    @pytest.mark.parametrize("top", [40, 61])
+    def test_numerators_past_order_32_against_sympy(self, top):
+        # sympy's Bernoulli polynomials, not the rows, at orders the old
+        # fixed table did not reach
+        for a in (Fraction(1), Fraction(1, 3), Fraction(-7, 4), Fraction(5, 2)):
+            r, s = a.numerator, a.denominator
+            numerators = specfun.hurwitz_zeta_negint_numerators(r, s, top)
+            assert len(numerators) == top
+            for k in range(top):
+                num, den = numerators[k]
+                expected = -sympy.bernoulli(k + 1, sympy.Rational(r, s)) / (k + 1)
+                assert Fraction(num, den * s ** top) == Fraction(str(expected)), (top, a, k)
 
 
 def _psi2(x):

@@ -5,13 +5,12 @@ first argument: every Bernoulli number comes from one integer source, the
 tangent-number recurrence, and the Hurwitz zeta values of one argument
 come from one integer pass over the Bernoulli polynomial rows, each
 built when an order first needs it, as numerators over known
-denominators.  One fixed-point kernel for log
-Gamma and log Barnes G together, by their asymptotic series
-summed in integers in the log domain without forming Gamma or G; the
-antiderivative of log-gamma (negapolygamma of order -2) from one value of
-that kernel; and :func:`memo`, the one memo of O(1)-argument kernel values.
-Callers round kernel values through
-:meth:`fekete.precision.Context.guarded`.
+denominators.  One fixed-point kernel for log Gamma and log Barnes G
+together, by their asymptotic series summed in integers in the log
+domain without forming Gamma or G; the antiderivative of log-gamma
+(negapolygamma of order -2) from one value of that kernel; and
+:func:`memo`, the one memo of O(1)-argument kernel values.  Callers round
+kernel values through :meth:`fekete.precision.Context.guarded`.
 """
 from __future__ import annotations
 

@@ -103,48 +103,27 @@ def _write(text: str, out: str | None) -> None:
         handle.write(text)
 
 
-def _write_json(payload, out: str | None) -> None:
-    import json  # only JSON output needs it
-
-    _write(json.dumps(payload, indent=2) + "\n", out)
-
-
-def _emit_table(header: tuple[str, ...], rows, fmt: str, out: str | None,
-                command: str) -> None:
-    if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(row))
-        _write("\r\n".join(lines) + "\r\n", out)
-    else:
-        payload = {
-            "command": command,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _write_json(payload, out)
-
-
 # -- command implementations (testable without the option layer) --------------
 
 
 def cmd_exact(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
+    # each log-discriminant is the negated energy (energy.discriminant_N_log,
+    # energy.pq_discriminant_log), written without evaluating it again
     rows = []
     if cfg.kind == "interval":
         header = ("N", "interval_energy", "log_discriminant")
         for N in cfg.values:
-            rows.append((
-                str(N),
-                _format_scalar(energy.interval_energy_exact(N)),
-                _format_scalar(energy.discriminant_N_log(N)),
-            ))
+            value = energy.interval_energy_exact(N)
+            rows.append((str(N), _format_scalar(value), _format_scalar(-value)))
         return header, rows
     header = ("n", "potential_energy", "elliptic_log_energy", "log_pq_discriminant")
     for n in cfg.values:
+        value = energy.potential_energy_exact(n, cfg.p, cfg.q)
         rows.append((
             str(n),
-            _format_scalar(energy.potential_energy_exact(n, cfg.p, cfg.q)),
+            _format_scalar(value),
             _format_scalar(energy.elliptic_log_energy_exact(n, cfg.p, cfg.q)),
-            _format_scalar(energy.pq_discriminant_log(n, cfg.p, cfg.q)),
+            _format_scalar(-value),
         ))
     return header, rows
 
@@ -313,92 +292,66 @@ def cmd_minimize(cfg: RunConfig) -> dict:
 
 # -- option layer ----------------------------------------------------------------
 #
-# Each command is a function of its option values, run by cli(); the options
-# are (flags, add_argument keywords) pairs, and argparse is imported and the
-# parser built only when the command line runs.
+# cli() is the one path from the options to the output: it builds the
+# RunConfig, runs the command's cmd_* function and writes what that returns.
+# The options are (flags, add_argument keywords) pairs, and argparse is
+# imported and the parser built only when the command line runs.
 
 
-def exact_command(kind, n_range, N_range, p, q, alpha, beta, fmt, out):
-    """Exact energies and log-discriminants for a range of sizes."""
-    if kind is None:
-        kind = "interval" if N_range is not None else "pq"
-    if kind == "interval":
-        values = _parse_range(N_range, "--N")
-        cfg = RunConfig(command="exact", kind=kind, values=values)
-    else:
-        values = _parse_range(n_range, "--n")
-        p, q = _resolve_charges(p, q, alpha, beta, required=True)
-        cfg = RunConfig(command="exact", kind=kind, values=values, p=p, q=q)
-    header, rows = cmd_exact(cfg)
-    _emit_table(header, rows, fmt, out, "exact")
+def _config(name: str, opts: dict) -> RunConfig:
+    """The :class:`RunConfig` of command ``name`` from its option values."""
+    kind = opts.get("kind", name)  # zeros and minimize take no --kind
+    if kind is None:  # exact: Fekete rows when --N is given
+        kind = "interval" if opts["N_range"] is not None else "pq"
+    values = ()
+    if name == "exact":  # exact reports a bad range before bad charges, the others after
+        values = (_parse_range(opts["N_range"], "--N") if kind == "interval"
+                  else _parse_range(opts["n_range"], "--n"))
+    p, q = _resolve_charges(opts["p"], opts["q"], opts["alpha"], opts["beta"],
+                            required=kind == "pq" or name in ("zeros", "minimize"))
+    if name == "minimize":
+        values = (opts["n_value"],)
+    elif name in ("table", "zeros", "verify"):
+        values = _parse_range(opts["n_range"], "--n")
+    fields = {f: opts[f] for f in ("order", "a", "b", "tol", "slope_tol") if f in opts}
+    return RunConfig(name, kind, values, p, q, **fields)
 
 
-def coeffs_command(kind, order, a, b, p, q, alpha, beta, fmt, out):
-    """Expansion coefficients as serialized JSON."""
-    p, q = _resolve_charges(p, q, alpha, beta, required=False)
-    cfg = RunConfig(command="coeffs", kind=kind, order=order, a=a, b=b, p=p, q=q)
-    _write_json(cmd_coeffs(cfg), out)
+def _render(name: str, result, fmt: str | None) -> tuple[str, bool]:
+    """The text of a command's result, and False when its check failed.
+
+    Rows ``(header, rows[, ok])`` go out as CRLF CSV or as JSON
+    ``{"command", ["ok",] "rows"}``; a dict goes out as JSON, or for
+    ``minimize`` in CSV as its ``index,x`` rows.
+    """
+    if name == "minimize" and fmt == "csv":
+        result = ("index", "x"), [(str(i), str(x)) for i, x in enumerate(result["points"], 1)]
+    verdict = ()
+    if not isinstance(result, dict):
+        header, rows, *verdict = result
+        if fmt == "csv":
+            return "".join(",".join(row) + "\r\n" for row in (header, *rows)), all(verdict)
+        result = {"command": name, **({"ok": verdict[0]} if verdict else {}),
+                  "rows": [dict(zip(header, row)) for row in rows]}
+    import json  # only JSON output needs it
+
+    return json.dumps(result, indent=2) + "\n", all(verdict)
 
 
-def table_command(kind, n_range, order, a, b, p, q, alpha, beta, fmt, out):
-    """Convergence table: exact value, truncations and errors per n."""
-    p, q = _resolve_charges(p, q, alpha, beta, required=False)
-    cfg = RunConfig(command="table", kind=kind, values=_parse_range(n_range, "--n"),
-                    order=order, a=a, b=b, p=p, q=q)
-    header, rows = cmd_table(cfg)
-    _emit_table(header, rows, fmt, out, "table")
-
-
-def zeros_command(n_range, p, q, alpha, beta, fmt, out):
-    """Zeros of the Jacobi polynomial attached to the charges."""
-    p, q = _resolve_charges(p, q, alpha, beta, required=True)
-    cfg = RunConfig(command="zeros", kind="zeros", values=_parse_range(n_range, "--n"), p=p, q=q)
-    header, rows = cmd_zeros(cfg)
-    _emit_table(header, rows, fmt, out, "zeros")
-
-
-def minimize_command(n_value, tol, p, q, alpha, beta, fmt, out):
-    """Run the electrostatic Newton solver and report the configuration."""
-    p, q = _resolve_charges(p, q, alpha, beta, required=True)
-    cfg = RunConfig(command="minimize", kind="minimize", values=(n_value,), p=p, q=q, tol=tol)
-    payload = cmd_minimize(cfg)
-    if fmt == "json":
-        _write_json(payload, out)
-    else:
-        header = ("index", "x")
-        rows = [(str(i), str(v)) for i, v in enumerate(payload["points"], start=1)]
-        _emit_table(header, rows, fmt, out, "minimize")
-
-
-def verify_command(kind, n_range, order, slope_tol, tol, a, b, p, q, alpha, beta, fmt, out):
-    """Check truncation-order decay (or minimizer agreement) and set the
-    exit status accordingly."""
-    p, q = _resolve_charges(p, q, alpha, beta, required=False)
-    cfg = RunConfig(command="verify", kind=kind, values=_parse_range(n_range, "--n"),
-                    order=order, slope_tol=slope_tol, tol=tol, a=a, b=b, p=p, q=q)
-    header, rows, ok = cmd_verify(cfg)
-    if fmt == "json":
-        payload = {
-            "command": "verify",
-            "ok": ok,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _write_json(payload, out)
-    else:
-        _emit_table(header, rows, fmt, out, "verify")
-    if not ok:
-        sys.exit(1)
-
-
-#: the charges and the output, taken by every command
-_SHARED_OPTIONS = (
+#: the charges, taken by every command
+_CHARGE_OPTIONS = (
     (("--p",), dict(type=float, help="Charge at +1.")),
     (("--q",), dict(type=float, help="Charge at -1.")),
     (("--alpha",), dict(type=float, help="Jacobi exponent alpha = 2p-1.")),
     (("--beta",), dict(type=float, help="Jacobi exponent beta = 2q-1.")),
+)
+_OUT_OPTION = (("--out",), dict(metavar="PATH", help="Output path (default: stdout)."))
+#: the charges and the output, taken by every command but coeffs (JSON only)
+_SHARED_OPTIONS = (
+    *_CHARGE_OPTIONS,
     (("--format",), dict(dest="fmt", choices=("csv", "json"), default="csv",
                          help="Output format.")),
-    (("--out",), dict(metavar="PATH", help="Output path (default: stdout).")),
+    _OUT_OPTION,
 )
 
 
@@ -409,9 +362,9 @@ def _kind_options(*extra_kinds):
             (("--b",), dict(type=float, help="Right endpoint (general-interval).")))
 
 
-#: command name -> (function of the option values, options)
+#: command name -> (cmd_* function, help text, options)
 COMMANDS = {
-    "exact": (exact_command, (
+    "exact": (cmd_exact, "Exact energies and log-discriminants for a range of sizes.", (
         (("--kind",), dict(choices=("pq", "interval"),
                            help="pq: external-field problem rows; interval: Fekete rows.")),
         (("--n",), dict(dest="n_range", metavar="RANGE",
@@ -419,26 +372,28 @@ COMMANDS = {
         (("--N",), dict(dest="N_range", metavar="RANGE",
                         help="Range a..b or comma list (interval kind).")),
         *_SHARED_OPTIONS)),
-    "coeffs": (coeffs_command, (
+    "coeffs": (cmd_coeffs, "Expansion coefficients as serialized JSON.", (
         *_kind_options(),
         (("--order", "--M"), dict(dest="order", type=int, default=4,
                                   help="Number of tail coefficients.")),
-        *_SHARED_OPTIONS)),
-    "table": (table_command, (
+        *_CHARGE_OPTIONS, _OUT_OPTION)),
+    "table": (cmd_table, "Convergence table: exact value, truncations and errors per n.", (
         *_kind_options(),
         (("--n", "--N"), dict(dest="n_range", metavar="RANGE",
                                 help="Range a..b or comma list.")),
         (("--order", "--M"), dict(dest="order", type=int, default=2)),
         *_SHARED_OPTIONS)),
-    "zeros": (zeros_command, (
+    "zeros": (cmd_zeros, "Zeros of the Jacobi polynomial attached to the charges.", (
         (("--n",), dict(dest="n_range", metavar="RANGE", required=True,
                         help="Degree range a..b or comma list.")),
         *_SHARED_OPTIONS)),
-    "minimize": (minimize_command, (
+    "minimize": (cmd_minimize,
+                 "Run the electrostatic Newton solver and report the configuration.", (
         (("--n",), dict(dest="n_value", type=int, required=True)),
         (("--tol",), dict(type=float, default=1e-10)),
         *_SHARED_OPTIONS)),
-    "verify": (verify_command, (
+    "verify": (cmd_verify, "Check truncation-order decay (or minimizer agreement) and set "
+                           "the exit status accordingly.", (
         *_kind_options("minimize"),
         (("--n", "--N"), dict(dest="n_range", metavar="RANGE", required=True,
                               help="Sizes to test, e.g. 20,40,80,160.")),
@@ -478,12 +433,12 @@ def cli(args=None, prog=None):
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
     negative = re.compile(_NEGATIVE_NUMBER, re.IGNORECASE)
     subparsers = {}
-    for name, (run, options) in COMMANDS.items():
+    for name, (_, text, options) in COMMANDS.items():
         # options left out take no attribute, so the namespace lists the
         # given ones in command-line order; the defaults are applied below
         sub = subparsers[name] = commands.add_parser(
-            name, prog=f"{parser.prog} {name}", help=run.__doc__.split("\n\n")[0],
-            description=run.__doc__, allow_abbrev=False, argument_default=argparse.SUPPRESS)
+            name, prog=f"{parser.prog} {name}", help=text, description=text,
+            allow_abbrev=False, argument_default=argparse.SUPPRESS)
         sub._negative_number_matcher = negative  # argparse's own reads -1e5 as an option
         for flags, spec in options:
             sub.add_argument(*flags, **{k: v for k, v in spec.items() if k != "default"})
@@ -491,15 +446,19 @@ def cli(args=None, prog=None):
                          help="Scalar arithmetic mode (also via FEKETE_PRECISION).")
     given = vars(parser.parse_args(args))
     name = given.pop("command")
-    sub, (run, options) = subparsers[name], COMMANDS[name]
+    sub, (run, _, options) = subparsers[name], COMMANDS[name]
     mode = given.pop("precision", None) or os.environ.get("FEKETE_PRECISION") or "std"
     if mode not in ("std", "ext"):
         sub.error(f"invalid value for --precision (FEKETE_PRECISION): {mode!r} is not one "
                   f"of 'std', 'ext'")
-    values = {spec.get("dest", flags[0][2:]): spec.get("default") for flags, spec in options}
+    opts = {spec.get("dest", flags[0][2:]): spec.get("default") for flags, spec in options}
+    opts.update(given)
     use(mode)
     try:
-        run(**{**values, **given})
+        text, ok = _render(name, run(_config(name, opts)), opts.get("fmt"))
+        _write(text, opts["out"])
+        if not ok:
+            sys.exit(1)
     except (UsageError, FeketeError) as exc:
         sub.error(str(exc))
     except MemoryError:

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -158,6 +159,30 @@ def test_memory_error_is_a_usage_error(runner, monkeypatch, target, args, messag
     assert f"not enough memory for {message}\n" in result.output
 
 
+#: a valid call of each command that takes no charges of its own
+_CHARGE_FREE = {
+    "exact": "exact --N 2..4 --kind interval",
+    "coeffs": "coeffs --kind interval --order 1",
+    "table": "table --kind interval --n 20,40 --order 1",
+    "zeros": "zeros --n 3",
+    "minimize": "minimize --n 3",
+    "verify": "verify --kind interval --n 20,40,80 --order 1",
+}
+
+
+@pytest.mark.parametrize("name", _CHARGE_FREE)
+@pytest.mark.parametrize("charges, message", [
+    ("--p 1", "--p and --q must be given together"),
+    ("--p 1 --alpha 1", "give either --p/--q or --alpha/--beta, not both"),
+], ids=["lone-p", "p-with-alpha"])
+def test_every_command_checks_its_charges(runner, name, charges, message):
+    # exact --kind interval used to ignore a lone --p, and --p with --alpha
+    result = runner.invoke(cli, f"{_CHARGE_FREE[name]} {charges}".split())
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: {message}\n" in result.output
+
+
 class TestExact:
     def test_interval_range(self, runner):
         result = runner.invoke(cli, ["exact", "--N", "2..4", "--kind", "interval"])
@@ -212,6 +237,29 @@ class TestExact:
     def test_interval_domain_error_is_usage_error(self, runner):
         result = runner.invoke(cli, ["exact", "--N", "1..2", "--kind", "interval"])
         assert result.exit_code == 2
+
+    def test_each_closed_form_is_evaluated_once(self, runner, monkeypatch):
+        # the log-discriminant column is the negated energy, not a second
+        # evaluation through energy.pq_discriminant_log / discriminant_N_log
+        calls = collections.Counter()
+        for name in ("potential_energy_exact", "interval_energy_exact"):
+            def counted(*args, _name=name, _original=getattr(energy, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(energy, name, counted)
+        pq = runner.invoke(cli, ["exact", "--n", "1..40", "--p", "0.7", "--q", "1.3"])
+        interval = runner.invoke(cli, ["exact", "--N", "2..41", "--kind", "interval"])
+        assert pq.exit_code == 0 and interval.exit_code == 0
+        assert calls == {"potential_energy_exact": 40, "interval_energy_exact": 40}
+        monkeypatch.undo()
+        for line in pq.output.splitlines()[1:]:
+            n, value, _, disc = line.split(",")
+            assert value == _format_scalar(energy.potential_energy_exact(int(n), 0.7, 1.3))
+            assert disc == _format_scalar(energy.pq_discriminant_log(int(n), 0.7, 1.3))
+        for line in interval.output.splitlines()[1:]:
+            N, value, disc = line.split(",")
+            assert disc == _format_scalar(energy.discriminant_N_log(int(N)))
 
     def test_pq_discriminant_is_minus_the_energy_at_large_n(self, runner):
         try:
@@ -386,6 +434,27 @@ class TestOutputContracts:
             cli, ["exact", "--N", "2..3", "--kind", "interval", "--out", str(target)])
         assert result.exit_code == 0
         assert target.read_text().startswith("N,interval_energy")
+
+    @pytest.mark.parametrize("args", [
+        *(f"{line} --format {fmt}" for fmt in ("csv", "json") for line in (
+            "exact --N 2..4 --kind interval",
+            "exact --n 2..4 --p 0.7 --q 1.3",
+            "table --kind interval --n 20,40 --order 1",
+            "zeros --n 3 --p 1 --q 1",
+            "minimize --n 3 --p 1 --q 1",
+            "verify --kind interval --n 20,40,80 --order 1",
+            "verify --kind interval --n 20,40,80 --order 1 --slope-tol 0.000001",
+        )),
+        "coeffs --kind interval --order 2",
+    ])
+    def test_out_file_gets_the_stdout_bytes(self, runner, tmp_path, args):
+        target = tmp_path / "out"
+        to_stdout = runner.invoke(cli, args.split())
+        to_file = runner.invoke(cli, [*args.split(), "--out", str(target)])
+        assert to_stdout.exit_code == to_file.exit_code
+        assert to_stdout.stdout_bytes
+        assert to_file.stdout_bytes == b""
+        assert target.read_bytes() == to_stdout.stdout_bytes
 
     def test_seventeen_digit_std(self, runner):
         result = runner.invoke(cli, ["exact", "--N", "4", "--kind", "interval"])

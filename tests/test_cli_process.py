@@ -35,6 +35,8 @@ def test_help_and_version_exit_0(args):
     ("exact", "--N", "3", "--precision", "foo"),
     ("exact", "--n", "x", "--p", "1", "--q", "1"),
     ("exact", "--n", "3", "--p", "-1e5", "--q", "1"),
+    # coeffs writes JSON only and takes no --format
+    ("coeffs", "--kind", "interval", "--order", "1", "--format", "csv"),
 ])
 def test_usage_errors_exit_2_without_traceback(args):
     result = fekete(*args)

@@ -309,6 +309,12 @@ def _config(name: str, opts: dict) -> RunConfig:
                   else _parse_range(opts["n_range"], "--n"))
     p, q = _resolve_charges(opts["p"], opts["q"], opts["alpha"], opts["beta"],
                             required=kind == "pq" or name in ("zeros", "minimize"))
+    # a kind takes only the inputs it names: the charges, or --a/--b
+    named = KINDS[kind].inputs if kind in KINDS else _CHARGES
+    for flags, field in ((("p", "q", "alpha", "beta"), "p"), (("a", "b"), "a")):
+        given = [f"--{flag}" for flag in flags if opts.get(flag) is not None]
+        if given and field not in named:
+            raise UsageError(f"kind {kind!r} takes no {'/'.join(given)}")
     if name == "minimize":
         values = (opts["n_value"],)
     elif name in ("table", "zeros", "verify"):
@@ -325,7 +331,9 @@ def _render(name: str, result, fmt: str | None) -> tuple[str, bool]:
     ``minimize`` in CSV as its ``index,x`` rows.
     """
     if name == "minimize" and fmt == "csv":
-        result = ("index", "x"), [(str(i), str(x)) for i, x in enumerate(result["points"], 1)]
+        # the points are float64 in every mode, so float() undoes the JSON scalar
+        result = ("index", "x"), [(str(i), _format_scalar(float(x)))
+                                  for i, x in enumerate(result["points"], 1)]
     verdict = ()
     if not isinstance(result, dict):
         header, rows, *verdict = result

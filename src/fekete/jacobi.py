@@ -113,43 +113,52 @@ def _newton_step(diag, off, x):
     polynomial whose zeros are the eigenvalues of the Jacobi matrix
     (``diag``, ``off``), n = len(diag).
 
-    One pass of its orthonormal recurrence
-    b_k p_{k+1} = (x - a_k) p_k - b_{k-1} p_{k-1}, p_0 = 1, carries the
-    value and the derivative together, ten in-place numpy calls per
-    degree.  The normalisation cancels in the ratio, so the last step takes
-    b_{n-1} = 1 and needs no entry past ``off``, and every 16 degrees each
-    point's four values are scaled, exactly, by a power of two that brings
-    |p_k| + |p_k'| to [1/2, 1): at an eigenvalue the p_k grow like the
-    inverse square root of its Gauss weight, past the float64 range at
-    large n and exponents (n = 1000, alpha = 1000).
+    One complex pass of the rescaled monic recurrence
+    q_{k+1} = ((z - a_k)/r_k) q_k - q_{k-1}, q_0 = 1, q_{-1} = 0, with
+    r_0 = 1 and r_k = b_{k-1}^2/r_{k-1}, so that q_k = pi_k/gamma_k for the
+    monic pi_k of the same matrix and gamma_k = r_0 ... r_{k-1}.  At the
+    complex step z = x + i eps, eps = 2^-400 (Squire & Trapp, SIAM Rev. 40
+    (1998) 110), pi_k(z) = pi_k(x) - eps^2 pi_k''(x)/2 + ...
+    + i eps (pi_k'(x) - eps^2 pi_k'''(x)/6 + ...), so Re q_k is
+    pi_k(x)/gamma_k and Im q_k is eps pi_k'(x)/gamma_k up to a relative
+    eps^2 = 2^-800 times ratios of derivatives: far below half an ulp of
+    any state entry.  eps^2 is still a normal double, so a product of two
+    imaginary parts keeps its digits; and no difference quotient is taken,
+    so the derivative carries no cancellation.  The step is
+    eps Re q_n / Im q_n.  The factors (z - a_k)/r_k, as products with
+    1/r_k, take one broadcast subtract and one multiply per 32 degrees;
+    each degree is then two numpy calls.  Every 16 degrees each point's
+    pair (q_k, q_{k-1}) is scaled, exactly, by the power of two that brings
+    |Re q_k| + 2^400 |Im q_k| to [1/2, 1): at an eigenvalue the q_k grow
+    like the inverse square root of its Gauss weight, past the float64
+    range at large n and exponents (n = 1000, alpha = 1000).
     """
     import numpy as np  # only the float64 kernels load numpy
 
-    p_prev, p = np.zeros_like(x), np.ones_like(x)
-    dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
-    u, t = np.empty_like(x), np.empty_like(x)
-    b = [0.0] + off.tolist() + [1.0]  # b_{-1} = 0 and b_{n-1} = 1
-    for k, (a_k, b_prev, b_k) in enumerate(zip(diag.tolist(), b, b[1:])):
-        if k % 16 == 15:
-            shift = -np.frexp(np.abs(p) + np.abs(dp))[1]
-            for v in (p, p_prev, dp, dp_prev):
-                np.ldexp(v, shift, out=v)
-        np.subtract(x, a_k, out=u)
-        # p'_{k+1} = ((x - a_k) p'_k + p_k - b_{k-1} p'_{k-1}) / b_k
-        np.multiply(u, dp, out=t)
-        t += p
-        dp_prev *= b_prev  # p'_{k-1} is not needed past this step
-        t -= dp_prev
-        t /= b_k
-        dp_prev, dp, t = dp, t, dp_prev
-        # p_{k+1} = ((x - a_k) p_k - b_{k-1} p_{k-1}) / b_k
-        np.multiply(u, p, out=t)
-        p_prev *= b_prev
-        t -= p_prev
-        t /= b_k
-        p_prev, p, t = p, t, p_prev
+    eps = 2.0 ** -400
+    r = [1.0]
+    for b in off.tolist():
+        # r_k r_{k-1} is b_{k-1}^2 to two roundings, whatever k; a zero r_k
+        # comes only from entries that over- or underflowed: NaN meets the gate
+        r.append(b * b / r[-1] if r[-1] else math.nan)
+    # complex columns, so that the block products take no casting pass
+    a = diag.astype(complex)[:, None]
+    inv_r = (1.0 / np.array(r)).astype(complex)[:, None]
+    z = x + 1j * eps
+    prev, cur, nxt = np.zeros_like(z), np.ones_like(z), np.empty_like(z)
+    for k0 in range(0, len(diag), 32):
+        u = np.subtract(z, a[k0:k0 + 32])
+        u *= inv_r[k0:k0 + 32]
+        for k, u_k in enumerate(u, k0):
+            if k % 16 == 15:
+                shift = -np.frexp(np.abs(cur.real) + np.abs(cur.imag) / eps)[1]
+                for v in (cur.real, cur.imag, prev.real, prev.imag):
+                    np.ldexp(v, shift, out=v)
+            np.multiply(u_k, cur, out=nxt)
+            nxt -= prev
+            prev, cur, nxt = cur, nxt, prev
     with np.errstate(divide="ignore", invalid="ignore"):
-        return p / dp
+        return eps * cur.real / cur.imag
 
 
 def zeros(n: int, params: JacobiParams) -> ZeroSet:
@@ -157,9 +166,9 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
 
     Computed as eigenvalues of the symmetric tridiagonal Jacobi matrix
     (Golub-Welsch), each polished by one Newton step from
-    :func:`_newton_step`, one recurrence pass over the whole root vector on
-    the same matrix; always float64 (sufficient for every downstream
-    contract, which are 1e-8..1e-12 scale).  The gate: every step must be
+    :func:`_newton_step`, one complex-step pass of the same matrix's monic
+    recurrence over the whole root vector; always float64 (sufficient for
+    every downstream contract, which are 1e-8..1e-12 scale).  The gate: every step must be
     finite and below 1e-8, else :class:`NumericalError`; a step is a
     distance in x, so the gate does not depend on the size of P_n.  An
     extreme zero that rounds onto +-1 (exponents near -1) raises

@@ -59,11 +59,16 @@ def _check_interior(points) -> None:
         raise DomainError("points must be pairwise distinct")
 
 
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """The diagonal of the square, C-contiguous ``a``, as a writable view."""
+    return a.ravel()[:: len(a) + 1]
+
+
 def _differences(x: np.ndarray) -> np.ndarray:
     """The matrix x_i - x_j, with ones on the diagonal so that its logarithms
     and reciprocals stay finite; the kernels below zero the diagonal terms."""
     d = x[:, None] - x[None, :]
-    np.fill_diagonal(d, 1.0)
+    _diagonal(d)[:] = 1.0
     return d
 
 
@@ -77,7 +82,7 @@ def _energy(x: np.ndarray, d: np.ndarray, p: float, q: float) -> float:
 
 def _gradient(x: np.ndarray, d: np.ndarray, p: float, q: float) -> np.ndarray:
     inv = np.divide(1.0, d)
-    np.fill_diagonal(inv, 0.0)
+    _diagonal(inv)[:] = 0.0
     return 2.0 * (p / (1.0 - x) - q / (1.0 + x) - inv.sum(axis=1))
 
 
@@ -85,9 +90,9 @@ def _hessian(x: np.ndarray, d: np.ndarray, p: float, q: float) -> np.ndarray:
     """The Hessian, built in the memory of ``d``, which it overwrites."""
     h = np.square(d, out=d)
     np.divide(-2.0, h, out=h)
-    np.fill_diagonal(h, 0.0)
+    _diagonal(h)[:] = 0.0
     diag = 2.0 * (p / np.square(1.0 - x) + q / np.square(1.0 + x)) - h.sum(axis=1)
-    np.fill_diagonal(h, diag)
+    _diagonal(h)[:] = diag
     return h
 
 
@@ -105,7 +110,9 @@ def gradient(config: Configuration) -> np.ndarray:
 
 
 def _feasible(x: np.ndarray) -> bool:
-    return bool(np.all(x > -1.0) and np.all(x < 1.0) and np.all(np.diff(x) > 0))
+    """Strictly ascending and inside (-1, 1): an ordered ``x`` is interior
+    exactly when its ends are, and a NaN fails a comparison."""
+    return bool(x[0] > -1.0 and x[-1] < 1.0 and (x[1:] > x[:-1]).all())
 
 
 def _newton(x0: np.ndarray, p: float, q: float, tol: float, max_iter: int) -> SolveReport:
@@ -115,12 +122,12 @@ def _newton(x0: np.ndarray, p: float, q: float, tol: float, max_iter: int) -> So
     grad = _gradient(x, d, p, q)
     iterations = 0
     while True:
-        if np.max(np.abs(grad)) <= tol:
+        if np.abs(grad).max() <= tol:
             stop = "gradient"
             break
         # H takes over d's memory: the line search builds the next matrix
         step = np.linalg.solve(_hessian(x, d, p, q), -grad)
-        if np.max(np.abs(step)) <= _STEP_FLOOR:
+        if np.abs(step).max() <= _STEP_FLOOR:
             stop = "step"
             break
         if iterations >= max_iter:
@@ -145,7 +152,7 @@ def _newton(x0: np.ndarray, p: float, q: float, tol: float, max_iter: int) -> So
     return SolveReport(
         configuration=Configuration(tuple(x.tolist()), charges=(p, q)),
         iterations=iterations,
-        grad_norm=float(np.max(np.abs(grad))),
+        grad_norm=float(np.abs(grad).max()),
         converged=stop in ("gradient", "step"),
         energy=value,
         stop=stop,

@@ -183,6 +183,25 @@ def test_every_command_checks_its_charges(runner, name, charges, message):
     assert f"error: {message}\n" in result.output
 
 
+@pytest.mark.parametrize("args, flags", [
+    ("exact --N 2..4 --p 1 --q 1", "--p/--q"),
+    ("exact --N 2..4 --kind interval --alpha 1 --beta 1", "--alpha/--beta"),
+    ("coeffs --kind interval --order 1 --p 1 --q 1", "--p/--q"),
+    ("table --kind interval --n 20,40 --order 1 --p 1 --q 1", "--p/--q"),
+    ("verify --kind interval --n 20,40,80 --order 1 --p 1 --q 1", "--p/--q"),
+    ("verify --kind general-interval --a 0 --b 3 --n 20,40 --p 1 --q 1", "--p/--q"),
+    ("coeffs --kind interval --order 1 --a 0", "--a"),
+    ("table --kind potential --p 1 --q 1 --n 20,40 --a 0 --b 3", "--a/--b"),
+    ("verify --kind minimize --n 3,4 --b 3", "--b"),
+])
+def test_kind_rejects_inputs_it_does_not_name(runner, args, flags):
+    # these used to run and ignore the inputs
+    result = runner.invoke(cli, args.split())
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"takes no {flags}\n" in result.output
+
+
 class TestExact:
     def test_interval_range(self, runner):
         result = runner.invoke(cli, ["exact", "--N", "2..4", "--kind", "interval"])
@@ -346,6 +365,20 @@ class TestTableAndZeros:
         assert data["converged"] is True
         assert data["stop"] == "gradient"
         assert data["points"][1] == pytest.approx(1 / math.sqrt(5), abs=1e-8)
+
+    @pytest.mark.parametrize("precision", ["std", "ext"])
+    def test_minimize_csv_digits(self, runner, precision):
+        # every CSV writes its scalars through _format_scalar: 17 significant
+        # digits in std (the shortest repr used to be written here)
+        args = ["minimize", "--n", "5", "--p", "1", "--q", "1", "--precision", precision]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 0
+        xs = [line.split(",")[1] for line in result.output.splitlines()[1:]]
+        points = json.loads(runner.invoke(cli, args + ["--format", "json"]).output)["points"]
+        with precision_mode(precision):
+            assert xs == [_format_scalar(float(x)) for x in points]
+        if precision == "std":
+            assert xs[0] == "-0.83022389627856696"
 
 
 class TestVerify:

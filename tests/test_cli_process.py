@@ -37,6 +37,8 @@ def test_help_and_version_exit_0(args):
     ("exact", "--n", "3", "--p", "-1e5", "--q", "1"),
     # coeffs writes JSON only and takes no --format
     ("coeffs", "--kind", "interval", "--order", "1", "--format", "csv"),
+    # the interval kind takes no charges
+    ("exact", "--N", "2..4", "--p", "1", "--q", "1"),
 ])
 def test_usage_errors_exit_2_without_traceback(args):
     result = fekete(*args)

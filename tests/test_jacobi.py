@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -28,16 +29,45 @@ def newton_step(n, a, b, x):
     return jacobi._newton_step(diag, off, np.asarray(x, dtype=float))
 
 
+def _fma(a, b, c):
+    """a * b + c, rounded once (exact integer ratios; float powers of two
+    as denominators)."""
+    (na, da), (nb, db), (nc, dc) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
+    return (na * nb * dc + nc * da * db) / (da * db * dc)
+
+
+# numpy's complex product rounds each part once where its loop uses fused
+# multiply-adds, (fma(ur, cr, -ui ci), fma(ur, ci, ui cr)), and like
+# Python's, one rounding per product, elsewhere; a pair whose two products
+# differ tells which
+_PROBE = (1.3292401940446954 - 2.100786457819467e-121j, 2.6716241733235337 + 3.1091294534894974e-121j)
+_NUMPY_FMA = complex(np.multiply(*_PROBE)) != _PROBE[0] * _PROBE[1]
+
+
+def _product(u, c):
+    if not _NUMPY_FMA:
+        return u * c
+    return complex(_fma(u.real, c.real, -(u.imag * c.imag)), _fma(u.real, c.imag, u.imag * c.real))
+
+
 def scalar_newton_step(diag, off, x):
     """The recurrence of :func:`jacobi._newton_step` at one point, in plain
-    Python floats, in the same operation order."""
-    p_prev, p, dp_prev, dp, b_prev = 0.0, 1.0, 0.0, 0.0, 0.0
-    for a_k, b_k in zip(diag.tolist(), off.tolist() + [1.0]):
-        u = x - a_k
-        p_prev, p, dp_prev, dp = (p, (u * p - b_prev * p_prev) / b_k,
-                                  dp, (u * dp + p - b_prev * dp_prev) / b_k)
-        b_prev = b_k
-    return p / dp
+    Python floats, in the same operation order and with numpy's rounding of
+    the complex product."""
+    eps = 2.0 ** -400
+    r = [1.0]
+    for b in off.tolist():
+        r.append(b * b / r[-1])
+    prev, cur = 0j, 1 + 0j
+    for k, (a_k, r_k) in enumerate(zip(diag.tolist(), r)):
+        if k % 16 == 15:
+            shift = -math.frexp(abs(cur.real) + abs(cur.imag) / eps)[1]
+            prev, cur = (complex(math.ldexp(v.real, shift), math.ldexp(v.imag, shift))
+                         for v in (prev, cur))
+        inv_r = 1.0 / r_k
+        u = complex((x - a_k) * inv_r, eps * inv_r)
+        prev, cur = cur, _product(u, cur) - prev
+    return eps * cur.real / cur.imag
 
 
 def mp_log_leading(n, alpha, beta):
@@ -196,6 +226,35 @@ class TestEvaluate:
                 assert abs(step - exact) <= 2.5e-16, (x, step, exact)
 
 
+    @pytest.mark.parametrize("n,a,b", [(1, 0.4, 1.6), (2, 0.0, 0.0), (2, 1e12, 3.0),
+                                       (101, 0.0, 0.0), (1000, 1e3, 1e3), (40, 1e12, 3.0),
+                                       (40, -1 + 2e-9, -1 + 4e-9), (3, -1 + 2e-12, -1 + 6e-12)])
+    def test_edge_cases_without_floating_point_warnings(self, n, a, b):
+        # one and two degrees, x = 0 as a zero (n = 101, alpha = beta = 0),
+        # q_k up to 2^990 (n = 1000, alpha = beta = 1000), a huge exponent
+        # and exponents near -1: no overflow, invalid or division warning,
+        # and at the picked eigenvalues the step within 2.5e-16 of P_n/P_n'
+        # at 40 digits; at x = 0 every odd q_k is imaginary and the step is
+        # exactly 0
+        diag, off = jacobi._recurrence_coeffs(n, a, b)
+        x0 = eigh_tridiagonal(diag, off, eigvals_only=True)
+        xs = x0[sorted({0, n // 2, n - 1})]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            steps = jacobi._newton_step(diag, off, xs)
+            points = jacobi.zeros(n, JacobiParams(a, b)).points
+            if n == 101:
+                assert jacobi._newton_step(diag, off, np.zeros(1))[0] == 0.0
+                assert abs(points[50]) <= 1e-30
+        assert all(-1 < x < 1 for x in points)
+        with mpmath.workdps(40):
+            ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+            for x, step in zip(xs.tolist(), steps.tolist()):
+                exact = (_mp_jacobi(n, ma, mb, x)
+                         / ((n + ma + mb + 1) / 2 * _mp_jacobi(n - 1, ma + 1, mb + 1, x)))
+                assert abs(step - exact) <= 2.5e-16, (x, step, exact)
+
+
 def _mp_jacobi(n, a, b, x):
     """P_n^(a,b)(x) by the textbook three-term recurrence, in mpmath."""
     p_prev, p = 1, (a + 1) + (a + b + 2) * (x - 1) / 2
@@ -322,9 +381,9 @@ class TestZeros:
             assert mp_zero_error(n, a, b, x0) <= 2e-16, i
 
     def test_recurrence_values_past_float64_range(self):
-        # the orthonormal p_k at the extreme eigenvalues pass 1e308 here, so
-        # the pass rescales them; picked zeros within 2e-16 of a 60-digit
-        # Newton refinement (measured: 6.6e-17)
+        # the recurrence values q_k at the largest eigenvalue reach 2^1573
+        # here, so the pass rescales them; picked zeros within 2e-16 of a
+        # 60-digit Newton refinement (measured: 6.6e-17)
         n, a, b = 1000, 1e3, 0.0
         ours = jacobi.zeros(n, JacobiParams(a, b)).points
         for i in (0, 1, n // 2, n - 2, n - 1):

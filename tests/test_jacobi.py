@@ -36,15 +36,17 @@ def _fma(a, b, c):
     return (na * nb * dc + nc * da * db) / (da * db * dc)
 
 
-# numpy's complex product rounds each part once where its loop uses fused
-# multiply-adds, (fma(ur, cr, -ui ci), fma(ur, ci, ui cr)), and like
-# Python's, one rounding per product, elsewhere; a pair whose two products
-# differ tells which
-_PROBE = (1.3292401940446954 - 2.100786457819467e-121j, 2.6716241733235337 + 3.1091294534894974e-121j)
+# where numpy's complex-multiply loop fuses multiply-adds
+# it rounds each part once, (fma(ur, cr, -ui ci), fma(ur, ci, ui cr));
+# elsewhere it rounds every product, as Python's does.  A pair whose two
+# products differ tells which
+_PROBE = (1.3292401940446954 - 2.100786457819467e-121j,
+          2.6716241733235337 + 3.1091294534894974e-121j)
 _NUMPY_FMA = complex(np.multiply(*_PROBE)) != _PROBE[0] * _PROBE[1]
 
 
 def _product(u, c):
+    """u * c with numpy's rounding."""
     if not _NUMPY_FMA:
         return u * c
     return complex(_fma(u.real, c.real, -(u.imag * c.imag)), _fma(u.real, c.imag, u.imag * c.real))
@@ -379,6 +381,14 @@ class TestZeros:
         # (measured: 1.0e-16 and 7.0e-17)
         for i, x0 in enumerate(jacobi.zeros(n, JacobiParams(a, b)).points):
             assert mp_zero_error(n, a, b, x0) <= 2e-16, i
+
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_overflowed_matrix_meets_the_gate(self, n):
+        # at alpha = 1e100 the Jacobi matrix entries over- and underflow, so
+        # the polish meets a zero r_k: its NaN reaches the gate, not a
+        # ZeroDivisionError
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="Newton step nan"):
+            jacobi.zeros(n, JacobiParams(1e100, 0.5))
 
     def test_recurrence_values_past_float64_range(self):
         # the recurrence values q_k at the largest eigenvalue reach 2^1573

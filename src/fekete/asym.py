@@ -79,12 +79,16 @@ def _over_common_denominator(*values) -> tuple[int, tuple[int, ...]]:
     return s, tuple(num * (s // den) for num, den in pairs)
 
 
+def _rows(top: int, s: int, *numerators: int):
+    """S^top and the zeta numerators, through zeta(1 - top, .), at 1 and at
+    each numerator / S."""
+    return s ** top, tuple(_zeta(r, s, top) for r in (s, *numerators))
+
+
 def _lambda_tail(order: int, alpha, beta):
     """c_m of log lambda_n: (-1)^(m-1)/m [(1-2^-m) zeta(-m, a+b+1) + zeta(-m)]."""
     s, (a, b) = _over_common_denominator(alpha, beta)
-    top = order + 1
-    z_ab1, z_1 = _zeta(a + b + s, s, top), _zeta(s, s, top)
-    s_top = s ** top
+    s_top, (z_1, z_ab1) = _rows(order + 1, s, a + b + s)
     for m in range(1, order + 1):
         (u, d), (v, _) = z_ab1[m], z_1[m]
         w = 1 << m
@@ -95,9 +99,7 @@ def _lambda_tail(order: int, alpha, beta):
 def _value_at_one_tail(order: int, alpha):
     """c_m of log P_n(1): (-1)^m/m [zeta(-m, alpha+1) - zeta(-m)]."""
     s, (a,) = _over_common_denominator(alpha)
-    top = order + 1
-    z_a1, z_1 = _zeta(a + s, s, top), _zeta(s, s, top)
-    s_top = s ** top
+    s_top, (z_1, z_a1) = _rows(order + 1, s, a + s)
     for m in range(1, order + 1):
         (u, d), (v, _) = z_a1[m], z_1[m]
         num = u - v
@@ -119,9 +121,7 @@ def _discriminant_tail(order: int, alpha, beta):
     zeta(-m-1) terms have the numerator F, over 2^m S d_m S^top the
     zeta(-m) terms have G."""
     s, (a, b) = _over_common_denominator(alpha, beta)
-    top = order + 2
-    z_1, z_a1, z_b1, z_ab1 = (_zeta(r, s, top) for r in (s, a + s, b + s, a + b + s))
-    s_top = s ** top
+    s_top, (z_1, z_a1, z_b1, z_ab1) = _rows(order + 2, s, a + s, b + s, a + b + s)
     for m in range(1, order + 1):
         w = 1 << m
         (f1, d1), (fa, _), (fb, _), (fab, _) = z_1[m + 1], z_a1[m + 1], z_b1[m + 1], z_ab1[m + 1]
@@ -139,19 +139,10 @@ def _potential_h(m: int, w: int, z_1, z_p, z_q, z_pq) -> int:
     return w * (z_1[m + 1][0] + z_p[m + 1][0] + z_q[m + 1][0]) + (w - 1) * z_pq[m + 1][0]
 
 
-def _charge_rows(order: int, p, q):
-    """S, 2p S, 2q S, S^top and the zeta numerators at 1, 2p, 2q and
-    2p + 2q - 1 through zeta(-order-1, .)."""
-    s, (p1, q1) = _over_common_denominator(p, q)
-    p2, q2 = 2 * p1, 2 * q1
-    top = order + 2
-    rows = tuple(_zeta(r, s, top) for r in (s, p2, q2, p2 + q2 - s))
-    return s, p2, q2, s ** top, rows
-
-
 def _potential_tail(order: int, p, q):
     """c_m of the potential energy: (-1)^(m-1)/(m(m+1)) H_m(p, q)."""
-    s, _, _, s_top, rows = _charge_rows(order, p, q)
+    s, (p1, q1) = _over_common_denominator(p, q)
+    s_top, rows = _rows(order + 2, s, 2 * p1, 2 * q1, 2 * (p1 + q1) - s)
     for m in range(1, order + 1):
         w = 1 << m
         num = _potential_h(m, w, *rows)
@@ -165,7 +156,9 @@ def _elliptic_tail(order: int, p, q):
                - 2 (1 - 2^-m)(p + q) zeta(-m, 2p+2q-1);
 
     the last three terms have the numerator e over 2^m S d_m S^top."""
-    s, p2, q2, s_top, rows = _charge_rows(order, p, q)
+    s, (p1, q1) = _over_common_denominator(p, q)
+    p2, q2 = 2 * p1, 2 * q1
+    s_top, rows = _rows(order + 2, s, p2, q2, p2 + q2 - s)
     _, z_p, z_q, z_pq = rows
     for m in range(1, order + 1):
         w = 1 << m
@@ -184,21 +177,7 @@ def _interval_tail(order: int):
         yield ((w - 1) * (m + 2) * bd + (4 * w - 1) * bn), m * (m + 1) * w * (m + 2) * bd
 
 
-# -- expansion builders ------------------------------------------------------
-
-
-def _tail(coeffs) -> tuple[Scalar, ...]:
-    """The (num, den) pairs of a tail generator, each rounded once."""
-    ratio = active().ratio
-    return tuple(ratio(num, den) for num, den in coeffs)
-
-
-def _leading(kernel, *values) -> dict[str, Scalar]:
-    """``kernel(*values)``: the leading coefficients as mpf, in
-    :data:`LEADING_KEYS` order, each rounded once.  At plain guard digits
-    (no ``size``), so the memo key of a log Gamma / log G value does not
-    depend on the other input."""
-    return dict(zip(LEADING_KEYS, active().guarded(kernel, *values)))
+# -- leading kernels: mpf in, the LEADING_KEYS coefficients out ---------------
 
 
 def _endpoint(x):
@@ -209,109 +188,42 @@ def _endpoint(x):
     return mpmath.mpf((value, -fp))
 
 
-def leading_coeff_expansion(params: JacobiParams, order: int) -> Expansion:
-    """log lambda_n ~ (log 2) n - (log n)/2 + (alpha+beta) log 2 - (log pi)/2 + tail."""
-    _check_order(order)
-
-    def kernel(a, b):
-        ln2 = mpmath.log(2)
-        return (0, 0, ln2, -0.5, (a + b) * ln2 - mpmath.log(mpmath.pi) / 2)
-
-    tail = _tail(_lambda_tail(order, params.alpha, params.beta))
-    return Expansion(
-        kind="log_lambda",
-        params={"alpha": float(params.alpha), "beta": float(params.beta)},
-        leading=_leading(kernel, params.alpha, params.beta),
-        tail=tail,
-    )
+def _lambda_kernel(a, b):
+    ln2 = mpmath.log(2)
+    return (0, 0, ln2, -0.5, (a + b) * ln2 - mpmath.log(mpmath.pi) / 2)
 
 
-def value_at_one_expansion(params: JacobiParams, order: int) -> Expansion:
-    """log P_n(1) ~ alpha log n - log Gamma(alpha+1) + tail."""
-    _check_order(order)
-
-    def kernel(a):
-        return (0, 0, 0, a, -mpmath.loggamma(a + 1))
-
-    tail = _tail(_value_at_one_tail(order, params.alpha))
-    return Expansion(
-        kind="log_P1",
-        params={"alpha": float(params.alpha), "beta": float(params.beta)},
-        leading=_leading(kernel, params.alpha),
-        tail=tail,
-    )
+def _value_at_one_kernel(a):
+    return (0, 0, 0, a, -mpmath.loggamma(a + 1))
 
 
-def discriminant_expansion(params: JacobiParams, order: int) -> Expansion:
-    """log D_n ~ (log 2) n^2 + (2(a+b) log 2 - log pi) n
-    + (5/2 - (a+1)^2 - (b+1)^2)/2 * log n + C(a, b) + tail.
-
-    Every coefficient is symmetric in (a, b) as written, so swapping the
-    exponents gives the same rounded values.
-    """
-    _check_order(order)
-
-    def kernel(a, b):
-        ln2, log_pi = mpmath.log(2), mpmath.log(mpmath.pi)
-        ab = a + b
-        const = (-mpmath.mpf(1) / 8 - (ab + 0.5) ** 2 / 2
-                 + (mpmath.mpf(11) / 6 + ab * ab) / 2 * ln2
-                 + log_pi + 3 * log_glaisher_mp()
-                 + (_endpoint(a + 1) + _endpoint(b + 1)))
-        logn = (2.5 - ((a + 1) ** 2 + (b + 1) ** 2)) / 2
-        return (ln2, 0, 2 * ab * ln2 - log_pi, logn, const)
-
-    tail = _tail(_discriminant_tail(order, params.alpha, params.beta))
-    return Expansion(
-        kind="log_D",
-        params={"alpha": float(params.alpha), "beta": float(params.beta)},
-        leading=_leading(kernel, params.alpha, params.beta),
-        tail=tail,
-    )
+def _discriminant_kernel(a, b):
+    ln2, log_pi = mpmath.log(2), mpmath.log(mpmath.pi)
+    ab = a + b
+    const = (-mpmath.mpf(1) / 8 - (ab + 0.5) ** 2 / 2
+             + (mpmath.mpf(11) / 6 + ab * ab) / 2 * ln2
+             + log_pi + 3 * log_glaisher_mp()
+             + (_endpoint(a + 1) + _endpoint(b + 1)))
+    logn = (2.5 - ((a + 1) ** 2 + (b + 1) ** 2)) / 2
+    return (ln2, 0, 2 * ab * ln2 - log_pi, logn, const)
 
 
-def potential_energy_expansion(p: float, q: float, order: int) -> Expansion:
-    """Minimal potential energy under endpoint charges (p, q):
-    (log 2) n^2 - n log n + 2 (log 2)(p+q-1) n
-    - 2 [(p-1/4)^2 + (q-1/4)^2] log n + C_1(p, q) + tail.
-
-    The symmetric case p = q is the same assembly (the specialised
-    symmetric-field formulas agree coefficient by coefficient).
-    """
-    _check_order(order)
-    check_finite_above(0, "charges", p=p, q=q)
-
-    def kernel(p, q):
-        ln2 = mpmath.log(2)
-        s = p + q
-        const = (2 * ((s - 1) ** 2 - mpmath.mpf(11) / 24) * ln2 - s * mpmath.log(mpmath.pi)
-                 - 3 * log_glaisher_mp()
-                 + (negapolygamma2_mp(2 * p) + negapolygamma2_mp(2 * q)))
-        logn = -2 * ((p - 0.25) ** 2 + (q - 0.25) ** 2)
-        return (ln2, -1, 2 * (s - 1) * ln2, logn, const)
-
-    tail = _tail(_potential_tail(order, p, q))
-    return Expansion(kind="potential", params={"p": float(p), "q": float(q)},
-                     leading=_leading(kernel, p, q), tail=tail)
+def _potential_kernel(p, q):
+    ln2 = mpmath.log(2)
+    s = p + q
+    const = (2 * ((s - 1) ** 2 - mpmath.mpf(11) / 24) * ln2 - s * mpmath.log(mpmath.pi)
+             - 3 * log_glaisher_mp()
+             + (negapolygamma2_mp(2 * p) + negapolygamma2_mp(2 * q)))
+    logn = -2 * ((p - 0.25) ** 2 + (q - 0.25) ** 2)
+    return (ln2, -1, 2 * (s - 1) * ln2, logn, const)
 
 
-def elliptic_log_energy_expansion(p: float, q: float, order: int) -> Expansion:
-    """Logarithmic energy of the elliptic (p,q)-Fekete configuration:
-    (log 2) n^2 - n log n - 2 (log 2) n + 2 (p^2 + q^2 - 1/8) log n
-    + C_1'(p, q) + tail."""
-    _check_order(order)
-    check_finite_above(0, "charges", p=p, q=q)
-
-    def kernel(p, q):
-        ln2 = mpmath.log(2)
-        const = (-2 * ((p + q) ** 2 - mpmath.mpf(13) / 24) * ln2
-                 - 3 * log_glaisher_mp()
-                 - (_endpoint(2 * p) + _endpoint(2 * q)))
-        return (ln2, -1, -2 * ln2, 2 * (p * p + q * q - 0.125), const)
-
-    tail = _tail(_elliptic_tail(order, p, q))
-    return Expansion(kind="elliptic_E0", params={"p": float(p), "q": float(q)},
-                     leading=_leading(kernel, p, q), tail=tail)
+def _elliptic_kernel(p, q):
+    ln2 = mpmath.log(2)
+    const = (-2 * ((p + q) ** 2 - mpmath.mpf(13) / 24) * ln2
+             - 3 * log_glaisher_mp()
+             - (_endpoint(2 * p) + _endpoint(2 * q)))
+    return (ln2, -1, -2 * ln2, 2 * (p * p + q * q - 0.125), const)
 
 
 def _interval_kernel(a, b):
@@ -323,23 +235,85 @@ def _interval_kernel(a, b):
     return (w, -1, -(ln2 + w), -0.25, 13 * ln2 / 12 - 3 * log_glaisher_mp())
 
 
+# -- expansion builders ------------------------------------------------------
+
+
+def _expansion(kind: str, params: dict, order: int, kernel, values: tuple, tail) -> Expansion:
+    """The expansion ``kind`` at ``params``, to ``order`` tail terms: the
+    leading coefficients ``kernel(*values)``, evaluated once by
+    :meth:`~fekete.precision.Context.guarded` and each rounded once (at
+    plain guard digits, no ``size``, so that the memo key of a log Gamma /
+    log G value does not depend on the other input), and each (num, den) of
+    ``tail(order)`` rounded once by :meth:`~fekete.precision.Context.ratio`."""
+    _check_order(order)
+    ctx = active()
+    coeffs = tuple(ctx.ratio(num, den) for num, den in tail(order))
+    return Expansion(kind=kind, params={k: float(v) for k, v in params.items()},
+                     leading=dict(zip(LEADING_KEYS, ctx.guarded(kernel, *values))),
+                     tail=coeffs)
+
+
+def leading_coeff_expansion(params: JacobiParams, order: int) -> Expansion:
+    """log lambda_n ~ (log 2) n - (log n)/2 + (alpha+beta) log 2 - (log pi)/2 + tail."""
+    a, b = params.alpha, params.beta
+    return _expansion("log_lambda", vars(params), order, _lambda_kernel, (a, b),
+                      lambda order: _lambda_tail(order, a, b))
+
+
+def value_at_one_expansion(params: JacobiParams, order: int) -> Expansion:
+    """log P_n(1) ~ alpha log n - log Gamma(alpha+1) + tail."""
+    a = params.alpha
+    return _expansion("log_P1", vars(params), order, _value_at_one_kernel, (a,),
+                      lambda order: _value_at_one_tail(order, a))
+
+
+def discriminant_expansion(params: JacobiParams, order: int) -> Expansion:
+    """log D_n ~ (log 2) n^2 + (2(a+b) log 2 - log pi) n
+    + (5/2 - (a+1)^2 - (b+1)^2)/2 * log n + C(a, b) + tail.
+
+    Every coefficient is symmetric in (a, b) as written, so swapping the
+    exponents gives the same rounded values.
+    """
+    a, b = params.alpha, params.beta
+    return _expansion("log_D", vars(params), order, _discriminant_kernel, (a, b),
+                      lambda order: _discriminant_tail(order, a, b))
+
+
+def potential_energy_expansion(p: float, q: float, order: int) -> Expansion:
+    """Minimal potential energy under endpoint charges (p, q):
+    (log 2) n^2 - n log n + 2 (log 2)(p+q-1) n
+    - 2 [(p-1/4)^2 + (q-1/4)^2] log n + C_1(p, q) + tail.
+
+    The symmetric case p = q is the same assembly (the specialised
+    symmetric-field formulas agree coefficient by coefficient).
+    """
+    check_finite_above(0, "charges", p=p, q=q)
+    return _expansion("potential", {"p": p, "q": q}, order, _potential_kernel, (p, q),
+                      lambda order: _potential_tail(order, p, q))
+
+
+def elliptic_log_energy_expansion(p: float, q: float, order: int) -> Expansion:
+    """Logarithmic energy of the elliptic (p,q)-Fekete configuration:
+    (log 2) n^2 - n log n - 2 (log 2) n + 2 (p^2 + q^2 - 1/8) log n
+    + C_1'(p, q) + tail."""
+    check_finite_above(0, "charges", p=p, q=q)
+    return _expansion("elliptic_E0", {"p": p, "q": q}, order, _elliptic_kernel, (p, q),
+                      lambda order: _elliptic_tail(order, p, q))
+
+
 def interval_energy_expansion(order: int) -> Expansion:
     """Minimal logarithmic N-point energy of [-1, 1]:
     (log 2) N^2 - N log N - 2 (log 2) N - (log N)/4
     + 13 log 2 / 12 - 3 log A + tail."""
-    _check_order(order)
-    return Expansion(kind="interval_E0", params={}, leading=_leading(_interval_kernel, -1, 1),
-                     tail=_tail(_interval_tail(order)))
+    return _expansion("interval_E0", {}, order, _interval_kernel, (-1, 1), _interval_tail)
 
 
 def general_interval_energy_expansion(a: float, b: float, order: int) -> Expansion:
     """Same as the [-1, 1] expansion with N^2 coefficient W([a, b]) and N
     coefficient -(log 2 + W([a, b])); all other terms are capacity-independent."""
     IntervalSpec(a, b)  # validates the ends
-    _check_order(order)
-    return Expansion(kind="general_interval_E0", params={"a": float(a), "b": float(b)},
-                     leading=_leading(_interval_kernel, a, b),
-                     tail=_tail(_interval_tail(order)))
+    return _expansion("general_interval_E0", {"a": a, "b": b}, order, _interval_kernel,
+                      (a, b), _interval_tail)
 
 
 def truncations(expansion: Expansion, n: int, order: int | None = None) -> tuple[Scalar, ...]:

@@ -106,28 +106,6 @@ def _write(text: str, out: str | None) -> None:
 # -- command implementations (testable without the option layer) --------------
 
 
-def cmd_exact(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
-    # each log-discriminant is the negated energy (energy.discriminant_N_log,
-    # energy.pq_discriminant_log), written without evaluating it again
-    rows = []
-    if cfg.kind == "interval":
-        header = ("N", "interval_energy", "log_discriminant")
-        for N in cfg.values:
-            value = energy.interval_energy_exact(N)
-            rows.append((str(N), _format_scalar(value), _format_scalar(-value)))
-        return header, rows
-    header = ("n", "potential_energy", "elliptic_log_energy", "log_pq_discriminant")
-    for n in cfg.values:
-        value = energy.potential_energy_exact(n, cfg.p, cfg.q)
-        rows.append((
-            str(n),
-            _format_scalar(value),
-            _format_scalar(energy.elliptic_log_energy_exact(n, cfg.p, cfg.q)),
-            _format_scalar(-value),
-        ))
-    return header, rows
-
-
 class Kind(NamedTuple):
     """A quantity: ``exact(n, *inputs)``, ``expansion(order, *inputs)``,
     with ``inputs`` the values of the named :class:`RunConfig` fields."""
@@ -161,6 +139,25 @@ KINDS = {
         ("a", "b"), lambda n, a, b: energy.interval_energy_on(IntervalSpec(a, b), n),
         lambda order, a, b: asym.general_interval_energy_expansion(a, b, order)),
 }
+
+
+#: exact --kind -> its header, and the KINDS whose exact values fill a row
+_EXACT = {
+    "interval": (("N", "interval_energy", "log_discriminant"), ("interval",)),
+    "pq": (("n", "potential_energy", "elliptic_log_energy", "log_pq_discriminant"),
+           ("potential", "elliptic")),
+}
+
+
+def cmd_exact(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
+    # the last column, a log-discriminant, is the first value negated
+    # (energy.discriminant_N_log, energy.pq_discriminant_log), not evaluated again
+    header, names = _EXACT[cfg.kind]
+    rows = []
+    for n in cfg.values:
+        values = [KINDS[k].exact(n, *(getattr(cfg, f) for f in KINDS[k].inputs)) for k in names]
+        rows.append((str(n), *map(_format_scalar, values), _format_scalar(-values[0])))
+    return header, rows
 
 
 def _kind(cfg: RunConfig) -> tuple[Kind, tuple]:

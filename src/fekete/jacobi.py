@@ -4,6 +4,7 @@ in closed form."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath
@@ -91,20 +92,26 @@ def _recurrence_coeffs(n: int, alpha: float, beta: float):
     Built from c = alpha + beta + 2 as (alpha + 1) + (beta + 1), with the
     integer parts added last and alpha^2 - beta^2 as a product: with
     exponents near -1, 2 + alpha and alpha^2 round, and that rounding
-    survives the cancellation."""
+    survives the cancellation.  :class:`CapacityError` when an entry over-
+    or underflows float64: a diagonal entry that is not finite, or an
+    off-diagonal one that is not finite and positive."""
     import numpy as np  # only the float64 kernels load numpy
 
     c = (alpha + 1) + (beta + 1)
-    k = np.arange(n, dtype=float)
-    s = (2 * k - 2) + c
-    diag = np.empty(n)
-    diag[0] = (beta - alpha) / c
-    diag[1:] = (beta - alpha) * (beta + alpha) / (s[1:] * (s[1:] + 2))
-    off = np.empty(max(n - 1, 0))
-    off[:1] = math.sqrt(4 * (alpha + 1) * (beta + 1) / (c ** 2 * (c + 1)))
-    kk = k[2:]
-    off[1:] = np.sqrt(4 * kk * (kk + alpha) * (kk + beta) * ((kk - 2) + c)
-                      / (s[2:] ** 2 * (s[2:] + 1) * (s[2:] - 1)))
+    with np.errstate(all="ignore"):
+        k = np.arange(n, dtype=float)
+        s = (2 * k - 2) + c
+        diag = np.empty(n)
+        diag[0] = (beta - alpha) / c
+        diag[1:] = (beta - alpha) * (beta + alpha) / (s[1:] * (s[1:] + 2))
+        off = np.empty(max(n - 1, 0))
+        off[:1] = math.sqrt(4 * (alpha + 1) * (beta + 1) / (c * c * (c + 1)))
+        kk = k[2:]
+        off[1:] = np.sqrt(4 * kk * (kk + alpha) * (kk + beta) * ((kk - 2) + c)
+                          / (s[2:] ** 2 * (s[2:] + 1) * (s[2:] - 1)))
+    if not (np.isfinite(diag).all() and ((off > 0) & (off < math.inf)).all()):
+        raise CapacityError(f"the Jacobi matrix for n={n}, alpha={alpha}, beta={beta} "
+                            f"over- or underflows float64")
     return diag, off
 
 
@@ -170,11 +177,15 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
     recurrence over the whole root vector; always float64 (sufficient for
     every downstream contract, which are 1e-8..1e-12 scale).  The gate: every step must be
     finite and below 1e-8, else :class:`NumericalError`; a step is a
-    distance in x, so the gate does not depend on the size of P_n.  An
-    extreme zero that rounds onto +-1 (exponents near -1) raises
-    :class:`CapacityError`.
+    distance in x, so the gate does not depend on the size of P_n.
+    :class:`CapacityError` for what float64 cannot hold: a Jacobi matrix
+    that over- or underflows (exponents past about 1e77), zeros closer to
+    each other or to +-1 than float64 resolves (an extreme zero rounding
+    onto +-1 at exponents near -1), or an n past the sizes numpy can index.
     """
     n = check_size(n, "n", 1)
+    if n > sys.maxsize // 8:  # numpy's arrays hold at most sys.maxsize bytes
+        raise CapacityError(f"n={n} is past the sizes numpy can index")
     import numpy as np
     from scipy.linalg import eigh_tridiagonal  # most of the package's import time
 
@@ -194,18 +205,13 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
             f"for n={n}, alpha={alpha}, beta={beta}"
         )
     x -= step
-    if not np.all(np.diff(x) > 0):
-        raise NumericalError(
-            f"zero set for n={n}, alpha={alpha}, beta={beta} is not strictly "
-            f"ordered after polish"
-        )
-    # the eigensolve and the polish move a zero by rounding only, so an
-    # ordered set that reaches +-1 has an extreme zero within float64
-    # rounding of the endpoint
-    if not (x[0] > -1 and x[-1] < 1):
+    # the eigensolve and the polish move a zero by rounding only, so zeros
+    # that are not ordered and interior lie closer to each other or to +-1
+    # than float64 resolves
+    if not (x[0] > -1 and x[-1] < 1 and (x[1:] > x[:-1]).all()):
         raise CapacityError(
-            f"an extreme zero for n={n}, alpha={alpha}, beta={beta} rounds onto "
-            f"+-1: it is not a strictly interior float64"
+            f"the zeros for n={n}, alpha={alpha}, beta={beta} are not ordered, "
+            f"interior float64s: they lie closer than float64 resolves"
         )
     return ZeroSet(n=n, params=params, points=tuple(x.tolist()), step_bound=step_bound)
 

@@ -15,13 +15,14 @@ unique minimum from any interior start.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import energy
 from .energy import Configuration
-from .exceptions import DomainError, check_finite_above, check_size
+from .exceptions import CapacityError, DomainError, check_finite_above, check_size
 
 _MAX_ITER = 200
 _DEFAULT_TOL = 1e-10
@@ -36,8 +37,9 @@ class SolveReport:
 
     ``stop`` says why the solve ended: ``"gradient"`` (||grad||_inf <= tol),
     ``"step"`` (the Newton step fell to the float64 noise floor),
-    ``"max_iter"`` or ``"line_search"`` (no acceptable step length).  The
-    first two count as converged.  It is empty for a report built by hand.
+    ``"max_iter"``, ``"line_search"`` (no acceptable step length) or
+    ``"singular"`` (the Hessian is singular in float64).  The first two
+    count as converged.  It is empty for a report built by hand.
     """
 
     configuration: Configuration
@@ -126,7 +128,11 @@ def _newton(x0: np.ndarray, p: float, q: float, tol: float, max_iter: int) -> So
             stop = "gradient"
             break
         # H takes over d's memory: the line search builds the next matrix
-        step = np.linalg.solve(_hessian(x, d, p, q), -grad)
+        try:
+            step = np.linalg.solve(_hessian(x, d, p, q), -grad)
+        except np.linalg.LinAlgError:
+            stop = "singular"
+            break
         if np.abs(step).max() <= _STEP_FLOOR:
             stop = "step"
             break
@@ -176,6 +182,8 @@ def minimize_potential(n: int, p: float, q: float, tol: float = _DEFAULT_TOL,
     check_finite_above(0, "charges", p=p, q=q)
     check_finite_above(0, "tolerance", tol=tol)
     max_iter = check_size(max_iter, "max_iter", 0)
+    if n * n > sys.maxsize // 8:  # numpy's arrays hold at most sys.maxsize bytes
+        raise CapacityError(f"n={n} is past the sizes numpy can index")
     i = np.arange(1, n + 1)
     x = -np.cos((2 * i - 1) * np.pi / (2 * n)) * (1.0 - 1.0 / n)
     return _newton(np.sort(x), p, q, tol, max_iter)

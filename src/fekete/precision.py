@@ -106,9 +106,14 @@ class Context:
         nonzero remainder: q + 1/2 then lies between the same rounding
         midpoints as the exact quotient, as in ``mpf_div``.  (``from_rational`` would
         first strip the trailing zero bits of num and den 8 at a time, which
-        is quadratic in their number.)"""
+        is quadratic in their number.)  Raises :class:`CapacityError` when
+        the quotient overflows float64 in ``std``."""
         if self.mode == STD:
-            return num / den
+            try:
+                return num / den
+            except OverflowError:
+                raise CapacityError(f"{mpmath.nstr(mpmath.mpf(num) / den, 5)} is not finite "
+                                    f"in std precision") from None
         prec, size = self.prec, abs(num)
         extra = prec + 3 - size.bit_length() + den.bit_length()
         q, r = divmod(size << extra, den) if extra >= 0 else divmod(size, den << -extra)

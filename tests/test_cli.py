@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from typing import NamedTuple
 from unittest import mock
 
@@ -200,6 +201,69 @@ def test_kind_rejects_inputs_it_does_not_name(runner, args, flags):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert f"takes no {flags}\n" in result.output
+
+
+#: extreme but finite charges: p x q over this grid
+_P_GRID = ("1e-300", "1e-17", "1e-9", "0.5", "1", "1e8", "1e77", "1e200", "1e300")
+_Q_GRID = ("1e-300", "1", "1e300")
+_HUGE = str(10 ** 160)
+#: every command that takes charges, at small n and orders
+_CHARGED = {
+    "exact": "exact --n 2,3",
+    "zeros": "zeros --n 5",
+    "minimize": "minimize --n 5",
+    "verify-minimize": "verify --kind minimize --n 3,5",
+    **{f"{name}-{kind}": f"{name} --kind {kind} {extra}"
+       for kind in ("lambda", "p1", "disc", "potential", "elliptic")
+       for name, extra in (("coeffs", "--order 4"), ("table", "--n 10,20 --order 1"),
+                           ("verify", "--n 10,20 --order 1"))},
+}
+
+
+def _assert_total(runner, args, mode):
+    """The command exits 0, 1 or 2, with no traceback and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = runner.invoke(cli, [*args.split(), "--precision", mode])
+        finally:
+            use("std")
+    assert result.exit_code in (0, 1, 2), args
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        (args, result.exception)
+    assert "Traceback" not in result.output, args
+
+
+@pytest.mark.parametrize("mode", ["std", "ext"])
+@pytest.mark.parametrize("name", _CHARGED)
+def test_every_command_is_total_over_the_charge_grid(runner, name, mode):
+    # at the parent of this test, charges of 1e77 and more overflowed the
+    # tails and the Jacobi matrix with bare OverflowErrors, and charges of
+    # 1e-17 and less made the minimizer's Hessian singular
+    for p in _P_GRID:
+        for q in _Q_GRID:
+            _assert_total(runner, f"{_CHARGED[name]} --p {p} --q {q}", mode)
+
+
+@pytest.mark.parametrize("mode", ["std", "ext"])
+@pytest.mark.parametrize("args", [
+    *(f"{name} --kind general-interval --a {a} --b {b} {extra}"
+      for a, b in (("-1e300", "1e300"), ("-1e300", "0"), ("0", "1e300"))
+      for name, extra in (("coeffs", "--order 2"), ("table", "--n 10,20 --order 1"),
+                          ("verify", "--n 10,20 --order 1"))),
+    f"exact --n {_HUGE} --p 1 --q 1",
+    f"exact --N {_HUGE} --kind interval",
+    f"table --kind interval --n {_HUGE} --order 1",
+    f"table --kind potential --p 1 --q 1 --n {_HUGE} --order 1",
+    f"verify --kind interval --n 10,{_HUGE} --order 1",
+    f"verify --kind potential --p 1 --q 1 --n 10,{_HUGE} --order 1",
+    # numpy cannot index arrays of these sizes
+    f"zeros --n {_HUGE} --p 1 --q 1",
+    f"minimize --n {_HUGE} --p 1 --q 1",
+    f"verify --kind minimize --n 3,{_HUGE} --p 1 --q 1",
+], ids=lambda args: args.replace(_HUGE, "1e160"))
+def test_every_command_is_total_at_extreme_ends_and_sizes(runner, args, mode):
+    _assert_total(runner, args, mode)
 
 
 class TestExact:

@@ -54,6 +54,11 @@ def test_usage_errors_exit_2_without_traceback(args):
     # 2p - 1 rounds to -1 for the Jacobi kinds
     (("coeffs", "--kind", "disc", "--p", "1e-17", "--q", "0.5", "--order", "2"),
      "rounds to -1 in float64 at p=1e-17"),
+    # c_4 of the potential tail is past the float64 maximum
+    (("coeffs", "--kind", "potential", "--p", "1e77", "--q", "1", "--order", "4"),
+     "is not finite in std precision"),
+    (("zeros", "--n", "5", "--p", "1", "--q", "1e300"), "over- or underflows float64"),
+    (("zeros", "--n", str(10**160), "--p", "1", "--q", "1"), "past the sizes numpy can index"),
 ])
 def test_capacity_errors_exit_2_without_traceback(args, message):
     result = fekete(*args)
@@ -61,6 +66,14 @@ def test_capacity_errors_exit_2_without_traceback(args, message):
     assert message in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+def test_singular_hessian_is_reported():
+    # both charges round to nothing next to the pair terms in float64
+    result = fekete("minimize", "--n", "5", "--p", "1e-300", "--q", "1e-300", "--format", "json")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert '"stop": "singular"' in result.stdout
 
 
 def test_negative_number_is_a_value():

@@ -384,10 +384,9 @@ class TestZeros:
 
     @pytest.mark.parametrize("n", [5, 40])
     def test_overflowed_matrix_meets_the_gate(self, n):
-        # at alpha = 1e100 the Jacobi matrix entries over- and underflow, so
-        # the polish meets a zero r_k: its NaN reaches the gate, not a
-        # ZeroDivisionError
-        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="Newton step nan"):
+        # at alpha = 1e100 the Jacobi matrix entries over- and underflow: a
+        # capacity limit of float64, reported without a numpy warning
+        with pytest.raises(CapacityError, match="over- or underflows float64"):
             jacobi.zeros(n, JacobiParams(1e100, 0.5))
 
     def test_recurrence_values_past_float64_range(self):

@@ -134,6 +134,9 @@ class TestMinimizePotential:
         assert capped.stop == "max_iter"
         assert not capped.converged
         assert capped.iterations == 3
+        # charges this small vanish next to the pair terms: H is singular
+        singular = optim.minimize_potential(5, 1e-300, 1e-300)
+        assert (singular.stop, singular.converged, singular.iterations) == ("singular", False, 0)
 
     def test_report_fields_are_builtin(self):
         reports = [optim.minimize_potential(150, 0.75, 1.25),

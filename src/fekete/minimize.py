@@ -176,7 +176,8 @@ def minimize_potential(n: int, p: float, q: float, tol: float = _DEFAULT_TOL,
     rounding keeps ||grad||_inf above the default tol even at the exact
     minimizer, while the step there stays at about 1e-16.  A non-converged
     run is reported, not raised; ``SolveReport.stop`` names the rule that
-    ended it.
+    ended it.  An n whose n x n matrices numpy cannot index raises
+    :class:`CapacityError`.
     """
     n = check_size(n, "n", 1)
     check_finite_above(0, "charges", p=p, q=q)

@@ -237,9 +237,9 @@ def _assert_total(runner, args, mode):
 @pytest.mark.parametrize("mode", ["std", "ext"])
 @pytest.mark.parametrize("name", _CHARGED)
 def test_every_command_is_total_over_the_charge_grid(runner, name, mode):
-    # at the parent of this test, charges of 1e77 and more overflowed the
-    # tails and the Jacobi matrix with bare OverflowErrors, and charges of
-    # 1e-17 and less made the minimizer's Hessian singular
+    # charges of 1e77 and more overflow the tails and the Jacobi matrix in
+    # float64, and charges of 1e-17 and less make the minimizer's Hessian
+    # singular: each must end in a message or a report, not an exception
     for p in _P_GRID:
         for q in _Q_GRID:
             _assert_total(runner, f"{_CHARGED[name]} --p {p} --q {q}", mode)

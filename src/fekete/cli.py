@@ -193,14 +193,13 @@ def cmd_table(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
 
 
 def _fit_slope(ns, errors: list[float]) -> float:
-    xs = [math.log(n) for n in ns]
+    """Least-squares slope of log error against log n; a zero error counts
+    as the least normal float."""
+    from statistics import linear_regression  # only verify fits slopes
+
     floor = sys.float_info.min
-    ys = [math.log(max(e, floor)) for e in errors]
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    var = sum((x - mean_x) ** 2 for x in xs)
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    return cov / var
+    return linear_regression([math.log(n) for n in ns],
+                             [math.log(max(e, floor)) for e in errors]).slope
 
 
 def cmd_verify(cfg: RunConfig):

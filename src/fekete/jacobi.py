@@ -3,6 +3,7 @@ explode: leading coefficient, endpoint values, zeros, and the discriminant
 in closed form."""
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -230,15 +231,6 @@ def discriminant_log(n: int, params: JacobiParams) -> Scalar:
 # Context.guarded, with alpha + beta + 2 as its size.
 
 
-class _KernelValues(dict):
-    """:func:`~fekete.specfun.log_gamma_g_fixed` at each argument looked up,
-    evaluated on the first lookup only."""
-
-    def __missing__(self, x):
-        value = self[x] = log_gamma_g_fixed(x)
-        return value
-
-
 def log_values_mp(n: int, ap1, bp1, outputs=(0, 1, 2, 3)) -> tuple:
     """(log lambda_n, log D_n, log P_n(1), log |P_n(-1)|) of P_n^(a,b), or
     the elements of that tuple at the indices ``outputs``, for n >= 0 and
@@ -260,7 +252,8 @@ def log_values_mp(n: int, ap1, bp1, outputs=(0, 1, 2, 3)) -> tuple:
 
     Each distinct argument among n+1, n+a+1, n+b+1, n+s and 2n+s that the
     requested outputs involve takes one call of the fixed-point kernel
-    :func:`~fekete.specfun.log_gamma_g_fixed` -- n+1, n+s and 2n+s for
+    :func:`~fekete.specfun.log_gamma_g_fixed`, through a cache that lives
+    for this call only -- n+1, n+s and 2n+s for
     log lambda_n, n+1 and n+a+1 for log P_n(1), all five for log D_n --
     and a + 1 and b + 1 one :func:`~fekete.specfun.memo` entry each; the
     values are integer combinations of its outputs, each converted to mpf
@@ -269,26 +262,28 @@ def log_values_mp(n: int, ap1, bp1, outputs=(0, 1, 2, 3)) -> tuple:
     if n == 0:
         return (mpmath.mpf(0),) * len(outputs)  # lambda_0 = D_0 = P_0 = 1
     ab2 = ap1 + bp1  # a + b + 2, so that n + s keeps a tiny a + 1 + b + 1
-    x1, xa, xb, xs, x2s = n + 1, n + ap1, n + bp1, (n - 1) + ab2, (2 * n - 1) + ab2
-    k = _KernelValues()
+    # all five mpf, so that the cache takes n + 1 and an equal n + a + 1 as one key
+    x1 = mpmath.mpf(n + 1)
+    xa, xb, xs, x2s = n + ap1, n + bp1, (n - 1) + ab2, (2 * n - 1) + ab2
+    k = functools.cache(log_gamma_g_fixed)
     fp = fixed_bits()
     ln2 = ln2_fixed(fp)
 
     def lam():
-        return -n * ln2 + k[x2s][0] - k[xs][0] - k[x1][0]
+        return -n * ln2 + k(x2s)[0] - k(xs)[0] - k(x1)[0]
 
     def disc():
         if n == 1:
             return 0
-        (g1, G1), (ga, Ga), (gb, Gb), (gs, Gs) = k[x1], k[xa], k[xb], k[xs]
+        (g1, G1), (ga, Ga), (gb, Gb), (gs, Gs) = k(x1), k(xa), k(xb), k(xs)
         ga0, Ga0 = memo(log_gamma_g_fixed, ap1)
         gb0, Gb0 = memo(log_gamma_g_fixed, bp1)
         return (-n * (n - 1) * ln2 + (2 - n) * g1 - G1
                 + (n - 1) * (ga + gb) - Ga - Gb + ga0 + Ga0 + gb0 + Gb0
-                + k[x2s][1] - Gs - n * gs)
+                + k(x2s)[1] - Gs - n * gs)
 
     def at_end(x, xp1):
-        return k[x][0] - memo(log_gamma_g_fixed, xp1)[0] - k[x1][0]
+        return k(x)[0] - memo(log_gamma_g_fixed, xp1)[0] - k(x1)[0]
 
     formulas = (lam, disc, lambda: at_end(xa, ap1), lambda: at_end(xb, bp1))
     return tuple(mpmath.mpf((formulas[i](), -fp)) for i in outputs)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath
-from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest, to_rational
 
 from .exceptions import CapacityError, DomainError
 
@@ -57,20 +57,12 @@ def integer_ratio(x) -> tuple[int, int]:
 
     Every finite binary float *is* a rational, so no rounding occurs.
     """
-    if isinstance(x, int):
-        return x, 1
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise DomainError(f"cannot convert non-finite value {x!r} to a rational")
-        return x.as_integer_ratio()
+    if isinstance(x, (float, mpmath.mpf)) and not mpmath.isfinite(x):
+        raise DomainError(f"cannot convert non-finite value {x!r} to a rational")
     if isinstance(x, mpmath.mpf):
-        if not mpmath.isfinite(x):
-            raise DomainError(f"cannot convert non-finite value {x!r} to a rational")
-        sign, man, exp, _ = x._mpf_
-        man = -man if sign else man
-        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+        return to_rational(x._mpf_)
+    if isinstance(x, (int, float, Fraction)):
+        return x.as_integer_ratio()
     raise TypeError(f"no exact rational conversion for {type(x).__name__}")
 
 

@@ -14,19 +14,17 @@ kernel values through :meth:`fekete.precision.Context.guarded`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from fractions import Fraction
 from operator import mul
 
 import mpmath
-from mpmath.libmp import fone, from_man_exp, ftwo, mpf_log, round_nearest, to_fixed
+from mpmath.libmp import (fone, from_man_exp, ftwo, mpf_log, mpf_pi, mpf_shift, round_nearest,
+                          to_fixed)
 
 from .exceptions import check_size
-
-
-#: B_0, B_1, ... exactly, through an odd index; see :func:`_bernoulli`
-_bernoulli_numbers: tuple[Fraction, ...] = ()
 
 
 def _tangent_numbers(n: int) -> list[int]:
@@ -42,40 +40,32 @@ def _tangent_numbers(n: int) -> list[int]:
     return t
 
 
+@functools.cache
+def _bernoulli_table(n: int) -> tuple[Fraction, ...]:
+    """B_0, ..., B_(2n+1) exactly: B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
+    from :func:`_tangent_numbers`, and 0 at odd indices past 1."""
+    t = _tangent_numbers(n)
+    numbers = [Fraction(1), Fraction(-1, 2)]
+    for k in range(1, n + 1):
+        numbers += (Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1)),
+                    Fraction(0))
+    return tuple(numbers)
+
+
 def _bernoulli(m: int) -> Fraction:
-    """Exact B_m (B_1 = -1/2) for any m >= 0: B_2k = (-1)^(k-1) 2k T_k /
-    (4^k (4^k - 1)) from :func:`_tangent_numbers`, and 0 at odd m > 1.  The
-    one source of Bernoulli numbers; the table is memoised and, when an
-    index past it is asked for, rebuilt at least twice as long."""
-    global _bernoulli_numbers
-    if m >= len(_bernoulli_numbers):
-        n = max(len(_bernoulli_numbers), m // 2 + 1, 32)
-        t = _tangent_numbers(n)
-        numbers = [Fraction(1), Fraction(-1, 2)]
-        for k in range(1, n + 1):
-            numbers += (Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1)),
-                        Fraction(0))
-        _bernoulli_numbers = tuple(numbers)
-    return _bernoulli_numbers[m]
+    """Exact B_m (B_1 = -1/2) for any m >= 0, the one source of Bernoulli
+    numbers: from the table of :func:`_bernoulli_table` at the least power
+    of two n >= 32 that holds index m."""
+    return _bernoulli_table(max(32, 1 << (m // 2 - 1).bit_length()))[m]
 
 
-#: the rows of :func:`_bernoulli_rows`, through the highest m asked for so far
-_poly_rows: tuple[tuple[int, tuple[int, ...]], ...] = ()
-
-
-def _bernoulli_rows(top: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Rows (L_m, (A_0, ..., A_m)), m = 0, 1, ..., at least through m = top,
-    with B_m(x) = sum_k A_k x^k / L_m and L_m the least common denominator
-    of the coefficients binom(m, k) B_(m-k); each built when first needed.
-    Threads that race here may build a row twice, never a wrong one."""
-    global _poly_rows
-    rows = _poly_rows
-    for m in range(len(rows), top + 1):
-        coeffs = [math.comb(m, k) * _bernoulli(m - k) for k in range(m + 1)]
-        den = math.lcm(*(c.denominator for c in coeffs))
-        rows += ((den, tuple(c.numerator * (den // c.denominator) for c in coeffs)),)
-    _poly_rows = rows
-    return rows
+@functools.cache
+def _bernoulli_row(m: int) -> tuple[int, tuple[int, ...]]:
+    """(L_m, (A_0, ..., A_m)) with B_m(x) = sum_k A_k x^k / L_m and L_m the
+    least common denominator of the coefficients binom(m, k) B_(m-k)."""
+    coeffs = [math.comb(m, k) * _bernoulli(m - k) for k in range(m + 1)]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
 
 
 def bernoulli_number(m: int) -> Fraction:
@@ -94,7 +84,7 @@ def hurwitz_zeta_negint_numerators(r: int, s: int, top: int) -> tuple[tuple[int,
     over one common s combine by their numerators.
 
     One pass per argument: the powers r^j s^(top-j), j <= top, once, then
-    each integer row (L_m, A_m) of :func:`_bernoulli_rows` as the dot
+    each integer row (L_m, A_m) of :func:`_bernoulli_row` as the dot
     product -sum_j A_mj r^j s^(top-j) = -s^(top-m) L_m B_m(r/s)."""
     r_pows, s_pows = [1], [1]
     for _ in range(top):
@@ -102,26 +92,23 @@ def hurwitz_zeta_negint_numerators(r: int, s: int, top: int) -> tuple[tuple[int,
         s_pows.append(s_pows[-1] * s)
     weights = list(map(mul, r_pows, reversed(s_pows)))
     return tuple((-sum(map(mul, coeffs, weights)), m * den)
-                 for m, (den, coeffs) in enumerate(_bernoulli_rows(top)[1:top + 1], start=1))
+                 for m, (den, coeffs) in enumerate(map(_bernoulli_row, range(1, top + 1)), 1))
 
 
 # -- O(1)-argument kernels ----------------------------------------------------
 
-#: kernel values per (kernel, argument, mpmath working precision); keyed on
-#: the precision too, so a value never depends on which caller filled it
-_memo: dict = {}
+@functools.cache
+def _memo(kernel, x, prec: int):
+    return kernel(x)
 
 
 def memo(kernel, x):
     """``kernel(x)`` at the working precision, computed once per (kernel, x,
-    precision).  For the O(1) arguments that many calls share: psi^(-2) in
-    the expansion constants, and log Gamma and log G at 2p and 2q in the
-    Jacobi quantities."""
-    key = (kernel, x, mpmath.mp.prec)
-    value = _memo.get(key)
-    if value is None:
-        value = _memo[key] = kernel(x)
-    return value
+    precision), so a value never depends on which caller filled it.  For
+    the O(1) arguments that many calls share: psi^(-2) in the expansion
+    constants, and log Gamma and log G at 2p and 2q in the Jacobi
+    quantities."""
+    return _memo(kernel, x, mpmath.mp.prec)
 
 
 def fixed_bits() -> int:
@@ -131,13 +118,6 @@ def fixed_bits() -> int:
     truncations of the fixed-point arithmetic."""
     prec = mpmath.mp.prec
     return prec + 18 + 2 * prec.bit_length()
-
-
-#: per fp: the fixed-point data of the Stirling series of log Gamma and of
-#: the asymptotic series of log G at fp fractional bits -- log(2 pi)/2,
-#: zeta'(-1) = 1/12 - log A, the shift threshold w and the two term tables
-#: (see :func:`_series_terms`); built on first use
-_fixed_series: dict = {}
 
 
 def _series_terms(fp: int, w: int, term) -> tuple:
@@ -166,19 +146,23 @@ def _g_term(k: int) -> tuple:
     return b.numerator, b.denominator * 4 * k * (k + 1), 2 * k
 
 
+@functools.cache
 def _fixed_data(fp: int) -> tuple:
-    data = _fixed_series.get(fp)
-    if data is None:
-        w = (fp - 8) // 6 + 1
-        with mpmath.workprec(fp + 10):
-            half_log_2pi = to_fixed((mpmath.log(2 * mpmath.pi) / 2)._mpf_, fp)
-        data = (half_log_2pi, 0, w, _series_terms(fp, w, _gamma_term),
-                _series_terms(fp, w, _g_term))
-        # with zeta'(-1) left out of the log G series, the kernel's value of
-        # log G(1) = 0, by the shift from 1 + w, comes out as -zeta'(-1)
-        zeta1 = -_log_gamma_g(fone, fp, data)[1]
-        data = _fixed_series[fp] = (half_log_2pi, zeta1, *data[2:])
-    return data
+    """The fixed-point data of the Stirling series of log Gamma and of the
+    asymptotic series of log G at fp fractional bits: log(2 pi)/2,
+    zeta'(-1) = 1/12 - log A, the shift threshold w and the two term
+    tables (see :func:`_series_terms`).  Computed at explicit precisions,
+    not mpmath's process-global one, which a thread in another mode may
+    change meanwhile."""
+    w = (fp - 8) // 6 + 1
+    two_pi = mpf_shift(mpf_pi(fp + 10, round_nearest), 1)
+    half_log_2pi = to_fixed(mpf_shift(mpf_log(two_pi, fp + 10, round_nearest), -1), fp)
+    data = (half_log_2pi, 0, w, _series_terms(fp, w, _gamma_term),
+            _series_terms(fp, w, _g_term))
+    # with zeta'(-1) left out of the log G series, the kernel's value of
+    # log G(1) = 0, by the shift from 1 + w, comes out as -zeta'(-1)
+    zeta1 = -_log_gamma_g(fone, fp, data)[1]
+    return (half_log_2pi, zeta1, *data[2:])
 
 
 def _log_fixed(man: int, exp: int, fp: int) -> int:

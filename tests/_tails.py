@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from fekete.exceptions import check_size
 from fekete.precision import integer_ratio
-from fekete.specfun import _bernoulli_rows, bernoulli_number, hurwitz_zeta_negint_numerators
+from fekete.specfun import _bernoulli_row, bernoulli_number, hurwitz_zeta_negint_numerators
 
 _ONE = Fraction(1)
 
@@ -23,7 +23,7 @@ def bernoulli_poly_fraction(m: int, x: Fraction) -> Fraction:
     With x = r/s, the homogeneous Horner sum sum_k A_k r^k s^(m-k) of the
     integer row runs in integers; one division by L_m s^m at the end."""
     m = check_size(m, "m", 0)
-    den, coeffs = _bernoulli_rows(m)[m]
+    den, coeffs = _bernoulli_row(m)
     r, s = x.numerator, x.denominator
     acc, s_pow = coeffs[m], 1
     for k in range(m - 1, -1, -1):

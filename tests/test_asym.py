@@ -476,7 +476,7 @@ class TestLeadingCoefficientsRoundedOnce:
             calls.append(args)
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(specfun, "_memo", {})
+        specfun._memo.cache_clear()
         monkeypatch.setattr(specfun, "log_gamma_g_fixed", counted)
         first = asym.potential_energy_expansion(1.25, 2.5, 4)
         built = len(calls)
@@ -511,10 +511,9 @@ class TestRuntimeRoute:
         monkeypatch.setattr(mpmath, "zeta", forbidden)
         monkeypatch.setattr(mpmath, "bernfrac", forbidden)
         monkeypatch.setattr(mpmath, "glaisher", None)
-        monkeypatch.setattr(specfun, "_memo", {})
-        monkeypatch.setattr(specfun, "_fixed_series", {})
-        monkeypatch.setattr(specfun, "_bernoulli_numbers", ())
-        monkeypatch.setattr(specfun, "_poly_rows", ())
+        for cache in (specfun._memo, specfun._fixed_data, specfun._bernoulli_table,
+                      specfun._bernoulli_row):
+            cache.cache_clear()
         with precision_mode(mode):
             for kind in cli.KINDS:
                 cli.cmd_coeffs(cli.RunConfig("coeffs", kind, p=0.3, q=2.75, a=-1.0, b=2.0,
@@ -527,15 +526,16 @@ class TestRuntimeRoute:
                "interval": None, "general-interval": None}
 
     @pytest.mark.parametrize("kind", TOP_ROW)
-    def test_rows_built_to_the_order(self, kind, monkeypatch):
-        # the first order-4 expansion from empty memos builds the rows it
-        # reads and none past order + 2
+    def test_rows_built_to_the_order(self, kind):
+        # the first order-4 expansion from empty caches builds the rows it
+        # reads, from row 1, and none past order + 2
         order = 4
-        monkeypatch.setattr(specfun, "_bernoulli_numbers", ())
-        monkeypatch.setattr(specfun, "_poly_rows", ())
+        specfun._bernoulli_table.cache_clear()
+        specfun._bernoulli_row.cache_clear()
         cli.cmd_coeffs(cli.RunConfig("coeffs", kind, p=0.3, q=2.75, a=-1.0, b=2.0, order=order))
         extra = self.TOP_ROW[kind]
-        assert len(specfun._poly_rows) == (0 if extra is None else order + extra + 1)
+        assert specfun._bernoulli_row.cache_info().currsize == (0 if extra is None
+                                                                 else order + extra)
 
 
 class TestEvaluateExpansion:

@@ -174,8 +174,9 @@ _CHARGE_FREE = {
 @pytest.mark.parametrize("name", _CHARGE_FREE)
 @pytest.mark.parametrize("charges, message", [
     ("--p 1", "--p and --q must be given together"),
+    ("--alpha 1", "--alpha and --beta must be given together"),
     ("--p 1 --alpha 1", "give either --p/--q or --alpha/--beta, not both"),
-], ids=["lone-p", "p-with-alpha"])
+], ids=["lone-p", "lone-alpha", "p-with-alpha"])
 def test_every_command_checks_its_charges(runner, name, charges, message):
     # exact --kind interval used to ignore a lone --p, and --p with --alpha
     result = runner.invoke(cli, f"{_CHARGE_FREE[name]} {charges}".split())
@@ -531,6 +532,14 @@ class TestOutputContracts:
             cli, ["exact", "--N", "2..3", "--kind", "interval", "--out", str(target)])
         assert result.exit_code == 0
         assert target.read_text().startswith("N,interval_energy")
+
+    def test_out_to_a_directory(self, runner, tmp_path):
+        result = runner.invoke(
+            cli, ["exact", "--N", "2..3", "--kind", "interval", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "error: cannot write --out" in result.output
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("args", [
         *(f"{line} --format {fmt}" for fmt in ("csv", "json") for line in (

@@ -102,11 +102,13 @@ def test_precision_variable():
 
 def test_commands_leave_click_argparse_and_json_unloaded():
     # the option layer imports argparse only when the command line runs,
-    # and json only when it writes JSON
+    # json only when it writes JSON, and statistics only when verify fits
+    # slopes
     code = ("import sys\n"
             "from fekete import cli\n"
             "cli.cmd_coeffs(cli.RunConfig('coeffs', 'potential', p=1.0, q=1.0, order=4))\n"
-            "print(' '.join(m for m in ('click', 'argparse', 'json') if m in sys.modules))\n")
+            "print(' '.join(m for m in ('click', 'argparse', 'json', 'statistics')\n"
+            "               if m in sys.modules))\n")
     result = subprocess.run([sys.executable, "-c", code], env=_ENV, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -33,6 +33,10 @@ class TestLogEnergyConfig:
     def test_coincident_signal(self):
         assert energy.log_energy_config(Configuration((0.3, 0.3))) == INFINITE_ENERGY
 
+    def test_coincident_signal_ext(self):
+        with precision_mode("ext"):
+            assert energy.log_energy_config(Configuration((0.3, -0.5, 0.3))) == INFINITE_ENERGY
+
     def test_points_outside_interval_rejected(self):
         with pytest.raises(DomainError):
             Configuration((0.0, 1.5))
@@ -56,6 +60,11 @@ class TestPotentialEnergyConfig:
     def test_coincident_signal(self):
         config = Configuration((0.2, 0.2), charges=(1.0, 1.0))
         assert energy.potential_energy_config(config) == INFINITE_ENERGY
+
+    def test_coincident_signal_ext(self):
+        config = Configuration((0.2, -0.5, 0.2), charges=(1.0, 1.0))
+        with precision_mode("ext"):
+            assert energy.potential_energy_config(config) == INFINITE_ENERGY
 
     def test_requires_charges(self):
         with pytest.raises(DomainError):
@@ -437,7 +446,7 @@ class TestBarnesGFree:
             raise AssertionError("mpmath.barnesg called")
 
         monkeypatch.setattr(mpmath, "barnesg", barnesg)
-        monkeypatch.setattr(specfun, "_memo", {})
+        specfun._memo.cache_clear()
         with precision_mode(mode):
             for n in (2, 40, 2560, 10**9):
                 energy.potential_energy_exact(n, 0.75, 2.5)

@@ -517,7 +517,7 @@ class TestKernelArguments:
                                  (jacobi.value_at_one_log, {n + 1, n + a + 1, a + 1}),
                                  (jacobi.discriminant_log,
                                   {n + 1, n + a + 1, n + b + 1, n + s, 2 * n + s, a + 1, b + 1})):
-                    monkeypatch.setattr(specfun, "_memo", {})
+                    specfun._memo.cache_clear()
                     calls.clear()
                     value = fn(n, params)
                     assert len(calls) == len(args), (fn.__name__, n, a, b, calls)

@@ -4,7 +4,7 @@ import time
 
 import mpmath
 
-from fekete import asym, jacobi, precision
+from fekete import asym, jacobi, precision, specfun
 from fekete.jacobi import JacobiParams
 from fekete.precision import EXTENDED_DPS, active, precision_mode
 
@@ -66,6 +66,41 @@ def test_modes_stay_per_thread_under_switching():
         sys.setswitchinterval(interval)
         mpmath.mp.dps = dps  # overlapping ext blocks share this setting
     assert wrong == []
+
+
+def test_data_filled_by_racing_modes_is_exact():
+    # threads in both modes fill the kernel's fixed-point data from an empty
+    # cache while their ext blocks move mpmath's one working precision; the
+    # data they leave is the data a single thread builds, bit for bit
+    params = JacobiParams(0.4, 1.6)
+    fps = []
+    for mode in ("std", "ext"):
+        with precision_mode(mode):  # the fractional bits at the size a + b + 2 = 4
+            fps.append(int(active().guarded(specfun.fixed_bits, size=4)))
+    expected = [specfun._fixed_data.__wrapped__(fp) for fp in fps]
+
+    def work(mode):
+        for _ in range(10):
+            with precision_mode(mode):
+                time.sleep(0)
+                jacobi.leading_coeff_log(30, params)
+
+    interval, dps = sys.getswitchinterval(), mpmath.mp.dps
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(10):
+            specfun._fixed_data.cache_clear()
+            threads = [threading.Thread(target=work, args=("ext" if i % 2 else "std",))
+                       for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert [specfun._fixed_data(fp) for fp in fps] == expected
+    finally:
+        sys.setswitchinterval(interval)
+        mpmath.mp.dps = dps
 
 
 def test_use_restores_mpmath_precision():

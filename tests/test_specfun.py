@@ -64,14 +64,14 @@ class TestBernoulli:
         for m in range(101):
             assert specfun.bernoulli_number(m) == Fraction(*mpmath.bernfrac(m)), m
 
-    def test_tangent_source_matches_bernfrac(self, monkeypatch):
-        # from an empty table, built short first and then grown by doubling
-        monkeypatch.setattr(specfun, "_bernoulli_numbers", ())
+    def test_tangent_source_matches_bernfrac(self):
+        # from empty caches, as in a new process: one table per power of two
+        # n = 32, ..., 256 that the indices reach
+        specfun._bernoulli_table.cache_clear()
         assert specfun._bernoulli(10) == Fraction(5, 66)
-        short = len(specfun._bernoulli_numbers)
         for m in range(301):
             assert specfun._bernoulli(m) == Fraction(*mpmath.bernfrac(m)), m
-        assert len(specfun._bernoulli_numbers) >= 4 * short
+        assert specfun._bernoulli_table.cache_info().currsize == 4
 
     @given(
         m=st.integers(min_value=0, max_value=32),
@@ -102,29 +102,56 @@ class TestBernoulli:
             assert ((value.numerator, value.denominator)
                     == (expected.numerator, expected.denominator))
 
-    def test_rows_grown_by_racing_threads(self, monkeypatch):
-        # threads growing the row memo from empty to different orders at
-        # once each get the rows a single thread builds
-        reference = specfun._bernoulli_rows(40)
-        monkeypatch.setattr(specfun, "_poly_rows", ())
-        results, interval = {}, sys.getswitchinterval()
+    def test_rows_grown_by_racing_threads(self):
+        # threads building the rows from empty to different orders at once
+        # each get the rows a single thread builds
+        reference = [specfun._bernoulli_row(m) for m in range(41)]
+        specfun._bernoulli_row.cache_clear()
+        results = {}
 
         def grow(top):
-            results[top] = specfun._bernoulli_rows(top)
+            results[top] = [specfun._bernoulli_row(m) for m in range(top + 1)]
 
-        threads = [threading.Thread(target=grow, args=(top,)) for top in range(3, 41, 3)]
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and len(results) == len(threads)
+        tops = range(3, 41, 3)
+        _race(grow, tops)
+        assert len(results) == len(tops)
         for top, rows in results.items():
-            assert rows[:top + 1] == reference[:top + 1], top
-        assert specfun._bernoulli_rows(40)[:41] == reference[:41]
+            assert rows == reference[:top + 1], top
+        assert [specfun._bernoulli_row(m) for m in range(41)] == reference
+
+    def test_numbers_by_racing_threads(self):
+        # threads asking for long and short tables at once, from empty
+        # caches, each get the exact number, and a second pass finds every
+        # table it needs: no table that a late, short build replaced
+        specfun._bernoulli_table.cache_clear()
+        results = {}
+
+        def ask(m):
+            results[m] = specfun._bernoulli(m)
+
+        ms = (300, 5, 200, 7, 100)
+        _race(ask, ms)
+        assert results == {m: Fraction(*mpmath.bernfrac(m)) for m in ms}
+        misses = specfun._bernoulli_table.cache_info().misses
+        for m in ms:
+            specfun._bernoulli(m)
+        assert specfun._bernoulli_table.cache_info().misses == misses
+
+
+def _race(target, args):
+    """``target(a)`` for each a in ``args``, one thread each, all at once,
+    with the interpreter switching threads every microsecond."""
+    threads = [threading.Thread(target=target, args=(a,)) for a in args]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
 
 
 class TestHurwitzZetaNegint:

@@ -117,6 +117,20 @@ def test_tails_match_reference_at_any_charges(kind, mode, p, q, data):
         assert_tail_matches(kind, order, p, q)
 
 
+@pytest.mark.parametrize("kind", CHARGE_KINDS[:2])
+def test_tails_at_mpf_charges(kind):
+    # charges of 81 significant bits, exact as ext mpfs but not as floats:
+    # the tail is the reference's at those exact rationals
+    p, q = Fraction(2 ** 80 + 1, 2 ** 81), Fraction(3 * 2 ** 79 - 1, 2 ** 80)
+    build, reference = TAIL_KINDS[kind]
+    with precision_mode("ext"):
+        order = asym.max_order()
+        tail = build(order, mpmath.mpf(p.numerator) / p.denominator,
+                     mpmath.mpf(q.numerator) / q.denominator).tail
+        for m, value in enumerate(tail, 1):
+            assert _bits(value) == _bits(_round_reference(reference(m, p, q))), (kind, m)
+
+
 @pytest.mark.parametrize("mode", ["std", "ext"])
 def test_no_fraction_arithmetic_in_the_tails(mode, monkeypatch):
     # the Bernoulli tables are built first; the builders then read Fraction

@@ -57,12 +57,12 @@ def integer_ratio(x) -> tuple[int, int]:
 
     Every finite binary float *is* a rational, so no rounding occurs.
     """
-    if isinstance(x, (float, mpmath.mpf)) and not mpmath.isfinite(x):
-        raise DomainError(f"cannot convert non-finite value {x!r} to a rational")
-    if isinstance(x, mpmath.mpf):
-        return to_rational(x._mpf_)
-    if isinstance(x, (int, float, Fraction)):
+    if isinstance(x, (int, Fraction)) or isinstance(x, float) and math.isfinite(x):
         return x.as_integer_ratio()
+    if isinstance(x, mpmath.mpf) and mpmath.isfinite(x):
+        return to_rational(x._mpf_)
+    if isinstance(x, (float, mpmath.mpf)):
+        raise DomainError(f"cannot convert non-finite value {x!r} to a rational")
     raise TypeError(f"no exact rational conversion for {type(x).__name__}")
 
 

@@ -1,12 +1,15 @@
+import math
 import sys
 import threading
 import time
 
 import mpmath
+import pytest
 
 from fekete import asym, jacobi, precision, specfun
+from fekete.exceptions import DomainError
 from fekete.jacobi import JacobiParams
-from fekete.precision import EXTENDED_DPS, active, precision_mode
+from fekete.precision import EXTENDED_DPS, active, integer_ratio, precision_mode
 
 from _tails import elliptic_tail_fraction, potential_tail_fraction
 
@@ -151,3 +154,14 @@ def test_ratio_rounds_at_the_mode_precision():
         assert third._mpf_[1].bit_length() <= ctx.prec
         with mpmath.workprec(300):
             assert ctx.ratio(1, 3)._mpf_ == third._mpf_
+
+
+def test_integer_ratio_rejects_non_finite_and_other_types():
+    for x in (math.inf, -math.inf, math.nan, mpmath.inf, mpmath.nan):
+        with pytest.raises(DomainError, match="non-finite"):
+            integer_ratio(x)
+    for x in ("1", 1j, None):
+        with pytest.raises(TypeError, match="no exact rational conversion"):
+            integer_ratio(x)
+    # past the float64 range an mpf is still finite, and exact
+    assert integer_ratio(mpmath.mpf(2) ** 2000) == (2 ** 2000, 1)

@@ -506,11 +506,13 @@ class TestKernelArguments:
     def test_each_function_evaluates_only_its_arguments(self, mode, monkeypatch):
         # log lambda_n needs the kernel at n+1, n+s and 2n+s (s = a+b+1),
         # log P_n(1) at n+1, n+a+1 and, through the memo, a+1; log D_n at
-        # all five n-dependent arguments and a+1, b+1; each value as before
+        # all five n-dependent arguments and a+1, b+1, where equal arguments
+        # (n+a+1 = n+1 at a = 0) take one call; each value as before
         kernel, calls = jacobi.log_gamma_g_fixed, []
         monkeypatch.setattr(jacobi, "log_gamma_g_fixed", lambda x: calls.append(x) or kernel(x))
         with precision_mode(mode):
-            for n, a, b in ((2, 0.5, 1.25), (40, 3.25, 0.75), (10**6, 0.125, 2.5), (40, 1.5, 1.5)):
+            for n, a, b in ((2, 0.5, 1.25), (40, 3.25, 0.75), (10**6, 0.125, 2.5), (40, 1.5, 1.5),
+                            (40, 0.0, 1.5)):
                 params = JacobiParams(a, b)
                 s = a + b + 1
                 for fn, args in ((jacobi.leading_coeff_log, {n + 1, n + s, 2 * n + s}),

@@ -169,6 +169,10 @@ def _newton_step(diag, off, x):
         return eps * cur.real / cur.imag
 
 
+def _ordered_interior(x) -> bool:
+    return bool(x[0] > -1 and x[-1] < 1 and (x[1:] > x[:-1]).all())
+
+
 def zeros(n: int, params: JacobiParams) -> ZeroSet:
     """Zeros of P_n^(alpha,beta), ascending.
 
@@ -182,7 +186,9 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
     :class:`CapacityError` for what float64 cannot hold: a Jacobi matrix
     that over- or underflows (exponents past about 1e77), zeros closer to
     each other or to +-1 than float64 resolves (an extreme zero rounding
-    onto +-1 at exponents near -1), or an n past the sizes numpy can index.
+    onto +-1 at exponents near -1; from about 1e20 at n = 12 the zeros near
+    -1 crowd onto it, and their eigenvalues fail the gate), or an n past
+    the sizes numpy can index.
     """
     n = check_size(n, "n", 1)
     if n > sys.maxsize // 8:  # numpy's arrays hold at most sys.maxsize bytes
@@ -200,16 +206,18 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
         ) from exc
     step = _newton_step(diag, off, x)
     step_bound = float(np.max(np.abs(step)))  # NaN if any step is NaN
-    if not step_bound < 1e-8:
+    # the eigensolve and the polish move a zero by rounding only, so zeros
+    # that are not ordered and interior lie closer to each other or to +-1
+    # than float64 resolves; eigenvalues crowded so fail the gate with it
+    # (coincident eigenvalues take a Newton step of inf)
+    if step_bound < 1e-8:
+        x -= step
+    elif _ordered_interior(x):
         raise NumericalError(
             f"Newton step {step_bound:.3e} at an eigenvalue is not below 1e-8 "
             f"for n={n}, alpha={alpha}, beta={beta}"
         )
-    x -= step
-    # the eigensolve and the polish move a zero by rounding only, so zeros
-    # that are not ordered and interior lie closer to each other or to +-1
-    # than float64 resolves
-    if not (x[0] > -1 and x[-1] < 1 and (x[1:] > x[:-1]).all()):
+    if not (step_bound < 1e-8 and _ordered_interior(x)):
         raise CapacityError(
             f"the zeros for n={n}, alpha={alpha}, beta={beta} are not ordered, "
             f"interior float64s: they lie closer than float64 resolves"
@@ -265,8 +273,9 @@ def log_values_mp(n: int, ap1, bp1, outputs=(0, 1, 2, 3)) -> tuple:
     # all five mpf, so that the cache takes n + 1 and an equal n + a + 1 as one key
     x1 = mpmath.mpf(n + 1)
     xa, xb, xs, x2s = n + ap1, n + bp1, (n - 1) + ab2, (2 * n - 1) + ab2
-    k = functools.cache(log_gamma_g_fixed)
-    fp = fixed_bits()
+    prec = mpmath.mp.prec  # read once: the kernel, the memo and fp share it
+    k = functools.cache(functools.partial(log_gamma_g_fixed, prec=prec))
+    fp = fixed_bits(prec)
     ln2 = ln2_fixed(fp)
 
     def lam():
@@ -276,14 +285,14 @@ def log_values_mp(n: int, ap1, bp1, outputs=(0, 1, 2, 3)) -> tuple:
         if n == 1:
             return 0
         (g1, G1), (ga, Ga), (gb, Gb), (gs, Gs) = k(x1), k(xa), k(xb), k(xs)
-        ga0, Ga0 = memo(log_gamma_g_fixed, ap1)
-        gb0, Gb0 = memo(log_gamma_g_fixed, bp1)
+        ga0, Ga0 = memo(log_gamma_g_fixed, ap1, prec)
+        gb0, Gb0 = memo(log_gamma_g_fixed, bp1, prec)
         return (-n * (n - 1) * ln2 + (2 - n) * g1 - G1
                 + (n - 1) * (ga + gb) - Ga - Gb + ga0 + Ga0 + gb0 + Gb0
                 + k(x2s)[1] - Gs - n * gs)
 
     def at_end(x, xp1):
-        return k(x)[0] - memo(log_gamma_g_fixed, xp1)[0] - k(x1)[0]
+        return k(x)[0] - memo(log_gamma_g_fixed, xp1, prec)[0] - k(x1)[0]
 
     formulas = (lam, disc, lambda: at_end(xa, ap1), lambda: at_end(xb, bp1))
     return tuple(mpmath.mpf((formulas[i](), -fp)) for i in outputs)

@@ -10,7 +10,10 @@ The optimizer is its own float64 kernel in every precision mode: one
 matrix of pairwise differences per iterate gives the energy, the gradient
 and the Hessian.  The Hessian is positive definite throughout the ordered
 interior chamber, so Newton with feasibility damping converges to the
-unique minimum from any interior start.
+unique minimum from any interior start.  The start is a closed form in
+(n, p, q), the electrostatic angle grid of :func:`_start`; it calls
+nothing in :mod:`fekete.jacobi`, so the minimizer stays a route to the
+zeros independent of them.
 """
 from __future__ import annotations
 
@@ -165,12 +168,33 @@ def _newton(x0: np.ndarray, p: float, q: float, tol: float, max_iter: int) -> So
     )
 
 
+def _start(n: int, p: float, q: float) -> np.ndarray:
+    """The angle grid x_k = -cos((k + q - 3/4) pi / (n + p + q - 1/2)),
+    k = 1..n: even steps in theta = arccos(-x), with end gaps set by the
+    charges, and the zeros themselves at p = q = 3/4.  Chebyshev points
+    scaled by 1 - 1/n where the grid is not ordered and interior (at
+    extreme charges, such as p = 1e300, every point rounds onto -1), or
+    where it lies within 4 step floors of one end: a Newton step from
+    points pressed within d of an end is about d (it doubles their
+    distance), so such a grid would stop at once, unconverged, as
+    ``"step"``."""
+    k = np.arange(1, n + 1)
+    with np.errstate(all="ignore"):  # charges near 1e308 overflow n + p + q
+        x = -np.cos((k + (q - 0.75)) * (np.pi / (n + p + q - 0.5)))
+    if _feasible(x) and min(1.0 + x[-1], 1.0 - x[0]) > 4 * _STEP_FLOOR:
+        return x
+    return -np.cos((2 * k - 1) * np.pi / (2 * n)) * (1.0 - 1.0 / n)
+
+
 def minimize_potential(n: int, p: float, q: float, tol: float = _DEFAULT_TOL,
                        max_iter: int = _MAX_ITER) -> SolveReport:
     """Minimize the (p, q) external-field energy of n interior unit charges.
 
     Damped Newton with the ordering constraint maintained by step halving
-    (never by re-sorting).  Starts from Chebyshev points scaled by 1 - 1/n.
+    (never by re-sorting).  Starts from the angle grid of :func:`_start`,
+    or Chebyshev points where the grid is not a safe start; converged
+    solves at moderate charges take 3-5 Newton steps from it for n = 50 to
+    1000 (6-12 from Chebyshev points), and 27 at (12, 1e8, 0.5) (124).
     Converged means ||grad||_inf <= tol, or a Newton step with
     ||dx||_inf <= 16 eps: the gradient terms grow like n^2, so past n ~ 90
     rounding keeps ||grad||_inf above the default tol even at the exact
@@ -185,9 +209,7 @@ def minimize_potential(n: int, p: float, q: float, tol: float = _DEFAULT_TOL,
     max_iter = check_size(max_iter, "max_iter", 0)
     if n * n > sys.maxsize // 8:  # numpy's arrays hold at most sys.maxsize bytes
         raise CapacityError(f"n={n} is past the sizes numpy can index")
-    i = np.arange(1, n + 1)
-    x = -np.cos((2 * i - 1) * np.pi / (2 * n)) * (1.0 - 1.0 / n)
-    return _newton(np.sort(x), p, q, tol, max_iter)
+    return _newton(_start(n, p, q), p, q, tol, max_iter)
 
 
 def fekete_maximize(N: int, tol: float = _DEFAULT_TOL) -> SolveReport:

@@ -21,8 +21,8 @@ from fractions import Fraction
 from operator import mul
 
 import mpmath
-from mpmath.libmp import (fone, from_man_exp, ftwo, mpf_log, mpf_pi, mpf_shift, round_nearest,
-                          to_fixed)
+from mpmath.libmp import (fone, from_int, from_man_exp, ftwo, mpf_log, mpf_pi, mpf_shift,
+                          round_nearest, to_fixed)
 
 from .exceptions import check_size
 
@@ -98,25 +98,21 @@ def hurwitz_zeta_negint_numerators(r: int, s: int, top: int) -> tuple[tuple[int,
 # -- O(1)-argument kernels ----------------------------------------------------
 
 @functools.cache
-def _memo(kernel, x, prec: int):
-    return kernel(x)
-
-
-def memo(kernel, x):
-    """``kernel(x)`` at the working precision, computed once per (kernel, x,
-    precision), so a value never depends on which caller filled it.  For
+def memo(kernel, x, prec: int):
+    """``kernel(x, prec)``, computed once per (kernel, x, prec): the key is
+    the precision the kernel runs at, so a value never depends on which
+    caller filled it, nor on mpmath's working precision meanwhile.  For
     the O(1) arguments that many calls share: psi^(-2) in the expansion
     constants, and log Gamma and log G at 2p and 2q in the Jacobi
     quantities."""
-    return _memo(kernel, x, mpmath.mp.prec)
+    return kernel(x, prec)
 
 
-def fixed_bits() -> int:
+def fixed_bits(prec: int) -> int:
     """fp, the fractional bits of the values of :func:`log_gamma_g_fixed` at
-    the working precision: the working bits, 10 + 2 bitlen(prec) guard bits
-    for the cancellation of the shift (see there) and 8 bits for the
+    precision ``prec``: the prec bits, 10 + 2 bitlen(prec) guard bits for
+    the cancellation of the shift (see there) and 8 bits for the
     truncations of the fixed-point arithmetic."""
-    prec = mpmath.mp.prec
     return prec + 18 + 2 * prec.bit_length()
 
 
@@ -182,9 +178,9 @@ def _horner(terms: tuple, log2_z: float, u: int, fp: int) -> int:
     return s
 
 
-def log_gamma_g_fixed(x) -> tuple[int, int]:
-    """(log Gamma(x), log G(x)) for real x > 0 (int or mpf), as integers
-    scaled by 2^fp, fp = :func:`fixed_bits` at the working precision, each
+def log_gamma_g_fixed(x, prec: int) -> tuple[int, int]:
+    """(log Gamma(x), log G(x)) for real x > 0 (int or mpf, taken exactly), as
+    integers scaled by 2^fp, fp = :func:`fixed_bits` of ``prec``, each
     within a few units of 2^(8 - fp) max(|value|, 1), and exactly 0 at
     x = 1 and 2, where Gamma and G are 1; neither Gamma nor G is formed.
 
@@ -222,12 +218,12 @@ def log_gamma_g_fixed(x) -> tuple[int, int]:
     it is minus the value of log G(1) = 0 computed with the constant left
     out (see ``_fixed_data``), so it carries the error of one shifted value.
     """
-    x = mpmath.mpf(x)._mpf_
+    x = from_int(x) if isinstance(x, int) else x._mpf_
     if x[0] or not x[1]:  # sign set, or a zero, inf or nan
         raise ValueError(f"log Gamma and log G need a finite x > 0, got {mpmath.mpf(x)}")
     if x in (fone, ftwo):
         return 0, 0
-    fp = fixed_bits()
+    fp = fixed_bits(prec)
     return _log_gamma_g(x, fp, _fixed_data(fp))
 
 
@@ -284,9 +280,9 @@ def psi2_fixed(x) -> tuple[int, int, int]:
     values are about x log(1/x) and -x: the kernel runs with log2(1/x)
     more bits for that cancellation."""
     x = mpmath.mpf(x)
-    with mpmath.extraprec(max(0, -mpmath.mag(x))):
-        fp = fixed_bits()
-        lg, lG = memo(log_gamma_g_fixed, x)
+    prec = mpmath.mp.prec + max(0, -mpmath.mag(x))
+    fp = fixed_bits(prec)
+    lg, lG = memo(log_gamma_g_fixed, x, prec)
     one, xf = 1 << fp, to_fixed(x._mpf_, fp)
     half = (xf * (one - xf + 2 * _fixed_data(fp)[0])) >> (fp + 1)  # x(1-x)/2 + (x/2) log 2pi
     return fp, half + (((xf - one) * lg) >> fp) - lG, lg + lG - half
@@ -296,7 +292,7 @@ def log_glaisher_mp():
     """log A = 1/12 - zeta'(-1), A the Glaisher-Kinkelin constant, as mpf
     at the working precision, from the kernel's own zeta'(-1) (see
     :func:`log_gamma_g_fixed`)."""
-    fp = fixed_bits()
+    fp = fixed_bits(mpmath.mp.prec)
     return mpmath.mpf(((1 << fp) // 12 - _fixed_data(fp)[1], -fp))
 
 

@@ -476,7 +476,7 @@ class TestLeadingCoefficientsRoundedOnce:
             calls.append(args)
             return kernel(*args, **kwargs)
 
-        specfun._memo.cache_clear()
+        specfun.memo.cache_clear()
         monkeypatch.setattr(specfun, "log_gamma_g_fixed", counted)
         first = asym.potential_energy_expansion(1.25, 2.5, 4)
         built = len(calls)
@@ -511,7 +511,7 @@ class TestRuntimeRoute:
         monkeypatch.setattr(mpmath, "zeta", forbidden)
         monkeypatch.setattr(mpmath, "bernfrac", forbidden)
         monkeypatch.setattr(mpmath, "glaisher", None)
-        for cache in (specfun._memo, specfun._fixed_data, specfun._bernoulli_table,
+        for cache in (specfun.memo, specfun._fixed_data, specfun._bernoulli_table,
                       specfun._bernoulli_row):
             cache.cache_clear()
         with precision_mode(mode):

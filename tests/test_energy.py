@@ -446,7 +446,7 @@ class TestBarnesGFree:
             raise AssertionError("mpmath.barnesg called")
 
         monkeypatch.setattr(mpmath, "barnesg", barnesg)
-        specfun._memo.cache_clear()
+        specfun.memo.cache_clear()
         with precision_mode(mode):
             for n in (2, 40, 2560, 10**9):
                 energy.potential_energy_exact(n, 0.75, 2.5)
@@ -463,7 +463,8 @@ class TestBarnesGFree:
             raise AssertionError("mpmath.loggamma called")
 
         kernel, calls = jacobi.log_gamma_g_fixed, []
-        monkeypatch.setattr(jacobi, "log_gamma_g_fixed", lambda x: calls.append(x) or kernel(x))
+        monkeypatch.setattr(jacobi, "log_gamma_g_fixed",
+                            lambda x, prec: calls.append(x) or kernel(x, prec))
         monkeypatch.setattr(mpmath, "loggamma", loggamma)
         for mode in ("std", "ext"):
             with precision_mode(mode):

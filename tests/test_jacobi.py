@@ -159,7 +159,7 @@ class TestEndpointValues:
         precs = []
         kernel = jacobi.log_gamma_g_fixed
         monkeypatch.setattr(jacobi, "log_gamma_g_fixed",
-                            lambda x: precs.append(mpmath.mp.prec) or kernel(x))
+                            lambda x, prec: precs.append(prec) or kernel(x, prec))
         with precision_mode(mode):
             for n, alpha in ((2, 0.5), (40, 3.25), (10**6, 0.1)):
                 value = jacobi.value_at_one_log(n, JacobiParams(alpha, 1e300))
@@ -509,7 +509,8 @@ class TestKernelArguments:
         # all five n-dependent arguments and a+1, b+1, where equal arguments
         # (n+a+1 = n+1 at a = 0) take one call; each value as before
         kernel, calls = jacobi.log_gamma_g_fixed, []
-        monkeypatch.setattr(jacobi, "log_gamma_g_fixed", lambda x: calls.append(x) or kernel(x))
+        monkeypatch.setattr(jacobi, "log_gamma_g_fixed",
+                            lambda x, prec: calls.append(x) or kernel(x, prec))
         with precision_mode(mode):
             for n, a, b in ((2, 0.5, 1.25), (40, 3.25, 0.75), (10**6, 0.125, 2.5), (40, 1.5, 1.5),
                             (40, 0.0, 1.5)):
@@ -519,7 +520,7 @@ class TestKernelArguments:
                                  (jacobi.value_at_one_log, {n + 1, n + a + 1, a + 1}),
                                  (jacobi.discriminant_log,
                                   {n + 1, n + a + 1, n + b + 1, n + s, 2 * n + s, a + 1, b + 1})):
-                    specfun._memo.cache_clear()
+                    specfun.memo.cache_clear()
                     calls.clear()
                     value = fn(n, params)
                     assert len(calls) == len(args), (fn.__name__, n, a, b, calls)

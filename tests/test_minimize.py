@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from fekete.jacobi import JacobiParams
 from fekete.precision import precision_mode
 
 from _util import rel_close
+from test_cli import _P_GRID, _Q_GRID
 
 
 class TestGradient:
@@ -130,10 +133,11 @@ class TestMinimizePotential:
     def test_stop_reasons(self):
         assert optim.minimize_potential(20, 0.75, 1.5).stop == "gradient"
         assert optim.minimize_potential(300, 1.0, 1.0).stop == "step"
-        capped = optim.minimize_potential(300, 1.0, 1.0, max_iter=3)
+        # the uncapped solve takes 3 Newton steps
+        capped = optim.minimize_potential(300, 1.0, 1.0, max_iter=2)
         assert capped.stop == "max_iter"
         assert not capped.converged
-        assert capped.iterations == 3
+        assert capped.iterations == 2
         # charges this small vanish next to the pair terms: H is singular
         singular = optim.minimize_potential(5, 1e-300, 1e-300)
         assert (singular.stop, singular.converged, singular.iterations) == ("singular", False, 0)
@@ -189,6 +193,67 @@ class TestMinimizePotential:
             optim.minimize_potential(3, -1, 1)
         with pytest.raises(DomainError):
             optim.minimize_potential(3, 1, 1, tol=0)
+
+
+def _angle_grid(n, p, q):
+    k = np.arange(1, n + 1)
+    with np.errstate(all="ignore"):
+        return -np.cos((k + q - 0.75) * np.pi / (n + p + q - 0.5))
+
+
+def _chebyshev(n):
+    k = np.arange(1, n + 1)
+    return -np.cos((2 * k - 1) * np.pi / (2 * n)) * (1.0 - 1.0 / n)
+
+
+class TestStart:
+    @pytest.mark.parametrize("n", [1, 2, 5, 128, 1000])
+    def test_ordered_interior_grid_or_fallback(self, n):
+        for p, q in itertools.product(map(float, _P_GRID), map(float, _Q_GRID)):
+            x = optim._start(n, p, q)
+            assert optim._feasible(x), (n, p, q)
+            assert (np.allclose(x, _angle_grid(n, p, q), rtol=0, atol=1e-15)
+                    or np.array_equal(x, _chebyshev(n))), (n, p, q)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 128, 1000])
+    def test_fallback_where_the_grid_rounds_onto_an_end(self, n):
+        # every angle of the grid is below 1e-297: every point rounds onto -1
+        assert np.array_equal(optim._start(n, 1e300, 1e-300), _chebyshev(n))
+
+    def test_fallback_where_the_grid_is_pressed_onto_an_end(self):
+        # the grid's points lie within 3e-15 of -1: a Newton step from there
+        # is about as small, and would stop the solve at once as "step"
+        assert _angle_grid(2, 1e8, 1.0)[-1] + 1 < 4 * optim._STEP_FLOOR
+        assert np.array_equal(optim._start(2, 1e8, 1.0), _chebyshev(2))
+        report = optim.minimize_potential(2, 1e8, 1.0)
+        target = jacobi.zeros(2, JacobiParams.from_charges(1e8, 1.0)).points
+        assert report.converged
+        assert max(abs(a - b) for a, b in zip(report.points, target)) <= 1e-12
+
+    def test_no_warning_at_the_largest_charges(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1, 5, 128):
+                assert optim._feasible(optim._start(n, 1e308, 1e308))
+
+    @pytest.mark.parametrize("n", [1, 5, 128, 1000])
+    def test_exact_at_three_quarter_charges(self, n):
+        # alpha = beta = 1/2: the zeros are -cos(k pi / (n + 1)), the grid itself
+        report = optim.minimize_potential(n, 0.75, 0.75)
+        assert report.converged
+        assert report.iterations == 0
+
+    @pytest.mark.parametrize("solve,ceiling", [
+        (lambda: optim.minimize_potential(128, 1.0, 1.0), 4),
+        (lambda: optim.minimize_potential(1000, 0.85, 1.15), 4),
+        (lambda: optim.fekete_maximize(109), 4),
+        (lambda: optim.minimize_potential(12, 1e8, 0.5), 27),
+    ], ids=["128-1-1", "1000-0.85-1.15", "fekete-109", "12-1e8-0.5"])
+    def test_newton_steps(self, solve, ceiling):
+        # from the Chebyshev start these took 9, 11, 9 and 124 steps
+        report = solve()
+        assert report.converged
+        assert report.iterations <= ceiling
 
 
 class TestFeketeMaximize:

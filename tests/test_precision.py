@@ -79,7 +79,7 @@ def test_data_filled_by_racing_modes_is_exact():
     fps = []
     for mode in ("std", "ext"):
         with precision_mode(mode):  # the fractional bits at the size a + b + 2 = 4
-            fps.append(int(active().guarded(specfun.fixed_bits, size=4)))
+            fps.append(int(active().guarded(lambda: specfun.fixed_bits(mpmath.mp.prec), size=4)))
     expected = [specfun._fixed_data.__wrapped__(fp) for fp in fps]
 
     def work(mode):

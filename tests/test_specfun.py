@@ -346,9 +346,9 @@ def _log_gamma_g_ref(x, dps):
 def _assert_kernel_close(arg):
     """Both values of the fused kernel at ``arg`` are within 2 ulp of
     max(|value|, 1) of mpmath at the working precision."""
-    lg, lG = specfun.log_gamma_g_fixed(arg)
+    lg, lG = specfun.log_gamma_g_fixed(arg, mpmath.mp.prec)
     assert isinstance(lg, int) and isinstance(lG, int)
-    fp = specfun.fixed_bits()
+    fp = specfun.fixed_bits(mpmath.mp.prec)
     refs = _log_gamma_g_ref(mpmath.mpf(arg), mpmath.mp.dps)
     for value, ref in zip((lg, lG), refs):
         value = mpmath.mpf((value, -fp))
@@ -391,7 +391,7 @@ class TestLogBarnesG:
         # just above (series alone), w = wp/6 + 1 with wp = fp - 8; and
         # z = 10^12, where the series need their fewest terms
         with mpmath.workdps(dps):
-            w = (specfun.fixed_bits() - 8) // 6 + 1
+            w = (specfun.fixed_bits(mpmath.mp.prec) - 8) // 6 + 1
             for z in (w - 1, w - 0.5, w, w + 0.5, w + 1, 10**12):
                 _assert_kernel_close(mpmath.mpf(z) + 1)
                 if isinstance(z, int):
@@ -410,7 +410,7 @@ class TestLogBarnesG:
 
         monkeypatch.setattr(specfun, "_horner", counting_horner)
         with mpmath.workdps(26):
-            wp = specfun.fixed_bits() - 8
+            wp = specfun.fixed_bits(mpmath.mp.prec) - 8
             for log2_z, empty in ((wp // 2 + 1, [False, True]), (wp + 1, [True, True])):
                 sums.clear()
                 _assert_kernel_close(mpmath.mpf(2) ** log2_z + 3)
@@ -420,11 +420,12 @@ class TestLogBarnesG:
         # Gamma(x + 1) = x Gamma(x) and G(x + 1) = Gamma(x) G(x), across the
         # shift threshold and down to the tiny argument of a tiny charge
         with mpmath.workdps(42):
-            fp = specfun.fixed_bits()
+            prec = mpmath.mp.prec
+            fp = specfun.fixed_bits(prec)
             for x in (2e-300, 0.5, 1.25, 18.5, 40.75, 300.5):
                 x = mpmath.mpf(x)
-                lg, lG = (mpmath.mpf((v, -fp)) for v in specfun.log_gamma_g_fixed(x))
-                lg1, lG1 = (mpmath.mpf((v, -fp)) for v in specfun.log_gamma_g_fixed(x + 1))
+                lg, lG = (mpmath.mpf((v, -fp)) for v in specfun.log_gamma_g_fixed(x, prec))
+                lg1, lG1 = (mpmath.mpf((v, -fp)) for v in specfun.log_gamma_g_fixed(x + 1, prec))
                 assert abs(lg1 - (lg + mpmath.log(x))) <= mpmath.mpf(10) ** -40 * max(abs(lg1), 1)
                 assert abs(lG1 - (lg + lG)) <= mpmath.mpf(10) ** -40 * max(abs(lG1), 1)
 
@@ -432,7 +433,21 @@ class TestLogBarnesG:
         # Gamma(1) = Gamma(2) = G(1) = G(2) = 1, so that log P_n(1) is 0 at
         # alpha = 0 and the energy at n = 1, p = q is 0, as int and as mpf
         for x in (1, 2, mpmath.mpf(1), mpmath.mpf(2)):
-            assert specfun.log_gamma_g_fixed(x) == (0, 0)
+            assert specfun.log_gamma_g_fixed(x, mpmath.mp.prec) == (0, 0)
+
+    def test_memo_runs_the_kernel_at_its_key(self):
+        # a value filed under precision A while mpmath works at B is the
+        # kernel's value at A: key and kernel take one precision, so a
+        # thread that moves mpmath's working precision cannot file a value
+        # of another precision under the key
+        x = mpmath.mpf(2.5)
+        specfun.memo.cache_clear()
+        with mpmath.workprec(300):
+            filed = specfun.memo(specfun.log_gamma_g_fixed, x, 100)
+        with mpmath.workprec(100):
+            assert filed == specfun.log_gamma_g_fixed(x, 100)
+            assert specfun.memo(specfun.log_gamma_g_fixed, x, 100) is filed
+        assert filed != specfun.log_gamma_g_fixed(x, 300)
 
 
 class TestZetaPrimeNeg1:

@@ -443,7 +443,7 @@ class TestTableAndZeros:
         with precision_mode(precision):
             assert xs == [_format_scalar(float(x)) for x in points]
         if precision == "std":
-            # 17 digits, one more than the shortest repr of this point has
+            # 17 significant digits, not the shortest repr
             assert len(xs[0].lstrip("-").replace(".", "").lstrip("0")) == 17
             assert xs[0] != repr(float(xs[0]))
 

@@ -389,6 +389,13 @@ class TestZeros:
         with pytest.raises(CapacityError, match="over- or underflows float64"):
             jacobi.zeros(n, JacobiParams(1e100, 0.5))
 
+    @pytest.mark.parametrize("n,a", [(12, 1e20), (2, 1e70), (50, 1e50)])
+    def test_crowded_eigenvalues_are_a_capacity_limit(self, n, a):
+        # the zeros near -1 crowd below float64 resolution: the eigenvalues
+        # come back as -1.0 and fail the gate with a Newton step of inf
+        with pytest.raises(CapacityError, match="closer than float64 resolves"):
+            jacobi.zeros(n, JacobiParams(a, 0.5))
+
     def test_recurrence_values_past_float64_range(self):
         # the recurrence values q_k at the largest eigenvalue reach 2^1573
         # here, so the pass rescales them; picked zeros within 2e-16 of a

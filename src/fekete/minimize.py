@@ -194,7 +194,7 @@ def minimize_potential(n: int, p: float, q: float, tol: float = _DEFAULT_TOL,
     (never by re-sorting).  Starts from the angle grid of :func:`_start`,
     or Chebyshev points where the grid is not a safe start; converged
     solves at moderate charges take 3-5 Newton steps from it for n = 50 to
-    1000 (6-12 from Chebyshev points), and 27 at (12, 1e8, 0.5) (124).
+    1000 (6-15 from Chebyshev points), and 27 at (12, 1e8, 0.5) (124).
     Converged means ||grad||_inf <= tol, or a Newton step with
     ||dx||_inf <= 16 eps: the gradient terms grow like n^2, so past n ~ 90
     rounding keeps ||grad||_inf above the default tol even at the exact

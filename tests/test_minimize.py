@@ -250,7 +250,7 @@ class TestStart:
         (lambda: optim.minimize_potential(12, 1e8, 0.5), 27),
     ], ids=["128-1-1", "1000-0.85-1.15", "fekete-109", "12-1e8-0.5"])
     def test_newton_steps(self, solve, ceiling):
-        # from the Chebyshev start these took 9, 11, 9 and 124 steps
+        # measured from the grid; from the Chebyshev points: 9, 11, 9 and 124
         report = solve()
         assert report.converged
         assert report.iterations <= ceiling

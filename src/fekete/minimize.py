@@ -11,9 +11,10 @@ matrix of pairwise differences per iterate gives the energy, the gradient
 and the Hessian.  The Hessian is positive definite throughout the ordered
 interior chamber, so Newton with feasibility damping converges to the
 unique minimum from any interior start.  The start is a closed form in
-(n, p, q), the electrostatic angle grid of :func:`_start`; it calls
-nothing in :mod:`fekete.jacobi`, so the minimizer stays a route to the
-zeros independent of them.
+(n, p, q), the electrostatic angle grid of :func:`_start` squeezed onto
+the interval that large charges leave to the points; it calls nothing in
+:mod:`fekete.jacobi`, so the minimizer stays a route to the zeros
+independent of them.
 """
 from __future__ import annotations
 
@@ -169,19 +170,31 @@ def _newton(x0: np.ndarray, p: float, q: float, tol: float, max_iter: int) -> So
 
 
 def _start(n: int, p: float, q: float) -> np.ndarray:
-    """The angle grid x_k = -cos((k + q - 3/4) pi / (n + p + q - 1/2)),
-    k = 1..n: even steps in theta = arccos(-x), with end gaps set by the
-    charges, and the zeros themselves at p = q = 3/4.  Chebyshev points
-    scaled by 1 - 1/n where the grid is not ordered and interior (at
-    extreme charges, such as p = 1e300, every point rounds onto -1), or
-    where it lies within 4 step floors of one end: a Newton step from
-    points pressed within d of an end is about d (it doubles their
-    distance), so such a grid would stop at once, unconverged, as
-    ``"step"``."""
+    """The angle grid of the charges up to 3/4, spread over the interval
+    that the charges past 3/4 leave to the points.
+
+    With charges p, q <= 3/4 this is x_k = -cos((k + q - 3/4) pi /
+    (n + p + q - 1/2)), k = 1..n: even steps in theta = arccos(-x), with
+    end gaps set by the charges, and the zeros themselves at p = q = 3/4.
+    The excess a = p - 3/4 and b = q - 3/4, where positive, squeezes the
+    grid into theta in [c - h, c + h], the Moak-Saff-Varga limit of the
+    zeros' support for alpha/n -> A = 2a/n and beta/n -> B = 2b/n:
+    tan(c/2)^2 = (1 + B)/(1 + A) and tan(h/2)^2 = 1/(1 + A + B).  So at
+    p >> n the points sit at 1 + x ~ n/p, where the zeros are, and not at
+    the (n/p)^2 of the plain grid.  Chebyshev points scaled by 1 - 1/n
+    where the result is not ordered and interior (at p = 1e300, say, every
+    point rounds onto -1), and where both A and B reach 1: with both
+    charges that large the rounding of the field terms, ~(p + q) eps,
+    swamps the line search's energy test near the minimizer, and from the
+    squeezed grid some solves at p = q >= 1e5 end at ``max_iter`` where
+    they converge from the Chebyshev points."""
+    ps, qs = min(p, 0.75), min(q, 0.75)
+    A, B = 2 * (p - ps) / n, 2 * (q - qs) / n  # inf past 1e308; then x is NaN or -1
+    centre = 2 * math.atan(math.sqrt((1 + B) / (1 + A)))
+    half = 2 * math.atan(1 / math.sqrt(1 + A + B))
     k = np.arange(1, n + 1)
-    with np.errstate(all="ignore"):  # charges near 1e308 overflow n + p + q
-        x = -np.cos((k + (q - 0.75)) * (np.pi / (n + p + q - 0.5)))
-    if _feasible(x) and min(1.0 + x[-1], 1.0 - x[0]) > 4 * _STEP_FLOOR:
+    x = -np.cos((centre - half) + (k + (qs - 0.75)) * (2 * half / (n + ps + qs - 0.5)))
+    if min(A, B) < 1 and _feasible(x):
         return x
     return -np.cos((2 * k - 1) * np.pi / (2 * n)) * (1.0 - 1.0 / n)
 
@@ -191,10 +204,11 @@ def minimize_potential(n: int, p: float, q: float, tol: float = _DEFAULT_TOL,
     """Minimize the (p, q) external-field energy of n interior unit charges.
 
     Damped Newton with the ordering constraint maintained by step halving
-    (never by re-sorting).  Starts from the angle grid of :func:`_start`,
-    or Chebyshev points where the grid is not a safe start; converged
-    solves at moderate charges take 3-5 Newton steps from it for n = 50 to
-    1000 (6-15 from Chebyshev points), and 27 at (12, 1e8, 0.5) (124).
+    (never by re-sorting).  Starts from the squeezed angle grid of
+    :func:`_start`, or Chebyshev points where it is not a safe start;
+    converged solves at moderate charges take 4-5 Newton steps from it
+    for n = 12 to 1000 (5-15 from Chebyshev points), and 5 at
+    (12, 1e8, 0.5) (124).
     Converged means ||grad||_inf <= tol, or a Newton step with
     ||dx||_inf <= 16 eps: the gradient terms grow like n^2, so past n ~ 90
     rounding keeps ||grad||_inf above the default tol even at the exact

@@ -133,7 +133,7 @@ class TestMinimizePotential:
     def test_stop_reasons(self):
         assert optim.minimize_potential(20, 0.75, 1.5).stop == "gradient"
         assert optim.minimize_potential(300, 1.0, 1.0).stop == "step"
-        # the uncapped solve takes 3 Newton steps
+        # the uncapped solve takes 4 Newton steps
         capped = optim.minimize_potential(300, 1.0, 1.0, max_iter=2)
         assert capped.stop == "max_iter"
         assert not capped.converged
@@ -208,33 +208,41 @@ def _chebyshev(n):
 
 class TestStart:
     @pytest.mark.parametrize("n", [1, 2, 5, 128, 1000])
-    def test_ordered_interior_grid_or_fallback(self, n):
+    def test_ordered_and_interior(self, n):
         for p, q in itertools.product(map(float, _P_GRID), map(float, _Q_GRID)):
             x = optim._start(n, p, q)
             assert optim._feasible(x), (n, p, q)
-            assert (np.allclose(x, _angle_grid(n, p, q), rtol=0, atol=1e-15)
-                    or np.array_equal(x, _chebyshev(n))), (n, p, q)
+            if p <= 0.75 and q <= 0.75:  # nothing to squeeze: the plain grid
+                assert np.allclose(x, _angle_grid(n, p, q), rtol=0, atol=1e-15), (n, p, q)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 128, 1000])
     def test_fallback_where_the_grid_rounds_onto_an_end(self, n):
-        # every angle of the grid is below 1e-297: every point rounds onto -1
+        # every angle is below 1e-149: every point rounds onto -1
         assert np.array_equal(optim._start(n, 1e300, 1e-300), _chebyshev(n))
 
-    def test_fallback_where_the_grid_is_pressed_onto_an_end(self):
-        # the grid's points lie within 3e-15 of -1: a Newton step from there
-        # is about as small, and would stop the solve at once as "step"
-        assert _angle_grid(2, 1e8, 1.0)[-1] + 1 < 4 * optim._STEP_FLOOR
-        assert np.array_equal(optim._start(2, 1e8, 1.0), _chebyshev(2))
-        report = optim.minimize_potential(2, 1e8, 1.0)
-        target = jacobi.zeros(2, JacobiParams.from_charges(1e8, 1.0)).points
-        assert report.converged
-        assert max(abs(a - b) for a, b in zip(report.points, target)) <= 1e-12
+    @pytest.mark.parametrize("n,p,q", [
+        (2, 1e8, 1.0), (12, 1e8, 0.5), (50, 1e12, 1.0), (5, 3.0, 1e9), (5, 1e9, 2.0)])
+    def test_gaps_at_the_scale_of_the_zeros(self, n, p, q):
+        # the plain grid puts 1 + x_1 at ~(n/p)^2, the zeros sit at ~n/p;
+        # measured ratios 0.89-1.54
+        x = optim._start(n, p, q)
+        z = np.array(jacobi.zeros(n, JacobiParams.from_charges(p, q)).points)
+        for ratio in ((1 + x) / (1 + z), (1 - x) / (1 - z)):
+            assert 0.5 <= ratio.min() and ratio.max() <= 2.0
+
+    @pytest.mark.parametrize("n,p,q", [(5, 1e6, 1e6), (5, 3.2e6, 3.2e6), (20, 1e5, 1e5), (8, 20.0, 60.0)])
+    def test_chebyshev_where_both_charges_exceed_the_points(self, n, p, q):
+        # from the squeezed grid the first three end at max_iter, 3e-14 to
+        # 3e-10 from the zeros; from the Chebyshev points they converge
+        assert np.array_equal(optim._start(n, p, q), _chebyshev(n))
+        assert optim.minimize_potential(n, p, q).converged
 
     def test_no_warning_at_the_largest_charges(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n in (1, 5, 128):
                 assert optim._feasible(optim._start(n, 1e308, 1e308))
+                assert optim._feasible(optim._start(n, 1e308, 0.5))
 
     @pytest.mark.parametrize("n", [1, 5, 128, 1000])
     def test_exact_at_three_quarter_charges(self, n):
@@ -247,13 +255,29 @@ class TestStart:
         (lambda: optim.minimize_potential(128, 1.0, 1.0), 4),
         (lambda: optim.minimize_potential(1000, 0.85, 1.15), 4),
         (lambda: optim.fekete_maximize(109), 4),
-        (lambda: optim.minimize_potential(12, 1e8, 0.5), 27),
+        (lambda: optim.minimize_potential(12, 1e8, 0.5), 5),
     ], ids=["128-1-1", "1000-0.85-1.15", "fekete-109", "12-1e8-0.5"])
     def test_newton_steps(self, solve, ceiling):
-        # measured from the grid; from the Chebyshev points: 9, 11, 9 and 124
+        # measured; from the Chebyshev points: 9, 11, 9 and 124
         report = solve()
         assert report.converged
         assert report.iterations <= ceiling
+
+    @pytest.mark.parametrize("n,p", [(4, 1.78e7), (5, 1.78e7), (4, 10 ** 7.25), (5, 10 ** 7.25)])
+    def test_converges_at_a_vanishing_charge_against_a_large_one(self, n, p):
+        # 134-138 steps; 183-197 from the Chebyshev points; the plain grid,
+        # at (n/p)^2 from -1, ran out of its 200
+        report = optim.minimize_potential(n, p, 1e-9)
+        assert report.converged
+        assert report.iterations <= 150
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_gradient_stop_matches_the_zeros(self, n):
+        # from the Chebyshev points these land 1.1e-16, 5.6e-13 and 7.5e-15 off
+        report = optim.minimize_potential(n, 0.5, 1.0)
+        target = jacobi.zeros(n, JacobiParams.from_charges(0.5, 1.0)).points
+        assert report.converged
+        assert max(abs(a - b) for a, b in zip(report.points, target)) <= 1e-12
 
 
 class TestFeketeMaximize:

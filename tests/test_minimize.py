@@ -230,7 +230,8 @@ class TestStart:
         for ratio in ((1 + x) / (1 + z), (1 - x) / (1 - z)):
             assert 0.5 <= ratio.min() and ratio.max() <= 2.0
 
-    @pytest.mark.parametrize("n,p,q", [(5, 1e6, 1e6), (5, 3.2e6, 3.2e6), (20, 1e5, 1e5), (8, 20.0, 60.0)])
+    @pytest.mark.parametrize("n,p,q", [
+        (5, 1e6, 1e6), (5, 3.2e6, 3.2e6), (20, 1e5, 1e5), (8, 20.0, 60.0)])
     def test_chebyshev_where_both_charges_exceed_the_points(self, n, p, q):
         # from the squeezed grid the first three end at max_iter, 3e-14 to
         # 3e-10 from the zeros; from the Chebyshev points they converge

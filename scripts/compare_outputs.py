@@ -51,6 +51,8 @@ coeffs --kind potential --p 1e77 --q 1 --order 4
 zeros --n 5 --p 1 --q 1e300
 zeros --n {huge} --p 1 --q 1
 minimize --n 5 --p 1e-300 --q 1e-300
+minimize --n 12 --p 1e300 --q 1e-300
+minimize --n 5 --p 1e308 --q 1e308
 exact --n 1000,10000,100000 --p 1 --q 1.5 --precision ext
 verify --kind potential --p 1 --q 1.5 --n 12500,25000,50000,100000 --order 3 --precision ext
 exact --n 2..6 --p 1e-300 --q 0.5
@@ -73,6 +75,8 @@ minimize --n 12 --p 1 --q 1 --format json
 verify --kind interval --N 20,40,80,160,320 --order 2
 verify --kind general-interval --a 0 --b 3 --N 20,40,80,160 --order 2
 verify --kind minimize --n 2..20
+verify --kind minimize --n 100,300 --p 4 --q 0.75
+verify --kind minimize --n 2..12 --p 1e6 --q 1e6
 """.format(huge=10 ** 160)
 
 #: usage errors, failed checks and bad values: exit 1 or 2

@@ -167,7 +167,9 @@ def potential_energy_exact(n: int, p: float, q: float) -> Scalar:
     """
     n = check_size(n, "n", 1)
     check_finite_above(0, "endpoint charges", p=p, q=q)
-    return active().guarded(lambda p, q: _potential_mp(n, p, q), p, q, size=2 * p + 2 * q)
+    # the size alpha + beta + 2 = 2(p + q) in mpf: in float64 it overflows past 9e307
+    return active().guarded(lambda p, q: _potential_mp(n, p, q), p, q,
+                            size=2 * (mpmath.mpf(p) + q))
 
 
 def elliptic_log_energy_exact(n: int, p: float, q: float) -> Scalar:
@@ -182,7 +184,7 @@ def elliptic_log_energy_exact(n: int, p: float, q: float) -> Scalar:
         lam, disc, _, _ = jacobi.log_values_mp(n, 2 * p, 2 * q)
         return 2 * (n - 1) * lam - disc
 
-    return active().guarded(body, p, q, size=2 * p + 2 * q)
+    return active().guarded(body, p, q, size=2 * (mpmath.mpf(p) + q))
 
 
 def interval_energy_exact(N: int) -> Scalar:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the input validator."""
+"""Exception types shared across the package, the input validators and an ordering test."""
 import math
 from numbers import Integral
 
@@ -40,3 +40,9 @@ def check_finite_above(bound: float, what: str, **values) -> None:
         if not bound < v < math.inf:
             got = ", ".join(f"{name}={v}" for name, v in values.items())
             raise DomainError(f"{what} must be finite and > {bound}, got {got}")
+
+
+def ordered_interior(x) -> bool:
+    """Numpy array ``x`` strictly ascending inside (-1, 1): an ordered ``x`` is
+    interior exactly when its ends are, and a NaN fails a comparison."""
+    return bool(x[0] > -1.0 and x[-1] < 1.0 and (x[1:] > x[:-1]).all())

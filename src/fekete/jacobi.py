@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import mpmath
 from mpmath.libmp import ln2_fixed
 
-from .exceptions import CapacityError, NumericalError, check_finite_above, check_size
+from .exceptions import (CapacityError, NumericalError, check_finite_above, check_size,
+                         ordered_interior)
 from .precision import Scalar, active
 from .specfun import fixed_bits, log_gamma_g_fixed, memo
 
@@ -169,10 +170,6 @@ def _newton_step(diag, off, x):
         return eps * cur.real / cur.imag
 
 
-def _ordered_interior(x) -> bool:
-    return bool(x[0] > -1 and x[-1] < 1 and (x[1:] > x[:-1]).all())
-
-
 def zeros(n: int, params: JacobiParams) -> ZeroSet:
     """Zeros of P_n^(alpha,beta), ascending.
 
@@ -212,12 +209,12 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
     # (coincident eigenvalues take a Newton step of inf)
     if step_bound < 1e-8:
         x -= step
-    elif _ordered_interior(x):
+    elif ordered_interior(x):
         raise NumericalError(
             f"Newton step {step_bound:.3e} at an eigenvalue is not below 1e-8 "
             f"for n={n}, alpha={alpha}, beta={beta}"
         )
-    if not (step_bound < 1e-8 and _ordered_interior(x)):
+    if not (step_bound < 1e-8 and ordered_interior(x)):
         raise CapacityError(
             f"the zeros for n={n}, alpha={alpha}, beta={beta} are not ordered, "
             f"interior float64s: they lie closer than float64 resolves"

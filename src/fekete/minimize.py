@@ -26,13 +26,15 @@ import numpy as np
 
 from . import energy
 from .energy import Configuration
-from .exceptions import CapacityError, DomainError, check_finite_above, check_size
+from .exceptions import (CapacityError, DomainError, check_finite_above, check_size,
+                         ordered_interior)
 
 _MAX_ITER = 200
 _DEFAULT_TOL = 1e-10
 #: a Newton step this small (in the max norm, on points in [-1, 1]) is
 #: float64 rounding noise: the iterate is the minimizer to working precision
-_STEP_FLOOR = 16 * float(np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)
+_STEP_FLOOR = 16 * _EPS
 
 
 @dataclass(frozen=True)
@@ -56,13 +58,6 @@ class SolveReport:
     @property
     def points(self) -> tuple[float, ...]:
         return self.configuration.points
-
-
-def _check_interior(points) -> None:
-    if any(not (-1.0 < x < 1.0) for x in points):
-        raise DomainError("points must be strictly interior to [-1, 1]")
-    if len(set(points)) != len(points):
-        raise DomainError("points must be pairwise distinct")
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
@@ -109,16 +104,11 @@ def gradient(config: Configuration) -> np.ndarray:
     """
     if config.charges is None:
         raise DomainError("gradient needs a charged configuration")
-    _check_interior(config.points)
     p, q = config.charges
     x = np.asarray(config.points, dtype=float)
+    if not ordered_interior(np.sort(x)):
+        raise DomainError("points must be pairwise distinct and strictly interior to [-1, 1]")
     return _gradient(x, _differences(x), p, q)
-
-
-def _feasible(x: np.ndarray) -> bool:
-    """Strictly ascending and inside (-1, 1): an ordered ``x`` is interior
-    exactly when its ends are, and a NaN fails a comparison."""
-    return bool(x[0] > -1.0 and x[-1] < 1.0 and (x[1:] > x[:-1]).all())
 
 
 def _newton(x0: np.ndarray, p: float, q: float, tol: float, max_iter: int) -> SolveReport:
@@ -144,13 +134,16 @@ def _newton(x0: np.ndarray, p: float, q: float, tol: float, max_iter: int) -> So
             stop = "max_iter"
             break
         iterations += 1
+        # the energy's rounding: eps per pair term, and eps p/(1 - x) or eps q/(1 + x)
+        # per field term through its rounded 1 -+ x; an overflowed bound takes no step
+        slack = 8 * _EPS * (len(x) ** 2 + (p / (1.0 - x)).sum() + (q / (1.0 + x)).sum())
         t = 1.0
-        while t > 1e-16:
+        while t > 1e-16 and slack < math.inf:
             candidate = x + t * step
-            if _feasible(candidate):
+            if ordered_interior(candidate):
                 d = _differences(candidate)
                 candidate_value = _energy(candidate, d, p, q)
-                if candidate_value <= value + 1e-14 * (1.0 + abs(value)):
+                if candidate_value <= value + slack:
                     break
             t *= 0.5
         else:
@@ -182,19 +175,15 @@ def _start(n: int, p: float, q: float) -> np.ndarray:
     tan(c/2)^2 = (1 + B)/(1 + A) and tan(h/2)^2 = 1/(1 + A + B).  So at
     p >> n the points sit at 1 + x ~ n/p, where the zeros are, and not at
     the (n/p)^2 of the plain grid.  Chebyshev points scaled by 1 - 1/n
-    where the result is not ordered and interior (at p = 1e300, say, every
-    point rounds onto -1), and where both A and B reach 1: with both
-    charges that large the rounding of the field terms, ~(p + q) eps,
-    swamps the line search's energy test near the minimizer, and from the
-    squeezed grid some solves at p = q >= 1e5 end at ``max_iter`` where
-    they converge from the Chebyshev points."""
+    where the result is not ordered and interior: at p = 1e300, say, every
+    point rounds onto -1, and at p = q = 1e50 onto one value near 0."""
     ps, qs = min(p, 0.75), min(q, 0.75)
     A, B = 2 * (p - ps) / n, 2 * (q - qs) / n  # inf past 1e308; then x is NaN or -1
     centre = 2 * math.atan(math.sqrt((1 + B) / (1 + A)))
     half = 2 * math.atan(1 / math.sqrt(1 + A + B))
     k = np.arange(1, n + 1)
     x = -np.cos((centre - half) + (k + (qs - 0.75)) * (2 * half / (n + ps + qs - 0.5)))
-    if min(A, B) < 1 and _feasible(x):
+    if ordered_interior(x):
         return x
     return -np.cos((2 * k - 1) * np.pi / (2 * n)) * (1.0 - 1.0 / n)
 
@@ -204,8 +193,11 @@ def minimize_potential(n: int, p: float, q: float, tol: float = _DEFAULT_TOL,
     """Minimize the (p, q) external-field energy of n interior unit charges.
 
     Damped Newton with the ordering constraint maintained by step halving
-    (never by re-sorting).  Starts from the squeezed angle grid of
-    :func:`_start`, or Chebyshev points where it is not a safe start;
+    (never by re-sorting): a step is halved until it lands ordered and
+    interior and raises the energy by at most 8 eps (n^2 + sum p/(1 - x_i)
+    + q/(1 + x_i)), its rounding at the current iterate (no step where that
+    overflows).  Starts from the squeezed angle grid of :func:`_start`, or
+    Chebyshev points where it is not ordered and interior;
     converged solves at moderate charges take 4-5 Newton steps from it
     for n = 12 to 1000 (5-15 from Chebyshev points), and 5 at
     (12, 1e8, 0.5) (124).
@@ -223,7 +215,9 @@ def minimize_potential(n: int, p: float, q: float, tol: float = _DEFAULT_TOL,
     max_iter = check_size(max_iter, "max_iter", 0)
     if n * n > sys.maxsize // 8:  # numpy's arrays hold at most sys.maxsize bytes
         raise CapacityError(f"n={n} is past the sizes numpy can index")
-    return _newton(_start(n, p, q), p, q, tol, max_iter)
+    # terms past float64 are inf or NaN, which fail the loop's comparisons
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _newton(_start(n, p, q), p, q, tol, max_iter)
 
 
 def fekete_maximize(N: int, tol: float = _DEFAULT_TOL) -> SolveReport:

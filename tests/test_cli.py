@@ -205,7 +205,7 @@ def test_kind_rejects_inputs_it_does_not_name(runner, args, flags):
 
 
 #: extreme but finite charges: p x q over this grid
-_P_GRID = ("1e-300", "1e-17", "1e-9", "0.5", "1", "1e8", "1e77", "1e200", "1e300")
+_P_GRID = ("1e-300", "1e-17", "1e-9", "0.5", "1", "1e8", "1e77", "1e200", "1e300", "1e308")
 _Q_GRID = ("1e-300", "1", "1e300")
 _HUGE = str(10 ** 160)
 #: every command that takes charges, at small n and orders

@@ -9,7 +9,7 @@ import pytest
 
 from fekete import energy, jacobi, minimize as optim
 from fekete.energy import Configuration
-from fekete.exceptions import DomainError
+from fekete.exceptions import DomainError, ordered_interior
 from fekete.jacobi import JacobiParams
 from fekete.precision import precision_mode
 
@@ -211,7 +211,7 @@ class TestStart:
     def test_ordered_and_interior(self, n):
         for p, q in itertools.product(map(float, _P_GRID), map(float, _Q_GRID)):
             x = optim._start(n, p, q)
-            assert optim._feasible(x), (n, p, q)
+            assert ordered_interior(x), (n, p, q)
             if p <= 0.75 and q <= 0.75:  # nothing to squeeze: the plain grid
                 assert np.allclose(x, _angle_grid(n, p, q), rtol=0, atol=1e-15), (n, p, q)
 
@@ -232,18 +232,44 @@ class TestStart:
 
     @pytest.mark.parametrize("n,p,q", [
         (5, 1e6, 1e6), (5, 3.2e6, 3.2e6), (20, 1e5, 1e5), (8, 20.0, 60.0)])
-    def test_chebyshev_where_both_charges_exceed_the_points(self, n, p, q):
-        # from the squeezed grid the first three end at max_iter, 3e-14 to
-        # 3e-10 from the zeros; from the Chebyshev points they converge
-        assert np.array_equal(optim._start(n, p, q), _chebyshev(n))
-        assert optim.minimize_potential(n, p, q).converged
+    def test_grid_where_both_charges_exceed_the_points(self, n, p, q):
+        # with a line-search slack of 1e-14 (1 + |E|), below the energy's
+        # rounding here, the first three ended at max_iter from this grid;
+        # measured: 4 steps each
+        assert not np.array_equal(optim._start(n, p, q), _chebyshev(n))
+        report = optim.minimize_potential(n, p, q)
+        assert report.converged
+        assert report.iterations <= 4
+
+    def test_fallback_where_the_grid_rounds_onto_one_value(self):
+        # -cos near pi/2 rounds every angle of the grid onto one point
+        assert np.array_equal(optim._start(5, 1e50, 1e50), _chebyshev(5))
+        assert optim.minimize_potential(5, 1e50, 1e50).converged
+
+    def test_converges_at_large_equal_and_unequal_charges(self):
+        # 273 solves; with the constant slack 20 of them ended at max_iter
+        charges = [(c, c) for c in (10.0 ** e for e in range(13))]
+        charges += [(c, 3 * c) for c, _ in charges] + [(3 * c, c) for c, _ in charges]
+        failed = [(n, p, q) for n in (2, 3, 5, 8, 12, 20, 40) for p, q in charges
+                  if not optim.minimize_potential(n, p, q).converged]
+        assert failed == []
 
     def test_no_warning_at_the_largest_charges(self):
+        others = (1e-300, 0.5, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n in (1, 5, 128):
-                assert optim._feasible(optim._start(n, 1e308, 1e308))
-                assert optim._feasible(optim._start(n, 1e308, 0.5))
+                assert ordered_interior(optim._start(n, 1e308, 1e308))
+                assert ordered_interior(optim._start(n, 1e308, 0.5))
+            for big in (float(f"1e{e}") for e in range(300, 309)):
+                pairs = [(big, big)] + [(big, c) for c in others] + [(c, big) for c in others]
+                for n, (p, q) in itertools.product((1, 2, 5, 12, 128), pairs):
+                    optim.minimize_potential(n, p, q)
+
+    def test_overflowed_slack_accepts_no_step(self):
+        # the field terms of the line-search slack sum past float64
+        report = optim.minimize_potential(128, 1e305, 1e305)
+        assert (report.stop, report.converged, report.iterations) == ("line_search", False, 1)
 
     @pytest.mark.parametrize("n", [1, 5, 128, 1000])
     def test_exact_at_three_quarter_charges(self, n):
@@ -257,9 +283,11 @@ class TestStart:
         (lambda: optim.minimize_potential(1000, 0.85, 1.15), 4),
         (lambda: optim.fekete_maximize(109), 4),
         (lambda: optim.minimize_potential(12, 1e8, 0.5), 5),
-    ], ids=["128-1-1", "1000-0.85-1.15", "fekete-109", "12-1e8-0.5"])
+        (lambda: optim.minimize_potential(1000, 1e3, 1e3), 7),
+    ], ids=["128-1-1", "1000-0.85-1.15", "fekete-109", "12-1e8-0.5", "1000-1e3-1e3"])
     def test_newton_steps(self, solve, ceiling):
-        # measured; from the Chebyshev points: 9, 11, 9 and 124
+        # measured; from the Chebyshev points: 9, 11, 9 and 124; 1000-1e3-1e3
+        # took 16 with a line-search slack of 1e-14 (1 + |E|)
         report = solve()
         assert report.converged
         assert report.iterations <= ceiling

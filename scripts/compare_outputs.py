@@ -53,6 +53,7 @@ zeros --n {huge} --p 1 --q 1
 minimize --n 5 --p 1e-300 --q 1e-300
 minimize --n 12 --p 1e300 --q 1e-300
 minimize --n 5 --p 1e308 --q 1e308
+minimize --n 3 --p 1e6 --q 1e6
 exact --n 1000,10000,100000 --p 1 --q 1.5 --precision ext
 verify --kind potential --p 1 --q 1.5 --n 12500,25000,50000,100000 --order 3 --precision ext
 exact --n 2..6 --p 1e-300 --q 0.5
@@ -96,6 +97,7 @@ verify --kind interval --n 20,40,80 --order 1 --slope-tol 0.000001
 verify --kind interval --n 20,40,80 --order 1 --tol nan
 zeros --n 0 --p 1 --q 1
 minimize --n 3
+minimize --n 12 --p 1 --q 1 --tol 1e-10
 bogus
 """
 

@@ -38,7 +38,7 @@ class RunConfig:
     order: int = 0
     a: float | None = None
     b: float | None = None
-    tol: float = 1e-8
+    tol: float = 1e-8  # verify --kind minimize: the points' deviation from the zeros
     slope_tol: float = 0.15
 
 
@@ -272,7 +272,7 @@ def cmd_minimize(cfg: RunConfig) -> dict:
     from . import minimize as optim
 
     (n,) = cfg.values
-    report = optim.minimize_potential(n, cfg.p, cfg.q, tol=cfg.tol)
+    report = optim.minimize_potential(n, cfg.p, cfg.q)
     return {
         "n": n,
         "p": cfg.p,
@@ -280,7 +280,7 @@ def cmd_minimize(cfg: RunConfig) -> dict:
         "converged": report.converged,
         "stop": report.stop,
         "iterations": report.iterations,
-        "grad_norm": _json_scalar(report.grad_norm),
+        "step_norm": _json_scalar(report.step_norm),
         "energy": _json_scalar(report.energy),
         "points": [_json_scalar(x) for x in report.points],
     }
@@ -394,7 +394,6 @@ COMMANDS = {
     "minimize": (cmd_minimize,
                  "Run the electrostatic Newton solver and report the configuration.", (
         (("--n",), dict(dest="n_value", type=int, required=True)),
-        (("--tol",), dict(type=float, default=1e-10)),
         *_SHARED_OPTIONS)),
     "verify": (cmd_verify, "Check truncation-order decay (or minimizer agreement) and set "
                            "the exit status accordingly.", (

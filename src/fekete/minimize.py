@@ -10,7 +10,8 @@ The optimizer is its own float64 kernel in every precision mode: one
 matrix of pairwise differences per iterate gives the energy, the gradient
 and the Hessian.  The Hessian is positive definite throughout the ordered
 interior chamber, so Newton with feasibility damping converges to the
-unique minimum from any interior start.  The start is a closed form in
+unique minimum from any interior start, and stops on a Newton step at
+float64 rounding.  The start is a closed form in
 (n, p, q), the electrostatic angle grid of :func:`_start` squeezed onto
 the interval that large charges leave to the points; it calls nothing in
 :mod:`fekete.jacobi`, so the minimizer stays a route to the zeros
@@ -30,7 +31,6 @@ from .exceptions import (CapacityError, DomainError, check_finite_above, check_s
                          ordered_interior)
 
 _MAX_ITER = 200
-_DEFAULT_TOL = 1e-10
 #: a Newton step this small (in the max norm, on points in [-1, 1]) is
 #: float64 rounding noise: the iterate is the minimizer to working precision
 _EPS = float(np.finfo(float).eps)
@@ -39,18 +39,21 @@ _STEP_FLOOR = 16 * _EPS
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one solve: final points, iteration count, gradient norm.
+    """Outcome of one solve: final points, iteration count, last Newton step.
 
-    ``stop`` says why the solve ended: ``"gradient"`` (||grad||_inf <= tol),
-    ``"step"`` (the Newton step fell to the float64 noise floor),
-    ``"max_iter"``, ``"line_search"`` (no acceptable step length) or
-    ``"singular"`` (the Hessian is singular in float64).  The first two
-    count as converged.  It is empty for a report built by hand.
+    ``stop`` says why the solve ended: ``"step"`` (converged: the Newton
+    step fell to the float64 noise floor), ``"max_iter"``, ``"line_search"``
+    (no acceptable step length) or ``"singular"`` (the Hessian is singular
+    in float64, and ``step_norm`` NaN).  It is empty for a report built by
+    hand.  ``step_norm`` is ||dx||_inf of the last Newton step solved from
+    the final points: as diag(1 - x^2) H has the eigenvalues
+    k (2n + alpha + beta + 1 - k) at the minimizer (Ahmed et al., Nuovo
+    Cimento B 49, 1979), a first-order distance to it.
     """
 
     configuration: Configuration
     iterations: int
-    grad_norm: float
+    step_norm: float
     converged: bool
     energy: float
     stop: str = ""
@@ -111,23 +114,21 @@ def gradient(config: Configuration) -> np.ndarray:
     return _gradient(x, _differences(x), p, q)
 
 
-def _newton(x0: np.ndarray, p: float, q: float, tol: float, max_iter: int) -> SolveReport:
+def _newton(x0: np.ndarray, p: float, q: float, max_iter: int) -> SolveReport:
     """The Newton loop of :func:`minimize_potential`, from the ordered interior ``x0``."""
     x, d = x0, _differences(x0)
     value = _energy(x, d, p, q)
-    grad = _gradient(x, d, p, q)
     iterations = 0
     while True:
-        if np.abs(grad).max() <= tol:
-            stop = "gradient"
-            break
+        grad = _gradient(x, d, p, q)
         # H takes over d's memory: the line search builds the next matrix
         try:
             step = np.linalg.solve(_hessian(x, d, p, q), -grad)
         except np.linalg.LinAlgError:
-            stop = "singular"
+            step_norm, stop = math.nan, "singular"
             break
-        if np.abs(step).max() <= _STEP_FLOOR:
+        step_norm = float(np.abs(step).max())
+        if step_norm <= _STEP_FLOOR:
             stop = "step"
             break
         if iterations >= max_iter:
@@ -151,12 +152,11 @@ def _newton(x0: np.ndarray, p: float, q: float, tol: float, max_iter: int) -> So
             break
         x = candidate
         value = candidate_value
-        grad = _gradient(x, d, p, q)
     return SolveReport(
         configuration=Configuration(tuple(x.tolist()), charges=(p, q)),
         iterations=iterations,
-        grad_norm=float(np.abs(grad).max()),
-        converged=stop in ("gradient", "step"),
+        step_norm=step_norm,
+        converged=stop == "step",
         energy=value,
         stop=stop,
     )
@@ -174,22 +174,23 @@ def _start(n: int, p: float, q: float) -> np.ndarray:
     zeros' support for alpha/n -> A = 2a/n and beta/n -> B = 2b/n:
     tan(c/2)^2 = (1 + B)/(1 + A) and tan(h/2)^2 = 1/(1 + A + B).  So at
     p >> n the points sit at 1 + x ~ n/p, where the zeros are, and not at
-    the (n/p)^2 of the plain grid.  Chebyshev points scaled by 1 - 1/n
-    where the result is not ordered and interior: at p = 1e300, say, every
-    point rounds onto -1, and at p = q = 1e50 onto one value near 0."""
+    the (n/p)^2 of the plain grid.  Formed as sin(theta - pi/2) from
+    c - pi/2, which is 0 at p = q, the grid is then exactly antisymmetric.
+    Chebyshev points scaled by 1 - 1/n where the result is not ordered
+    and interior: at p = 1e300, say, every point rounds onto -1, and at
+    p = 1e50, q = 1.0000001e50 onto one value near 0."""
     ps, qs = min(p, 0.75), min(q, 0.75)
     A, B = 2 * (p - ps) / n, 2 * (q - qs) / n  # inf past 1e308; then x is NaN or -1
-    centre = 2 * math.atan(math.sqrt((1 + B) / (1 + A)))
+    offset = 2 * math.atan(math.sqrt((1 + B) / (1 + A))) - math.pi / 2
     half = 2 * math.atan(1 / math.sqrt(1 + A + B))
     k = np.arange(1, n + 1)
-    x = -np.cos((centre - half) + (k + (qs - 0.75)) * (2 * half / (n + ps + qs - 0.5)))
+    x = np.sin(offset + (2 * k - n - 1 + (qs - ps)) * (half / (n + ps + qs - 0.5)))
     if ordered_interior(x):
         return x
-    return -np.cos((2 * k - 1) * np.pi / (2 * n)) * (1.0 - 1.0 / n)
+    return np.sin((2 * k - n - 1) * np.pi / (2 * n)) * (1.0 - 1.0 / n)
 
 
-def minimize_potential(n: int, p: float, q: float, tol: float = _DEFAULT_TOL,
-                       max_iter: int = _MAX_ITER) -> SolveReport:
+def minimize_potential(n: int, p: float, q: float, max_iter: int = _MAX_ITER) -> SolveReport:
     """Minimize the (p, q) external-field energy of n interior unit charges.
 
     Damped Newton with the ordering constraint maintained by step halving
@@ -201,26 +202,24 @@ def minimize_potential(n: int, p: float, q: float, tol: float = _DEFAULT_TOL,
     converged solves at moderate charges take 4-5 Newton steps from it
     for n = 12 to 1000 (5-15 from Chebyshev points), and 5 at
     (12, 1e8, 0.5) (124).
-    Converged means ||grad||_inf <= tol, or a Newton step with
-    ||dx||_inf <= 16 eps: the gradient terms grow like n^2, so past n ~ 90
-    rounding keeps ||grad||_inf above the default tol even at the exact
-    minimizer, while the step there stays at about 1e-16.  A non-converged
-    run is reported, not raised; ``SolveReport.stop`` names the rule that
-    ended it.  An n whose n x n matrices numpy cannot index raises
+    Converged means a Newton step with ||dx||_inf <= 16 eps, the float64
+    noise floor of points in [-1, 1], at any n and charges; a gradient bound
+    is not scale free, its terms grow like n^2.  A non-converged run is
+    reported, not raised; ``SolveReport.stop`` names the rule that ended
+    it.  An n whose n x n matrices numpy cannot index raises
     :class:`CapacityError`.
     """
     n = check_size(n, "n", 1)
     check_finite_above(0, "charges", p=p, q=q)
-    check_finite_above(0, "tolerance", tol=tol)
     max_iter = check_size(max_iter, "max_iter", 0)
     if n * n > sys.maxsize // 8:  # numpy's arrays hold at most sys.maxsize bytes
         raise CapacityError(f"n={n} is past the sizes numpy can index")
     # terms past float64 are inf or NaN, which fail the loop's comparisons
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _newton(_start(n, p, q), p, q, tol, max_iter)
+        return _newton(_start(n, p, q), p, q, max_iter)
 
 
-def fekete_maximize(N: int, tol: float = _DEFAULT_TOL) -> SolveReport:
+def fekete_maximize(N: int) -> SolveReport:
     """Maximize the product of all mutual distances of N points in [-1, 1].
 
     The maximizer always contains both endpoints (otherwise rescaling the
@@ -234,12 +233,12 @@ def fekete_maximize(N: int, tol: float = _DEFAULT_TOL) -> SolveReport:
         return SolveReport(
             configuration=config,
             iterations=0,
-            grad_norm=0.0,
+            step_norm=0.0,
             converged=True,
             energy=float(energy.log_energy_config(config)),
-            stop="gradient",
+            stop="step",
         )
-    inner = minimize_potential(N - 2, 1.0, 1.0, tol=tol)
+    inner = minimize_potential(N - 2, 1.0, 1.0)
     config = Configuration((-1.0,) + inner.points + (1.0,))
     # the pairs with an endpoint are the (1, 1) field terms of the inner
     # energy; the one pair left, (-1, 1), adds -2 log 2

@@ -428,7 +428,8 @@ class TestTableAndZeros:
         assert result.exit_code == 0
         data = json.loads(result.output)
         assert data["converged"] is True
-        assert data["stop"] == "gradient"
+        assert data["stop"] == "step"
+        assert data["step_norm"] <= 16 * sys.float_info.epsilon
         assert data["points"][1] == pytest.approx(1 / math.sqrt(5), abs=1e-8)
 
     @pytest.mark.parametrize("precision", ["std", "ext"])

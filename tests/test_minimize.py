@@ -91,7 +91,7 @@ class TestMinimizePotential:
     def test_report_invariants(self):
         report = optim.minimize_potential(9, 1.2, 0.4)
         assert report.converged
-        assert report.grad_norm <= 1e-10
+        assert report.step_norm <= 16 * np.finfo(float).eps
         assert all(-1 < x < 1 for x in report.points)
         assert all(a < b for a, b in zip(report.points, report.points[1:]))
 
@@ -106,7 +106,7 @@ class TestMinimizePotential:
                 if n > 1 and np.min(np.diff(start)) < 1e-3:
                     continue
                 runs += 1
-                report = optim._newton(start, p, q, 1e-10, 200)
+                report = optim._newton(start, p, q, 200)
                 if not report.converged:
                     continue
                 if reference is None:
@@ -115,32 +115,37 @@ class TestMinimizePotential:
                     assert max(abs(a - b) for a, b in zip(report.points, reference)) <= 1e-7
 
     def test_iteration_cap_reported_not_raised(self):
-        report = optim.minimize_potential(6, 1, 1, tol=1e-10, max_iter=1)
+        report = optim.minimize_potential(6, 1, 1, max_iter=1)
         assert not report.converged
         assert report.iterations == 1
 
     @pytest.mark.parametrize("n", [100, 250, 500])
     @pytest.mark.parametrize("p,q", [(0.75, 1.25), (4.0, 0.75), (1.0, 1.0)])
     def test_converges_past_gradient_noise_floor(self, n, p, q):
-        # ||grad||_inf at the exact zeros exceeds the default tol here
+        # ||grad||_inf at the exact zeros exceeds 1e-10 here: the gradient
+        # terms grow like n^2, while the Newton step stays at rounding level
         report = optim.minimize_potential(n, p, q)
         target = jacobi.zeros(n, JacobiParams.from_charges(p, q)).points
         assert report.converged
-        assert report.stop in ("gradient", "step")
+        assert report.stop == "step"
         assert report.iterations <= 20
         assert max(abs(a - b) for a, b in zip(report.points, target)) <= 1e-8
 
     def test_stop_reasons(self):
-        assert optim.minimize_potential(20, 0.75, 1.5).stop == "gradient"
+        report = optim.minimize_potential(20, 0.75, 1.5)
+        assert (report.stop, report.converged) == ("step", True)
+        assert report.step_norm <= 16 * np.finfo(float).eps
         assert optim.minimize_potential(300, 1.0, 1.0).stop == "step"
         # the uncapped solve takes 4 Newton steps
         capped = optim.minimize_potential(300, 1.0, 1.0, max_iter=2)
         assert capped.stop == "max_iter"
         assert not capped.converged
         assert capped.iterations == 2
+        assert capped.step_norm > 16 * np.finfo(float).eps
         # charges this small vanish next to the pair terms: H is singular
         singular = optim.minimize_potential(5, 1e-300, 1e-300)
         assert (singular.stop, singular.converged, singular.iterations) == ("singular", False, 0)
+        assert math.isnan(singular.step_norm)
 
     def test_report_fields_are_builtin(self):
         reports = [optim.minimize_potential(150, 0.75, 1.25),
@@ -191,8 +196,11 @@ class TestMinimizePotential:
             optim.minimize_potential(0, 1, 1)
         with pytest.raises(DomainError):
             optim.minimize_potential(3, -1, 1)
-        with pytest.raises(DomainError):
-            optim.minimize_potential(3, 1, 1, tol=0)
+        # the Newton step is the one stop rule: there is no tolerance to give
+        with pytest.raises(TypeError):
+            optim.minimize_potential(3, 1, 1, tol=1e-10)
+        with pytest.raises(TypeError):
+            optim.fekete_maximize(5, tol=1e-10)
 
 
 def _angle_grid(n, p, q):
@@ -203,7 +211,7 @@ def _angle_grid(n, p, q):
 
 def _chebyshev(n):
     k = np.arange(1, n + 1)
-    return -np.cos((2 * k - 1) * np.pi / (2 * n)) * (1.0 - 1.0 / n)
+    return np.sin((2 * k - n - 1) * np.pi / (2 * n)) * (1.0 - 1.0 / n)
 
 
 class TestStart:
@@ -242,9 +250,24 @@ class TestStart:
         assert report.iterations <= 4
 
     def test_fallback_where_the_grid_rounds_onto_one_value(self):
-        # -cos near pi/2 rounds every angle of the grid onto one point
-        assert np.array_equal(optim._start(5, 1e50, 1e50), _chebyshev(5))
-        assert optim.minimize_potential(5, 1e50, 1e50).converged
+        # a centre 5e-8 off pi/2 and a half-width of 3e-25 round every point onto one
+        assert np.array_equal(optim._start(5, 1e50, 1.0000001e50), _chebyshev(5))
+        assert optim.minimize_potential(5, 1e50, 1.0000001e50).converged
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 127, 128])
+    def test_exactly_antisymmetric_at_equal_charges(self, n):
+        # the grid is formed from its centre's offset from pi/2, which is 0 at
+        # p = q; -cos(2 atan(1)) put the middle point at -6.1e-17; n = 1 at
+        # p = 1e308 is the Chebyshev fallback
+        for p in (1e-300, 0.5, 0.75, 1.0, 1e6, 1e50, 1e300, 1e308):
+            x = optim._start(n, p, p)
+            assert np.array_equal(x, -x[::-1]), p
+            assert n % 2 == 0 or x[n // 2] == 0.0, p
+
+    def test_exact_centre_at_large_equal_charges(self):
+        # the start stopped at once on x = -6.1e-17, with energy 2.2e-10
+        report = optim.minimize_potential(1, 1e6, 1e6)
+        assert (report.points, report.energy, report.converged) == ((0.0,), 0.0, True)
 
     def test_converges_at_large_equal_and_unequal_charges(self):
         # 273 solves; with the constant slack 20 of them ended at max_iter
@@ -268,7 +291,7 @@ class TestStart:
 
     def test_overflowed_slack_accepts_no_step(self):
         # the field terms of the line-search slack sum past float64
-        report = optim.minimize_potential(128, 1e305, 1e305)
+        report = optim.minimize_potential(128, 1e308, 1e308)
         assert (report.stop, report.converged, report.iterations) == ("line_search", False, 1)
 
     @pytest.mark.parametrize("n", [1, 5, 128, 1000])
@@ -300,13 +323,15 @@ class TestStart:
         assert report.converged
         assert report.iterations <= 150
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_gradient_stop_matches_the_zeros(self, n):
-        # from the Chebyshev points these land 1.1e-16, 5.6e-13 and 7.5e-15 off
-        report = optim.minimize_potential(n, 0.5, 1.0)
-        target = jacobi.zeros(n, JacobiParams.from_charges(0.5, 1.0)).points
-        assert report.converged
-        assert max(abs(a - b) for a, b in zip(report.points, target)) <= 1e-12
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_step_stop_matches_the_zeros(self, n):
+        # the gradient stop (||grad||_inf <= 1e-10) left (1, 0.5, 1) 1.6e-11 off
+        # and (5, 10, 10) 5.0e-13; the step stop lands at rounding level
+        for p, q in itertools.product((0.1, 0.5, 1.0, 10.0, 1e3, 1e8), repeat=2):
+            report = optim.minimize_potential(n, p, q)
+            target = jacobi.zeros(n, JacobiParams.from_charges(p, q)).points
+            assert report.converged, (n, p, q)
+            assert max(abs(a - b) for a, b in zip(report.points, target)) <= 1e-14, (n, p, q)
 
 
 class TestFeketeMaximize:

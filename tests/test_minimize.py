@@ -250,7 +250,7 @@ class TestStart:
         assert report.iterations <= 4
 
     def test_fallback_where_the_grid_rounds_onto_one_value(self):
-        # a centre 5e-8 off pi/2 and a half-width of 3e-25 round every point onto one
+        # a centre 5e-8 off pi/2 and a half-width of 2.2e-25 round every point onto one
         assert np.array_equal(optim._start(5, 1e50, 1.0000001e50), _chebyshev(5))
         assert optim.minimize_potential(5, 1e50, 1.0000001e50).converged
 

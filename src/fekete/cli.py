@@ -88,6 +88,10 @@ def _format_scalar(x) -> str:
 
 
 def _json_scalar(x):
+    """A float64 for JSON: the number in ``std``, the mode's digits in ``ext``,
+    and null where it is NaN or infinite, which JSON cannot write."""
+    if not math.isfinite(x):
+        return None
     return float(x) if active().mode == STD else _format_scalar(x)
 
 

@@ -7,15 +7,17 @@ mutual distances) is solved by fixing the endpoints analytically and
 minimizing the (1,1) field problem inside.
 
 The optimizer is its own float64 kernel in every precision mode: one
-matrix of pairwise differences per iterate gives the energy, the gradient
-and the Hessian.  The Hessian is positive definite throughout the ordered
-interior chamber, so Newton with feasibility damping converges to the
-unique minimum from any interior start, and stops on a Newton step at
-float64 rounding.  The start is a closed form in
-(n, p, q), the electrostatic angle grid of :func:`_start` squeezed onto
-the interval that large charges leave to the points; it calls nothing in
-:mod:`fekete.jacobi`, so the minimizer stays a route to the zeros
-independent of them.
+matrix of pairwise differences per iterate gives the energy, then, in its
+own memory, the gradient's reciprocals and the Hessian.  The Hessian is
+positive definite throughout the ordered interior chamber, so Newton with
+feasibility damping converges to the unique minimum from any interior
+start, and stops on a Newton step at float64 rounding.  The start is one
+of two closed forms in (n, p, q): the angle grid of the exact charges with
+its second-order Gatteschi term (:func:`_corrected`), where that is
+ordered, interior and lower in energy, else the electrostatic angle grid
+of :func:`_start` squeezed onto the interval that large charges leave to
+the points.  Neither calls anything in :mod:`fekete.jacobi`, so the
+minimizer stays a route to the zeros independent of them.
 """
 from __future__ import annotations
 
@@ -84,20 +86,32 @@ def _energy(x: np.ndarray, d: np.ndarray, p: float, q: float) -> float:
     return float(-logs.sum() - 2.0 * (p * np.log(1.0 - x).sum() + q * np.log(1.0 + x).sum()))
 
 
-def _gradient(x: np.ndarray, d: np.ndarray, p: float, q: float) -> np.ndarray:
-    inv = np.divide(1.0, d)
+def _slack(n: int, field: np.ndarray) -> float:
+    """The energy's rounding at a point set with the field terms
+    field = p/(1 - x) + q/(1 + x): eps per pair term, and eps p/(1 - x) or
+    eps q/(1 + x) per field term through its rounded 1 -+ x, times 8."""
+    return 8 * _EPS * (n * n + field.sum())
+
+
+def _derivatives(x: np.ndarray, d: np.ndarray, p: float,
+                 q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Half the gradient and the field terms of :func:`_slack`; -1/2 times
+    the Hessian is built in the memory of ``d``, which it overwrites.
+
+    1 -+ x and the field terms are formed once for all three.  The
+    Hessian's off-diagonal -2/(x_i - x_j)^2 is -2 times the square of the
+    gradient's reciprocal matrix, which takes d's memory first.  The
+    factors 1/2 and -1/2 are exact, and the Newton step solves
+    (-H/2) dx = grad/2 with two passes fewer than H dx = -grad.
+    """
+    u, v = 1.0 - x, 1.0 + x
+    pu, qv = p / u, q / v
+    inv = np.divide(1.0, d, out=d)
     _diagonal(inv)[:] = 0.0
-    return 2.0 * (p / (1.0 - x) - q / (1.0 + x) - inv.sum(axis=1))
-
-
-def _hessian(x: np.ndarray, d: np.ndarray, p: float, q: float) -> np.ndarray:
-    """The Hessian, built in the memory of ``d``, which it overwrites."""
-    h = np.square(d, out=d)
-    np.divide(-2.0, h, out=h)
-    _diagonal(h)[:] = 0.0
-    diag = 2.0 * (p / np.square(1.0 - x) + q / np.square(1.0 + x)) - h.sum(axis=1)
-    _diagonal(h)[:] = diag
-    return h
+    half = (pu - qv) - inv.sum(axis=1)
+    m = np.square(inv, out=inv)
+    _diagonal(m)[:] = -(pu / u + qv / v) - m.sum(axis=1)
+    return half, pu + qv
 
 
 def gradient(config: Configuration) -> np.ndarray:
@@ -111,19 +125,37 @@ def gradient(config: Configuration) -> np.ndarray:
     x = np.asarray(config.points, dtype=float)
     if not ordered_interior(np.sort(x)):
         raise DomainError("points must be pairwise distinct and strictly interior to [-1, 1]")
-    return _gradient(x, _differences(x), p, q)
+    return 2.0 * _derivatives(x, _differences(x), p, q)[0]
 
 
-def _newton(x0: np.ndarray, p: float, q: float, max_iter: int) -> SolveReport:
-    """The Newton loop of :func:`minimize_potential`, from the ordered interior ``x0``."""
-    x, d = x0, _differences(x0)
-    value = _energy(x, d, p, q)
+def _first_iterate(x: np.ndarray, y: np.ndarray | None, p: float,
+                   q: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The start of a solve with its difference matrix and energy: ``y`` where
+    it is given, ordered, interior and lower in energy than the ordered
+    interior ``x`` by more than the line search's slack at ``x``, else
+    ``x``.  The matrix of ``x`` is built again when it is chosen, so that at
+    most two n x n arrays are alive at once."""
+    value = _energy(x, _differences(x), p, q)
+    if y is not None and ordered_interior(y):
+        d = _differences(y)
+        y_value = _energy(y, d, p, q)
+        if y_value < value - _slack(len(x), p / (1.0 - x) + q / (1.0 + x)):
+            return y, d, y_value
+    return x, _differences(x), value
+
+
+def _newton(x: np.ndarray, y: np.ndarray | None, p: float, q: float,
+            max_iter: int) -> SolveReport:
+    """The Newton loop of :func:`minimize_potential`, from the start that
+    :func:`_first_iterate` picks of ``x`` and ``y``."""
+    # d is bound here only, so that each new matrix frees the one before
+    x, d, value = _first_iterate(x, y, p, q)
     iterations = 0
     while True:
-        grad = _gradient(x, d, p, q)
-        # H takes over d's memory: the line search builds the next matrix
+        # -H/2 takes over d's memory: the line search builds the next matrix
+        half, field = _derivatives(x, d, p, q)
         try:
-            step = np.linalg.solve(_hessian(x, d, p, q), -grad)
+            step = np.linalg.solve(d, half)
         except np.linalg.LinAlgError:
             step_norm, stop = math.nan, "singular"
             break
@@ -135,9 +167,7 @@ def _newton(x0: np.ndarray, p: float, q: float, max_iter: int) -> SolveReport:
             stop = "max_iter"
             break
         iterations += 1
-        # the energy's rounding: eps per pair term, and eps p/(1 - x) or eps q/(1 + x)
-        # per field term through its rounded 1 -+ x; an overflowed bound takes no step
-        slack = 8 * _EPS * (len(x) ** 2 + (p / (1.0 - x)).sum() + (q / (1.0 + x)).sum())
+        slack = _slack(len(x), field)  # an overflowed slack takes no step
         t = 1.0
         while t > 1e-16 and slack < math.inf:
             candidate = x + t * step
@@ -190,6 +220,28 @@ def _start(n: int, p: float, q: float) -> np.ndarray:
     return np.sin((2 * k - n - 1) * np.pi / (2 * n)) * (1.0 - 1.0 / n)
 
 
+def _corrected(n: int, p: float, q: float) -> np.ndarray:
+    """The angle grid of the exact charges with its 1/(4 rho^2) term, the
+    zeros of P_n^(alpha, beta), alpha = 2p - 1 and beta = 2q - 1, to second
+    order (Gatteschi & Pittaluga 1985; Hale & Townsend, SIAM J. Sci.
+    Comput. 35 (2013) A652).
+
+    x_k = -cos(theta_k) with theta_k = phi_k + [(1/4 - beta^2) cot(phi_k/2)
+    - (1/4 - alpha^2) tan(phi_k/2)] / (4 rho^2), phi_k = (k + q - 3/4) pi /
+    rho and rho = n + p + q - 1/2.  Formed as sin(psi + term) from
+    psi = phi - pi/2, with cot(phi/2) = (1 - sin psi)/cos psi and
+    tan(phi/2) = (1 + sin psi)/cos psi, so at p = q the grid is exactly
+    antisymmetric with a middle point of exactly 0.  Where alpha^2/rho^2 is
+    not small the term is not either, and the grid may be unordered, not
+    interior or NaN; past charges of about 1e154 it is NaN."""
+    rho = n + p + q - 0.5
+    # 1/4 - alpha^2 and 1/4 - beta^2
+    a, b = (1.5 - 2 * p) * (2 * p - 0.5), (1.5 - 2 * q) * (2 * q - 0.5)
+    psi = (2 * np.arange(1, n + 1) - n - 1 + (q - p)) * (math.pi / (2 * rho))
+    s = np.sin(psi)
+    return np.sin(psi + (b * (1.0 - s) - a * (1.0 + s)) / (4 * rho * rho * np.cos(psi)))
+
+
 def minimize_potential(n: int, p: float, q: float, max_iter: int = _MAX_ITER) -> SolveReport:
     """Minimize the (p, q) external-field energy of n interior unit charges.
 
@@ -197,11 +249,14 @@ def minimize_potential(n: int, p: float, q: float, max_iter: int = _MAX_ITER) ->
     (never by re-sorting): a step is halved until it lands ordered and
     interior and raises the energy by at most 8 eps (n^2 + sum p/(1 - x_i)
     + q/(1 + x_i)), its rounding at the current iterate (no step where that
-    overflows).  Starts from the squeezed angle grid of :func:`_start`, or
-    Chebyshev points where it is not ordered and interior;
-    converged solves at moderate charges take 4-5 Newton steps from it
-    for n = 12 to 1000 (5-15 from Chebyshev points), and 5 at
-    (12, 1e8, 0.5) (124).
+    overflows).  Starts from the corrected angle grid of :func:`_corrected`
+    where it is ordered, interior and lower in energy than the squeezed grid
+    of :func:`_start` by more than that slack, else from the squeezed grid,
+    or Chebyshev points where that is not ordered and interior.  Converged
+    solves take 2 Newton steps at (1, 1) and (0.85, 1.15) for n = 5 to
+    2000, 0-4 over the charges (3/4 ... 4)^2 at n = 10 to 126 (4-5 from
+    the squeezed grid alone, 5-15 from Chebyshev points), and 5 at
+    (12, 1e8, 0.5) (124 from Chebyshev points).
     Converged means a Newton step with ||dx||_inf <= 16 eps, the float64
     noise floor of points in [-1, 1], at any n and charges; a gradient bound
     is not scale free, its terms grow like n^2.  A non-converged run is
@@ -216,7 +271,7 @@ def minimize_potential(n: int, p: float, q: float, max_iter: int = _MAX_ITER) ->
         raise CapacityError(f"n={n} is past the sizes numpy can index")
     # terms past float64 are inf or NaN, which fail the loop's comparisons
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _newton(_start(n, p, q), p, q, max_iter)
+        return _newton(_start(n, p, q), _corrected(n, p, q), p, q, max_iter)
 
 
 def fekete_maximize(N: int) -> SolveReport:

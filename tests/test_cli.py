@@ -433,6 +433,21 @@ class TestTableAndZeros:
         assert data["points"][1] == pytest.approx(1 / math.sqrt(5), abs=1e-8)
 
     @pytest.mark.parametrize("precision", ["std", "ext"])
+    @pytest.mark.parametrize("charge,key", [("1e-300", "step_norm"), ("1e308", "energy")])
+    def test_minimize_json_writes_non_finite_as_null(self, runner, precision, charge, key):
+        # a singular Hessian leaves the step NaN; charges of 1e308 overflow the
+        # energy; NaN and Infinity are no JSON tokens
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        result = runner.invoke(cli, ["minimize", "--n", "5", "--p", charge, "--q", charge,
+                                     "--format", "json", "--precision", precision])
+        assert result.exit_code == 0, result.output
+        data = json.loads(result.output, parse_constant=reject)
+        assert data[key] is None
+        assert all(isinstance(x, (float, str)) for x in data["points"])
+
+    @pytest.mark.parametrize("precision", ["std", "ext"])
     def test_minimize_csv_digits(self, runner, precision):
         # every CSV writes its scalars through _format_scalar: 17 significant
         # digits in std (the shortest repr used to be written here)

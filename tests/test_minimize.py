@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -106,7 +107,7 @@ class TestMinimizePotential:
                 if n > 1 and np.min(np.diff(start)) < 1e-3:
                     continue
                 runs += 1
-                report = optim._newton(start, p, q, 200)
+                report = optim._newton(start, None, p, q, 200)
                 if not report.converged:
                     continue
                 if reference is None:
@@ -136,20 +137,36 @@ class TestMinimizePotential:
         assert (report.stop, report.converged) == ("step", True)
         assert report.step_norm <= 16 * np.finfo(float).eps
         assert optim.minimize_potential(300, 1.0, 1.0).stop == "step"
-        # the uncapped solve takes 4 Newton steps
-        capped = optim.minimize_potential(300, 1.0, 1.0, max_iter=2)
+        # the uncapped solve takes 2 Newton steps
+        capped = optim.minimize_potential(300, 1.0, 1.0, max_iter=1)
         assert capped.stop == "max_iter"
         assert not capped.converged
-        assert capped.iterations == 2
+        assert capped.iterations == 1
         assert capped.step_norm > 16 * np.finfo(float).eps
-        # charges this small vanish next to the pair terms: H is singular
+        # charges this small vanish next to the pair terms: H is singular, and
+        # rounding decides where LU meets a zero pivot; from the corrected
+        # start that is after one step (after 0 from the squeezed grid)
         singular = optim.minimize_potential(5, 1e-300, 1e-300)
-        assert (singular.stop, singular.converged, singular.iterations) == ("singular", False, 0)
+        assert (singular.stop, singular.converged, singular.iterations) == ("singular", False, 1)
         assert math.isnan(singular.step_norm)
+
+    @pytest.mark.parametrize("p,q", [(1.0, 1.0), (1e3, 1e3)])
+    def test_holds_at_most_two_matrices(self, p, q):
+        # tracemalloc sees numpy's arrays: at most two n x n at once, whichever
+        # start is picked ((1, 1) the corrected grid, (1e3, 1e3) the squeezed
+        # one); the start's matrix held in the caller's frame would be a third
+        n = 300
+        tracemalloc.start()
+        try:
+            optim.minimize_potential(n, p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * n * n
 
     def test_report_fields_are_builtin(self):
         reports = [optim.minimize_potential(150, 0.75, 1.25),
-                   optim.minimize_potential(150, 0.75, 1.25, max_iter=3),
+                   optim.minimize_potential(150, 0.75, 1.25, max_iter=1),
                    optim.fekete_maximize(2)]
         assert [r.converged for r in reports] == [True, False, True]
         for report in reports:
@@ -184,7 +201,9 @@ class TestMinimizePotential:
         # k = 1..n; eigvalsh takes the symmetric similar matrix W^1/2 H W^1/2
         report = optim.minimize_potential(n, p, q)
         x = np.array(report.points)
-        h = optim._hessian(x, optim._differences(x), p, q)
+        d = optim._differences(x)
+        optim._derivatives(x, d, p, q)  # -H/2 overwrites the differences
+        h = -2.0 * d
         w = np.sqrt(1.0 - x * x)
         found = np.linalg.eigvalsh(w[:, None] * h * w[None, :])
         k = np.arange(1, n + 1)
@@ -256,13 +275,24 @@ class TestStart:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 127, 128])
     def test_exactly_antisymmetric_at_equal_charges(self, n):
-        # the grid is formed from its centre's offset from pi/2, which is 0 at
+        # both grids are formed from their offset from pi/2, which is 0 at
         # p = q; -cos(2 atan(1)) put the middle point at -6.1e-17; n = 1 at
-        # p = 1e308 is the Chebyshev fallback
-        for p in (1e-300, 0.5, 0.75, 1.0, 1e6, 1e50, 1e300, 1e308):
-            x = optim._start(n, p, p)
-            assert np.array_equal(x, -x[::-1]), p
-            assert n % 2 == 0 or x[n // 2] == 0.0, p
+        # p = 1e308 is the Chebyshev fallback; the corrected grid is NaN
+        # past charges of about 1e154
+        for start, charges in ((optim._start, (1e-300, 0.5, 0.75, 1.0, 1e6, 1e50, 1e300, 1e308)),
+                               (optim._corrected, (1e-300, 0.5, 0.75, 1.0, 10.0, 1e6, 1e50))):
+            for p in charges:
+                x = start(n, p, p)
+                assert np.array_equal(x, -x[::-1]), (start, p)
+                assert n % 2 == 0 or x[n // 2] == 0.0, (start, p)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 10.0, 1e6])
+    def test_one_charge_at_equal_charges_is_the_centre(self, p):
+        # a corrected grid formed as -cos(theta) and chosen without the slack
+        # margin returned 1.6e-16 after 0 steps at p = 10, its energy -2.2e-15
+        # beating 0 only by rounding
+        report = optim.minimize_potential(1, p, p)
+        assert (report.points, report.energy, report.converged) == ((0.0,), 0.0, True)
 
     def test_exact_centre_at_large_equal_charges(self):
         # the start stopped at once on x = -6.1e-17, with energy 2.2e-10
@@ -302,18 +332,34 @@ class TestStart:
         assert report.iterations == 0
 
     @pytest.mark.parametrize("solve,ceiling", [
-        (lambda: optim.minimize_potential(128, 1.0, 1.0), 4),
-        (lambda: optim.minimize_potential(1000, 0.85, 1.15), 4),
-        (lambda: optim.fekete_maximize(109), 4),
+        (lambda: optim.minimize_potential(128, 1.0, 1.0), 2),
+        (lambda: optim.minimize_potential(1000, 0.85, 1.15), 2),
+        (lambda: optim.fekete_maximize(109), 2),
         (lambda: optim.minimize_potential(12, 1e8, 0.5), 5),
         (lambda: optim.minimize_potential(1000, 1e3, 1e3), 7),
     ], ids=["128-1-1", "1000-0.85-1.15", "fekete-109", "12-1e8-0.5", "1000-1e3-1e3"])
     def test_newton_steps(self, solve, ceiling):
-        # measured; from the Chebyshev points: 9, 11, 9 and 124; 1000-1e3-1e3
-        # took 16 with a line-search slack of 1e-14 (1 + |E|)
+        # measured; from the squeezed grid alone the first three took 4; from
+        # the Chebyshev points 9, 11, 9 and 124; 1000-1e3-1e3 took 16 with a
+        # line-search slack of 1e-14 (1 + |E|)
         report = solve()
         assert report.converged
         assert report.iterations <= ceiling
+
+    @pytest.mark.parametrize("n", [10, 40, 126])
+    def test_newton_steps_over_the_oracle_charge_grid(self, n):
+        # the benchmark's charges (3/4 ... 4)^2: 4-5 steps from the squeezed grid
+        # alone, 0-4 from the corrected one where it is lower in energy
+        grid = [k / 4 for k in range(3, 17)]
+        for p, q in itertools.product(grid, grid):
+            report = optim.minimize_potential(n, p, q)
+            assert report.converged and report.iterations <= 4, (n, p, q)
+
+    def test_fekete_maximize_takes_two_steps(self):
+        # 4 from the squeezed grid alone
+        for N in [*range(5, 301, 11), 500, 1002]:
+            report = optim.fekete_maximize(N)
+            assert report.converged and report.iterations <= 2, N
 
     @pytest.mark.parametrize("n,p", [(4, 1.78e7), (5, 1.78e7), (4, 10 ** 7.25), (5, 10 ** 7.25)])
     def test_converges_at_a_vanishing_charge_against_a_large_one(self, n, p):

@@ -101,8 +101,9 @@ def _derivatives(x: np.ndarray, d: np.ndarray, p: float,
     1 -+ x and the field terms are formed once for all three.  The
     Hessian's off-diagonal -2/(x_i - x_j)^2 is -2 times the square of the
     gradient's reciprocal matrix, which takes d's memory first.  The
-    factors 1/2 and -1/2 are exact, and the Newton step solves
-    (-H/2) dx = grad/2 with two passes fewer than H dx = -grad.
+    factors 1/2 and -1/2 are exact, so the Newton step solves
+    (-H/2) dx = grad/2, bit for bit the step of H dx = -grad, with one
+    n x n pass fewer.
     """
     u, v = 1.0 - x, 1.0 + x
     pu, qv = p / u, q / v
@@ -253,10 +254,11 @@ def minimize_potential(n: int, p: float, q: float, max_iter: int = _MAX_ITER) ->
     where it is ordered, interior and lower in energy than the squeezed grid
     of :func:`_start` by more than that slack, else from the squeezed grid,
     or Chebyshev points where that is not ordered and interior.  Converged
-    solves take 2 Newton steps at (1, 1) and (0.85, 1.15) for n = 5 to
-    2000, 0-4 over the charges (3/4 ... 4)^2 at n = 10 to 126 (4-5 from
-    the squeezed grid alone, 5-15 from Chebyshev points), and 5 at
-    (12, 1e8, 0.5) (124 from Chebyshev points).
+    solves take at most 2 Newton steps at (1, 1) (measured to n = 2000),
+    3 at (0.85, 1.15) for n <= 90 and 2 from there to n = 5000, 0-4 over the
+    charges (3/4 ... 4)^2 at n = 10 to 126 (4-5 from the squeezed grid
+    alone, 5-15 from Chebyshev points), and 5 at (12, 1e8, 0.5) (124 from
+    Chebyshev points).
     Converged means a Newton step with ||dx||_inf <= 16 eps, the float64
     noise floor of points in [-1, 1], at any n and charges; a gradient bound
     is not scale free, its terms grow like n^2.  A non-converged run is

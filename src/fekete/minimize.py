@@ -129,15 +129,15 @@ def gradient(config: Configuration) -> np.ndarray:
     return 2.0 * _derivatives(x, _differences(x), p, q)[0]
 
 
-def _first_iterate(x: np.ndarray, y: np.ndarray | None, p: float,
+def _first_iterate(x: np.ndarray, y: np.ndarray, p: float,
                    q: float) -> tuple[np.ndarray, np.ndarray, float]:
     """The start of a solve with its difference matrix and energy: ``y`` where
-    it is given, ordered, interior and lower in energy than the ordered
-    interior ``x`` by more than the line search's slack at ``x``, else
-    ``x``.  The matrix of ``x`` is built again when it is chosen, so that at
-    most two n x n arrays are alive at once."""
+    it is ordered, interior and lower in energy than the ordered interior
+    ``x`` by more than the line search's slack at ``x``, else ``x``.  The
+    matrix of ``x`` is built again when it is chosen, so that at most two
+    n x n arrays are alive at once."""
     value = _energy(x, _differences(x), p, q)
-    if y is not None and ordered_interior(y):
+    if ordered_interior(y):
         d = _differences(y)
         y_value = _energy(y, d, p, q)
         if y_value < value - _slack(len(x), p / (1.0 - x) + q / (1.0 + x)):
@@ -145,7 +145,7 @@ def _first_iterate(x: np.ndarray, y: np.ndarray | None, p: float,
     return x, _differences(x), value
 
 
-def _newton(x: np.ndarray, y: np.ndarray | None, p: float, q: float,
+def _newton(x: np.ndarray, y: np.ndarray, p: float, q: float,
             max_iter: int) -> SolveReport:
     """The Newton loop of :func:`minimize_potential`, from the start that
     :func:`_first_iterate` picks of ``x`` and ``y``."""

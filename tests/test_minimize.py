@@ -107,7 +107,8 @@ class TestMinimizePotential:
                 if n > 1 and np.min(np.diff(start)) < 1e-3:
                     continue
                 runs += 1
-                report = optim._newton(start, None, p, q, 200)
+                # the start twice: no other candidate to pick
+                report = optim._newton(start, start, p, q, 200)
                 if not report.converged:
                     continue
                 if reference is None:

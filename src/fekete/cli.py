@@ -40,6 +40,17 @@ class RunConfig:
     b: float | None = None
     tol: float = 1e-8  # verify --kind minimize: the points' deviation from the zeros
     slope_tol: float = 0.15
+    # --alpha/--beta as given: p and q are (alpha + 1)/2 and (beta + 1)/2
+    alpha: float | None = None
+    beta: float | None = None
+
+    @property
+    def params(self) -> JacobiParams | None:
+        """The Jacobi exponents: --alpha/--beta unrounded where given, else
+        2p - 1 and 2q - 1 in float64; None without charges."""
+        if self.alpha is not None:
+            return JacobiParams(self.alpha, self.beta)
+        return None if self.p is None else JacobiParams.from_charges(self.p, self.q)
 
 
 def _parse_range(text: str | None, flag: str) -> tuple[int, ...]:
@@ -60,7 +71,8 @@ def _parse_range(text: str | None, flag: str) -> tuple[int, ...]:
 
 
 def _resolve_charges(p, q, alpha, beta, required: bool) -> tuple:
-    """Exactly one of (p, q) / (alpha, beta), or (None, None) if not required."""
+    """The charges of exactly one of (p, q) / (alpha, beta), or (None, None)
+    if not required."""
     has_pq = p is not None or q is not None
     has_ab = alpha is not None or beta is not None
     if has_pq and has_ab:
@@ -119,20 +131,18 @@ class Kind(NamedTuple):
     expansion: Callable
 
 
-def _params(p, q) -> JacobiParams:
-    return JacobiParams.from_charges(p, q)
-
-
 _CHARGES = ("p", "q")
+#: the Jacobi kinds' one input, :attr:`RunConfig.params`, set by the charge options
+_JACOBI = ("params",)
 # The lambdas look the package functions up at call time, so a wrapper
 # installed on a module attribute (a tracer, a mock) sees every call.
 KINDS = {
-    "lambda": Kind(_CHARGES, lambda n, p, q: jacobi.leading_coeff_log(n, _params(p, q)),
-                   lambda order, p, q: asym.leading_coeff_expansion(_params(p, q), order)),
-    "p1": Kind(_CHARGES, lambda n, p, q: jacobi.value_at_one_log(n, _params(p, q)),
-               lambda order, p, q: asym.value_at_one_expansion(_params(p, q), order)),
-    "disc": Kind(_CHARGES, lambda n, p, q: jacobi.discriminant_log(n, _params(p, q)),
-                 lambda order, p, q: asym.discriminant_expansion(_params(p, q), order)),
+    "lambda": Kind(_JACOBI, lambda n, params: jacobi.leading_coeff_log(n, params),
+                   lambda order, params: asym.leading_coeff_expansion(params, order)),
+    "p1": Kind(_JACOBI, lambda n, params: jacobi.value_at_one_log(n, params),
+               lambda order, params: asym.value_at_one_expansion(params, order)),
+    "disc": Kind(_JACOBI, lambda n, params: jacobi.discriminant_log(n, params),
+                 lambda order, params: asym.discriminant_expansion(params, order)),
     "potential": Kind(_CHARGES, lambda n, p, q: energy.potential_energy_exact(n, p, q),
                       lambda order, p, q: asym.potential_energy_expansion(p, q, order)),
     "elliptic": Kind(_CHARGES, lambda n, p, q: energy.elliptic_log_energy_exact(n, p, q),
@@ -171,7 +181,8 @@ def _kind(cfg: RunConfig) -> tuple[Kind, tuple]:
         raise UsageError(f"unknown kind {cfg.kind!r}")
     inputs = tuple(getattr(cfg, name) for name in kind.inputs)
     if None in inputs:
-        raise UsageError(f"kind {cfg.kind!r} needs --{'/--'.join(kind.inputs)}")
+        flags = _CHARGES if kind.inputs == _JACOBI else kind.inputs
+        raise UsageError(f"kind {cfg.kind!r} needs --{'/--'.join(flags)}")
     return kind, inputs
 
 
@@ -225,7 +236,7 @@ def cmd_verify(cfg: RunConfig):
         q = cfg.q if cfg.q is not None else 1.0
         for n in cfg.values:
             report = optim.minimize_potential(n, p, q)
-            target = jacobi.zeros(n, JacobiParams.from_charges(p, q)).points
+            target = jacobi.zeros(n, cfg.params or JacobiParams(1.0, 1.0)).points
             deviation = max(abs(u - v) for u, v in zip(report.points, target))
             good = report.converged and deviation <= cfg.tol
             ok = ok and good
@@ -265,7 +276,7 @@ def cmd_verify(cfg: RunConfig):
 def cmd_zeros(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     header = ("n", "index", "x")
     rows = []
-    params = JacobiParams.from_charges(cfg.p, cfg.q)
+    params = cfg.params
     for n in cfg.values:
         for i, x in enumerate(jacobi.zeros(n, params).points, start=1):
             rows.append((str(n), str(i), _format_scalar(x)))
@@ -311,15 +322,16 @@ def _config(name: str, opts: dict) -> RunConfig:
                             required=kind == "pq" or name in ("zeros", "minimize"))
     # a kind takes only the inputs it names: the charges, or --a/--b
     named = KINDS[kind].inputs if kind in KINDS else _CHARGES
-    for flags, field in ((("p", "q", "alpha", "beta"), "p"), (("a", "b"), "a")):
+    for flags, fields in ((("p", "q", "alpha", "beta"), ("p", *_JACOBI)), (("a", "b"), ("a",))):
         given = [f"--{flag}" for flag in flags if opts.get(flag) is not None]
-        if given and field not in named:
+        if given and not set(fields) & set(named):
             raise UsageError(f"kind {kind!r} takes no {'/'.join(given)}")
     if name == "minimize":
         values = (opts["n_value"],)
     elif name in ("table", "zeros", "verify"):
         values = _parse_range(opts["n_range"], "--n")
-    fields = {f: opts[f] for f in ("order", "a", "b", "tol", "slope_tol") if f in opts}
+    fields = {f: opts[f] for f in ("order", "a", "b", "tol", "slope_tol", "alpha", "beta")
+              if f in opts}
     return RunConfig(name, kind, values, p, q, **fields)
 
 

@@ -42,7 +42,7 @@ def check_finite_above(bound: float, what: str, **values) -> None:
             raise DomainError(f"{what} must be finite and > {bound}, got {got}")
 
 
-def ordered_interior(x) -> bool:
-    """Numpy array ``x`` strictly ascending inside (-1, 1): an ordered ``x`` is
-    interior exactly when its ends are, and a NaN fails a comparison."""
-    return bool(x[0] > -1.0 and x[-1] < 1.0 and (x[1:] > x[:-1]).all())
+def ordered_interior(x, lo: float = -1.0, hi: float = 1.0) -> bool:
+    """Numpy array ``x`` strictly ascending inside (lo, hi): an ordered ``x``
+    is interior exactly when its ends are, and a NaN fails a comparison."""
+    return bool(x[0] > lo and x[-1] < hi and (x[1:] > x[:-1]).all())

@@ -174,7 +174,8 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
     """Zeros of P_n^(alpha,beta), ascending.
 
     Computed as eigenvalues of the symmetric tridiagonal Jacobi matrix
-    (Golub-Welsch), each polished by one Newton step from
+    (Golub-Welsch) by LAPACK's dsterf, :class:`NumericalError` where it
+    fails, each polished by one Newton step from
     :func:`_newton_step`, one complex-step pass of the same matrix's monic
     recurrence over the whole root vector; always float64 (sufficient for
     every downstream contract, which are 1e-8..1e-12 scale).  The gate: every step must be
@@ -191,16 +192,16 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
     if n > sys.maxsize // 8:  # numpy's arrays hold at most sys.maxsize bytes
         raise CapacityError(f"n={n} is past the sizes numpy can index")
     import numpy as np
-    from scipy.linalg import eigh_tridiagonal  # most of the package's import time
+    from scipy.linalg.lapack import dsterf  # most of the package's import time
 
     alpha, beta = float(params.alpha), float(params.beta)
     diag, off = _recurrence_coeffs(n, alpha, beta)
-    try:
-        x = eigh_tridiagonal(diag, off, eigvals_only=True)
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise NumericalError(
-            f"tridiagonal eigensolve failed for n={n}, alpha={alpha}, beta={beta}: {exc}"
-        ) from exc
+    # the root-free QR that scipy's eigh_tridiagonal reaches through ?stevd
+    # when no eigenvectors are asked for; its wrapper takes no empty e
+    x, info = dsterf(diag, off) if n > 1 else (diag.copy(), 0)
+    if info != 0:
+        raise NumericalError(f"tridiagonal eigensolve failed for n={n}, alpha={alpha}, "
+                             f"beta={beta}: LAPACK dsterf info={info}")
     step = _newton_step(diag, off, x)
     step_bound = float(np.max(np.abs(step)))  # NaN if any step is NaN
     # the eigensolve and the polish move a zero by rounding only, so zeros

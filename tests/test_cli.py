@@ -318,6 +318,21 @@ class TestExact:
         assert via_pq.exit_code == 0 and via_ab.exit_code == 0
         assert via_pq.output == via_ab.output
 
+    def test_alpha_beta_reach_the_jacobi_kinds_unrounded(self, runner):
+        # through p = (alpha + 1)/2 and back, alpha = 0.1 came out as
+        # 0.10000000000000009 and beta = 0.3 as 0.30000000000000004
+        from fekete import jacobi
+        from fekete.jacobi import JacobiParams
+
+        coeffs = runner.invoke(cli, ["coeffs", "--kind", "lambda", "--alpha", "0.1",
+                                     "--beta", "0.3", "--order", "1"])
+        assert json.loads(coeffs.output)["params"] == {"alpha": 0.1, "beta": 0.3}
+        zeros = runner.invoke(cli, ["zeros", "--n", "12", "--alpha", "0.1", "--beta", "0.3"])
+        points = [float(line.split(",")[2]) for line in zeros.output.splitlines()[1:]]
+        assert points == list(jacobi.zeros(12, JacobiParams(0.1, 0.3)).points)
+        rounded = JacobiParams.from_charges((0.1 + 1) / 2, (0.3 + 1) / 2)
+        assert points != list(jacobi.zeros(12, rounded).points)
+
     def test_interval_domain_error_is_usage_error(self, runner):
         result = runner.invoke(cli, ["exact", "--N", "1..2", "--kind", "interval"])
         assert result.exit_code == 2
@@ -433,14 +448,16 @@ class TestTableAndZeros:
         assert data["points"][1] == pytest.approx(1 / math.sqrt(5), abs=1e-8)
 
     @pytest.mark.parametrize("precision", ["std", "ext"])
-    @pytest.mark.parametrize("charge,key", [("1e-300", "step_norm"), ("1e308", "energy")])
-    def test_minimize_json_writes_non_finite_as_null(self, runner, precision, charge, key):
-        # a singular Hessian leaves the step NaN; charges of 1e308 overflow the
-        # energy; NaN and Infinity are no JSON tokens
+    @pytest.mark.parametrize("p,q,key", [("1e-300", "2e-300", "step_norm"),
+                                         ("1e308", "1e308", "energy")])
+    def test_minimize_json_writes_non_finite_as_null(self, runner, precision, p, q, key):
+        # a singular Hessian leaves the step NaN (unequal charges: p = q takes
+        # the half-size route first); charges of 1e308 overflow the energy;
+        # NaN and Infinity are no JSON tokens
         def reject(token):
             raise ValueError(f"not JSON: {token}")
 
-        result = runner.invoke(cli, ["minimize", "--n", "5", "--p", charge, "--q", charge,
+        result = runner.invoke(cli, ["minimize", "--n", "5", "--p", p, "--q", q,
                                      "--format", "json", "--precision", precision])
         assert result.exit_code == 0, result.output
         data = json.loads(result.output, parse_constant=reject)

@@ -70,7 +70,8 @@ def test_capacity_errors_exit_2_without_traceback(args, message):
 
 def test_singular_hessian_is_reported():
     # both charges round to nothing next to the pair terms in float64
-    result = fekete("minimize", "--n", "5", "--p", "1e-300", "--q", "1e-300", "--format", "json")
+    # (unequal: p = q takes the half-size route first)
+    result = fekete("minimize", "--n", "5", "--p", "1e-300", "--q", "2e-300", "--format", "json")
     assert result.returncode == 0
     assert result.stderr == ""
     assert '"stop": "singular"' in result.stdout

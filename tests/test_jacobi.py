@@ -409,18 +409,40 @@ class TestZeros:
     def test_gate_rejects_a_shifted_eigenvalue(self, monkeypatch, n, a, b):
         # an eigensolve that returns its middle eigenvalue 1e-6 off: its
         # Newton step is about 1e-6, far above the 1e-8 gate
-        import scipy.linalg
+        import scipy.linalg.lapack
 
-        solve = scipy.linalg.eigh_tridiagonal
+        solve = scipy.linalg.lapack.dsterf
 
         def shifted(*args, **kwargs):
-            x = solve(*args, **kwargs)
+            x, info = solve(*args, **kwargs)
             x[len(x) // 2] += 1e-6
-            return x
+            return x, info
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", shifted)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsterf", shifted)
         with pytest.raises(NumericalError, match=f"n={n}, alpha={a}, beta={b}"):
             jacobi.zeros(n, JacobiParams(a, b))
+
+    def test_failed_eigensolve_raises(self, monkeypatch):
+        # LAPACK reports an eigenvalue it could not find with info > 0
+        import scipy.linalg.lapack
+
+        solve = scipy.linalg.lapack.dsterf
+        monkeypatch.setattr(scipy.linalg.lapack, "dsterf",
+                            lambda *args, **kwargs: (solve(*args, **kwargs)[0], 3))
+        with pytest.raises(NumericalError, match="n=60, alpha=0.4, beta=1.6: LAPACK dsterf info=3"):
+            jacobi.zeros(60, JacobiParams(0.4, 1.6))
+
+    @pytest.mark.parametrize("n,a,b", [(50, 0.0, 0.0), (114, 2.5, 7.0), (200, 0.3, 4.0),
+                                       (333, 7.0, 0.5), (500, 7.0, 0.0)])
+    def test_eigensolve_matches_eigh_tridiagonal(self, n, a, b):
+        # zeros calls LAPACK's dsterf itself; scipy's eigh_tridiagonal, the
+        # cross-check, gives the same eigenvalues bit for bit
+        from scipy.linalg.lapack import dsterf
+
+        diag, off = jacobi._recurrence_coeffs(n, a, b)
+        x, info = dsterf(diag, off)
+        assert info == 0
+        assert np.array_equal(x, eigh_tridiagonal(diag, off, eigvals_only=True))
 
     @pytest.mark.parametrize("n,a,b", [(50, 0.4, 1.6), (333, 7.0, 0.5), (800, 1.0, 4.0)])
     def test_vector_polish_matches_scalar_loop(self, n, a, b):

@@ -234,9 +234,10 @@ def cmd_verify(cfg: RunConfig):
 
         p = cfg.p if cfg.p is not None else 1.0
         q = cfg.q if cfg.q is not None else 1.0
+        params = cfg.params or JacobiParams(1.0, 1.0)
         for n in cfg.values:
             report = optim.minimize_potential(n, p, q)
-            target = jacobi.zeros(n, cfg.params or JacobiParams(1.0, 1.0)).points
+            target = jacobi.zeros(n, params).points
             deviation = max(abs(u - v) for u, v in zip(report.points, target))
             good = report.converged and deviation <= cfg.tol
             ok = ok and good
@@ -320,11 +321,13 @@ def _config(name: str, opts: dict) -> RunConfig:
                   else _parse_range(opts["n_range"], "--n"))
     p, q = _resolve_charges(opts["p"], opts["q"], opts["alpha"], opts["beta"],
                             required=kind == "pq" or name in ("zeros", "minimize"))
-    # a kind takes only the inputs it names: the charges, or --a/--b
+    # a kind takes only the inputs it names: the charges (or the exponents
+    # they set), or --a/--b
     named = KINDS[kind].inputs if kind in KINDS else _CHARGES
-    for flags, fields in ((("p", "q", "alpha", "beta"), ("p", *_JACOBI)), (("a", "b"), ("a",))):
+    named = _CHARGES if named == _JACOBI else named
+    for flags, field in ((("p", "q", "alpha", "beta"), "p"), (("a", "b"), "a")):
         given = [f"--{flag}" for flag in flags if opts.get(flag) is not None]
-        if given and not set(fields) & set(named):
+        if given and field not in named:
             raise UsageError(f"kind {kind!r} takes no {'/'.join(given)}")
     if name == "minimize":
         values = (opts["n_value"],)

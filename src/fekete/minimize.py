@@ -227,6 +227,7 @@ def _newton(x: np.ndarray, y: np.ndarray, p: float, q: float, max_iter: int,
 
 def _report(x: list, p: float, q: float, value: float, iterations: int,
             step_norm: float, stop: str) -> SolveReport:
+    """The report of a solve that ended on the points ``x`` with ``stop``."""
     return SolveReport(
         configuration=Configuration(tuple(x), charges=(p, q)),
         iterations=iterations,
@@ -339,7 +340,8 @@ def _corrected(n: int, p: float, q: float, gaps: bool = False) -> np.ndarray:
     antisymmetric with a middle point of exactly 0.  Where alpha^2/rho^2 is
     not small the term is not either, and the grid may be unordered, not
     interior or NaN; past charges of about 1e154 it is NaN.  With ``gaps``,
-    the gaps of :func:`_start`'s ``gaps``, untested."""
+    the gaps t = 2 x^2 of the points of :func:`_start`'s ``gaps``, as
+    unchecked."""
     rho = n + p + q - 0.5
     # 1/4 - alpha^2 and 1/4 - beta^2
     a, b = (1.5 - 2 * p) * (2 * p - 0.5), (1.5 - 2 * q) * (2 * q - 0.5)
@@ -395,8 +397,9 @@ def fekete_maximize(N: int) -> SolveReport:
 
     The maximizer always contains both endpoints (otherwise rescaling the
     configuration increases the product), so the interior reduces to the
-    (1, 1) external-field problem with N - 2 charges; the endpoints are
-    fixed analytically rather than searched for.
+    (1, 1) external-field problem with N - 2 charges, which
+    :func:`minimize_potential` solves at half size; the endpoints are fixed
+    analytically rather than searched for.
     """
     N = check_size(N, "N", 2)
     if N == 2:

@@ -7,7 +7,8 @@
 A fixed grid of commands (:func:`grid`) runs in process, through
 ``fekete.cli.cli``: the README and CI examples, every kind at eight or more
 charge pairs or intervals in ``std`` and ``ext`` with orders up to the
-mode's maximum, JSON output and error exits.  Each command's exit status,
+mode's maximum, the doubling sweeps of the ``verify_ext`` workload in both
+modes, JSON output and error exits.  Each command's exit status,
 stdout and stderr are recorded.
 
 ``--parent`` and ``--change`` are git revisions, exported with
@@ -55,6 +56,8 @@ minimize --n 12 --p 1e300 --q 1e-300
 minimize --n 5 --p 1e308 --q 1e308
 minimize --n 3 --p 1e6 --q 1e6
 exact --n 1000,10000,100000 --p 1 --q 1.5 --precision ext
+exact --n 2,5,1000 --p 5e-324 --q 1e308 --precision ext
+exact --n 2,5,1000 --p 1e308 --q 1e308
 verify --kind potential --p 1 --q 1.5 --n 12500,25000,50000,100000 --order 3 --precision ext
 exact --n 2..6 --p 1e-300 --q 0.5
 exact --N 2..10 --kind interval --precision ext
@@ -107,6 +110,10 @@ CHARGES = [(1, 1), (0.5, 0.5), (0.1, 0.3), (0.75, 2.5), (1.25, 2.75), (1e-3, 4),
 INTERVALS = [(0, 3), (-1, 1), (-2, 5), (0.5, 0.75), (-1e3, 1e3), (1e-3, 2e-3), (-7.5, -1.25),
              (10, 11)]
 MAX_ORDER = {"std": 10, "ext": 16}
+#: the verify_ext workload's shapes: sweeps n_max/8 ... n_max by doubling, at the
+#: highest order the workload runs at that n_max, for every kind but general-interval
+SWEEPS = {320: 8, 2560: 5}
+SWEEP_CHARGES = [(0.75, 4), (4, 4)]
 
 
 def grid() -> list[str]:
@@ -126,6 +133,13 @@ def grid() -> list[str]:
                 commands += [f"coeffs {common} --order {top}",
                              f"table {common} --n 20,40 --order {top}",
                              f"verify {common} --n 40,80,160 --order {top // 4} --format json"]
+        for n_max, order in SWEEPS.items():
+            ns = ",".join(str(n_max >> k) for k in (3, 2, 1, 0))
+            for kind in ("potential", "elliptic", "disc", "interval", "lambda", "p1"):
+                for args in ([""] if kind == "interval" else
+                             [f"--p {p} --q {q}" for p, q in SWEEP_CHARGES]):
+                    commands.append(f"verify --kind {kind} {args} --n {ns} --order {order} "
+                                    f"--precision {mode}")
         for p, q in CHARGES:
             commands += [f"exact --n 2..5,1000 --p {p} --q {q} --precision {mode}",
                          f"zeros --n 7 --p {p} --q {q} --precision {mode} --format json"]

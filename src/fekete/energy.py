@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from itertools import chain
 
 import mpmath
+from mpmath.libmp import ln2_fixed
 
 from . import jacobi
 from .exceptions import DomainError, check_finite_above, check_size
-from .precision import STD, Scalar, active
+from .precision import STD, Scalar, active, integer_ratio
+from .specfun import log_fixed
 
 #: returned by configuration energies when points coincide (or touch a
 #: charged endpoint), which makes the energy genuinely infinite
@@ -117,7 +119,8 @@ def potential_energy_config(config: Configuration) -> Scalar:
     """External-field potential energy 2 log(1/T_n) of a charged configuration.
 
     -2 [ p sum log(1-x_i) + sum_{j<k} log|x_j - x_k| + q sum log(1+x_i) ];
-    requires strictly interior points, else the energy is infinite.
+    requires strictly interior points, else the energy is infinite.  Zero
+    field weights are skipped.
     """
     if config.charges is None:
         raise DomainError("potential_energy_config needs a charged configuration")
@@ -129,62 +132,62 @@ def potential_energy_config(config: Configuration) -> Scalar:
     pairs = _log_distance_sum(pts)
     if pairs is None:
         return INFINITE_ENERGY
+    # the field terms as m log1p(-x^2) + (p - m) log1p(-x) + (q - m) log1p(x),
+    # m = min(p, q): at p ~ q >> 1 the points crowd at 0 and p log(1 - x) and
+    # q log(1 + x), each O(p x), would cancel down to their sum's O(p x^2)
+    m = min(p, q)
+    weights = (m, p - m, q - m)
     if ctx.mode == STD:
         import numpy as np  # only the float64 kernels load numpy
 
         x = np.asarray(pts, dtype=float)
-        charge_terms = chain((p * np.log(1 - x)).tolist(), (q * np.log(1 + x)).tolist())
+        field = [(w * np.log1p(u)).tolist() for w, u in zip(weights, (-x * x, -x, x)) if w]
     else:
         x = [ctx.real(xj) for xj in pts]
-        charge_terms = chain((p * ctx.log(1 - xj) for xj in x),
-                             (q * ctx.log(1 + xj) for xj in x))
-    return 0 - 2 * ctx.fsum(chain((pairs,), charge_terms))  # +0.0 with no points
+        field = [[w * mpmath.log1p(u) for u in us] for w, us in
+                 zip(weights, ([-t * t for t in x], [-t for t in x], x)) if w]
+    return 0 - 2 * ctx.fsum(chain((pairs,), *field))  # +0.0 with no points
 
 
-def _potential_mp(n: int, p, q):
-    """The minimal potential energy at the caller's mpmath precision:
-    2(n+p+q-1) log lambda_n - log D_n - 2p log P_n(1) - 2q log |P_n(-1)|,
-    with alpha + 1 = 2p, beta + 1 = 2q; n - 1 is added to p + q last, so
-    that tiny charges at n = 1 keep their weight.  At n = 0 it is exactly 0."""
-    lam, disc, at_one, at_minus_one = jacobi.log_values_mp(n, 2 * p, 2 * q)
-    return 2 * ((n - 1) + (p + q)) * lam - disc - 2 * p * at_one - 2 * q * at_minus_one
-
-
-def _interval_mp(N: int):
-    """The minimal N-point energy of [-1, 1] at the caller's mpmath precision:
-    the endpoints and the zeros of P_{N-2}^(1,1), i.e. the potential energy
-    of N - 2 charges under unit endpoint charges, minus 2 log 2."""
-    return _potential_mp(N - 2, 1, 1) - 2 * mpmath.ln2
+def _potential_fixed(n: int, p, q, size=None) -> tuple[int, int, int]:
+    """(fp, d, E d 2^fp), E the minimal potential energy of n charges under
+    endpoint charges (p, q): 2(n+p+q-1) log lambda_n - log D_n
+    - 2p log P_n(1) - 2q log |P_n(-1)|, with alpha + 1 = 2p, beta + 1 = 2q,
+    p and q exact rationals over d, and the Jacobi quantities at the
+    precision of ``size`` (see :func:`jacobi.log_values_fixed`)."""
+    (P, dp), (Q, dq) = integer_ratio(p), integer_ratio(q)
+    d = math.lcm(dp, dq)
+    P, Q = P * (d // dp), Q * (d // dq)
+    fp, (lam, disc, at_one, at_minus_one) = jacobi.log_values_fixed(n, (2 * P, d), (2 * Q, d),
+                                                                    size=size)
+    return fp, d, 2 * ((n - 1) * d + P + Q) * lam - d * disc - 2 * (P * at_one + Q * at_minus_one)
 
 
 def potential_energy_exact(n: int, p: float, q: float) -> Scalar:
     """Minimal potential energy of n charges under endpoint charges (p, q).
 
     2(n+p+q-1) log lambda_n - log D_n - 2p log P_n(1) - 2q log P_n(-1)-signed,
-    with alpha = 2p-1, beta = 2q-1, as one mpmath expression at guard
-    digits (:meth:`Context.guarded`), rounded once.  For n = 1 this is
-    0 when p = q.
+    with alpha = 2p-1, beta = 2q-1, as one integer numerator over one
+    integer denominator, rounded once (:meth:`Context.ratio`): p and q
+    enter as exact binary rationals.  For n = 1 this is 0 when p = q.
     """
     n = check_size(n, "n", 1)
     check_finite_above(0, "endpoint charges", p=p, q=q)
-    # the size alpha + beta + 2 = 2(p + q) in mpf: in float64 it overflows past 9e307
-    return active().guarded(lambda p, q: _potential_mp(n, p, q), p, q,
-                            size=2 * (mpmath.mpf(p) + q))
+    fp, d, value = _potential_fixed(n, p, q)
+    return active().ratio(value, d << fp)
 
 
 def elliptic_log_energy_exact(n: int, p: float, q: float) -> Scalar:
     """Logarithmic energy E_0 of the elliptic (p,q)-Fekete configuration.
 
-    2(n-1) log lambda_n - log D_n.  (For n = 1 both terms vanish.)
+    2(n-1) log lambda_n - log D_n, rounded once.  (For n = 1 both terms
+    vanish.)
     """
     n = check_size(n, "n", 1)
     check_finite_above(0, "endpoint charges", p=p, q=q)
-
-    def body(p, q):
-        lam, disc, _, _ = jacobi.log_values_mp(n, 2 * p, 2 * q)
-        return 2 * (n - 1) * lam - disc
-
-    return active().guarded(body, p, q, size=2 * (mpmath.mpf(p) + q))
+    (P, dp), (Q, dq) = integer_ratio(p), integer_ratio(q)
+    fp, (lam, disc) = jacobi.log_values_fixed(n, (2 * P, dp), (2 * Q, dq), (0, 1))
+    return active().ratio(2 * (n - 1) * lam - disc, 1 << fp)
 
 
 def interval_energy_exact(N: int) -> Scalar:
@@ -194,8 +197,8 @@ def interval_energy_exact(N: int) -> Scalar:
     minus 2 log 2, rounded once: the optimal points are the endpoints and
     the zeros of P_{N-2}^(1,1).  N = 2 gives -log 4, the two endpoints.
     """
-    N = check_size(N, "N", 2)
-    return active().guarded(lambda: _interval_mp(N), size=4)
+    fp, _, value = _potential_fixed(check_size(N, "N", 2) - 2, 1, 1)
+    return active().ratio(value - 2 * ln2_fixed(fp), 1 << fp)
 
 
 def discriminant_N_log(N: int) -> Scalar:
@@ -216,11 +219,13 @@ def pq_discriminant_log(n: int, p: float, q: float) -> Scalar:
 
 def interval_energy_on(interval: IntervalSpec, N: int) -> Scalar:
     """Minimal logarithmic N-point energy of a general interval [a, b]:
-    the [-1, 1] value minus N(N-1) log eta, eta = (b - a)/2, as one mpmath
-    expression rounded once.  When the capacity is near 1 the N^2 terms
-    cancel down to about -N log N, a loss of log2(N / log N) bits, so the
-    evaluation carries log2 N bits more (``size`` sqrt(N))."""
+    the [-1, 1] value minus N(N-1) log eta, eta = (b - a)/2, rounded once,
+    with a and b exact binary rationals.  When the capacity is near 1 the
+    N^2 terms cancel down to about -N log N, a loss of log2(N / log N)
+    bits, so the evaluation carries log2 N bits more (size sqrt(N))."""
     N = check_size(N, "N", 2)
-    return active().guarded(
-        lambda a, b: _interval_mp(N) - N * (N - 1) * mpmath.log((b - a) / 2),
-        interval.a, interval.b, size=max(4, math.isqrt(N)))
+    fp, _, value = _potential_fixed(N - 2, 1, 1, (max(4, math.isqrt(N)), 1))
+    (a, da), (b, db) = integer_ratio(interval.a), integer_ratio(interval.b)
+    # b - a = (b db - a da) / (da db) exactly, da db a power of two
+    log_eta = log_fixed(b * da - a * db, -(da * db).bit_length(), fp)
+    return active().ratio(value - 2 * ln2_fixed(fp) - N * (N - 1) * log_eta, 1 << fp)

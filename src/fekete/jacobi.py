@@ -3,17 +3,15 @@ explode: leading coefficient, endpoint values, zeros, and the discriminant
 in closed form."""
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
 
-import mpmath
-from mpmath.libmp import ln2_fixed
+from mpmath.libmp import from_int, ln2_fixed, mpf_add, round_nearest
 
 from .exceptions import (CapacityError, NumericalError, check_finite_above, check_size,
                          ordered_interior)
-from .precision import Scalar, active
+from .precision import Scalar, active, integer_ratio, round_ratio
 from .specfun import fixed_bits, log_gamma_g_fixed, memo
 
 
@@ -67,14 +65,14 @@ class ZeroSet:
 
 
 def _log_value(n: int, params: JacobiParams, index: int) -> Scalar:
-    """Element ``index`` of :func:`log_values_mp` at the exponents of
+    """Element ``index`` of :func:`log_values_fixed` at the exponents of
     ``params``, rounded once; n is checked.  The size is that of the
     exponents the element involves: alpha + beta + 2 for log lambda_n and
     log D_n, alpha + 2 for log P_n(1), beta + 2 for log |P_n(-1)|."""
-    a, b = params.alpha, params.beta
-    size = (a + b + 2, a + b + 2, a + 2, b + 2)[index]
-    return active().guarded(lambda a, b: log_values_mp(n, a + 1, b + 1, (index,))[0], a, b,
-                            size=size)
+    (a, da), (b, db) = integer_ratio(params.alpha), integer_ratio(params.beta)
+    size = None if index < 2 else ((a + 2 * da, da), (b + 2 * db, db))[index - 2]
+    fp, (value,) = log_values_fixed(n, (a + da, da), (b + db, db), (index,), size)
+    return active().ratio(value, 1 << fp)
 
 
 def leading_coeff_log(n: int, params: JacobiParams) -> Scalar:
@@ -225,23 +223,21 @@ def zeros(n: int, params: JacobiParams) -> ZeroSet:
 
 def discriminant_log(n: int, params: JacobiParams) -> Scalar:
     """log D_n^(alpha,beta), from log Barnes G and log Gamma in O(1) per n
-    (see :func:`log_values_mp`), rounded once; G itself, of size
+    (see :func:`log_values_fixed`), rounded once; G itself, of size
     exp(n^2 log n), is never formed."""
     return _log_value(check_size(n, "n", 1), params, 1)
 
 
 # -- the one formula for the Jacobi quantities --------------------------------
-#
-# It takes mpf values and runs at the caller's mpmath precision; the public
-# functions above and the exact energies evaluate it through
-# Context.guarded, with alpha + beta + 2 as its size.
 
 
-def log_values_mp(n: int, ap1, bp1, outputs=(0, 1, 2, 3)) -> tuple:
-    """(log lambda_n, log D_n, log P_n(1), log |P_n(-1)|) of P_n^(a,b), or
-    the elements of that tuple at the indices ``outputs``, for n >= 0 and
-    mpf ap1 = a + 1 > 0, bp1 = b + 1 > 0 (taken as given, so that 2p and
-    2q reach the formulas unrounded, also when p or q is tiny), with
+def log_values_fixed(n: int, ap1: tuple[int, int], bp1: tuple[int, int], outputs=(0, 1, 2, 3),
+                     size: tuple[int, int] | None = None) -> tuple[int, tuple[int, ...]]:
+    """(fp, values): (log lambda_n, log D_n, log P_n(1), log |P_n(-1)|) of
+    P_n^(a,b), or the elements of that tuple at the indices ``outputs``,
+    each an integer scaled by 2^fp, for n >= 0 and a + 1 > 0, b + 1 > 0
+    given as exact rationals ``ap1`` and ``bp1`` (num, den), so that 2p and
+    2q reach the formulas unrounded, also when p or q is tiny.  With
     s = a + b + 1:
 
         log lambda_n = -n log 2 + lgamma(2n+s) - lgamma(n+s) - lgamma(n+1),
@@ -256,24 +252,35 @@ def log_values_mp(n: int, ap1, bp1, outputs=(0, 1, 2, 3)) -> tuple:
         T(a) = (n-1) lgamma(n+a+1) - log G(n+a+1) + lgamma(a+1) + log G(a+1),
         T(b) likewise, and log G(2n+s) - log G(n+s) - n lgamma(n+s).
 
-    Each distinct argument among n+1, n+a+1, n+b+1, n+s and 2n+s that the
-    requested outputs involve takes one call of the fixed-point kernel
-    :func:`~fekete.specfun.log_gamma_g_fixed`, through a cache that lives
-    for this call only -- n+1, n+s and 2n+s for
-    log lambda_n, n+1 and n+a+1 for log P_n(1), all five for log D_n --
-    and a + 1 and b + 1 one :func:`~fekete.specfun.memo` entry each; the
-    values are integer combinations of its outputs, each converted to mpf
-    once.  Exactly 0 at n = 0, and log D_1 = 0.
+    The kernel :func:`~fekete.specfun.log_gamma_g_fixed` runs at the
+    precision that :meth:`~fekete.precision.Context.exact_prec` of the
+    active context gives for ``size`` (num, den), a scale at which the
+    formula cancels about 2 log2 size bits: by default a + b + 2, that of
+    log lambda_n and log D_n.  fp is its :func:`~fekete.specfun.fixed_bits`.  At that
+    precision a + 1 and b + 1 are rounded once, and the arguments n+1,
+    n+a+1, n+b+1, n+s and 2n+s formed from them, each rounded once.  Each
+    distinct argument that the requested outputs involve takes one kernel
+    call, cached for this call only under its mpf tuple -- n+1, n+s and
+    2n+s for log lambda_n, n+1 and n+a+1 for log P_n(1), all five for
+    log D_n -- and a + 1 and b + 1 one :func:`~fekete.specfun.memo` entry
+    each.  Exactly 0 at n = 0, and log D_1 = 0.
     """
-    if n == 0:
-        return (mpmath.mpf(0),) * len(outputs)  # lambda_0 = D_0 = P_0 = 1
-    ab2 = ap1 + bp1  # a + b + 2, so that n + s keeps a tiny a + 1 + b + 1
-    # all five mpf, so that the cache takes n + 1 and an equal n + a + 1 as one key
-    x1 = mpmath.mpf(n + 1)
-    xa, xb, xs, x2s = n + ap1, n + bp1, (n - 1) + ab2, (2 * n - 1) + ab2
-    prec = mpmath.mp.prec  # read once: the kernel, the memo and fp share it
-    k = functools.cache(functools.partial(log_gamma_g_fixed, prec=prec))
+    prec = active().exact_prec(*(size or (ap1[0] * bp1[1] + bp1[0] * ap1[1], ap1[1] * bp1[1])))
     fp = fixed_bits(prec)
+    if n == 0:
+        return fp, (0,) * len(outputs)  # lambda_0 = D_0 = P_0 = 1
+    ap1, bp1 = round_ratio(*ap1, prec), round_ratio(*bp1, prec)
+    ab2 = mpf_add(ap1, bp1, prec, round_nearest)  # a + b + 2, which keeps a tiny a + 1 + b + 1
+    x1 = from_int(n + 1, prec, round_nearest)
+    xa, xb = (mpf_add(from_int(n), x, prec, round_nearest) for x in (ap1, bp1))
+    xs, x2s = (mpf_add(from_int(m), ab2, prec, round_nearest) for m in (n - 1, 2 * n - 1))
+    values = {}
+
+    def k(x):  # n + 1 and an equal n + a + 1 are one key: mpf tuples are normalised
+        if x not in values:
+            values[x] = log_gamma_g_fixed(x, prec)
+        return values[x]
+
     ln2 = ln2_fixed(fp)
 
     def lam():
@@ -293,4 +300,4 @@ def log_values_mp(n: int, ap1, bp1, outputs=(0, 1, 2, 3)) -> tuple:
         return k(x)[0] - memo(log_gamma_g_fixed, xp1, prec)[0] - k(x1)[0]
 
     formulas = (lam, disc, lambda: at_end(xa, ap1), lambda: at_end(xb, bp1))
-    return tuple(mpmath.mpf((formulas[i](), -fp)) for i in outputs)
+    return fp, tuple(formulas[i]() for i in outputs)

@@ -13,10 +13,12 @@ and route elementary functions and sums through it; plain Python
 operators then keep the scalar type (float or ``mpf``) throughout a
 computation.  Sums go through :meth:`Context.fsum`, which rounds the exact
 sum of its terms once (``math.fsum`` / ``mpmath.fsum``).
-Every closed-form value -- exact energies, Jacobi quantities, expansion
-constants -- is one mpmath expression evaluated at guard digits by
-:meth:`Context.guarded`, the one place where it is rounded into the
-active scalar type.
+Closed-form values are rounded once into the active scalar type.  Exact
+energies and Jacobi quantities, formed from kernel values at the
+precision :meth:`Context.exact_prec` gives, and the expansions' tail
+coefficients are one integer numerator over one integer denominator,
+rounded by :meth:`Context.ratio`; the expansions' leading constants are
+one mpmath expression at guard digits, rounded by :meth:`Context.guarded`.
 
 :func:`use` sets the process-wide default mode (the CLI's start-up
 setting).  :func:`precision_mode` overrides it for the current thread (or
@@ -24,7 +26,9 @@ asyncio task) only, through a :class:`contextvars.ContextVar`, so threads
 in different modes get their own scalar types.  ``mpmath``'s working
 precision, ``mpmath.mp.dps``, is still process-global: entering ``ext``
 sets it to :data:`EXTENDED_DPS` and leaving restores it for every thread,
-so ``ext`` blocks that overlap in two threads can cut each other's digits.
+so ``ext`` blocks that overlap in two threads can cut each other's digits
+where a value reads it: in the expansions' leading constants, not in the
+exact values, which read no global precision.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath
-from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest, to_rational
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest, to_rational, to_str
 
 from .exceptions import CapacityError, DomainError
 
@@ -47,7 +51,7 @@ EXT = "ext"
 #: decimal digits carried in extended mode
 EXTENDED_DPS = 32
 
-#: digits carried beyond the mode's by :meth:`Context.guarded`
+#: digits carried beyond the mode's by closed forms (:meth:`Context.exact_prec`)
 _GUARD_DPS = 10
 
 
@@ -66,10 +70,25 @@ def integer_ratio(x) -> tuple[int, int]:
     raise TypeError(f"no exact rational conversion for {type(x).__name__}")
 
 
+def round_ratio(num: int, den: int, prec: int) -> tuple:
+    """The rational num/den (integers, den > 0, in any terms) rounded once to
+    nearest at ``prec`` bits, as an mpf tuple: the integer quotient q of
+    num 2^k / den, with at least prec + 2 bits, plus a sticky half for a
+    nonzero remainder, so that q + 1/2 lies between the same rounding
+    midpoints as the exact quotient, as in ``mpf_div``.  (``from_rational``
+    would first strip the trailing zero bits of num and den 8 at a time,
+    which is quadratic in their number.)"""
+    size = abs(num)
+    extra = prec + 3 - size.bit_length() + den.bit_length()
+    q, r = divmod(size << extra, den) if extra >= 0 else divmod(size, den << -extra)
+    man = (q << 1) | (r > 0)
+    return from_man_exp(-man if num < 0 else man, -extra - 1, prec, round_nearest)
+
+
 class Context:
     """Arithmetic backend for one precision mode."""
 
-    __slots__ = ("mode", "dps", "prec")
+    __slots__ = ("mode", "dps", "prec", "guard_prec")
 
     def __init__(self, mode: str):
         if mode not in (STD, EXT):
@@ -78,6 +97,8 @@ class Context:
         self.dps = 16 if mode == STD else EXTENDED_DPS
         #: bits of the scalar type: float64's, or mpmath's at ``dps`` digits
         self.prec = 53 if mode == STD else dps_to_prec(EXTENDED_DPS)
+        #: bits of a closed form before its one rounding: :data:`_GUARD_DPS` digits more
+        self.guard_prec = dps_to_prec(self.dps + _GUARD_DPS)
 
     def __repr__(self) -> str:
         return f"Context(mode={self.mode!r}, dps={self.dps})"
@@ -93,25 +114,34 @@ class Context:
     def ratio(self, num: int, den: int) -> Scalar:
         """The rational num/den (integers, den > 0, in any terms) rounded once
         to nearest into the active scalar type: Python's correctly rounded
-        int division in ``std``.  In ``ext`` the integer quotient q of
-        num 2^k / den, with at least prec + 2 bits, plus a sticky half for a
-        nonzero remainder: q + 1/2 then lies between the same rounding
-        midpoints as the exact quotient, as in ``mpf_div``.  (``from_rational`` would
-        first strip the trailing zero bits of num and den 8 at a time, which
-        is quadratic in their number.)  Raises :class:`CapacityError` when
-        the quotient overflows float64 in ``std``."""
+        int division in ``std``, :func:`round_ratio` at :attr:`prec` in
+        ``ext``.  Raises :class:`CapacityError` when the quotient overflows
+        float64 in ``std``."""
         if self.mode == STD:
             try:
                 return num / den
             except OverflowError:
-                raise CapacityError(f"{mpmath.nstr(mpmath.mpf(num) / den, 5)} is not finite "
+                raise CapacityError(f"{to_str(round_ratio(num, den, 53), 5)} is not finite "
                                     f"in std precision") from None
-        prec, size = self.prec, abs(num)
-        extra = prec + 3 - size.bit_length() + den.bit_length()
-        q, r = divmod(size << extra, den) if extra >= 0 else divmod(size, den << -extra)
-        man = (q << 1) | (r > 0)
-        return mpmath.mp.make_mpf(from_man_exp(-man if num < 0 else man, -extra - 1, prec,
-                                               round_nearest))
+        return mpmath.mp.make_mpf(round_ratio(num, den, self.prec))
+
+    def exact_prec(self, num: int, den: int = 1) -> int:
+        """The bits at which a closed form of size num/den > 0 is evaluated
+        before its one rounding: :attr:`guard_prec` plus 2 mag(num/den) where
+        the size exceeds 1, the mag (the least m with num/den < 2^m) of the
+        exact quotient.
+
+        The size is a scale s at which the formula cancels about 2 log2 s
+        bits.  For the formulas in log Barnes G it is alpha + beta + 2 of
+        the Jacobi exponents involved: log G(alpha + 2) grows like
+        alpha^2 log alpha while the quantities built from it grow like
+        n^2 log alpha, and the lgamma differences scaled by n + p + q in the
+        exact energies cancel alike, so large exponents lose about
+        2 mag(alpha) bits.  For the energy of an interval of capacity near
+        1 it is sqrt(N): its N^2 terms cancel down to about N log N."""
+        m = num.bit_length() - den.bit_length()  # the mag is m or m + 1
+        m += num << max(0, -m) >= den << max(0, m)
+        return self.guard_prec + 2 * max(0, m)
 
     # -- elementary functions ---------------------------------------------
 
@@ -122,28 +152,19 @@ class Context:
         """The exact sum of ``terms`` (any iterable), rounded once."""
         return math.fsum(terms) if self.mode == STD else mpmath.fsum(terms)
 
-    # -- closed-form values: the one rounding into the scalar type ----------
+    # -- closed forms as one mpmath expression --------------------------------
 
-    def guarded(self, fn, *values, size: float = 0):
-        """``fn(*values)`` with the values as mpf, evaluated by mpmath with
-        :data:`_GUARD_DPS` digits beyond the mode's plus ``2 mag(size)``
-        bits, then rounded once into the active scalar type (after the guard
-        digits are dropped, so ``ext`` results carry ``dps`` digits).  A
-        tuple result is rounded element by element.
-
-        ``size`` is a scale s at which the formula cancels about
-        2 log2 s bits.  For the formulas in log Barnes G it is
-        alpha + beta + 2 of the Jacobi exponents involved: log G(alpha + 2)
-        grows like alpha^2 log alpha while the quantities built from it grow
-        like n^2 log alpha, and the lgamma differences scaled by n + p + q
-        in the exact energies cancel alike, so large exponents lose about
-        2 mag(alpha) bits.  For the energy of an interval of capacity near
-        1 it is sqrt(N): its N^2 terms cancel down to about N log N.
-
-        Raises :class:`CapacityError` when a rounded value is not finite,
-        i.e. when it overflows float64 in ``std``."""
-        extra = max(0, 2 * mpmath.mag(size))
-        with mpmath.workdps(self.dps + _GUARD_DPS), mpmath.extraprec(extra):
+    def guarded(self, fn, *values):
+        """``fn(*values)`` with the values as mpf, evaluated by mpmath at
+        :attr:`guard_prec`, then rounded once into the active scalar type
+        (after the guard digits are dropped, so ``ext`` results carry
+        ``dps`` digits).  A tuple result is rounded element by element.  The
+        expansions' leading constants are evaluated so; values that are
+        integer combinations of fixed-point kernel values are rounded by
+        :meth:`ratio` instead, from :meth:`exact_prec`, without mpf
+        arithmetic.  Raises :class:`CapacityError` when a rounded value is
+        not finite, i.e. when it overflows float64 in ``std``."""
+        with mpmath.workprec(self.guard_prec):
             raw = fn(*(mpmath.mpf(v) for v in values))
         if isinstance(raw, tuple):
             return tuple(self._rounded(r) for r in raw)

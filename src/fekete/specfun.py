@@ -9,8 +9,10 @@ denominators.  One fixed-point kernel for log Gamma and log Barnes G
 together, by their asymptotic series summed in integers in the log
 domain without forming Gamma or G; the antiderivative of log-gamma
 (negapolygamma of order -2) from one value of that kernel; and
-:func:`memo`, the one memo of O(1)-argument kernel values.  Callers round
-kernel values through :meth:`fekete.precision.Context.guarded`.
+:func:`memo`, the one memo of O(1)-argument kernel values.  Callers
+combine kernel values in integers and round the result once through
+:meth:`fekete.precision.Context.ratio`, or convert them to mpf inside
+:meth:`fekete.precision.Context.guarded`.
 """
 from __future__ import annotations
 
@@ -161,7 +163,7 @@ def _fixed_data(fp: int) -> tuple:
     return (half_log_2pi, zeta1, *data[2:])
 
 
-def _log_fixed(man: int, exp: int, fp: int) -> int:
+def log_fixed(man: int, exp: int, fp: int) -> int:
     """log(man 2^exp), man > 0, as an integer scaled by 2^fp."""
     bits = fp + abs(exp + man.bit_length()).bit_length() + 2
     return to_fixed(mpf_log(from_man_exp(man, exp), bits, round_nearest), fp)
@@ -179,10 +181,11 @@ def _horner(terms: tuple, log2_z: float, u: int, fp: int) -> int:
 
 
 def log_gamma_g_fixed(x, prec: int) -> tuple[int, int]:
-    """(log Gamma(x), log G(x)) for real x > 0 (int or mpf, taken exactly), as
-    integers scaled by 2^fp, fp = :func:`fixed_bits` of ``prec``, each
-    within a few units of 2^(8 - fp) max(|value|, 1), and exactly 0 at
-    x = 1 and 2, where Gamma and G are 1; neither Gamma nor G is formed.
+    """(log Gamma(x), log G(x)) for real x > 0 (int, mpf or mpf tuple, taken
+    exactly), as integers scaled by 2^fp, fp = :func:`fixed_bits` of
+    ``prec``, each within a few units of 2^(8 - fp) max(|value|, 1), and
+    exactly 0 at x = 1 and 2, where Gamma and G are 1; neither Gamma nor G
+    is formed.
 
     With z = x - 1 at least w = wp/6 (wp = fp - 8), one log z serves
     Stirling's series and the asymptotic series of log G (DLMF 5.11.1,
@@ -218,7 +221,8 @@ def log_gamma_g_fixed(x, prec: int) -> tuple[int, int]:
     it is minus the value of log G(1) = 0 computed with the constant left
     out (see ``_fixed_data``), so it carries the error of one shifted value.
     """
-    x = from_int(x) if isinstance(x, int) else x._mpf_
+    if not isinstance(x, tuple):
+        x = from_int(x) if isinstance(x, int) else x._mpf_
     if x[0] or not x[1]:  # sign set, or a zero, inf or nan
         raise ValueError(f"log Gamma and log G need a finite x > 0, got {mpmath.mpf(x)}")
     if x in (fone, ftwo):
@@ -235,7 +239,7 @@ def _log_gamma_g(x: tuple, fp: int, data: tuple) -> tuple[int, int]:
     half_log_2pi, zeta1, w, gamma_terms, g_terms = data
     m = max(0, ((w << fp) - z + one - 1) >> fp)
     z += m << fp
-    log_z = _log_fixed(z, -fp, fp)
+    log_z = log_fixed(z, -fp, fp)
     log2_z = log_z / one / math.log(2)
     zz = z * z
     z2, u, v = zz >> fp, (1 << (3 * fp)) // zz, (1 << (2 * fp)) // z
@@ -262,8 +266,8 @@ def _log_gamma_g(x: tuple, fp: int, data: tuple) -> tuple[int, int]:
             if drop > 0:
                 q2 >>= drop
                 e2 += drop
-        lG += _log_fixed(q2, e2, fp) - m * lg
-        lg -= _log_fixed(q1, e1, fp)
+        lG += log_fixed(q2, e2, fp) - m * lg
+        lg -= log_fixed(q1, e1, fp)
     return lg, lG
 
 

@@ -7,6 +7,7 @@ from itertools import chain
 
 import mpmath
 
+from fekete import specfun
 from fekete.asym import LEADING_KEYS, Expansion
 from fekete.exceptions import DomainError
 from fekete.precision import EXT, active
@@ -104,6 +105,27 @@ def discriminant_log_product(n: int, alpha, beta):
         ((v - 1) * ctx.log(v + beta) for v in vs),
         ((n - v) * ctx.log(v + n + alpha + beta) for v in vs),
     ))
+
+
+def log_values_mp(n: int, ap1, bp1) -> tuple:
+    """(log lambda_n, log D_n, log P_n(1), log |P_n(-1)|) of P_n^(a,b) for
+    mpf ap1 = a + 1 and bp1 = b + 1, as mpf at mpmath's working precision:
+    the integer combinations of ``jacobi.log_values_fixed``, but each kernel
+    value's combination converted to mpf and the arguments formed by mpf
+    arithmetic (the mpf route that ``log_values_fixed`` replaced)."""
+    if n == 0:
+        return (mpmath.mpf(0),) * 4
+    prec = mpmath.mp.prec
+    fp = specfun.fixed_bits(prec)
+    ln2_fp = mpmath.libmp.ln2_fixed(fp)
+    ab2 = ap1 + bp1
+    x1, xa, xb, xs, x2s = mpmath.mpf(n + 1), n + ap1, n + bp1, (n - 1) + ab2, (2 * n - 1) + ab2
+    (g1, G1), (ga, Ga), (gb, Gb), (gs, Gs), (g2s, G2s), (ga0, Ga0), (gb0, Gb0) = (
+        specfun.log_gamma_g_fixed(x, prec) for x in (x1, xa, xb, xs, x2s, ap1, bp1))
+    lam = -n * ln2_fp + g2s - gs - g1
+    disc = 0 if n == 1 else (-n * (n - 1) * ln2_fp + (2 - n) * g1 - G1 + (n - 1) * (ga + gb)
+                             - Ga - Gb + ga0 + Ga0 + gb0 + Gb0 + G2s - Gs - n * gs)
+    return tuple(mpmath.mpf((v, -fp)) for v in (lam, disc, ga - ga0 - g1, gb - gb0 - g1))
 
 
 def shifted_terms(m: int, n: int, offset):

@@ -77,7 +77,7 @@ def _evaluated(*args, **kwargs):
 def test_large_exponents_are_evaluated(monkeypatch):
     # near p = 1.62 n, q = 1 the potential energy crosses zero, so n alone
     # does not decide that it overflows: the value is evaluated
-    monkeypatch.setattr(precision.Context, "guarded", _evaluated)
+    monkeypatch.setattr(precision.Context, "ratio", _evaluated)
     with pytest.raises(AssertionError, match="evaluated"):
         energy.potential_energy_exact(10**160, 1e160, 1)
 

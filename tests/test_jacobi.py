@@ -14,7 +14,7 @@ from fekete.exceptions import CapacityError, DomainError, NumericalError
 from fekete.jacobi import JacobiParams
 from fekete.precision import active, precision_mode
 
-from _util import discriminant_log_product, rel_close
+from _util import discriminant_log_product, log_values_mp, rel_close
 
 
 def evaluate(n, params, x):
@@ -520,7 +520,7 @@ class TestDiscriminant:
     @pytest.mark.parametrize("alpha,beta", [(0, 0), (1, 1), (-0.5, 7), (0.5, 3.5),
                                             (2e8, 1), (2e12, 1)])
     def test_closed_form_vs_product(self, mode, rtol, alpha, beta):
-        # the exponents 2e8 and 2e12 need the size bits of Context.guarded:
+        # the exponents 2e8 and 2e12 need the size bits of Context.exact_prec:
         # log G(alpha + 2) ~ alpha^2 log alpha cancels down to n^2 log alpha
         params = JacobiParams(alpha, beta)
         with precision_mode(mode):
@@ -553,10 +553,14 @@ class TestKernelArguments:
                     calls.clear()
                     value = fn(n, params)
                     assert len(calls) == len(args), (fn.__name__, n, a, b, calls)
-                    assert {float(x) for x in calls} == args
-                    all_four = active().guarded(
-                        lambda a, b: jacobi.log_values_mp(n, a + 1, b + 1), a, b,
-                        size=(a + 2 if fn is jacobi.value_at_one_log else a + b + 2))
+                    assert {float(mpmath.mpf(x)) for x in calls} == args  # mpf tuples
+                    # the mpf route that log_values_fixed replaced as the reference:
+                    # evaluated at the same precision, each value rounded once more
+                    ctx = active()
+                    size = a + 2 if fn is jacobi.value_at_one_log else a + b + 2
+                    with mpmath.workprec(ctx.exact_prec(*size.as_integer_ratio())):
+                        raw = log_values_mp(n, mpmath.mpf(a) + 1, mpmath.mpf(b) + 1)
+                    all_four = [ctx.real(v) for v in raw]
                     index = (jacobi.leading_coeff_log, jacobi.discriminant_log,
                              jacobi.value_at_one_log).index(fn)
                     assert value == all_four[index]

@@ -6,7 +6,7 @@ import time
 import mpmath
 import pytest
 
-from fekete import asym, jacobi, precision, specfun
+from fekete import asym, cli, jacobi, precision, specfun
 from fekete.exceptions import DomainError
 from fekete.jacobi import JacobiParams
 from fekete.precision import EXTENDED_DPS, active, integer_ratio, precision_mode
@@ -79,7 +79,7 @@ def test_data_filled_by_racing_modes_is_exact():
     fps = []
     for mode in ("std", "ext"):
         with precision_mode(mode):  # the fractional bits at the size a + b + 2 = 4
-            fps.append(int(active().guarded(lambda: specfun.fixed_bits(mpmath.mp.prec), size=4)))
+            fps.append(specfun.fixed_bits(active().exact_prec(4)))
     expected = [specfun._fixed_data.__wrapped__(fp) for fp in fps]
 
     def work(mode):
@@ -104,6 +104,58 @@ def test_data_filled_by_racing_modes_is_exact():
     finally:
         sys.setswitchinterval(interval)
         mpmath.mp.dps = dps
+
+
+def _exact_values() -> list:
+    """Every exact function reachable from ``cli.KINDS`` at n = 2, 40 and
+    10^6, each value as its bits: the float, or the mpf tuple."""
+    inputs = {"params": JacobiParams(0.4, 1.6), "p": 0.75, "q": 4.0, "a": 0.5, "b": 3.25}
+    return [getattr(value, "_mpf_", value)
+            for kind in cli.KINDS.values() for n in (2, 40, 10**6)
+            for value in [kind.exact(n, *(inputs[f] for f in kind.inputs))]]
+
+
+@pytest.mark.parametrize("mode", ["std", "ext"])
+def test_exact_values_ignore_mpmath_precision(mode):
+    # the exact values read no working precision: under mpmath.workdps at
+    # 5 or 200 digits each is the value the mode gives by itself
+    with precision_mode(mode):
+        expected = _exact_values()
+        for dps in (5, 200):
+            with mpmath.workdps(dps):
+                assert _exact_values() == expected, dps
+
+
+def test_exact_values_in_racing_modes():
+    # threads in both modes, whose ext blocks move mpmath's one working
+    # precision, each get the values a single thread gets
+    expected = {}
+    for mode in ("std", "ext"):
+        with precision_mode(mode):
+            expected[mode] = _exact_values()
+    wrong = []
+
+    def work(mode):
+        for _ in range(5):
+            with precision_mode(mode):
+                time.sleep(0)
+                if _exact_values() != expected[mode]:
+                    wrong.append(mode)
+
+    interval, dps = sys.getswitchinterval(), mpmath.mp.dps
+    threads = [threading.Thread(target=work, args=("ext" if i % 2 else "std",))
+               for i in range(6)]
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        mpmath.mp.dps = dps
+    assert wrong == []
 
 
 def test_use_restores_mpmath_precision():

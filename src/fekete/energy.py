@@ -19,7 +19,7 @@ from mpmath.libmp import ln2_fixed
 
 from . import jacobi
 from .exceptions import DomainError, check_finite_above, check_size
-from .precision import STD, Scalar, active, integer_ratio
+from .precision import STD, Scalar, active, integer_ratio, round_ratio
 from .specfun import log_fixed
 
 #: returned by configuration energies when points coincide (or touch a
@@ -220,12 +220,12 @@ def pq_discriminant_log(n: int, p: float, q: float) -> Scalar:
 def interval_energy_on(interval: IntervalSpec, N: int) -> Scalar:
     """Minimal logarithmic N-point energy of a general interval [a, b]:
     the [-1, 1] value minus N(N-1) log eta, eta = (b - a)/2, rounded once,
-    with a and b exact binary rationals.  When the capacity is near 1 the
+    with a and b exact rationals.  When the capacity is near 1 the
     N^2 terms cancel down to about -N log N, a loss of log2(N / log N)
     bits, so the evaluation carries log2 N bits more (size sqrt(N))."""
     N = check_size(N, "N", 2)
     fp, _, value = _potential_fixed(N - 2, 1, 1, (max(4, math.isqrt(N)), 1))
     (a, da), (b, db) = integer_ratio(interval.a), integer_ratio(interval.b)
-    # b - a = (b db - a da) / (da db) exactly, da db a power of two
-    log_eta = log_fixed(b * da - a * db, -(da * db).bit_length(), fp)
+    _, man, exp, _ = round_ratio(b * da - a * db, 2 * da * db, fp)  # eta at fp bits
+    log_eta = log_fixed(man, exp, fp)
     return active().ratio(value - 2 * ln2_fixed(fp) - N * (N - 1) * log_eta, 1 << fp)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -438,6 +439,18 @@ class TestRescale:
                 energy.interval_energy_exact(N) + math.log(2) * (N * N - N),
                 1e-12,
             )
+
+    def test_rational_ends(self):
+        # the ends are exact rationals: on [1/3, 7/3] eta = (b - a)/2 is 1,
+        # and on [0, 10/3] the value moves by N(N-1) log(5/3)
+        N = 30
+        spec = IntervalSpec(Fraction(1, 3), Fraction(7, 3))
+        assert energy.interval_energy_on(spec, N) == energy.interval_energy_exact(N)
+        with precision_mode("ext"):
+            value = energy.interval_energy_on(IntervalSpec(0, Fraction(10, 3)), N)
+            expected = energy.interval_energy_exact(N) - N * (N - 1) * mpmath.log(
+                mpmath.mpf(5) / 3)
+            assert rel_close(value, expected, 1e-31)
 
     @pytest.mark.parametrize("mode,rtol", [("std", 2.2e-16), ("ext", 1e-31)])
     @pytest.mark.parametrize("N", [10**2, 10**4, 10**6, 10**9, 10**12, 10**15])

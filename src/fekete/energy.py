@@ -132,20 +132,25 @@ def potential_energy_config(config: Configuration) -> Scalar:
     pairs = _log_distance_sum(pts)
     if pairs is None:
         return INFINITE_ENERGY
-    # the field terms as m log1p(-x^2) + (p - m) log1p(-x) + (q - m) log1p(x),
+    # the field terms as m log(1 - x^2) + (p - m) log1p(-x) + (q - m) log1p(x),
     # m = min(p, q): at p ~ q >> 1 the points crowd at 0 and p log(1 - x) and
-    # q log(1 + x), each O(p x), would cancel down to their sum's O(p x^2)
+    # q log(1 + x), each O(p x), would cancel down to their sum's O(p x^2).
+    # log(1 - x^2) is log1p(-x^2) for |x| < 1/2, and log1p(-x) + log1p(x)
+    # beyond, where x^2 would lose 1 - x^2's digits near the ends
     m = min(p, q)
     weights = (m, p - m, q - m)
     if ctx.mode == STD:
         import numpy as np  # only the float64 kernels load numpy
 
         x = np.asarray(pts, dtype=float)
-        field = [(w * np.log1p(u)).tolist() for w, u in zip(weights, (-x * x, -x, x)) if w]
+        lm, lp = np.log1p(-x), np.log1p(x)
+        both = np.where(np.abs(x) < 0.5, np.log1p(-x * x), lm + lp)
+        field = [(w * v).tolist() for w, v in zip(weights, (both, lm, lp)) if w]
     else:
         x = [ctx.real(xj) for xj in pts]
-        field = [[w * mpmath.log1p(u) for u in us] for w, us in
-                 zip(weights, ([-t * t for t in x], [-t for t in x], x)) if w]
+        lm, lp = [mpmath.log1p(-t) for t in x], [mpmath.log1p(t) for t in x]
+        both = [mpmath.log1p(-t * t) if abs(t) < 0.5 else a + b for t, a, b in zip(x, lm, lp)]
+        field = [[w * v for v in vs] for w, vs in zip(weights, (both, lm, lp)) if w]
     return 0 - 2 * ctx.fsum(chain((pairs,), *field))  # +0.0 with no points
 
 

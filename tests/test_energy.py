@@ -78,19 +78,31 @@ class TestPotentialEnergyConfig:
         # and q log(1 + x), each O(p x), cancel down to O(p x^2): formed
         # apart they left a relative error of 8.6e-3 in std and 8.9e14 in
         # ext at (3, 1e50, 1e50).  Against a 60-digit sum over the same
-        # points the errors measured at most 1.1e-16 in std and 6.9e-34 in
+        # points the errors measured at most 2.5e-16 in std and 6.9e-34 in
         # ext at these cases
-        pts = minimize.minimize_potential(n, p, q).configuration.points
+        _check_field(minimize.minimize_potential(n, p, q).configuration.points, p, q)
+
+    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (5.0, 3.0)])
+    def test_field_terms_near_the_ends(self, p, q):
+        # 2^-40 from the ends log1p(-x^2) would lose the digits of 1 - x^2 to
+        # the rounding of x^2 (1.7e-14 and 1.3e-14 measured); log1p(-x) +
+        # log1p(x) there measured 2.7e-17 and 1.8e-17
+        _check_field((-(1 - 2 ** -40), 0.3, 1 - 2 ** -40), p, q)
+
+
+def _check_field(pts, p, q):
+    """potential_energy_config of the points in both modes against a
+    60-digit sum over the same points, to 5e-16 in std and 4e-33 in ext."""
+    with mpmath.workdps(60):
+        x = [mpmath.mpf(t) for t in pts]
+        exact = -2 * mpmath.fsum(
+            [p * mpmath.log(1 - t) + q * mpmath.log(1 + t) for t in x]
+            + [mpmath.log(abs(s - t)) for j, s in enumerate(x) for t in x[j + 1:]])
+    for mode, rtol in (("std", 5e-16), ("ext", 4e-33)):
+        with precision_mode(mode):
+            value = energy.potential_energy_config(Configuration(pts, (p, q)))
         with mpmath.workdps(60):
-            x = [mpmath.mpf(t) for t in pts]
-            exact = -2 * mpmath.fsum(
-                [p * mpmath.log(1 - t) + q * mpmath.log(1 + t) for t in x]
-                + [mpmath.log(abs(s - t)) for j, s in enumerate(x) for t in x[j + 1:]])
-        for mode, rtol in (("std", 4e-16), ("ext", 4e-33)):
-            with precision_mode(mode):
-                value = energy.potential_energy_config(Configuration(pts, (p, q)))
-            with mpmath.workdps(60):
-                assert abs(value - exact) <= rtol * abs(exact), (mode, value, exact)
+            assert abs(value - exact) <= rtol * abs(exact), (mode, value, exact)
 
 
 def _pair_log_loop(points):
@@ -142,11 +154,12 @@ class TestConfigEnergyKernels:
 
 def _potential_loop(points, p, q):
     """The potential energy by the scalar loops, summed by one fsum, with the
-    field terms m log1p(-x^2) + (p - m) log1p(-x) + (q - m) log1p(x),
+    field terms m log(1 - x^2) + (p - m) log1p(-x) + (q - m) log1p(x),
     m = min(p, q), as the package forms them."""
     m = min(p, q)
     terms = [_pair_log_loop(points)]
-    terms += [m * math.log1p(-x * x) for x in points]
+    terms += [m * (math.log1p(-x * x) if abs(x) < 0.5 else math.log1p(-x) + math.log1p(x))
+              for x in points]
     terms += [(p - m) * math.log1p(-x) for x in points]
     terms += [(q - m) * math.log1p(x) for x in points]
     return -2 * math.fsum(terms)

@@ -242,8 +242,8 @@ def _expansion(kind: str, params: dict, order: int, kernel, values: tuple, tail)
     """The expansion ``kind`` at ``params``, to ``order`` tail terms: the
     leading coefficients ``kernel(*values)``, evaluated once by
     :meth:`~fekete.precision.Context.guarded` and each rounded once (at
-    plain guard digits, no ``size``, so that the memo key of a log Gamma /
-    log G value does not depend on the other input), and each (num, den) of
+    plain guard digits, so that the memo key of a log Gamma / log G value
+    does not depend on the other input), and each (num, den) of
     ``tail(order)`` rounded once by :meth:`~fekete.precision.Context.ratio`."""
     _check_order(order)
     ctx = active()

@@ -256,9 +256,9 @@ def log_values_fixed(n: int, ap1: tuple[int, int], bp1: tuple[int, int], outputs
     precision that :meth:`~fekete.precision.Context.exact_prec` of the
     active context gives for ``size`` (num, den), a scale at which the
     formula cancels about 2 log2 size bits: by default a + b + 2, that of
-    log lambda_n and log D_n.  fp is its :func:`~fekete.specfun.fixed_bits`.  At that
-    precision a + 1 and b + 1 are rounded once, and the arguments n+1,
-    n+a+1, n+b+1, n+s and 2n+s formed from them, each rounded once.  Each
+    log lambda_n and log D_n.  fp is its :func:`~fekete.specfun.fixed_bits`.
+    At that precision a + 1 and b + 1 are rounded once, and the arguments
+    n+1, n+a+1, n+b+1, n+s and 2n+s formed from them, each rounded once.  Each
     distinct argument that the requested outputs involve takes one kernel
     call, cached for this call only under its mpf tuple -- n+1, n+s and
     2n+s for log lambda_n, n+1 and n+a+1 for log P_n(1), all five for

@@ -374,7 +374,7 @@ class TestLogBarnesG:
     @pytest.mark.parametrize("mode", ["std", "ext"])
     @pytest.mark.parametrize("alpha, beta", LOG_G_EXPONENTS)
     def test_discriminant_arguments(self, mode, alpha, beta):
-        # at the precision Context.guarded sets for the discriminant: the
+        # at the precision Context.exact_prec gives the discriminant: the
         # mode's digits + 10 guard digits + 2 mag(alpha + beta + 2) bits
         extra = 2 * mpmath.mag(alpha + beta + 2)
         with mpmath.workdps(26 if mode == "std" else 42), mpmath.extraprec(extra):

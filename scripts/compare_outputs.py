@@ -19,7 +19,9 @@ in one process and reversed in another, each from empty caches, and
 compares the two: a value cached by one call and served to another that
 needs it at a different precision (std and ext share charges) shows up as
 a difference.  (Run twice in one process, the second pass would read the
-caches the first filled, and agree with it.)  The exit status is 1 when
+caches the first filled, and agree with it.)  Under each differing
+command its differing exit status and output lines are printed as
+first -> second, at most :data:`SHOWN` of them.  The exit status is 1 when
 any command differs, else 0.
 """
 from __future__ import annotations
@@ -49,6 +51,8 @@ coeffs --kind disc --p 1e-17 --q 0.5 --order 2
 coeffs --kind interval --order 1 --format csv
 exact --N 2..4 --p 1 --q 1
 coeffs --kind potential --p 1e77 --q 1 --order 4
+coeffs --kind potential --p 5e-324 --q 1e308 --order 2 --precision ext
+table --kind p1 --alpha 1e-300 --beta 0 --n 320,640 --order 2 --precision ext
 zeros --n 5 --p 1 --q 1e300
 zeros --n {huge} --p 1 --q 1
 minimize --n 5 --p 1e-300 --q 1e-300
@@ -174,8 +178,37 @@ def run_child(src: Path, *flags: str) -> list:
     return json.loads(out)
 
 
-def differing(commands, first, second) -> list[str]:
-    return [c for c, a, b in zip(commands, first, second) if a != b]
+#: differing lines printed under each differing command
+SHOWN = 6
+
+
+def changed_lines(first: list, second: list) -> list[str]:
+    """The differing exit status and output lines of one command's two
+    records, as 'first -> second', the stdout lines before the stderr ones.
+    Of two CSV rows with as many cells, only the differing cells are given,
+    after the cells that precede the first of them (n, or record, kind,
+    order and n)."""
+    lines = [] if first[0] == second[0] else [f"exit {first[0]} -> {second[0]}"]
+    for a, b in zip(first[1:], second[1:]):
+        a, b = a.splitlines(), b.splitlines()
+        a += [""] * (len(b) - len(a))
+        b += [""] * (len(a) - len(b))
+        for u, v in zip(a, b):
+            cells = list(zip(u.split(","), v.split(",")))
+            if u == v:
+                continue
+            if len(cells) > 2 and u.count(",") == v.count(","):
+                same = next(i for i, (x, y) in enumerate(cells) if x != y)
+                lines.append(",".join(x for x, _ in cells[:same]) + ": "
+                             + ", ".join(f"{x} -> {y}" for x, y in cells if x != y))
+            else:
+                lines.append(f"{u} -> {v}")
+    return lines
+
+
+def differing(commands, first, second) -> list[tuple[str, list[str]]]:
+    """(command, its changed lines) for each command whose records differ."""
+    return [(c, changed_lines(a, b)) for c, a, b in zip(commands, first, second) if a != b]
 
 
 def main() -> int:
@@ -213,8 +246,12 @@ def main() -> int:
                           run_child(ROOT / "src", "--reversed"))
         print(f"forward vs reversed: {len(found)} of {len(commands)} commands differ")
         diffs += found
-    for command in diffs:
+    for command, lines in diffs:
         print(f"  fekete {command}")
+        for line in lines[:SHOWN]:
+            print(f"      {line}")
+        if len(lines) > SHOWN:
+            print(f"      ... {len(lines) - SHOWN} more changed lines")
     return 1 if diffs else 0
 
 

@@ -2,31 +2,36 @@
 
 Each builder returns an :class:`Expansion` holding the leading coefficients
 (of n^2, n log n, n, log n, 1, under fixed keys) and the tail coefficients
-c_m of n^(-m) up to a requested order.  The leading coefficients are one
-mpf kernel of the exact inputs (with log 2 and log pi from mpmath, log A,
-log-gamma, log Barnes G and psi^(-2) from the fixed-point kernel of
-:mod:`fekete.specfun`), evaluated at guard digits by
-:meth:`~fekete.precision.Context.guarded` and rounded once each.  Tail
-coefficients are exact rationals of Bernoulli data, each assembled as one
-integer numerator over one integer denominator and rounded once into the
-active precision.
+c_m of n^(-m) up to a requested order.  Every coefficient is one integer
+numerator over one integer denominator, rounded once into the active
+precision by :meth:`~fekete.precision.Context.ratio`.  The leading ones
+combine the exact inputs with fixed-point integers at the
+:meth:`~fekete.precision.Context.exact_prec` of the context: log 2 and
+pi from ``mpmath.libmp``, log pi, log Gamma, log Barnes G, psi^(-2) and
+log A from the kernels of :mod:`fekete.specfun`.  The tail ones are exact
+rationals of Bernoulli data.
 
-The series are asymptotic (divergent in general): evaluation never chooses
-a truncation order by itself.
+:func:`truncations` takes the rounded coefficients as the exact binary
+rationals they are and rounds each partial sum once, from a fixed-point
+integer whose error bound decides the rounding.  No step reads mpmath's
+working precision.  The series are asymptotic (divergent in general):
+evaluation never chooses a truncation order by itself.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-import mpmath
-from mpmath.libmp import repr_dps, to_str
+from mpmath.libmp import ln2_fixed, pi_fixed, repr_dps
 
 from .energy import IntervalSpec
 from .exceptions import CapacityError, check_finite_above, check_size
 from .jacobi import JacobiParams
-from .precision import Scalar, active, integer_ratio
-from .specfun import bernoulli_number, log_glaisher_mp, negapolygamma2_mp, psi2_fixed
+from .precision import Scalar, active, decimal_str, integer_ratio, round_ratio
+from .specfun import (bernoulli_number, fixed_bits, log_fixed, log_gamma_g_fixed,
+                      log_glaisher_fixed, memo, psi2_fixed)
 from .specfun import hurwitz_zeta_negint_numerators as _zeta
 
 LEADING_KEYS = ("n2", "nlogn", "n", "logn", "const")
@@ -177,80 +182,119 @@ def _interval_tail(order: int):
         yield ((w - 1) * (m + 2) * bd + (4 * w - 1) * bn), m * (m + 1) * w * (m + 2) * bd
 
 
-# -- leading kernels: mpf in, the LEADING_KEYS coefficients out ---------------
+# -- leading coefficients from integers -----------------------------------------
+#
+# Each kernel takes the precision prec and the exact inputs and returns the
+# LEADING_KEYS coefficients as (num, den) pairs: integer combinations of the
+# inputs, written over one common denominator d, and of fixed-point values
+# scaled by 2^fp, fp = fixed_bits(prec).  No coefficient cancels more than
+# the kernels' guard bits cover, so prec is the context's guard_prec, the
+# exact_prec of a size 1; psi^(-2) near 0 and log Gamma(1 + alpha) at a tiny
+# alpha add the log2(1/x) bits their own cancellation takes.
 
 
-def _endpoint(x):
-    """x log Gamma(x) - psi^(-2)(x) = log G(1 + x) - x(1 - x)/2 - (x/2) log 2pi:
-    what one endpoint exponent (x = alpha + 1 or 2p) adds to the
-    discriminant and elliptic constants."""
-    fp, _, value = psi2_fixed(x)
-    return mpmath.mpf((value, -fp))
+@functools.cache
+def _constants(fp: int) -> tuple[int, int, int]:
+    """(log 2, log pi, log A) as integers scaled by 2^fp."""
+    return ln2_fixed(fp), log_fixed(pi_fixed(fp + 8), -fp - 8, fp), log_glaisher_fixed(fp)
 
 
-def _lambda_kernel(a, b):
-    ln2 = mpmath.log(2)
-    return (0, 0, ln2, -0.5, (a + b) * ln2 - mpmath.log(mpmath.pi) / 2)
+def _psi2(num: int, den: int, prec: int, fp: int) -> tuple[int, int]:
+    """(psi^(-2)(x), x log Gamma(x) - psi^(-2)(x)) at x = num/den, rounded
+    at prec bits (exactly, for 2p at a float p), as integers scaled by 2^fp."""
+    fx, psi2, endpoint = psi2_fixed(round_ratio(num, den, prec), prec)
+    return psi2 >> (fx - fp), endpoint >> (fx - fp)
 
 
-def _value_at_one_kernel(a):
-    return (0, 0, 0, a, -mpmath.loggamma(a + 1))
+def _lambda_kernel(prec, a, b):
+    """The constant (a + b) log 2 - (log pi)/2 over 2 d 2^fp."""
+    fp = fixed_bits(prec)
+    ln2, log_pi, _ = _constants(fp)
+    d, (a, b) = _over_common_denominator(a, b)
+    one = 1 << fp
+    return ((0, 1), (0, 1), (ln2, one), (-1, 2), (2 * (a + b) * ln2 - d * log_pi, 2 * d * one))
 
 
-def _discriminant_kernel(a, b):
-    ln2, log_pi = mpmath.log(2), mpmath.log(mpmath.pi)
-    ab = a + b
-    const = (-mpmath.mpf(1) / 8 - (ab + 0.5) ** 2 / 2
-             + (mpmath.mpf(11) / 6 + ab * ab) / 2 * ln2
-             + log_pi + 3 * log_glaisher_mp()
-             + (_endpoint(a + 1) + _endpoint(b + 1)))
-    logn = (2.5 - ((a + 1) ** 2 + (b + 1) ** 2)) / 2
-    return (ln2, 0, 2 * ab * ln2 - log_pi, logn, const)
+def _value_at_one_kernel(prec, alpha):
+    """log Gamma(alpha + 1) runs with log2(1/|alpha|) more bits where
+    |alpha| < 1, for its value of about -0.58 alpha."""
+    a, d = integer_ratio(alpha)
+    prec += max(0, d.bit_length() - abs(a).bit_length())
+    lg, _ = memo(log_gamma_g_fixed, round_ratio(a + d, d, prec), prec)
+    return (0, 1), (0, 1), (0, 1), (a, d), (-lg, 1 << fixed_bits(prec))
 
 
-def _potential_kernel(p, q):
-    ln2 = mpmath.log(2)
-    s = p + q
-    const = (2 * ((s - 1) ** 2 - mpmath.mpf(11) / 24) * ln2 - s * mpmath.log(mpmath.pi)
-             - 3 * log_glaisher_mp()
-             + (negapolygamma2_mp(2 * p) + negapolygamma2_mp(2 * q)))
-    logn = -2 * ((p - 0.25) ** 2 + (q - 0.25) ** 2)
-    return (ln2, -1, 2 * (s - 1) * ln2, logn, const)
+def _discriminant_kernel(prec, alpha, beta):
+    """The constant -1/8 - (a + b + 1/2)^2/2 + (11/6 + (a + b)^2)/2 log 2
+    + log pi + 3 log A + E(a + 1) + E(b + 1), E(x) = x log Gamma(x)
+    - psi^(-2)(x), over 48 d^2 2^fp."""
+    fp = fixed_bits(prec)
+    ln2, log_pi, log_a = _constants(fp)
+    d, (a, b) = _over_common_denominator(alpha, beta)
+    one, ab = 1 << fp, a + b
+    ends = sum(_psi2(x + d, d, prec, fp)[1] for x in (a, b))
+    const = (-6 * (d * d + (2 * ab + d) ** 2) * one + 4 * (11 * d * d + 6 * ab * ab) * ln2
+             + 48 * d * d * (log_pi + 3 * log_a + ends))
+    return ((ln2, one), (0, 1), (2 * ab * ln2 - d * log_pi, d * one),
+            (5 * d * d - 2 * ((a + d) ** 2 + (b + d) ** 2), 4 * d * d), (const, 48 * d * d * one))
 
 
-def _elliptic_kernel(p, q):
-    ln2 = mpmath.log(2)
-    const = (-2 * ((p + q) ** 2 - mpmath.mpf(13) / 24) * ln2
-             - 3 * log_glaisher_mp()
-             - (_endpoint(2 * p) + _endpoint(2 * q)))
-    return (ln2, -1, -2 * ln2, 2 * (p * p + q * q - 0.125), const)
+def _potential_kernel(prec, p, q):
+    """The constant 2((p + q - 1)^2 - 11/24) log 2 - (p + q) log pi - 3 log A
+    + psi^(-2)(2p) + psi^(-2)(2q) over 24 d^2 2^fp."""
+    fp = fixed_bits(prec)
+    ln2, log_pi, log_a = _constants(fp)
+    d, (p, q) = _over_common_denominator(p, q)
+    one, s = 1 << fp, p + q
+    psi2 = sum(_psi2(2 * x, d, prec, fp)[0] for x in (p, q))
+    const = (2 * (24 * (s - d) ** 2 - 11 * d * d) * ln2 - 24 * d * s * log_pi
+             + 24 * d * d * (psi2 - 3 * log_a))
+    return ((ln2, one), (-1, 1), (2 * (s - d) * ln2, d * one),
+            (-((4 * p - d) ** 2 + (4 * q - d) ** 2), 8 * d * d), (const, 24 * d * d * one))
 
 
-def _interval_kernel(a, b):
+def _elliptic_kernel(prec, p, q):
+    """The constant -2((p + q)^2 - 13/24) log 2 - 3 log A - E(2p) - E(2q),
+    E as in :func:`_discriminant_kernel`, over 24 d^2 2^fp."""
+    fp = fixed_bits(prec)
+    ln2, _, log_a = _constants(fp)
+    d, (p, q) = _over_common_denominator(p, q)
+    one = 1 << fp
+    ends = sum(_psi2(2 * x, d, prec, fp)[1] for x in (p, q))
+    const = -2 * (24 * (p + q) ** 2 - 13 * d * d) * ln2 - 24 * d * d * (3 * log_a + ends)
+    return ((ln2, one), (-1, 1), (-2 * ln2, one), (8 * (p * p + q * q) - d * d, 4 * d * d),
+            (const, 24 * d * d * one))
+
+
+def _interval_kernel(prec, a, b):
     """Leading coefficients of the minimal N-point energy of [a, b]:
     W N^2 - N log N - (log 2 + W) N - (log N)/4 + 13 log 2 / 12 - 3 log A,
-    with W = -log((b - a)/4), minus the log of the capacity."""
-    ln2 = mpmath.log(2)
-    w = -mpmath.log((b - a) / 4)
-    return (w, -1, -(ln2 + w), -0.25, 13 * ln2 / 12 - 3 * log_glaisher_mp())
+    with W = -log((b - a)/4), minus the log of the capacity, from the
+    exact ends."""
+    fp = fixed_bits(prec)
+    ln2, _, log_a = _constants(fp)
+    d, (a, b) = _over_common_denominator(a, b)
+    _, man, exp, _ = round_ratio(b - a, 4 * d, fp + 8)
+    log_cap, one = log_fixed(man, exp, fp), 1 << fp
+    return ((-log_cap, one), (-1, 1), (log_cap - ln2, one), (-1, 4),
+            (13 * ln2 - 36 * log_a, 12 * one))
 
 
 # -- expansion builders ------------------------------------------------------
 
 
 def _expansion(kind: str, params: dict, order: int, kernel, values: tuple, tail) -> Expansion:
-    """The expansion ``kind`` at ``params``, to ``order`` tail terms: the
-    leading coefficients ``kernel(*values)``, evaluated once by
-    :meth:`~fekete.precision.Context.guarded` and each rounded once (at
-    plain guard digits, so that the memo key of a log Gamma / log G value
-    does not depend on the other input), and each (num, den) of
-    ``tail(order)`` rounded once by :meth:`~fekete.precision.Context.ratio`."""
+    """The expansion ``kind`` at ``params``, to ``order`` tail terms: each
+    (num, den) of ``tail(order)`` and of ``kernel(prec, *values)`` rounded
+    once by :meth:`~fekete.precision.Context.ratio`, prec the context's
+    guard precision (the same for every input, so that the memo key of a
+    log Gamma / log G value does not depend on the other input)."""
     _check_order(order)
     ctx = active()
     coeffs = tuple(ctx.ratio(num, den) for num, den in tail(order))
+    leading = tuple(ctx.ratio(num, den) for num, den in kernel(ctx.exact_prec(1), *values))
     return Expansion(kind=kind, params={k: float(v) for k, v in params.items()},
-                     leading=dict(zip(LEADING_KEYS, ctx.guarded(kernel, *values))),
-                     tail=coeffs)
+                     leading=dict(zip(LEADING_KEYS, leading)), tail=coeffs)
 
 
 def leading_coeff_expansion(params: JacobiParams, order: int) -> Expansion:
@@ -316,13 +360,37 @@ def general_interval_energy_expansion(a: float, b: float, order: int) -> Expansi
                       (a, b), _interval_tail)
 
 
+#: bits beyond those of the result and of its error bound that a truncation
+#: is first formed with: the rounding is then undecided, and formed again with
+#: more bits, about once in 2^18 partial sums
+_TRUNCATION_GUARD = 20
+
+
+def _binary(x: Scalar) -> tuple[int, int]:
+    """(man, exp) with x = man 2^exp exactly, for a float or an mpf."""
+    if isinstance(x, float):
+        num, den = x.as_integer_ratio()
+        return num, 1 - den.bit_length()
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
 def truncations(expansion: Expansion, n: int, order: int | None = None) -> tuple[Scalar, ...]:
     """Values of the expansion at n truncated after 0, 1, ..., ``order`` tail
-    terms, as the running partial sums of one pass.
+    terms, each the exact value of that truncated series, with the
+    expansion's rounded coefficients as the binary rationals they are,
+    rounded once.
 
-    Deterministic evaluation order: leading terms descending (n^2, n log n,
-    n, log n, const), then tail ascending in m; the sum through tail term m
-    is the sum through m - 1 plus that term.
+    With A = c_n2 n^2 + c_n n + c_const and B = c_nlogn n + c_logn exact,
+    the partial sums A + B log n + sum_{m<=j} c_m n^-m are fixed-point
+    integers at F fractional bits, from one log n within 2 units of 2^-F
+    and one floor division per tail term, and each is rounded by
+    :meth:`~fekete.precision.Context.fixed` with the bound those steps
+    leave.  F covers the largest leading term's bits, the bound's and
+    :data:`_TRUNCATION_GUARD`; where the sums cancel, or a sum lies too
+    near a rounding midpoint, all are formed again with the bits missing.
+    B log n is transcendental for B != 0, so no sum is a midpoint and the
+    retries end; with B = 0 the sums are rational, and rounded exactly.
     """
     n = check_size(n, "n", 2)
     order = expansion.order if order is None else check_size(order, "order", 0)
@@ -331,21 +399,46 @@ def truncations(expansion: Expansion, n: int, order: int | None = None) -> tuple
             f"truncation order {order} outside the built tail length {expansion.order}"
         )
     ctx = active()
-    nn = ctx.real(n)
-    logn = ctx.log(nn)
-    lead = expansion.leading
-    value = lead["n2"] * nn * nn
-    value += lead["nlogn"] * nn * logn
-    value += lead["n"] * nn
-    value += lead["logn"] * logn
-    value += lead["const"]
-    sums = [value]
-    npow = nn
-    for m in range(order):
-        value += expansion.tail[m] / npow
-        npow *= nn
-        sums.append(value)
-    return tuple(sums)
+    (m2, e2), (m1, e1), (m0, e0), (ml, el), (mc, ec) = map(
+        _binary, (expansion.leading[k] for k in LEADING_KEYS))
+    tail = [_binary(c) for c in expansion.tail[:order]]
+    a_exp, b_exp = min(e2, e0, ec), min(e1, el)
+    big_a = (m2 * n * n << (e2 - a_exp)) + (m0 * n << (e0 - a_exp)) + (mc << (ec - a_exp))
+    big_b = (m1 * n << (e1 - b_exp)) + (ml << (el - b_exp))
+    if not big_b:
+        total, sums = Fraction(big_a) * Fraction(2) ** a_exp, []
+        for m, (man, exp) in enumerate([(0, 0), *tail]):
+            total += Fraction(man) * Fraction(2) ** exp / n ** m
+            sums.append(ctx.ratio(total.numerator, total.denominator))
+        return tuple(sums)
+    mag = max(big_a.bit_length() + a_exp,
+              big_b.bit_length() + b_exp + n.bit_length().bit_length())
+    fp = max(0, ctx.prec + _TRUNCATION_GUARD + max(0, big_b.bit_length() + b_exp + 2) - mag)
+    while True:
+        shift = a_exp + fp
+        value = big_a << shift if shift >= 0 else big_a >> -shift
+        err = shift < 0
+        shift = b_exp
+        term = big_b * log_fixed(n, 0, fp)
+        if shift >= 0:
+            value += term << shift
+            err += 2 * abs(big_b) << shift
+        else:
+            value += term >> -shift
+            err += (2 * abs(big_b) >> -shift) + 2
+        fixed = [(value, err)]
+        npow = 1
+        for man, exp in tail:
+            npow *= n
+            shift = exp + fp
+            value += (man << shift) // npow if shift >= 0 else man // (npow << -shift)
+            err += 1
+            fixed.append((value, err))
+        sums = [ctx.fixed(v, fp, e) for v, e in fixed]
+        if not any(s is None for s in sums):
+            return tuple(sums)
+        fp += max(16, *(ctx.prec + _TRUNCATION_GUARD + e.bit_length() - v.bit_length()
+                        for v, e in fixed))
 
 
 def evaluate_expansion(expansion: Expansion, n: int, order: int | None = None) -> Scalar:
@@ -362,7 +455,7 @@ def _scalar_to_json(x: Scalar):
     recover it at the active precision."""
     if isinstance(x, float):
         return x
-    return to_str(x._mpf_, repr_dps(active().prec))
+    return decimal_str(x._mpf_, repr_dps(active().prec))
 
 
 def expansion_to_json(expansion: Expansion) -> dict:

@@ -12,13 +12,12 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import mpmath
-from mpmath.libmp import to_str
 
 from . import __version__, asym, energy, jacobi
 from .energy import IntervalSpec
 from .exceptions import FeketeError, check_finite_above
 from .jacobi import JacobiParams
-from .precision import STD, active, use
+from .precision import STD, active, decimal_str, use
 
 
 class UsageError(Exception):
@@ -92,11 +91,13 @@ def _resolve_charges(p, q, alpha, beta, required: bool) -> tuple:
 
 def _format_scalar(x) -> str:
     """17 significant digits in ``std``; in ``ext`` the mode's digits, as
-    ``mpmath.nstr`` writes them."""
+    ``mpmath.nstr`` writes them, of another number (a float of the std
+    kernels) rounded at the mode's precision, not mpmath's working one."""
     ctx = active()
     if ctx.mode == STD:
         return format(float(x), ".17g")
-    return to_str((x if isinstance(x, mpmath.mpf) else ctx.real(x))._mpf_, ctx.dps)
+    return decimal_str((x if isinstance(x, mpmath.mpf) else mpmath.mpf(x, prec=ctx.prec))._mpf_,
+                       ctx.dps)
 
 
 def _json_scalar(x):
@@ -198,11 +199,12 @@ def cmd_table(cfg: RunConfig) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
     for mp_ in range(cfg.order + 1):
         header += [f"truncated_{mp_}", f"error_{mp_}"]
     rows = []
+    distance = active().distance
     for n in cfg.values:
         exact = kind.exact(n, *inputs)
         row = [str(n), _format_scalar(exact)]
         for approx in asym.truncations(expansion, n, cfg.order):
-            row += [_format_scalar(approx), _format_scalar(abs(exact - approx))]
+            row += [_format_scalar(approx), _format_scalar(distance(exact, approx))]
         rows.append(tuple(row))
     return tuple(header), rows
 
@@ -251,7 +253,8 @@ def cmd_verify(cfg: RunConfig):
     exacts = {n: kind.exact(n, *inputs) for n in cfg.values}
     exact_text = {n: _format_scalar(exacts[n]) for n in cfg.values}
     approx_by_n = {n: asym.truncations(expansion, n, cfg.order) for n in cfg.values}
-    errors_by_n = {n: [abs(exacts[n] - a) for a in approx_by_n[n]] for n in cfg.values}
+    distance = active().distance
+    errors_by_n = {n: [distance(exacts[n], a) for a in approx_by_n[n]] for n in cfg.values}
     error_floats = {n: [float(e) for e in errs] for n, errs in errors_by_n.items()}
     error_text = {n: [_format_scalar(e) for e in errs] for n, errs in errors_by_n.items()}
     for order in range(cfg.order + 1):

@@ -15,20 +15,25 @@ computation.  Sums go through :meth:`Context.fsum`, which rounds the exact
 sum of its terms once (``math.fsum`` / ``mpmath.fsum``).
 Closed-form values are rounded once into the active scalar type.  Exact
 energies and Jacobi quantities, formed from kernel values at the
-precision :meth:`Context.exact_prec` gives, and the expansions' tail
-coefficients are one integer numerator over one integer denominator,
-rounded by :meth:`Context.ratio`; the expansions' leading constants are
-one mpmath expression at guard digits, rounded by :meth:`Context.guarded`.
+precision :meth:`Context.exact_prec` gives, and the expansions' leading
+and tail coefficients are one integer numerator over one integer
+denominator, rounded by :meth:`Context.ratio`; each truncation of an
+expansion is a fixed-point integer with a known error bound, rounded by
+:meth:`Context.fixed` once that bound decides the rounding.
+:meth:`Context.distance` and :func:`decimal_str` give the CLI's error
+column and its decimal digits at the mode's precision.
 
 :func:`use` sets the process-wide default mode (the CLI's start-up
 setting).  :func:`precision_mode` overrides it for the current thread (or
 asyncio task) only, through a :class:`contextvars.ContextVar`, so threads
 in different modes get their own scalar types.  ``mpmath``'s working
 precision, ``mpmath.mp.dps``, is still process-global: entering ``ext``
-sets it to :data:`EXTENDED_DPS` and leaving restores it for every thread,
-so ``ext`` blocks that overlap in two threads can cut each other's digits
-where a value reads it: in the expansions' leading constants, not in the
-exact values, which read no global precision.
+sets it to :data:`EXTENDED_DPS` and leaving restores it for every thread.
+Only :meth:`Context.real`, :meth:`Context.log` and :meth:`Context.fsum`
+read it in ``ext``, so ``ext`` blocks that overlap in two threads can cut
+each other's digits only in the configuration energies; the exact values
+and the expansions, their truncations and the CLI's rows read no global
+precision.
 """
 from __future__ import annotations
 
@@ -39,7 +44,8 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath
-from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest, to_rational, to_str
+from mpmath.libmp import (dps_to_prec, from_man_exp, mpf_abs, mpf_sub, round_nearest, to_rational,
+                          to_str)
 
 from .exceptions import CapacityError, DomainError
 
@@ -125,6 +131,46 @@ class Context:
                                     f"in std precision") from None
         return mpmath.mp.make_mpf(round_ratio(num, den, self.prec))
 
+    def fixed(self, value: int, fp: int, err: int) -> Scalar | None:
+        """value 2^-fp rounded to nearest into the active scalar type, for a
+        quantity known only to lie within ``err`` units of 2^-fp of it:
+        returned where every number in that range rounds alike (so the
+        quantity itself is rounded once), None where ``err`` leaves the
+        rounding undecided and more bits are needed: where the range holds a
+        rounding midpoint, and where ``err`` reaches an eighth of the ulp, so
+        that a range reaching below a power of two, where the ulp halves,
+        holds none there either.  In ``std`` the ulp is float64's,
+        subnormals included, and a result past its range raises
+        :class:`CapacityError` as :meth:`ratio` does."""
+        size = abs(value)
+        shift = size.bit_length() - self.prec
+        if self.mode == STD:
+            shift = max(shift, fp - 1074)  # the subnormal ulp, 2^-1074
+        if shift < 1:
+            return None
+        half = 1 << (shift - 1)
+        rest = size & ((half << 1) - 1)
+        if 4 * err >= half or abs(rest - half) <= err:
+            return None
+        man = (size >> shift) + (rest > half)
+        if self.mode == STD:
+            man = -man if value < 0 else man
+            try:
+                return math.ldexp(man, shift - fp)
+            except OverflowError:
+                raise CapacityError(f"{to_str(from_man_exp(man, shift - fp, 5), 5)} is not "
+                                    f"finite in std precision") from None
+        zeros = (man & -man).bit_length() - 1  # an mpf mantissa is odd
+        man >>= zeros
+        return mpmath.mp.make_mpf((int(value < 0), man, shift - fp + zeros, man.bit_length()))
+
+    def distance(self, x: Scalar, y: Scalar) -> Scalar:
+        """|x - y| of two scalars of this mode, rounded once at its
+        precision (in ``ext`` not at mpmath's working precision)."""
+        if self.mode == STD:
+            return abs(x - y)
+        return mpmath.mp.make_mpf(mpf_abs(mpf_sub(x._mpf_, y._mpf_, self.prec, round_nearest)))
+
     def exact_prec(self, num: int, den: int = 1) -> int:
         """The bits at which a closed form of size num/den > 0 is evaluated
         before its one rounding: :attr:`guard_prec` plus 2 mag(num/den) where
@@ -152,30 +198,48 @@ class Context:
         """The exact sum of ``terms`` (any iterable), rounded once."""
         return math.fsum(terms) if self.mode == STD else mpmath.fsum(terms)
 
-    # -- closed forms as one mpmath expression --------------------------------
+#: log2(10), as mpmath's decimal conversion computes it
+_LOG2_10 = math.log(10, 2)
 
-    def guarded(self, fn, *values):
-        """``fn(*values)`` with the values as mpf, evaluated by mpmath at
-        :attr:`guard_prec`, then rounded once into the active scalar type
-        (after the guard digits are dropped, so ``ext`` results carry
-        ``dps`` digits).  A tuple result is rounded element by element.  The
-        expansions' leading constants are evaluated so; values that are
-        integer combinations of fixed-point kernel values are rounded by
-        :meth:`ratio` instead, from :meth:`exact_prec`, without mpf
-        arithmetic.  Raises :class:`CapacityError` when a rounded value is
-        not finite, i.e. when it overflows float64 in ``std``."""
-        with mpmath.workprec(self.guard_prec):
-            raw = fn(*(mpmath.mpf(v) for v in values))
-        if isinstance(raw, tuple):
-            return tuple(self._rounded(r) for r in raw)
-        return self._rounded(raw)
 
-    def _rounded(self, raw) -> Scalar:
-        value = self.real(raw)
-        if not mpmath.isfinite(value):
-            raise CapacityError(
-                f"{mpmath.nstr(raw, 5)} is not finite in {self.mode} precision")
-        return value
+def decimal_str(s: tuple, dps: int) -> str:
+    """``mpmath.libmp.to_str(s, dps)`` for an mpf tuple ``s``, byte for byte:
+    the same floor conversion to dps + 3 digits through a binary fixed-point
+    integer, the same round-half-up of the digits kept, the same layout.
+    It leaves out to_str's sign and size dispatch, which is about a third of
+    its cost at 32 digits, and calls to_str itself for zero, inf, nan, no
+    digits, and a binary exponent past 3500, where to_str first divides by
+    a power of ten."""
+    sign, man, exp, bc = s
+    if not man or abs(exp + bc) > 3500 or dps < 1:
+        return to_str(s, dps)
+    fixprec = max(int((dps + 3) * _LOG2_10) + 10 - exp - bc, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    offset = exp + fixprec
+    digits = str(((man << offset) if offset >= 0 else (man >> -offset)) * 10 ** fixdps >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    if len(digits) > dps and digits[dps] >= "5":
+        kept = digits[:dps].rstrip("9")
+        if kept:
+            digits = kept[:-1] + str(int(kept[-1]) + 1) + "0" * (dps - len(kept))
+        else:
+            digits, exponent = "1" + "0" * (dps - 1), exponent + 1
+    else:
+        digits = digits[:dps]
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            split = exponent + 1
+        exponent = 0
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits[-1] == ".":
+        digits += "0"
+    sign = "-" if sign else ""
+    if exponent == 0:
+        return sign + digits
+    return f"{sign}{digits}e{'+' if exponent > 0 else ''}{exponent}"
 
 
 _CONTEXTS = {STD: Context(STD), EXT: Context(EXT)}

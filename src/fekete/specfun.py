@@ -8,11 +8,11 @@ built when an order first needs it, as numerators over known
 denominators.  One fixed-point kernel for log Gamma and log Barnes G
 together, by their asymptotic series summed in integers in the log
 domain without forming Gamma or G; the antiderivative of log-gamma
-(negapolygamma of order -2) from one value of that kernel; and
-:func:`memo`, the one memo of O(1)-argument kernel values.  Callers
-combine kernel values in integers and round the result once through
-:meth:`fekete.precision.Context.ratio`, or convert them to mpf inside
-:meth:`fekete.precision.Context.guarded`.
+(negapolygamma of order -2) and log A (Glaisher-Kinkelin) from that
+kernel; and :func:`memo`, the one memo of O(1)-argument kernel values.
+Every kernel takes its precision as an argument and reads none of
+mpmath's.  Callers combine kernel values in integers and round the
+result once through :meth:`fekete.precision.Context.ratio`.
 """
 from __future__ import annotations
 
@@ -271,39 +271,31 @@ def _log_gamma_g(x: tuple, fp: int, data: tuple) -> tuple[int, int]:
     return lg, lG
 
 
-def psi2_fixed(x) -> tuple[int, int, int]:
-    """(fp, psi^(-2)(x), x log Gamma(x) - psi^(-2)(x)) for x > 0, the two
-    values as integers scaled by 2^fp, from one :func:`memo` value of
-    :func:`log_gamma_g_fixed`.  With psi^(-2)(x) = integral_0^x log Gamma
-    (DLMF 5.17.4, and G(x + 1) = Gamma(x) G(x)):
+def psi2_fixed(x: tuple, prec: int) -> tuple[int, int, int]:
+    """(fp, psi^(-2)(x), x log Gamma(x) - psi^(-2)(x)) for the mpf tuple
+    x >= 0, taken exactly, the two values as integers scaled by 2^fp, from
+    one :func:`memo` value of :func:`log_gamma_g_fixed`.  With psi^(-2)(x) =
+    integral_0^x log Gamma (DLMF 5.17.4, and G(x + 1) = Gamma(x) G(x)):
 
         psi^(-2)(x) = x(1 - x)/2 + (x/2) log 2pi + (x - 1) log Gamma(x) - log G(x),
-        x log Gamma(x) - psi^(-2)(x) = log G(x + 1) - x(1 - x)/2 - (x/2) log 2pi.
+        x log Gamma(x) - psi^(-2)(x) = log G(x + 1) - x(1 - x)/2 - (x/2) log 2pi,
 
-    As x -> 0, log Gamma(x) and -log G(x) both approach log(1/x) while the
-    values are about x log(1/x) and -x: the kernel runs with log2(1/x)
-    more bits for that cancellation."""
-    x = mpmath.mpf(x)
-    prec = mpmath.mp.prec + max(0, -mpmath.mag(x))
+    both 0 at x = 0.  As x -> 0, log Gamma(x) and -log G(x) both approach
+    log(1/x) while the values are about x log(1/x) and -x: the kernel runs
+    at ``prec`` plus log2(1/x) bits for that cancellation, and fp is the
+    :func:`fixed_bits` of that."""
+    prec += max(0, -(x[2] + x[3]))
     fp = fixed_bits(prec)
+    if not x[1]:
+        return fp, 0, 0
     lg, lG = memo(log_gamma_g_fixed, x, prec)
-    one, xf = 1 << fp, to_fixed(x._mpf_, fp)
+    one, xf = 1 << fp, to_fixed(x, fp)
     half = (xf * (one - xf + 2 * _fixed_data(fp)[0])) >> (fp + 1)  # x(1-x)/2 + (x/2) log 2pi
     return fp, half + (((xf - one) * lg) >> fp) - lG, lg + lG - half
 
 
-def log_glaisher_mp():
-    """log A = 1/12 - zeta'(-1), A the Glaisher-Kinkelin constant, as mpf
-    at the working precision, from the kernel's own zeta'(-1) (see
-    :func:`log_gamma_g_fixed`)."""
-    fp = fixed_bits(mpmath.mp.prec)
-    return mpmath.mpf(((1 << fp) // 12 - _fixed_data(fp)[1], -fp))
-
-
-def negapolygamma2_mp(x):
-    """psi^(-2)(x) = integral_0^x log Gamma(t) dt for x >= 0, as mpf at the
-    working precision (see :func:`psi2_fixed`)."""
-    if x == 0:
-        return mpmath.mpf(0)
-    fp, psi2, _ = psi2_fixed(x)
-    return mpmath.mpf((psi2, -fp))
+def log_glaisher_fixed(fp: int) -> int:
+    """log A = 1/12 - zeta'(-1), A the Glaisher-Kinkelin constant, as an
+    integer scaled by 2^fp, from the kernel's own zeta'(-1) at fp
+    fractional bits (see :func:`log_gamma_g_fixed`)."""
+    return (1 << fp) // 12 - _fixed_data(fp)[1]

@@ -45,6 +45,17 @@ def fit_slope(ns, errors) -> float:
     return cov / var
 
 
+def guarded(fn, *values):
+    """``fn(*values)`` with the values as mpf, evaluated by mpmath at the
+    active context's guard precision, then rounded once into its scalar
+    type: an mpf reference, independent of the package's integer route for
+    the expansions' leading constants."""
+    ctx = active()
+    with mpmath.workprec(ctx.guard_prec):
+        raw = fn(*(mpmath.mpf(v) for v in values))
+    return ctx.real(raw)
+
+
 def _constant(fn):
     """``fn()`` rounded once into the active precision; in ``ext`` under a
     working precision above the mode's (a reference under
@@ -52,7 +63,7 @@ def _constant(fn):
     ctx = active()
     if ctx.mode == EXT and mpmath.mp.dps > ctx.dps:
         return fn()
-    return ctx.guarded(fn)
+    return guarded(fn)
 
 
 def ln2():
@@ -63,6 +74,27 @@ def ln2():
 def log_glaisher():
     """log A (Glaisher-Kinkelin) in the active precision (see :func:`_constant`)."""
     return _constant(lambda: mpmath.log(mpmath.glaisher))
+
+
+def psi2_mp(x):
+    """psi^(-2)(x), x >= 0, as mpf at mpmath's working precision, from
+    ``specfun.psi2_fixed`` at that precision."""
+    fp, value, _ = specfun.psi2_fixed(mpmath.mpf(x)._mpf_, mpmath.mp.prec)
+    return mpmath.mpf((value, -fp))
+
+
+def endpoint_mp(x):
+    """x log Gamma(x) - psi^(-2)(x) as mpf at mpmath's working precision, from
+    ``specfun.psi2_fixed`` at that precision."""
+    fp, _, value = specfun.psi2_fixed(mpmath.mpf(x)._mpf_, mpmath.mp.prec)
+    return mpmath.mpf((value, -fp))
+
+
+def log_glaisher_mp():
+    """log A as mpf at mpmath's working precision, from
+    ``specfun.log_glaisher_fixed`` at the kernel's fixed bits for it."""
+    fp = specfun.fixed_bits(mpmath.mp.prec)
+    return mpmath.mpf((specfun.log_glaisher_fixed(fp), -fp))
 
 
 def _scalar_from_json(v):
@@ -194,7 +226,7 @@ def log_gamma_asym(x, a, order: int):
     x = ctx.real(x)
     frac_a = as_fraction(a)
     a = ctx.real(a)
-    half_log_2pi = ctx.guarded(lambda: mpmath.log(2 * mpmath.pi)) / 2
+    half_log_2pi = guarded(lambda: mpmath.log(2 * mpmath.pi)) / 2
     head = ((x + a - ctx.real(Fraction(1, 2))) * ctx.log(x), -x, half_log_2pi)
     tail = (ctx.real((-1) ** m * hurwitz_zeta_negint_fraction(m, frac_a) / m) / x ** m
             for m in range(1, order + 1))

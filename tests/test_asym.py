@@ -13,7 +13,7 @@ from fekete.precision import precision_mode
 
 from _series import add_term, diff_report, new_series, plus, scaled, times_n
 from _tails import exact_tail, hurwitz_zeta_negint_fraction
-from _util import expansion_from_json, fit_slope, log_glaisher, rel_close
+from _util import endpoint_mp, expansion_from_json, fit_slope, log_glaisher, rel_close
 
 
 def zeta_frac(m, a):
@@ -378,6 +378,21 @@ class TestGeneralIntervalExpansion:
         assert e.leading["n2"] == pytest.approx(math.log(4), rel=1e-15)
         assert e.leading["n"] == pytest.approx(-3 * math.log(2), rel=1e-15)
 
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    def test_rational_ends(self, mode):
+        # exact rational ends, as energy.interval_energy_on takes them:
+        # [1/3, 7/3] has the capacity of [-1, 1], so every coefficient is
+        # the same bits; on [0, 10/3] the n^2 coefficient is W = log(6/5)
+        # rounded once
+        with precision_mode(mode) as ctx:
+            shifted = asym.general_interval_energy_expansion(Fraction(1, 3), Fraction(7, 3), 2)
+            unit = asym.general_interval_energy_expansion(-1, 1, 2)
+            assert shifted.leading == unit.leading and shifted.tail == unit.tail
+            w = asym.general_interval_energy_expansion(0, Fraction(10, 3), 2).leading["n2"]
+        with mpmath.workdps(60):
+            ref = mpmath.log(mpmath.mpf(6) / 5)
+            assert abs(mpmath.mpf(w) - ref) <= _half_ulp(ref, ctx) + _slack(ref, ctx)
+
     def test_against_rescaled_exact(self):
         spec = energy.IntervalSpec(0.0, 1.0)
         e = asym.general_interval_energy_expansion(0, 1, 2)
@@ -403,22 +418,25 @@ def _psi2_ref(x):
 @functools.lru_cache(maxsize=None)
 def _leading_refs(p, q):
     """The five leading coefficients of each charge-pair kind at 60 digits,
-    from the exact charges and exponents."""
+    from the exact charges and exponents; the Jacobi kinds only where no
+    exponent 2p - 1 rounds to -1 in float64."""
     with mpmath.workdps(60):
         ln2, log_pi = mpmath.log(2), mpmath.log(mpmath.pi)
         log_a = mpmath.log(mpmath.glaisher)
-        params = JacobiParams.from_charges(p, q)
-        a, b = mpmath.mpf(params.alpha), mpmath.mpf(params.beta)
+        a, b = mpmath.mpf(2 * p - 1), mpmath.mpf(2 * q - 1)
         p, q = mpmath.mpf(p), mpmath.mpf(q)
         ab, a1, b1 = a + b, a + 1, b + 1
         lg, psi2, frac = mpmath.loggamma, _psi2_ref, mpmath.mpf
-        return {
+        jacobi_refs = {} if min(a1, b1) == 0 else {
             "lambda": (0, 0, ln2, frac(-1) / 2, ab * ln2 - log_pi / 2),
             "p1": (0, 0, 0, a, -lg(a1)),
             "disc": (ln2, 0, 2 * ab * ln2 - log_pi, (frac(5) / 2 - a1 ** 2 - b1 ** 2) / 2,
                      -frac(1) / 8 - (ab + frac(1) / 2) ** 2 / 2
                      + (frac(11) / 6 + ab * ab) / 2 * ln2 + log_pi + 3 * log_a
                      + a1 * lg(a1) - psi2(a1) + b1 * lg(b1) - psi2(b1)),
+        }
+        return {
+            **jacobi_refs,
             "potential": (ln2, -1, 2 * (p + q - 1) * ln2,
                           -2 * ((p - frac(1) / 4) ** 2 + (q - frac(1) / 4) ** 2),
                           2 * ((p + q - 1) ** 2 - frac(11) / 24) * ln2 - (p + q) * log_pi
@@ -485,6 +503,123 @@ class TestLeadingCoefficientsRoundedOnce:
         assert len(calls) == built
 
 
+def _half_ulp(ref, ctx):
+    """Half an ulp of the active precision at the 60-digit value ``ref``."""
+    return mpmath.mpf(2) ** (mpmath.mag(ref) - ctx.prec - 1) if ref else mpmath.mpf(0)
+
+
+def _slack(ref, ctx):
+    """The error a value formed at the guard precision may add before its
+    one rounding: 2^-guard_prec relative."""
+    return abs(ref) * mpmath.mpf(2) ** -ctx.guard_prec
+
+
+#: inputs of every kind for the rounded-once checks: charges, and interval ends
+_EVERY_KIND = {
+    **{kind: [(0.1, 0.3), (0.75, 4), (1.25, 2.75), (7.1, 0.55), (1e6, 0.3), (1e-300, 0.5)]
+       for kind in ("lambda", "p1", "disc", "potential", "elliptic")},
+    "interval": [()],
+    "general-interval": [(0, 3), (-2, 5), (10, 11), (Fraction(1, 3), Fraction(7, 3))],
+}
+
+
+def _every_expansion(order):
+    """(kind, inputs, expansion) for every kind at its inputs in
+    :data:`_EVERY_KIND` (the charges for the Jacobi kinds too); charges that
+    no float64 Jacobi exponent holds are left out there."""
+    for kind, given in _EVERY_KIND.items():
+        for inputs in given:
+            args = inputs
+            if cli.KINDS[kind].inputs == ("params",):
+                if 2 * min(inputs) - 1 == -1:
+                    continue
+                args = (JacobiParams.from_charges(*inputs),)
+            yield kind, inputs, cli.KINDS[kind].expansion(order, *args)
+
+
+def _interval_refs(a, b):
+    """The five leading coefficients of the [a, b] energy at 60 digits."""
+    with mpmath.workdps(60):
+        ln2, log_a = mpmath.log(2), mpmath.log(mpmath.glaisher)
+        w = -mpmath.log((mpmath.mpf(b.numerator) / b.denominator
+                         - mpmath.mpf(a.numerator) / a.denominator) / 4)
+        return (w, -1, -(ln2 + w), mpmath.mpf(-1) / 4, 13 * ln2 / 12 - 3 * log_a)
+
+
+class TestRoundedOnceAgainst60Digits:
+    """Every leading coefficient of every kind, and every partial sum of
+    every truncated series, is its 60-digit value rounded once: within half
+    an ulp, plus 2^-guard_prec relative for a value formed at the guard
+    precision."""
+
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    def test_leading_coefficients(self, mode):
+        with precision_mode(mode) as ctx:
+            built = list(_every_expansion(0))
+        for kind, inputs, e in built:
+            if kind in ("interval", "general-interval"):
+                a, b = map(Fraction, inputs or (-1, 1))
+                refs = _interval_refs(a, b)
+            else:
+                refs = _leading_refs(*inputs)[kind]
+            with mpmath.workdps(60):
+                for key, ref in zip(asym.LEADING_KEYS, refs):
+                    err = abs(mpmath.mpf(e.leading[key]) - ref)
+                    assert err <= _half_ulp(ref, ctx) + _slack(ref, ctx), (kind, inputs, key)
+
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    def test_value_at_one_constant_at_tiny_exponents(self, mode):
+        # -log Gamma(1 + alpha), about 0.58 alpha, keeps its relative digits
+        for alpha in (1e-300, -1e-20, 1e-10):
+            with precision_mode(mode) as ctx:
+                const = asym.value_at_one_expansion(JacobiParams(alpha, 0), 0).leading["const"]
+            with mpmath.workdps(400):
+                ref = -mpmath.loggamma(1 + mpmath.mpf(alpha))
+                assert abs(mpmath.mpf(const) - ref) <= _half_ulp(ref, ctx) + _slack(ref, ctx)
+
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    def test_partial_sums(self, mode):
+        worst = 0
+        with precision_mode(mode) as ctx:
+            built = list(_every_expansion(asym.max_order()))
+            for kind, inputs, e in built:
+                for n in (2, 3, 10, 10**3, 10**6, 10**9):
+                    sums = asym.truncations(e, n)
+                    with mpmath.workdps(60):
+                        lead = {k: mpmath.mpf(v) for k, v in e.leading.items()}
+                        x, log_n = mpmath.mpf(n), mpmath.log(n)
+                        ref = (lead["n2"] * x * x + lead["nlogn"] * x * log_n + lead["n"] * x
+                               + lead["logn"] * log_n + lead["const"])
+                        refs = [ref]
+                        for m, c in enumerate(e.tail, 1):
+                            ref += mpmath.mpf(c) / x ** m
+                            refs.append(ref)
+                        for m, (value, ref) in enumerate(zip(sums, refs)):
+                            ulps = abs(mpmath.mpf(value) - ref) / (2 * _half_ulp(ref, ctx))
+                            worst = max(worst, ulps)
+                            assert ulps <= 0.5, (kind, inputs, n, m, ulps)
+        assert worst > 0.49  # the references see the ulps the check counts
+
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    def test_partial_sums_that_cancel(self, mode):
+        # where the leading terms cancel, the sums are formed again with the
+        # bits they lack: at n = 2 the [10, 11] energy is -1.86, from terms of
+        # about 9; a value that cancels to exactly 0 (every coefficient of
+        # log P_n(1) at alpha = 0) is 0
+        with precision_mode(mode) as ctx:
+            e = asym.general_interval_energy_expansion(10, 11, 4)
+            sums = asym.truncations(e, 2)
+            zero = asym.truncations(asym.value_at_one_expansion(JacobiParams(0, 1), 4), 7)
+        assert all(v == 0 for v in zero)
+        with mpmath.workdps(60):
+            lead = {k: mpmath.mpf(v) for k, v in e.leading.items()}
+            ref = 4 * lead["n2"] + 2 * lead["nlogn"] * mpmath.log(2) + 2 * lead["n"] \
+                + lead["logn"] * mpmath.log(2) + lead["const"]
+            for m, value in enumerate(sums):
+                ref += mpmath.mpf(e.tail[m - 1]) / 2 ** m if m else 0
+                assert abs(mpmath.mpf(value) - ref) <= _half_ulp(ref, ctx), m
+
+
 class TestRuntimeRoute:
     """psi^(-2) and the endpoint term from the fused kernel, the Bernoulli
     numbers from the tangent numbers: no mpmath.zeta, no mpmath.bernfrac."""
@@ -495,7 +630,7 @@ class TestRuntimeRoute:
         with mpmath.workdps(dps):
             prec = mpmath.mp.prec
             for x in map(mpmath.mpf, ["1e-300", "1e-6", "0.3", "1.5", "2", "7.75", "1e3", "2e16"]):
-                value = asym._endpoint(x)
+                value = endpoint_mp(x)
                 with mpmath.workdps(dps + 30), mpmath.extraprec(max(0, -mpmath.mag(x))):
                     ref = (x * mpmath.loggamma(x) - mpmath.zeta(-1, x, 1) + mpmath.zeta(-1, 1, 1)
                            - x * (1 - x) / 2 - x / 2 * mpmath.log(2 * mpmath.pi))

@@ -13,6 +13,7 @@ from fekete.precision import active, precision_mode
 
 from _util import (
     discriminant_N_log_sum,
+    guarded,
     logsum_shifted,
     pq_discriminant_log_sum,
     rel_close,
@@ -297,7 +298,7 @@ class TestIntervalEnergyExact:
     def test_two_points_round_to_minus_log_four(self, mode):
         # the n = 0 kernels leave about 1e-41 of rounding, far below one ulp
         with precision_mode(mode):
-            assert energy.interval_energy_exact(2) == active().guarded(lambda: -mpmath.log(4))
+            assert energy.interval_energy_exact(2) == guarded(lambda: -mpmath.log(4))
 
     def test_three_is_symmetric_optimum(self):
         # brute-force oracle: E0({-1, t, 1}) is minimized at t = 0

@@ -171,6 +171,26 @@ class TestEndpointValues:
                     assert abs(value - ref) <= bound, (n, alpha)
         assert max(precs) < 256
 
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    @pytest.mark.parametrize("exponent", [1e-300, -1e-300, 1e-20, 1e-10])
+    def test_tiny_exponent_against_log1p_sum(self, mode, exponent):
+        # log P_n(1) = sum_k log(1 + alpha/k) is about alpha log n, while the
+        # lgamma terms it is formed from are about n log n; log |P_n(-1)| is
+        # the same sum in beta.  Each must be its 60-digit value rounded
+        # once, up to a slack of 2^-guard_prec relative
+        n = 1000
+        with mpmath.workdps(60):
+            e = mpmath.mpf(exponent)
+            ref = mpmath.fsum(mpmath.log1p(e / k) for k in range(1, n + 1))
+        with precision_mode(mode) as ctx:
+            at_one = jacobi.value_at_one_log(n, JacobiParams(exponent, 0.5))
+            at_minus_one = jacobi._log_value(n, JacobiParams(0.5, exponent), 3)
+        with mpmath.workdps(60):
+            half_ulp = mpmath.mpf(2) ** (mpmath.mag(ref) - ctx.prec - 1)
+            slack = abs(ref) * mpmath.mpf(2) ** -ctx.guard_prec
+            for value in (at_one, at_minus_one):
+                assert abs(mpmath.mpf(value) - ref) <= half_ulp + slack, (value, ref)
+
 
 class TestEvaluate:
     """The Newton step P_n/P_n' of the zero polish."""

@@ -5,11 +5,14 @@ import time
 
 import mpmath
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero, to_str
 
 from fekete import asym, cli, jacobi, precision, specfun
-from fekete.exceptions import DomainError
+from fekete.exceptions import CapacityError, DomainError
 from fekete.jacobi import JacobiParams
-from fekete.precision import EXTENDED_DPS, active, integer_ratio, precision_mode
+from fekete.precision import EXTENDED_DPS, active, decimal_str, integer_ratio, precision_mode
 
 from _tails import elliptic_tail_fraction, potential_tail_fraction
 
@@ -108,11 +111,20 @@ def test_data_filled_by_racing_modes_is_exact():
 
 def _exact_values() -> list:
     """Every exact function reachable from ``cli.KINDS`` at n = 2, 40 and
-    10^6, each value as its bits: the float, or the mpf tuple."""
+    10^6, each value as its bits: the float, or the mpf tuple; then the
+    rows of ``cmd_coeffs``, ``cmd_table`` and ``cmd_verify`` for every kind,
+    which print the expansions, their truncations and the errors, and of
+    ``cmd_zeros``, which prints float64 values."""
     inputs = {"params": JacobiParams(0.4, 1.6), "p": 0.75, "q": 4.0, "a": 0.5, "b": 3.25}
-    return [getattr(value, "_mpf_", value)
-            for kind in cli.KINDS.values() for n in (2, 40, 10**6)
-            for value in [kind.exact(n, *(inputs[f] for f in kind.inputs))]]
+    values = [getattr(value, "_mpf_", value)
+              for kind in cli.KINDS.values() for n in (2, 40, 10**6)
+              for value in [kind.exact(n, *(inputs[f] for f in kind.inputs))]]
+    for kind in cli.KINDS:
+        given = dict(kind=kind, p=0.75, q=4.0, a=0.5, b=3.25, order=3)
+        values += [cli.cmd_coeffs(cli.RunConfig("coeffs", **given)),
+                   cli.cmd_table(cli.RunConfig("table", values=(2, 40, 10**6), **given)),
+                   cli.cmd_verify(cli.RunConfig("verify", values=(40, 80, 160), **given))]
+    return values + [cli.cmd_zeros(cli.RunConfig("zeros", "zeros", (3,), p=0.7, q=1.3))]
 
 
 @pytest.mark.parametrize("mode", ["std", "ext"])
@@ -206,6 +218,53 @@ def test_ratio_rounds_at_the_mode_precision():
         assert third._mpf_[1].bit_length() <= ctx.prec
         with mpmath.workprec(300):
             assert ctx.ratio(1, 3)._mpf_ == third._mpf_
+
+
+@pytest.mark.parametrize("mode", ["std", "ext"])
+def test_fixed_rounds_only_where_decided(mode):
+    with precision_mode(mode) as ctx:
+        one = 1 << 200
+        # 1/3 to within 5 units of 2^-200: far from a midpoint
+        assert ctx.fixed(one // 3, 200, 5) == ctx.ratio(1, 3)
+        # a midpoint of the mode's precision, to within 1 unit: undecided
+        half_ulp = 1 << (200 - ctx.prec)
+        assert ctx.fixed(one + half_ulp, 200, 1) is None
+        assert ctx.fixed(one + half_ulp + 4 * half_ulp // 3, 200, 1) == ctx.ratio(
+            one + half_ulp + 4 * half_ulp // 3, one)
+        # fewer bits than the precision: undecided
+        assert ctx.fixed(3, 1, 1) is None
+    with precision_mode("std") as ctx:
+        # the subnormal ulp, 2^-1074, and float64's range
+        assert ctx.fixed(3 << 1030, 2100, 1) == 3 * 2.0 ** -1070
+        with pytest.raises(CapacityError):
+            ctx.fixed(1 << 1100, 10, 1)
+
+
+def test_distance_rounds_at_the_mode_precision():
+    # |x - y| rounded once at the context's precision, whatever mpmath's is
+    with precision_mode("ext") as ctx:
+        x, y = ctx.ratio(1, 3), ctx.ratio(-1, 7)
+        with mpmath.workprec(ctx.prec):
+            expected = abs(x - y)
+        for dps in (5, 200):
+            with mpmath.workdps(dps):
+                assert ctx.distance(y, x)._mpf_ == expected._mpf_
+
+
+#: special values and sizes: zero, infinities, nan, 9...9 carries, exponents
+#: past 3500 bits, where to_str itself is called
+_SPECIALS = [fzero, finf, fninf, fnan, from_man_exp(10 ** 40 - 1, 0), from_man_exp(-(10 ** 17 - 1), -3),
+             from_man_exp(3, 3600), from_man_exp(-5, -3700), from_man_exp(1, 3499)]
+
+
+@given(st.integers(-(1 << 200), 1 << 200), st.integers(-4000, 4000),
+       st.sampled_from([1, 2, 15, 16, 17, 32, 36, 60]))
+@example(0, 0, 32)
+def test_decimal_str_is_to_str(man, exp, dps):
+    s = from_man_exp(man, exp)
+    assert decimal_str(s, dps) == to_str(s, dps)
+    for s in _SPECIALS:
+        assert decimal_str(s, dps) == to_str(s, dps)
 
 
 def test_integer_ratio_rejects_non_finite_and_other_types():

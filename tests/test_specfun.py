@@ -18,8 +18,8 @@ from fekete.jacobi import JacobiParams
 from fekete.precision import active, precision_mode
 
 from _tails import bernoulli_poly_fraction, bernoulli_poly_from_numerators, zeta_from_numerators
-from _util import (bernoulli_poly_horner, fit_slope, ln2, log_gamma_asym, log_glaisher,
-                   rel_close, zeta_prime_neg1_asym)
+from _util import (bernoulli_poly_horner, fit_slope, guarded, ln2, log_gamma_asym, log_glaisher,
+                   log_glaisher_mp, psi2_mp, rel_close, zeta_prime_neg1_asym)
 
 
 def _zeta_prime(x):
@@ -194,25 +194,27 @@ class TestHurwitzZetaNegint:
 
 
 def _psi2(x):
-    """psi^(-2)(x) by its kernel at guard digits, rounded once: the route of
-    the expansion constants."""
-    return active().guarded(specfun.negapolygamma2_mp, x)
+    """psi^(-2)(x) from ``specfun.psi2_fixed`` at the guard precision of the
+    active context, rounded once: the route of the expansion constants."""
+    ctx = active()
+    fp, value, _ = specfun.psi2_fixed(mpmath.mpf(x)._mpf_, ctx.guard_prec)
+    return ctx.ratio(value, 1 << fp)
 
 
 class TestLogGamma:
     """mpmath.loggamma, the log-gamma of the expansion constants."""
 
     def test_trivial(self):
-        assert active().guarded(mpmath.loggamma, 1.0) == 0.0
-        assert active().guarded(mpmath.loggamma, 2.0) == 0.0
+        assert guarded(mpmath.loggamma, 1.0) == 0.0
+        assert guarded(mpmath.loggamma, 2.0) == 0.0
 
     def test_half(self):
-        assert rel_close(active().guarded(mpmath.loggamma, 0.5), 0.5 * math.log(math.pi), 1e-14)
+        assert rel_close(guarded(mpmath.loggamma, 0.5), 0.5 * math.log(math.pi), 1e-14)
 
     def test_against_mpmath(self):
         for x in (0.1, 0.9, 3.7, 12.0, 250.5):
             expected = float(mpmath.loggamma(mpmath.mpf(x)))
-            assert rel_close(active().guarded(mpmath.loggamma, x), expected, 1e-14)
+            assert rel_close(guarded(mpmath.loggamma, x), expected, 1e-14)
 
     def test_domain(self):
         # log Gamma is taken at alpha + 1 and 2p, which the inputs keep > 0
@@ -315,7 +317,7 @@ class TestNegapolygamma2:
         with mpmath.workdps(dps):
             prec = mpmath.mp.prec
             for x in map(mpmath.mpf, PSI2_ARGS):
-                value = specfun.negapolygamma2_mp(x)
+                value = psi2_mp(x)
                 with mpmath.workdps(dps + 30), mpmath.extraprec(max(0, -mpmath.mag(x))):
                     ref = _psi2_zeta(x)
                     assert abs(value - ref) <= abs(ref) * mpmath.mpf(2) ** (1 - prec), (dps, x)
@@ -525,7 +527,7 @@ class TestConstants:
         # log A from the kernel's zeta'(-1), against mpmath's constant
         with mpmath.workdps(dps):
             prec = mpmath.mp.prec
-            value = specfun.log_glaisher_mp()
+            value = log_glaisher_mp()
             with mpmath.workdps(dps + 30):
                 ref = mpmath.log(mpmath.glaisher)
                 assert abs(value - ref) <= ref * mpmath.mpf(2) ** (1 - prec)

@@ -7,10 +7,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from fekete import asym, energy, jacobi, minimize as optim, specfun
+from fekete import asym, energy, jacobi, minimize as optim
 from fekete.energy import Configuration, IntervalSpec
 from fekete.jacobi import JacobiParams
-from fekete.precision import active, precision_mode
+from fekete.precision import precision_mode
 
 from _tails import exact_tail
 from _util import (discriminant_N_log_sum, fit_slope, guarded, log_glaisher,

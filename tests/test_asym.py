@@ -603,9 +603,9 @@ class TestRoundedOnceAgainst60Digits:
     @pytest.mark.parametrize("mode", ["std", "ext"])
     def test_partial_sums_that_cancel(self, mode):
         # where the leading terms cancel, the sums are formed again with the
-        # bits they lack: at n = 2 the [10, 11] energy is -1.86, from terms of
-        # about 9; a value that cancels to exactly 0 (every coefficient of
-        # log P_n(1) at alpha = 0) is 0
+        # bits they lack: at n = 2 the [10, 11] truncations are -0.17 down to
+        # -0.0016, from terms up to 5.5; a value that cancels to exactly 0
+        # (every coefficient of log P_n(1) at alpha = 0) is 0
         with precision_mode(mode) as ctx:
             e = asym.general_interval_energy_expansion(10, 11, 4)
             sums = asym.truncations(e, 2)
@@ -613,8 +613,8 @@ class TestRoundedOnceAgainst60Digits:
         assert all(v == 0 for v in zero)
         with mpmath.workdps(60):
             lead = {k: mpmath.mpf(v) for k, v in e.leading.items()}
-            ref = 4 * lead["n2"] + 2 * lead["nlogn"] * mpmath.log(2) + 2 * lead["n"] \
-                + lead["logn"] * mpmath.log(2) + lead["const"]
+            ref = (4 * lead["n2"] + 2 * lead["nlogn"] * mpmath.log(2) + 2 * lead["n"]
+                   + lead["logn"] * mpmath.log(2) + lead["const"])
             for m, value in enumerate(sums):
                 ref += mpmath.mpf(e.tail[m - 1]) / 2 ** m if m else 0
                 assert abs(mpmath.mpf(value) - ref) <= _half_ulp(ref, ctx), m

@@ -9,7 +9,7 @@ from fekete import energy, jacobi, minimize, specfun
 from fekete.energy import Configuration, IntervalSpec, INFINITE_ENERGY
 from fekete.exceptions import DomainError
 from fekete.jacobi import JacobiParams
-from fekete.precision import active, precision_mode
+from fekete.precision import precision_mode
 
 from _util import (
     discriminant_N_log_sum,

@@ -253,8 +253,9 @@ def test_distance_rounds_at_the_mode_precision():
 
 #: special values and sizes: zero, infinities, nan, 9...9 carries, exponents
 #: past 3500 bits, where to_str itself is called
-_SPECIALS = [fzero, finf, fninf, fnan, from_man_exp(10 ** 40 - 1, 0), from_man_exp(-(10 ** 17 - 1), -3),
-             from_man_exp(3, 3600), from_man_exp(-5, -3700), from_man_exp(1, 3499)]
+_SPECIALS = [fzero, finf, fninf, fnan, from_man_exp(10 ** 40 - 1, 0),
+             from_man_exp(-(10 ** 17 - 1), -3), from_man_exp(3, 3600), from_man_exp(-5, -3700),
+             from_man_exp(1, 3499)]
 
 
 @given(st.integers(-(1 << 200), 1 << 200), st.integers(-4000, 4000),

@@ -10,9 +10,7 @@ result as a JSON bench file.
 ``BENCHMARK.json`` and every seed, one pair of ``perfbench/run.py`` runs
 is made, one per side, with the same seed and the benchmark's
 ``run_seconds``; the side that runs first alternates from pair to pair.
-The runs are sequential, one process at a time.  A run that ends in an
-error is made again with its seed (see :func:`run`), and each such error
-is recorded under ``crashed_runs``.
+The runs are sequential, one process at a time.
 
 For each workload and end-to-end metric the file records both sides'
 values run by run, their medians and quartiles, how many pairs the change
@@ -54,30 +52,13 @@ def checkout(rev: str, into: Path) -> Path:
     return into
 
 
-#: runs of one seed and side made before a run that ends in an error stops the bench
-ATTEMPTS = 5
-
-
-def run(tree: Path, workload: str, seed: int, seconds: float, trace: int,
-        crashes: list | None = None) -> dict:
-    """The result object (the last stdout line) of one ``perfbench/run.py``
-    run.  A run that exits with an error is made again with the same seed,
-    up to :data:`ATTEMPTS` runs, and the last line of each error is appended
-    to ``crashes``: ``run.py`` fails when a round of ops ends before its
-    speed sampler's first sample (25 ms), so a faster side fails more often
-    on a quiet machine, and the runs kept are then those of a slower one."""
-    for _ in range(ATTEMPTS):
-        done = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-             "--seconds", str(seconds), "--trace", str(trace)],
-            cwd=tree, capture_output=True, text=True)
-        if done.returncode == 0:
-            return json.loads(done.stdout.strip().splitlines()[-1])
-        last = (done.stderr.strip().splitlines() or ["no output"])[-1]
-        if crashes is None:
-            break
-        crashes.append(f"seed {seed}: {last}")
-    raise SystemExit(f"perfbench/run.py failed for {workload} seed {seed} in {tree}: {last}")
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The result object (the last stdout line) of one ``perfbench/run.py`` run."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -121,20 +102,19 @@ def main(argv=None) -> int:
         for workload in (w["name"] for w in bench["workloads"]):
             values = {"parent": {m: [] for m in better}, "change": {m: [] for m in better}}
             failed = {"parent": 0, "change": 0}
-            crashes = {"parent": [], "change": []}
             order = []
             for i, seed in enumerate(seeds):
                 sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 order.append(list(sides))
                 for side in sides:
-                    res = run(trees[side], workload, seed, seconds, 0, crashes[side])
+                    res = run(trees[side], workload, seed, seconds, 0)
                     failed[side] += res["failed"]
                     for m in better:
                         values[side][m].append(res["metrics"][m]["value"])
                     print(f"{workload} seed {seed} {side}: "
                           + " ".join(f"{m}={values[side][m][-1]:.4g}" for m in better),
                           file=sys.stderr)
-            row = {"pairing_order": order, "failed_ops": failed, "crashed_runs": crashes,
+            row = {"pairing_order": order, "failed_ops": failed,
                    "metrics": {m: summarise(values["parent"][m], values["change"][m], b)
                                for m, b in better.items()}}
             row["layer_exponents"] = {}

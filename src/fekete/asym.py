@@ -366,13 +366,14 @@ def general_interval_energy_expansion(a: float, b: float, order: int) -> Expansi
 _TRUNCATION_GUARD = 20
 
 
-def _binary(x: Scalar) -> tuple[int, int]:
-    """(man, exp) with x = man 2^exp exactly, for a float or an mpf."""
-    if isinstance(x, float):
-        num, den = x.as_integer_ratio()
-        return num, 1 - den.bit_length()
-    sign, man, exp, _ = x._mpf_
-    return (-man if sign else man), exp
+def _binary(x) -> tuple[int, int]:
+    """(man, exp) with x = man 2^exp exactly, for an int, float or mpf
+    coefficient: its :func:`~fekete.precision.integer_ratio` has a power
+    of two for denominator."""
+    num, den = integer_ratio(x)
+    if den & (den - 1):
+        raise TypeError(f"coefficient {x!r} is not a binary rational")
+    return num, 1 - den.bit_length()
 
 
 def truncations(expansion: Expansion, n: int, order: int | None = None) -> tuple[Scalar, ...]:

@@ -71,8 +71,8 @@ def _log_value(n: int, params: JacobiParams, index: int) -> Scalar:
     log D_n, alpha + 2 for log P_n(1), beta + 2 for log |P_n(-1)|.
 
     log P_n(1) = sum_k log(1 + alpha/k) is about alpha log n, while its
-    lgamma terms are about n log n: at 0 < |alpha| < 1/2 the difference
-    cancels about log2(n/|alpha|) bits, which the size then adds as
+    lgamma terms are about n log n: at any alpha != 0 the difference
+    cancels about log2(n/|alpha|) bits, so the size is at least
     sqrt(n/|alpha|) (exact_prec adds twice the bits of the size); likewise
     for beta at -1."""
     (a, da), (b, db) = integer_ratio(params.alpha), integer_ratio(params.beta)
@@ -80,8 +80,9 @@ def _log_value(n: int, params: JacobiParams, index: int) -> Scalar:
     if index >= 2:
         e, de = (a, da) if index == 2 else (b, db)
         size = (e + 2 * de, de)
-        if e and 2 * abs(e) < de:
-            size = (1 << (n.bit_length() + de.bit_length() - abs(e).bit_length() + 1) // 2, 1)
+        wide = 1 << max(0, n.bit_length() + de.bit_length() - abs(e).bit_length() + 1) // 2
+        if e and wide * de > e + 2 * de:
+            size = (wide, 1)
     fp, (value,) = log_values_fixed(n, (a + da, da), (b + db, db), (index,), size)
     return active().ratio(value, 1 << fp)
 

@@ -44,8 +44,8 @@ from fractions import Fraction
 from typing import Union
 
 import mpmath
-from mpmath.libmp import (dps_to_prec, from_man_exp, mpf_abs, mpf_sub, round_nearest, to_rational,
-                          to_str)
+from mpmath.libmp import (dps_to_prec, finf, fnan, fninf, from_man_exp, mpf_abs, mpf_sub,
+                          round_nearest, to_rational, to_str)
 
 from .exceptions import CapacityError, DomainError
 
@@ -67,10 +67,10 @@ def integer_ratio(x) -> tuple[int, int]:
 
     Every finite binary float *is* a rational, so no rounding occurs.
     """
+    if isinstance(x, mpmath.mpf) and x._mpf_ not in (finf, fninf, fnan):
+        return to_rational(x._mpf_)
     if isinstance(x, (int, Fraction)) or isinstance(x, float) and math.isfinite(x):
         return x.as_integer_ratio()
-    if isinstance(x, mpmath.mpf) and mpmath.isfinite(x):
-        return to_rational(x._mpf_)
     if isinstance(x, (float, mpmath.mpf)):
         raise DomainError(f"cannot convert non-finite value {x!r} to a rational")
     raise TypeError(f"no exact rational conversion for {type(x).__name__}")

@@ -601,6 +601,19 @@ class TestRoundedOnceAgainst60Digits:
         assert worst > 0.49  # the references see the ulps the check counts
 
     @pytest.mark.parametrize("mode", ["std", "ext"])
+    def test_partial_sums_of_int_coefficients(self, mode):
+        # an Expansion built by hand may hold ints: -n log n + 2n + 3 log n
+        # - 1 + 5/n - 7/n^2 at n = 10, each sum its exact value rounded once
+        e = asym.Expansion("by_hand", {}, {"n2": 0, "nlogn": -1, "n": 2, "logn": 3, "const": -1},
+                           (5, -7))
+        with precision_mode(mode) as ctx:
+            sums = asym.truncations(e, 10)
+        with mpmath.workdps(60):
+            ref = -10 * mpmath.log(10) + 20 + 3 * mpmath.log(10) - 1
+            for value, tail in zip(sums, (0, mpmath.mpf(1) / 2, mpmath.mpf(43) / 100)):
+                assert abs(mpmath.mpf(value) - ref - tail) <= _half_ulp(ref + tail, ctx)
+
+    @pytest.mark.parametrize("mode", ["std", "ext"])
     def test_partial_sums_that_cancel(self, mode):
         # where the leading terms cancel, the sums are formed again with the
         # bits they lack: at n = 2 the [10, 11] truncations are -0.17 down to

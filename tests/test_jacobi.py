@@ -191,6 +191,25 @@ class TestEndpointValues:
             for value in (at_one, at_minus_one):
                 assert abs(mpmath.mpf(value) - ref) <= half_ulp + slack, (value, ref)
 
+    @pytest.mark.parametrize("mode", ["std", "ext"])
+    @pytest.mark.parametrize("exponent", [0.6, -0.6])
+    def test_large_n_against_loggamma(self, mode, exponent):
+        # at n = 10^15 the argument n + alpha + 1 needs about 103 bits, more
+        # than the size alpha + 2 alone gives in std: its rounding error,
+        # times psi(n), lands on a value of only about alpha log n
+        n = 10 ** 15
+        with mpmath.workdps(80):
+            e = mpmath.mpf(exponent)
+            ref = mpmath.loggamma(n + e + 1) - mpmath.loggamma(e + 1) - mpmath.loggamma(n + 1)
+        with precision_mode(mode) as ctx:
+            at_one = jacobi.value_at_one_log(n, JacobiParams(exponent, 0.5))
+            at_minus_one = jacobi._log_value(n, JacobiParams(0.5, exponent), 3)
+        with mpmath.workdps(80):
+            half_ulp = mpmath.mpf(2) ** (mpmath.mag(ref) - ctx.prec - 1)
+            slack = abs(ref) * mpmath.mpf(2) ** -ctx.guard_prec
+            for value in (at_one, at_minus_one):
+                assert abs(mpmath.mpf(value) - ref) <= half_ulp + slack, (value, ref)
+
 
 class TestEvaluate:
     """The Newton step P_n/P_n' of the zero polish."""

@@ -24,12 +24,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath.libmp import ln2_fixed, pi_fixed, repr_dps
+from mpmath.libmp import ln2_fixed, pi_fixed, repr_dps, to_str
 
 from .energy import IntervalSpec
 from .exceptions import CapacityError, check_finite_above, check_size
 from .jacobi import JacobiParams
-from .precision import Scalar, active, decimal_str, integer_ratio, round_ratio
+from .precision import Scalar, active, integer_ratio, round_ratio
 from .specfun import (bernoulli_number, fixed_bits, log_fixed, log_gamma_g_fixed,
                       log_glaisher_fixed, memo, psi2_fixed)
 from .specfun import hurwitz_zeta_negint_numerators as _zeta
@@ -456,7 +456,7 @@ def _scalar_to_json(x: Scalar):
     recover it at the active precision."""
     if isinstance(x, float):
         return x
-    return decimal_str(x._mpf_, repr_dps(active().prec))
+    return to_str(x._mpf_, repr_dps(active().prec))
 
 
 def expansion_to_json(expansion: Expansion) -> dict:

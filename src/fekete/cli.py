@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import mpmath
+from mpmath.libmp import to_str
 
 from . import __version__, asym, energy, jacobi
 from .energy import IntervalSpec
 from .exceptions import FeketeError, check_finite_above
 from .jacobi import JacobiParams
-from .precision import STD, active, decimal_str, use
+from .precision import STD, active, use
 
 
 class UsageError(Exception):
@@ -96,8 +97,7 @@ def _format_scalar(x) -> str:
     ctx = active()
     if ctx.mode == STD:
         return format(float(x), ".17g")
-    return decimal_str((x if isinstance(x, mpmath.mpf) else mpmath.mpf(x, prec=ctx.prec))._mpf_,
-                       ctx.dps)
+    return to_str((x if isinstance(x, mpmath.mpf) else mpmath.mpf(x, prec=ctx.prec))._mpf_, ctx.dps)
 
 
 def _json_scalar(x):

@@ -20,8 +20,8 @@ and tail coefficients are one integer numerator over one integer
 denominator, rounded by :meth:`Context.ratio`; each truncation of an
 expansion is a fixed-point integer with a known error bound, rounded by
 :meth:`Context.fixed` once that bound decides the rounding.
-:meth:`Context.distance` and :func:`decimal_str` give the CLI's error
-column and its decimal digits at the mode's precision.
+:meth:`Context.distance` gives the CLI's error column at the mode's
+precision.
 
 :func:`use` sets the process-wide default mode (the CLI's start-up
 setting).  :func:`precision_mode` overrides it for the current thread (or
@@ -197,49 +197,6 @@ class Context:
     def fsum(self, terms) -> Scalar:
         """The exact sum of ``terms`` (any iterable), rounded once."""
         return math.fsum(terms) if self.mode == STD else mpmath.fsum(terms)
-
-#: log2(10), as mpmath's decimal conversion computes it
-_LOG2_10 = math.log(10, 2)
-
-
-def decimal_str(s: tuple, dps: int) -> str:
-    """``mpmath.libmp.to_str(s, dps)`` for an mpf tuple ``s``, byte for byte:
-    the same floor conversion to dps + 3 digits through a binary fixed-point
-    integer, the same round-half-up of the digits kept, the same layout.
-    It leaves out to_str's sign and size dispatch, which is about a third of
-    its cost at 32 digits, and calls to_str itself for zero, inf, nan, no
-    digits, and a binary exponent past 3500, where to_str first divides by
-    a power of ten."""
-    sign, man, exp, bc = s
-    if not man or abs(exp + bc) > 3500 or dps < 1:
-        return to_str(s, dps)
-    fixprec = max(int((dps + 3) * _LOG2_10) + 10 - exp - bc, 0)
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
-    offset = exp + fixprec
-    digits = str(((man << offset) if offset >= 0 else (man >> -offset)) * 10 ** fixdps >> fixprec)
-    exponent = len(digits) - fixdps - 1
-    if len(digits) > dps and digits[dps] >= "5":
-        kept = digits[:dps].rstrip("9")
-        if kept:
-            digits = kept[:-1] + str(int(kept[-1]) + 1) + "0" * (dps - len(kept))
-        else:
-            digits, exponent = "1" + "0" * (dps - 1), exponent + 1
-    else:
-        digits = digits[:dps]
-    split = 1
-    if min(-(dps // 3), -5) < exponent < dps:
-        if exponent < 0:
-            digits = "0" * -exponent + digits
-        else:
-            split = exponent + 1
-        exponent = 0
-    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
-    if digits[-1] == ".":
-        digits += "0"
-    sign = "-" if sign else ""
-    if exponent == 0:
-        return sign + digits
-    return f"{sign}{digits}e{'+' if exponent > 0 else ''}{exponent}"
 
 
 _CONTEXTS = {STD: Context(STD), EXT: Context(EXT)}

@@ -5,14 +5,11 @@ import time
 
 import mpmath
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
-from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero, to_str
 
 from fekete import asym, cli, jacobi, precision, specfun
 from fekete.exceptions import CapacityError, DomainError
 from fekete.jacobi import JacobiParams
-from fekete.precision import EXTENDED_DPS, active, decimal_str, integer_ratio, precision_mode
+from fekete.precision import EXTENDED_DPS, active, integer_ratio, precision_mode
 
 from _tails import elliptic_tail_fraction, potential_tail_fraction
 
@@ -249,23 +246,6 @@ def test_distance_rounds_at_the_mode_precision():
         for dps in (5, 200):
             with mpmath.workdps(dps):
                 assert ctx.distance(y, x)._mpf_ == expected._mpf_
-
-
-#: special values and sizes: zero, infinities, nan, 9...9 carries, exponents
-#: past 3500 bits, where to_str itself is called
-_SPECIALS = [fzero, finf, fninf, fnan, from_man_exp(10 ** 40 - 1, 0),
-             from_man_exp(-(10 ** 17 - 1), -3), from_man_exp(3, 3600), from_man_exp(-5, -3700),
-             from_man_exp(1, 3499)]
-
-
-@given(st.integers(-(1 << 200), 1 << 200), st.integers(-4000, 4000),
-       st.sampled_from([1, 2, 15, 16, 17, 32, 36, 60]))
-@example(0, 0, 32)
-def test_decimal_str_is_to_str(man, exp, dps):
-    s = from_man_exp(man, exp)
-    assert decimal_str(s, dps) == to_str(s, dps)
-    for s in _SPECIALS:
-        assert decimal_str(s, dps) == to_str(s, dps)
 
 
 def test_integer_ratio_rejects_non_finite_and_other_types():

@@ -172,39 +172,24 @@ class TestEndpointValues:
         assert max(precs) < 256
 
     @pytest.mark.parametrize("mode", ["std", "ext"])
-    @pytest.mark.parametrize("exponent", [1e-300, -1e-300, 1e-20, 1e-10])
-    def test_tiny_exponent_against_log1p_sum(self, mode, exponent):
+    @pytest.mark.parametrize("exponent, n", [(1e-300, 1000), (-1e-300, 1000), (1e-20, 1000),
+                                             (1e-10, 1000), (0.6, 10 ** 15), (-0.6, 10 ** 15)])
+    def test_tiny_exponent_against_log1p_sum(self, mode, exponent, n):
         # log P_n(1) = sum_k log(1 + alpha/k) is about alpha log n, while the
-        # lgamma terms it is formed from are about n log n; log |P_n(-1)| is
-        # the same sum in beta.  Each must be its 60-digit value rounded
-        # once, up to a slack of 2^-guard_prec relative
-        n = 1000
+        # lgamma terms it is formed from are about n log n, so it is small
+        # against them at a tiny alpha, or at n = 10^15, where n + alpha + 1
+        # needs more bits than alpha + 2 gives in std; log |P_n(-1)| is the
+        # same sum in beta.  Each must be its 60-digit value rounded once, up
+        # to a slack of 2^-guard_prec relative.  The sum is summed term by
+        # term at n = 1000, and taken as its lgamma difference at 10^15
         with mpmath.workdps(60):
             e = mpmath.mpf(exponent)
-            ref = mpmath.fsum(mpmath.log1p(e / k) for k in range(1, n + 1))
+            ref = (mpmath.fsum(mpmath.log1p(e / k) for k in range(1, n + 1)) if n <= 1000 else
+                   mpmath.loggamma(n + e + 1) - mpmath.loggamma(e + 1) - mpmath.loggamma(n + 1))
         with precision_mode(mode) as ctx:
             at_one = jacobi.value_at_one_log(n, JacobiParams(exponent, 0.5))
             at_minus_one = jacobi._log_value(n, JacobiParams(0.5, exponent), 3)
         with mpmath.workdps(60):
-            half_ulp = mpmath.mpf(2) ** (mpmath.mag(ref) - ctx.prec - 1)
-            slack = abs(ref) * mpmath.mpf(2) ** -ctx.guard_prec
-            for value in (at_one, at_minus_one):
-                assert abs(mpmath.mpf(value) - ref) <= half_ulp + slack, (value, ref)
-
-    @pytest.mark.parametrize("mode", ["std", "ext"])
-    @pytest.mark.parametrize("exponent", [0.6, -0.6])
-    def test_large_n_against_loggamma(self, mode, exponent):
-        # at n = 10^15 the argument n + alpha + 1 needs about 103 bits, more
-        # than the size alpha + 2 alone gives in std: its rounding error,
-        # times psi(n), lands on a value of only about alpha log n
-        n = 10 ** 15
-        with mpmath.workdps(80):
-            e = mpmath.mpf(exponent)
-            ref = mpmath.loggamma(n + e + 1) - mpmath.loggamma(e + 1) - mpmath.loggamma(n + 1)
-        with precision_mode(mode) as ctx:
-            at_one = jacobi.value_at_one_log(n, JacobiParams(exponent, 0.5))
-            at_minus_one = jacobi._log_value(n, JacobiParams(0.5, exponent), 3)
-        with mpmath.workdps(80):
             half_ulp = mpmath.mpf(2) ** (mpmath.mag(ref) - ctx.prec - 1)
             slack = abs(ref) * mpmath.mpf(2) ** -ctx.guard_prec
             for value in (at_one, at_minus_one):
